@@ -1,14 +1,15 @@
 GO ?= go
 
-.PHONY: check ci fmt vet build test test-race bench bench-json bench-smoke bench-diff wcetlab warmstore smoke
+.PHONY: check ci fmt vet build test test-race bench bench-json bench-smoke bench-diff perfbench-smoke wcetlab warmstore smoke
 
 # Tier-1 verification plus formatting/lint gates.
 check: fmt vet build test
 
 # What .github/workflows/ci.yml runs: check with the race detector on,
 # plus the single-iteration benchmark smoke (validated JSON), the
-# warm-store determinism check and the serve smoke test.
-ci: fmt vet build test-race bench-smoke warmstore smoke
+# benchmark module's build and tests, the warm-store determinism check
+# and the serve smoke test.
+ci: fmt vet build test-race bench-smoke perfbench-smoke warmstore smoke
 
 # The CI benchmark gate: one pass over every benchmark, output validated
 # by cmd/jsoncheck against the BENCH_local.json schema.
@@ -24,6 +25,11 @@ bench-diff:
 	cp BENCH_local.json "$$base"; \
 	$(MAKE) bench-json; \
 	$(GO) run ./cmd/benchdiff "$$base" BENCH_local.json
+
+# perfbench/ is its own Go module, so the root `go build ./...` never
+# compiles it: vet and test it against the repository's current APIs.
+perfbench-smoke:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

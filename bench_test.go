@@ -281,7 +281,7 @@ func BenchmarkAblationKnapsackILPvsDP(b *testing.B) {
 }
 
 // BenchmarkWCETDirectedAllocation runs the WCET-directed allocator
-// (internal/wcetalloc) against the energy-directed one on every benchmark
+// (internal/alloc) against the energy-directed one on every benchmark
 // across the paper's capacities: the fixpoint loop of link → analyse →
 // witness-knapsack dominates the cost; the reported metric is the largest
 // relative WCET tightening the witness-driven placement achieves.

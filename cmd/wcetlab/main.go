@@ -78,6 +78,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/alloc"
 	"repro/internal/benchprog"
 	"repro/internal/cc"
 	"repro/internal/cfg"
@@ -90,14 +91,13 @@ import (
 	"repro/internal/service"
 	"repro/internal/store"
 	"repro/internal/wcet"
-	"repro/internal/wcetalloc"
 )
 
 var (
 	// artifactStore is the shared on-disk cache tier (nil when disabled).
 	artifactStore *store.Store
 	labWorkers    int
-	granularity   wcetalloc.Granularity
+	granularity   alloc.Granularity
 )
 
 func main() {
@@ -135,7 +135,7 @@ func main() {
 		defer obs.DefaultTracer.Disable()
 	}
 	var err error
-	granularity, err = wcetalloc.ParseGranularity(*gran)
+	granularity, err = alloc.ParseGranularity(*gran)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "wcetlab:", err)
 		os.Exit(2)
@@ -455,7 +455,7 @@ func servePprof(ctx context.Context, addr string) error {
 	if err != nil {
 		return fmt.Errorf("pprof: %w", err)
 	}
-	srv := &http.Server{Handler: mux}
+	srv := service.NewHTTPServer(mux)
 	obs.Info(ctx, "pprof listening", obs.A("addr", fmt.Sprintf("http://%s/debug/pprof/", ln.Addr())))
 	go srv.Serve(ln)
 	go func() {
@@ -794,7 +794,7 @@ func wcetsweep(name string) error {
 	fmt.Println("\nThe WCET-directed allocation's bound is never above the energy-directed")
 	fmt.Println("one's; where the worst-case path diverges from the typical input, it is")
 	fmt.Println("strictly tighter at the cost of a slightly higher average-case energy.")
-	if granularity == wcetalloc.GranBlock {
+	if granularity == alloc.GranBlock {
 		fmt.Println("Block granularity splits hot loop regions out of functions (\"splits\"")
 		fmt.Println("counts them) whenever placing a fragment certifies a lower bound than")
 		fmt.Println("placing whole objects; the bound is never worse than object granularity.")
@@ -882,7 +882,7 @@ func witness(name string, topN int, path bool) error {
 
 	// The hot regions those counts imply: the placement units the
 	// block-granularity allocator (-granularity block) would split out.
-	regions, err := wcetalloc.HotRegions(context.Background(), lab.Pipe, w, link.SPMMax, "")
+	regions, err := alloc.HotRegions(context.Background(), lab.Pipe, w, link.SPMMax, "")
 	if err != nil {
 		return err
 	}

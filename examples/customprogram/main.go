@@ -9,11 +9,11 @@ import (
 	"log"
 	"sort"
 
+	"repro/internal/alloc"
 	"repro/internal/cc"
 	"repro/internal/energy"
 	"repro/internal/link"
 	"repro/internal/sim"
-	"repro/internal/spm"
 	"repro/internal/wcet"
 )
 
@@ -81,12 +81,14 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Allocate a 512-byte scratchpad and re-link.
-	alloc, err := spm.Allocate(prog, prof, 512, energy.Default())
+	// Allocate a 512-byte scratchpad (the energy knapsack over the
+	// profile, solved by branch & bound) and re-link.
+	items := alloc.Candidates(prog, alloc.Evidence{Profile: prof}, alloc.EnergyObjective{Model: energy.Default()}, 512)
+	placed, err := alloc.Knapsack(items, 512)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tuned, err := link.Link(prog, 512, alloc.InSPM)
+	tuned, err := link.Link(prog, 512, placed.InSPM)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -106,8 +108,8 @@ func main() {
 		fmt.Printf("%s: sim %d cycles, WCET %d cycles\n", setup.name, res.Cycles, bound.WCET)
 		if setup.name != "main memory only" {
 			fmt.Printf("  scratchpad contents:")
-			names := make([]string, 0, len(alloc.InSPM))
-			for n := range alloc.InSPM {
+			names := make([]string, 0, len(placed.InSPM))
+			for n := range placed.InSPM {
 				names = append(names, n)
 			}
 			sort.Strings(names)

@@ -1,6 +1,6 @@
 // wcetalloc demonstrates WCET-directed scratchpad allocation: instead of
 // weighing memory objects by their simulated typical-input access counts
-// (the energy knapsack of internal/spm), internal/wcetalloc weighs them by
+// (the energy knapsack), internal/alloc's WCET objective weighs them by
 // their access counts on the worst-case path — the IPET witness — re-links,
 // re-analyses and iterates to a fixpoint. The sweep below shows the bound
 // it certifies is never worse than the energy-directed allocation's, and
@@ -12,9 +12,8 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/alloc"
 	"repro/internal/core"
-	"repro/internal/spm"
-	"repro/internal/wcetalloc"
 )
 
 func main() {
@@ -23,6 +22,11 @@ func main() {
 		log.Fatal(err)
 	}
 	ctx := context.Background()
+	// wcetDirected runs the WCET-directed fixpoint with the paper's branch &
+	// bound knapsack against the lab's shared pipeline.
+	wcetDirected := func(capacity uint32, opts alloc.Options) (*alloc.Result, error) {
+		return alloc.Run(ctx, lab.Pipe, capacity, alloc.WCETObjective{}, alloc.SolverILP, opts)
+	}
 
 	fmt.Println("MultiSort: energy-directed vs WCET-directed scratchpad allocation")
 	fmt.Printf("%8s | %12s %12s | %8s %5s\n",
@@ -42,11 +46,12 @@ func main() {
 	// bound never rises. Running it against lab.Pipe after the sweep above
 	// means the seed and baseline analyses are cache hits, not re-runs.
 	const size = 2048
-	ealloc, err := spm.Allocate(lab.Prog, lab.Profile, size, lab.Model)
+	items := alloc.Candidates(lab.Prog, alloc.Evidence{Profile: lab.Profile}, alloc.EnergyObjective{Model: lab.Model}, size)
+	ealloc, err := alloc.Knapsack(items, size)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := wcetalloc.AllocateIn(ctx, lab.Pipe, size, wcetalloc.Options{
+	res, err := wcetDirected(size, alloc.Options{
 		Seeds: []map[string]bool{ealloc.InSPM},
 	})
 	if err != nil {
@@ -68,11 +73,11 @@ func main() {
 	fmt.Println("\nObject vs block placement-unit granularity (WCET-directed bound):")
 	fmt.Printf("%8s | %12s %12s | %7s %7s\n", "SPM [B]", "object", "block", "Δ", "splits")
 	for _, capacity := range []uint32{64, 128, 256, 512} {
-		objRes, err := wcetalloc.AllocateIn(ctx, lab.Pipe, capacity, wcetalloc.Options{})
+		objRes, err := wcetDirected(capacity, alloc.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		blkRes, err := wcetalloc.AllocateIn(ctx, lab.Pipe, capacity, wcetalloc.Options{Granularity: wcetalloc.GranBlock})
+		blkRes, err := wcetDirected(capacity, alloc.Options{Granularity: alloc.GranBlock})
 		if err != nil {
 			log.Fatal(err)
 		}

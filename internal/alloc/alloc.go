@@ -18,9 +18,8 @@
 //     analysis), the WCET-directed policy (the witness fixpoint), and the
 //     multi-objective ε-constraint mode behind the Pareto-front sweep.
 //
-// internal/spm and internal/wcetalloc remain as thin compatibility facades
-// over this package; their outputs are byte-identical to the pre-engine
-// implementations (golden-asserted in internal/core).
+// Outputs are byte-identical to the pre-engine implementations
+// (golden-asserted in internal/core).
 package alloc
 
 import (

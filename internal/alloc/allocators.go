@@ -13,8 +13,7 @@ import (
 // EnergyAllocator is the energy-directed allocation policy as a
 // pipeline.Allocator: the Steinke knapsack over the pipeline's memoized
 // typical-input profile, run through the engine with the static energy
-// objective (one solve, no analysis). internal/spm exposes it as
-// spm.Energy.
+// objective (one solve, no analysis).
 type EnergyAllocator struct {
 	Model energy.Model
 }
@@ -41,8 +40,7 @@ func (a EnergyAllocator) Allocate(ctx context.Context, p *pipeline.Pipeline, cap
 }
 
 // Directed is the WCET-directed allocation policy as a pipeline.Allocator:
-// the engine's fixpoint under the witness-priced objective. internal/
-// wcetalloc exposes it as wcetalloc.Directed.
+// the engine's fixpoint under the witness-priced objective.
 type Directed struct {
 	Opts Options
 	// Seed, when non-nil, supplies an additional seed allocation per

@@ -26,7 +26,7 @@ var (
 )
 
 // Allocation is the shared result type of every allocation solve (an alias
-// of pipeline.Allocation, like internal/spm's).
+// of pipeline.Allocation).
 type Allocation = pipeline.Allocation
 
 // Solver selects the knapsack back-end of the engine's solver front-end.

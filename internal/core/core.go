@@ -21,8 +21,10 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 
+	"repro/internal/alloc"
 	"repro/internal/benchprog"
 	"repro/internal/cache"
 	"repro/internal/cc"
@@ -31,10 +33,8 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/sim"
-	"repro/internal/spm"
 	"repro/internal/store"
 	"repro/internal/wcet"
-	"repro/internal/wcetalloc"
 )
 
 // PaperSizes are the capacities evaluated in the paper: 64 bytes to 8 KB.
@@ -182,21 +182,21 @@ func (l *Lab) ResetArtifacts() {
 // EnergyAllocator returns the energy-directed allocation policy under the
 // lab's energy model.
 func (l *Lab) EnergyAllocator() pipeline.Allocator {
-	return spm.Energy{Model: l.Model}
+	return alloc.EnergyAllocator{Model: l.Model}
 }
 
 // WCETAllocator returns the WCET-directed allocation policy, seeded with
 // the energy allocation (so its bound is never worse than the energy
 // policy's) and with the lab's energy model as the equal-bound tie-break.
 func (l *Lab) WCETAllocator() pipeline.Allocator {
-	return l.WCETAllocatorGran(wcetalloc.GranObject)
+	return l.WCETAllocatorGran(alloc.GranObject)
 }
 
 // WCETAllocatorGran is WCETAllocator at an explicit placement-unit
 // granularity.
-func (l *Lab) WCETAllocatorGran(g wcetalloc.Granularity) pipeline.Allocator {
-	return wcetalloc.Directed{
-		Opts: wcetalloc.Options{Energy: l.placementEnergy, EnergyKey: l.Model.Key(), Granularity: g},
+func (l *Lab) WCETAllocatorGran(g alloc.Granularity) pipeline.Allocator {
+	return alloc.Directed{
+		Opts: alloc.Options{Energy: l.placementEnergy, EnergyKey: l.Model.Key(), Granularity: g},
 		Seed: l.EnergyAllocator(),
 	}
 }
@@ -223,24 +223,24 @@ func (l *Lab) WithScratchpad(ctx context.Context, size uint32) (Measurement, err
 // stage, so repeated sweeps under the same policy configuration reuse the
 // memoized allocation instead of re-running the knapsack/fixpoint.
 func (l *Lab) WithAllocator(ctx context.Context, a pipeline.Allocator, size uint32) (Measurement, error) {
-	alloc, err := l.Pipe.Allocate(ctx, a, size)
+	sol, err := l.Pipe.Allocate(ctx, a, size)
 	if err != nil {
 		return Measurement{}, err
 	}
-	return l.measureAllocation(ctx, size, alloc)
+	return l.measureAllocation(ctx, size, sol)
 }
 
 // measureAllocation links one scratchpad allocation and measures it. Both
 // the link and the analysis are pipeline artifacts: if the placement was
-// already analysed (e.g. by the wcetalloc fixpoint), the bound is reused.
+// already analysed (e.g. by the WCET-directed fixpoint), the bound is reused.
 // The allocation's unit partition (if any) flows into every stage key.
-func (l *Lab) measureAllocation(ctx context.Context, size uint32, alloc *spm.Allocation) (Measurement, error) {
-	m, err := l.measure(ctx, alloc.Splits, size, alloc.InSPM, nil, alloc)
+func (l *Lab) measureAllocation(ctx context.Context, size uint32, a *pipeline.Allocation) (Measurement, error) {
+	m, err := l.measure(ctx, a.Splits, size, a.InSPM, nil, a)
 	if err != nil {
 		return Measurement{}, err
 	}
 	m.SPMSize = size
-	m.Energy = l.Model.ProgramEnergy(l.Prog, l.Profile, energyPlacement(alloc))
+	m.Energy = l.Model.ProgramEnergy(l.Prog, l.Profile, energyPlacement(a))
 	return m, nil
 }
 
@@ -251,17 +251,17 @@ func (l *Lab) measureAllocation(ctx context.Context, size uint32, alloc *spm.All
 // (then all its profiled accesses really are SPM accesses, trampolines
 // aside); a half-resident split function is charged entirely at main
 // cost. Fragment names are unknown to the profile and drop out.
-func energyPlacement(alloc *spm.Allocation) map[string]bool {
-	if len(alloc.Splits) == 0 {
-		return alloc.InSPM
+func energyPlacement(a *pipeline.Allocation) map[string]bool {
+	if len(a.Splits) == 0 {
+		return a.InSPM
 	}
-	split := make(map[string]bool, len(alloc.Splits))
-	for _, r := range alloc.Splits {
+	split := make(map[string]bool, len(a.Splits))
+	for _, r := range a.Splits {
 		split[r.Func] = true
 	}
-	out := make(map[string]bool, len(alloc.InSPM))
-	for name, in := range alloc.InSPM {
-		if in && (!split[name] || alloc.InSPM[obj.FragmentName(name)]) {
+	out := make(map[string]bool, len(a.InSPM))
+	for name, in := range a.InSPM {
+		if in && (!split[name] || a.InSPM[obj.FragmentName(name)]) {
 			out[name] = true
 		}
 	}
@@ -293,7 +293,7 @@ func (l *Lab) withCacheConfig(ctx context.Context, ccfg cache.Config) (Measureme
 
 // measure simulates and analyses one configuration through the pipeline,
 // under an optional placement-unit partition.
-func (l *Lab) measure(ctx context.Context, splits []obj.Region, spmSize uint32, inSPM map[string]bool, ccfg *cache.Config, alloc *spm.Allocation) (Measurement, error) {
+func (l *Lab) measure(ctx context.Context, splits []obj.Region, spmSize uint32, inSPM map[string]bool, ccfg *cache.Config, a *pipeline.Allocation) (Measurement, error) {
 	res, err := l.Pipe.SimulateUnits(ctx, splits, spmSize, inSPM, ccfg)
 	if err != nil {
 		return Measurement{}, err
@@ -322,9 +322,9 @@ func (l *Lab) measure(ctx context.Context, splits []obj.Region, spmSize uint32, 
 		CacheMisses: res.CacheMisses,
 		SplitFuncs:  len(splits),
 	}
-	if alloc != nil {
-		m.SPMUsed = alloc.Used
-		m.SPMObjects = len(alloc.InSPM)
+	if a != nil {
+		m.SPMUsed = a.Used
+		m.SPMObjects = len(a.InSPM)
 	}
 	return m, nil
 }
@@ -340,13 +340,13 @@ func (l *Lab) validateExit(exit int32) error {
 	return nil
 }
 
-// AllocComparison pairs the energy-directed (internal/spm) and the
-// WCET-directed (internal/wcetalloc) allocation at one capacity.
+// AllocComparison pairs the energy-directed and the WCET-directed
+// allocation (internal/alloc) at one capacity.
 type AllocComparison struct {
 	SPMSize uint32
 	// Granularity is the WCET-directed allocator's placement-unit
 	// granularity (the energy side always places whole objects).
-	Granularity wcetalloc.Granularity
+	Granularity alloc.Granularity
 	// Energy is the measurement under the energy-knapsack allocation
 	// (identical to WithScratchpad).
 	Energy Measurement
@@ -365,7 +365,7 @@ type AllocComparison struct {
 // WithWCETAllocation runs both allocators at one capacity and measures the
 // resulting systems side by side, placing whole objects.
 func (l *Lab) WithWCETAllocation(ctx context.Context, size uint32) (AllocComparison, error) {
-	return l.WithWCETAllocationGran(ctx, size, wcetalloc.GranObject)
+	return l.WithWCETAllocationGran(ctx, size, alloc.GranObject)
 }
 
 // WithWCETAllocationGran is WithWCETAllocation at an explicit placement-
@@ -377,7 +377,7 @@ func (l *Lab) WithWCETAllocation(ctx context.Context, size uint32) (AllocCompari
 // first, so the measurements below are pure cache hits. At block
 // granularity the fixpoint additionally runs over the hot-region unit
 // partition and keeps the better certified bound.
-func (l *Lab) WithWCETAllocationGran(ctx context.Context, size uint32, g wcetalloc.Granularity) (AllocComparison, error) {
+func (l *Lab) WithWCETAllocationGran(ctx context.Context, size uint32, g alloc.Granularity) (AllocComparison, error) {
 	walloc, err := l.Pipe.Allocate(ctx, l.WCETAllocatorGran(g), size)
 	if err != nil {
 		return AllocComparison{}, err
@@ -405,90 +405,92 @@ func (l *Lab) WithWCETAllocationGran(ctx context.Context, size uint32, g wcetall
 	}, nil
 }
 
-// forEach runs f(i) for every index on a worker pool of the given size
-// and returns the per-index errors. Results written by f are order-stable
-// (indexed by position, not completion).
-func forEach(n, workers int, f func(int) error) []error {
+// mPanics counts pool tasks that panicked; each became its task's error.
+var mPanics = obs.Default.Counter("wcetlab_panics_total",
+	"Sweep tasks that panicked; each panic became that task's error.")
+
+// ordered runs f(i) for every index on a pool of workers (≤ 0 means
+// GOMAXPROCS) and hands each result to emit in index order, as soon as it
+// and every lower-indexed result are available. A panicking f becomes that
+// index's error: its stack is logged at error level and it is counted in
+// wcetlab_panics_total. ordered stops emitting at the first failure and
+// returns it — the index of the lowest-indexed failing f with its error,
+// or -1 with the first emit error — after draining every worker, so
+// parallel and sequential runs are indistinguishable to callers.
+func ordered[T any](ctx context.Context, n, workers int, f func(int) (T, error), emit func(int, T) error) (int, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
+	type result struct {
+		v   T
+		err error
 	}
-	errs := make([]error, n)
+	done := make([]chan result, n)
+	for i := range done {
+		done[i] = make(chan result, 1)
+	}
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i := 0; i < n; i++ {
+	sem := make(chan struct{}, min(workers, n))
+	for i := range n {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			errs[i] = f(i)
+			v, err := recovered(ctx, func() (T, error) { return f(i) })
+			done[i] <- result{v, err}
 		}()
 	}
-	wg.Wait()
-	return errs
+	defer wg.Wait()
+	for i := range n {
+		r := <-done[i]
+		if r.err != nil {
+			return i, r.err
+		}
+		if err := emit(i, r.v); err != nil {
+			return -1, err
+		}
+	}
+	return -1, nil
+}
+
+// recovered calls f, turning a panic into its error.
+func recovered[T any](ctx context.Context, f func() (T, error)) (v T, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			mPanics.Inc()
+			obs.Error(ctx, "panic", obs.A("panic", fmt.Sprint(r)), obs.A("stack", string(debug.Stack())))
+			err = fmt.Errorf("panic: %v", r)
+		}
+	}()
+	return f()
 }
 
 // sweepStream runs f over the sizes on the lab's worker pool and hands
-// each result to emit in index order, as soon as it and every
-// lower-indexed result are available — so a consumer (e.g. the service's
-// chunked /v1/sweep responses) sees the first rows while later capacities
-// are still computing, yet the row order is identical to a buffered
-// sweep. The reported error is the one of the lowest-indexed failing
-// size (or the first emit error), so parallel and sequential runs are
-// indistinguishable to callers; branch names the sweep in error messages
-// ("spm", "cache", "wcetalloc", "pareto"). All workers are drained
-// before returning.
+// each result to emit in size order, as soon as it and every lower-indexed
+// result are available — so a consumer (e.g. the service's chunked
+// /v1/sweep responses) sees the first rows while later capacities are
+// still computing, yet the row order is identical to a buffered sweep.
+// The reported error is the one of the lowest-indexed failing size (or the
+// first emit error); branch names the sweep in error messages ("spm",
+// "cache", "wcetalloc", "pareto").
 func sweepStream[T any](ctx context.Context, l *Lab, branch string, sizes []uint32, f func(context.Context, uint32) (T, error), emit func(int, T) error) error {
-	workers := l.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(sizes) {
-		workers = len(sizes)
-	}
 	sctx, root := obs.Start(ctx, "sweep",
 		obs.A("bench", l.Bench.Name), obs.A("branch", branch), obs.A("sizes", len(sizes)))
 	defer root.End()
-	out := make([]T, len(sizes))
-	done := make([]chan error, len(sizes))
-	for i := range done {
-		done[i] = make(chan error, 1)
+	i, err := ordered(sctx, len(sizes), l.Workers, func(i int) (T, error) {
+		// Each worker opens its cell under the sweep's context, so the cell
+		// parents to the sweep span (and carries its request id) across the
+		// goroutine hop.
+		cctx, cell := obs.Start(sctx, "cell",
+			obs.A("bench", l.Bench.Name), obs.A("branch", branch), obs.A("capacity", sizes[i]))
+		defer cell.End()
+		return f(cctx, sizes[i])
+	}, emit)
+	if i >= 0 {
+		return fmt.Errorf("core: %s %s %d: %w", l.Bench.Name, branch, sizes[i], err)
 	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i := range sizes {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			// Each worker opens its cell under the sweep's context, so the
-			// cell parents to the sweep span (and carries its request id)
-			// across the goroutine hop.
-			cctx, cell := obs.Start(sctx, "cell",
-				obs.A("bench", l.Bench.Name), obs.A("branch", branch), obs.A("capacity", sizes[i]))
-			var err error
-			out[i], err = f(cctx, sizes[i])
-			cell.End()
-			done[i] <- err
-		}()
-	}
-	var firstErr error
-	for i := range sizes {
-		if err := <-done[i]; err != nil {
-			firstErr = fmt.Errorf("core: %s %s %d: %w", l.Bench.Name, branch, sizes[i], err)
-			break
-		}
-		if err := emit(i, out[i]); err != nil {
-			firstErr = err
-			break
-		}
-	}
-	wg.Wait()
-	return firstErr
+	return err
 }
 
 // sweep is the buffered form of sweepStream: f over the sizes on the
@@ -508,12 +510,12 @@ func sweep[T any](ctx context.Context, l *Lab, branch string, sizes []uint32, f 
 // SweepWCETAllocation compares the two allocators at every paper capacity,
 // placing whole objects.
 func (l *Lab) SweepWCETAllocation(ctx context.Context) ([]AllocComparison, error) {
-	return l.SweepWCETAllocationGran(ctx, wcetalloc.GranObject)
+	return l.SweepWCETAllocationGran(ctx, alloc.GranObject)
 }
 
 // SweepWCETAllocationGran is SweepWCETAllocation at an explicit placement-
 // unit granularity.
-func (l *Lab) SweepWCETAllocationGran(ctx context.Context, g wcetalloc.Granularity) ([]AllocComparison, error) {
+func (l *Lab) SweepWCETAllocationGran(ctx context.Context, g alloc.Granularity) ([]AllocComparison, error) {
 	return sweep(ctx, l, "wcetalloc", PaperSizes, func(ctx context.Context, size uint32) (AllocComparison, error) {
 		return l.WithWCETAllocationGran(ctx, size, g)
 	})
@@ -521,7 +523,7 @@ func (l *Lab) SweepWCETAllocationGran(ctx context.Context, g wcetalloc.Granulari
 
 // SweepWCETAllocationGranStream is SweepWCETAllocationGran delivering
 // each comparison to emit in capacity order as soon as it is ready.
-func (l *Lab) SweepWCETAllocationGranStream(ctx context.Context, g wcetalloc.Granularity, emit func(AllocComparison) error) error {
+func (l *Lab) SweepWCETAllocationGranStream(ctx context.Context, g alloc.Granularity, emit func(AllocComparison) error) error {
 	return sweepStream(ctx, l, "wcetalloc", PaperSizes, func(ctx context.Context, size uint32) (AllocComparison, error) {
 		return l.WithWCETAllocationGran(ctx, size, g)
 	}, func(_ int, c AllocComparison) error { return emit(c) })
@@ -575,16 +577,15 @@ func SweepAllBenchmarks(ctx context.Context, workers int) ([]BenchmarkSweep, err
 // against a warm store the whole sweep recomputes nothing.
 func SweepAllBenchmarksWithStore(ctx context.Context, workers int, st *store.Store) ([]BenchmarkSweep, error) {
 	benches := benchprog.All()
-	out := make([]BenchmarkSweep, len(benches))
-	errs := forEach(len(benches), workers, func(i int) error {
-		var err error
-		out[i], err = sweepOneBenchmark(ctx, benches[i], st)
-		return err
+	out := make([]BenchmarkSweep, 0, len(benches))
+	i, err := ordered(ctx, len(benches), workers, func(i int) (BenchmarkSweep, error) {
+		return sweepOneBenchmark(ctx, benches[i], st)
+	}, func(_ int, b BenchmarkSweep) error {
+		out = append(out, b)
+		return nil
 	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("core: %s: %w", benches[i].Name, err)
-		}
+	if err != nil {
+		return nil, fmt.Errorf("core: %s: %w", benches[i].Name, err)
 	}
 	return out, nil
 }

@@ -10,8 +10,8 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/benchprog"
-	"repro/internal/wcetalloc"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the allocation golden files")
@@ -81,7 +81,7 @@ func TestAllocationGoldens(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				blk, err := lab.Pipe.Allocate(context.Background(), lab.WCETAllocatorGran(wcetalloc.GranBlock), size)
+				blk, err := lab.Pipe.Allocate(context.Background(), lab.WCETAllocatorGran(alloc.GranBlock), size)
 				if err != nil {
 					t.Fatal(err)
 				}

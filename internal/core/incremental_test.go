@@ -7,11 +7,11 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/benchprog"
 	"repro/internal/link"
 	"repro/internal/obj"
 	"repro/internal/wcet"
-	"repro/internal/wcetalloc"
 )
 
 // greedyPlacement fills the capacity with the program's objects in name
@@ -53,7 +53,7 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			regions, err := wcetalloc.HotRegions(context.Background(), lab.Pipe, res0.Witness, link.SPMMax, "")
+			regions, err := alloc.HotRegions(context.Background(), lab.Pipe, res0.Witness, link.SPMMax, "")
 			if err != nil {
 				t.Fatal(err)
 			}

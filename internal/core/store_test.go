@@ -6,10 +6,10 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/benchprog"
 	"repro/internal/core"
 	"repro/internal/store"
-	"repro/internal/wcetalloc"
 )
 
 // TestWarmStoreSweepDeterminism is the acceptance property of the artifact
@@ -103,7 +103,7 @@ func TestWarmStoreBlockGranularitySweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldCS, err := cold.SweepWCETAllocationGran(context.Background(), wcetalloc.GranBlock)
+	coldCS, err := cold.SweepWCETAllocationGran(context.Background(), alloc.GranBlock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestWarmStoreBlockGranularitySweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmCS, err := warm.SweepWCETAllocationGran(context.Background(), wcetalloc.GranBlock)
+	warmCS, err := warm.SweepWCETAllocationGran(context.Background(), alloc.GranBlock)
 	if err != nil {
 		t.Fatal(err)
 	}

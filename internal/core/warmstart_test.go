@@ -5,13 +5,13 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/benchprog"
 	"repro/internal/link"
 	"repro/internal/obj"
 	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/wcet"
-	"repro/internal/wcetalloc"
 )
 
 // granularities returns the placement-unit partitions to test: whole
@@ -25,7 +25,7 @@ func granularities(t *testing.T, lab *Lab) []struct {
 	if err != nil {
 		t.Fatal(err)
 	}
-	regions, err := wcetalloc.HotRegions(context.Background(), lab.Pipe, res0.Witness, link.SPMMax, "")
+	regions, err := alloc.HotRegions(context.Background(), lab.Pipe, res0.Witness, link.SPMMax, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestRelinkSavesRelocations(t *testing.T) {
 	if _, err := lab.SweepWCETAllocation(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lab.SweepWCETAllocationGran(ctx, wcetalloc.GranBlock); err != nil {
+	if _, err := lab.SweepWCETAllocationGran(ctx, alloc.GranBlock); err != nil {
 		t.Fatal(err)
 	}
 	st := lab.Pipe.Stats()

@@ -147,28 +147,32 @@ func (s *HistogramSnapshot) Merge(o HistogramSnapshot) {
 	}
 }
 
-// Quantile estimates the q-quantile (0 < q <= 1) from the buckets: the
-// upper bound of the bucket the q-th observation falls in, with the exact
-// tracked maximum substituted for the +Inf bucket (and capping every
-// estimate, so p99 never exceeds the true max). Returns 0 for an empty
+// Quantile estimates the q-quantile (0 < q <= 1) from the buckets by
+// linear interpolation inside the bucket the rank q·Count falls in,
+// treating its observations as spread evenly between the bucket's lower
+// and upper edge (0 below the first bucket; the exact tracked maximum
+// stands in for the +Inf bucket's edge). Every estimate is capped by that
+// maximum, so p99 never exceeds the true max. Returns 0 for an empty
 // histogram.
 func (s HistogramSnapshot) Quantile(q float64) float64 {
 	if s.Count == 0 {
 		return 0
 	}
-	rank := uint64(math.Ceil(q * float64(s.Count)))
-	if rank < 1 {
-		rank = 1
-	}
+	rank := q * float64(s.Count)
 	var cum uint64
 	for i, c := range s.Counts {
-		cum += c
-		if cum >= rank {
-			if i >= len(s.Bounds) {
-				return s.Max
-			}
-			return math.Min(s.Bounds[i], s.Max)
+		if c == 0 || float64(cum+c) < rank {
+			cum += c
+			continue
 		}
+		lo, hi := 0.0, s.Max
+		if i > 0 {
+			lo = s.Bounds[i-1]
+		}
+		if i < len(s.Bounds) {
+			hi = s.Bounds[i]
+		}
+		return math.Min(lo+(hi-lo)*(rank-float64(cum))/float64(c), s.Max)
 	}
 	return s.Max
 }

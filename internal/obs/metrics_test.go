@@ -72,23 +72,76 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	if got := []uint64{s.Counts[0], s.Counts[1], s.Counts[2], s.Counts[3]}; got[0] != 90 || got[1] != 9 || got[2] != 0 || got[3] != 1 {
 		t.Fatalf("bucket counts = %v", got)
 	}
-	if q := s.Quantile(0.50); q != 0.01 {
-		t.Fatalf("p50 = %g, want 0.01", q)
-	}
-	if q := s.Quantile(0.95); q != 0.1 {
-		t.Fatalf("p95 = %g, want 0.1", q)
-	}
-	// p99 lands on observation #99, still the second bucket; p100 is the
-	// +Inf bucket and must report the exact max.
-	if q := s.Quantile(0.99); q != 0.1 {
-		t.Fatalf("p99 = %g, want 0.1", q)
-	}
-	if q := s.Quantile(1); q != 5 {
-		t.Fatalf("p100 = %g, want 5", q)
+	// Quantiles interpolate inside their bucket: p50 is rank 50 of the 90
+	// observations spread over (0, 0.01]; p95 is rank 5 of 9 over
+	// (0.01, 0.1]; p99 the top of that bucket; p100 the +Inf bucket, whose
+	// upper edge is the exact max.
+	for _, c := range []struct{ q, want float64 }{
+		{0.50, 0.01 * 50 / 90},
+		{0.95, 0.01 + 0.09*5/9},
+		{0.99, 0.1},
+		{1, 5},
+	} {
+		if got := s.Quantile(c.q); math.Abs(got-c.want) > 1e-12 {
+			t.Fatalf("p%g = %g, want %g", 100*c.q, got, c.want)
+		}
 	}
 	var empty HistogramSnapshot
 	if q := empty.Quantile(0.5); q != 0 {
 		t.Fatalf("empty quantile = %g, want 0", q)
+	}
+}
+
+// TestQuantileKnownDistributions checks the interpolated quantiles against
+// distributions whose true quantiles are known.
+func TestQuantileKnownDistributions(t *testing.T) {
+	bounds := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1}
+	r := NewRegistry()
+
+	// Uniform on (0, 1]: the q-quantile is q, up to one sample's width.
+	uni := r.Histogram("wcetlab_uniform_seconds", "h", bounds)
+	for i := 1; i <= 1000; i++ {
+		uni.Observe(float64(i) / 1000)
+	}
+	for _, q := range []float64{0.05, 0.25, 0.5, 0.75, 0.95, 0.99} {
+		if got := uni.Snapshot().Quantile(q); math.Abs(got-q) > 0.001 {
+			t.Errorf("uniform p%g = %g, want %g", 100*q, got, q)
+		}
+	}
+
+	// Point mass at 0.33: low quantiles stay inside its bucket (0.3, 0.4];
+	// from the median up the max cap pins them to the point itself.
+	point := r.Histogram("wcetlab_point_seconds", "h", bounds)
+	for i := 0; i < 100; i++ {
+		point.Observe(0.33)
+	}
+	ps := point.Snapshot()
+	if got := ps.Quantile(0.01); got <= 0.3 || got > 0.33 {
+		t.Errorf("point-mass p1 = %g, want within (0.3, 0.33]", got)
+	}
+	for _, q := range []float64{0.5, 0.99, 1} {
+		if got := ps.Quantile(q); got != 0.33 {
+			t.Errorf("point-mass p%g = %g, want 0.33", 100*q, got)
+		}
+	}
+
+	// Everything beyond the last bound: quantiles spread between that bound
+	// and the exact max.
+	inf := r.Histogram("wcetlab_inf_seconds", "h", bounds)
+	for _, v := range []float64{2, 3, 4, 5} {
+		inf.Observe(v)
+	}
+	s := inf.Snapshot()
+	if got := s.Quantile(0.5); got != 3 {
+		t.Errorf("+Inf-only p50 = %g, want 3 (halfway from the last bound 1 to max 5)", got)
+	}
+	if got := s.Quantile(1); got != 5 {
+		t.Errorf("+Inf-only p100 = %g, want the max 5", got)
+	}
+
+	var empty HistogramSnapshot
+	if got := empty.Quantile(0.99); got != 0 {
+		t.Errorf("empty p99 = %g, want 0", got)
 	}
 }
 

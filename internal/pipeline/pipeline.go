@@ -11,20 +11,28 @@
 // — each keyed by a canonical placement/configuration key, so within one
 // Pipeline no identical link, simulation, WCET analysis or allocation
 // solve ever runs twice. The sweeps in internal/core and the fixpoint loop
-// in internal/wcetalloc share one Pipeline per benchmark and therefore
-// share artifacts: the capacity-independent empty-scratchpad analysis is
+// in internal/alloc share one Pipeline per benchmark and therefore share
+// artifacts: the capacity-independent empty-scratchpad analysis is
 // computed once per program (not once per swept size), and the energy-seed
 // analysis the fixpoint starts from is the same artifact the measurement
 // layer reports.
+//
+// # Stage runner
+//
+// The five stages are one generic runner (stage.go) instantiated five
+// times: a stage supplies its key, its compute and optionally a disk codec;
+// the runner does the memo lookup, per-entry singleflight, the
+// "stage:<name>" span and its tier attribute, timing and every counter.
+// Stats is a view over those counters.
 //
 // # Cache tiers
 //
 // Lookups go memory → disk → compute. The memory tier is this package's
 // per-pipeline maps. The disk tier is optional: SetStore attaches a
 // content-addressed store (internal/store) shared across processes, keyed
-// by hash(program content, stage key), and the simulate/analyse/profile
-// stages then consult it before computing and write back after — a warm
-// store serves a whole sweep with zero recomputation. Links are not
+// by hash(program content, stage key), and the simulate/analyse/profile/
+// allocate stages then consult it before computing and write back after —
+// a warm store serves a whole sweep with zero recomputation. Links are not
 // persisted: a link is only ever needed as the input of a cold simulation
 // or analysis, so with a warm store it never runs at all. Stats splits the
 // tiers: *Hits are memory hits, *DiskHits/*DiskMisses count store lookups,
@@ -58,9 +66,12 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cache"
@@ -73,8 +84,7 @@ import (
 )
 
 // Allocation is the shared result type of every scratchpad allocator (the
-// energy-directed knapsack in internal/spm aliases it, the WCET-directed
-// fixpoint in internal/wcetalloc converts to it).
+// energy knapsack and the WCET-directed fixpoint in internal/alloc).
 type Allocation struct {
 	// InSPM names the objects placed in the scratchpad. Under a non-empty
 	// Splits partition the names refer to the split program's objects
@@ -93,9 +103,9 @@ type Allocation struct {
 	// *Units stage variants, passing this partition.
 	Splits []obj.Region
 	// Iterations and Converged describe the solve for iterative policies
-	// (the wcetalloc fixpoint: accepted steps including the baseline, and
-	// whether it reached a fixpoint before its cap). Single-shot knapsack
-	// policies leave them zero.
+	// (the WCET-directed fixpoint: accepted steps including the baseline,
+	// and whether it reached a fixpoint before its cap). Single-shot
+	// knapsack policies leave them zero.
 	Iterations int
 	Converged  bool
 }
@@ -103,7 +113,7 @@ type Allocation struct {
 // Allocator is the common interface of the scratchpad allocators: given
 // the pipeline holding the compiled program (and, memoized, its profile
 // and analysis artifacts), choose the objects to place at one capacity.
-// internal/spm's Energy and internal/wcetalloc's Directed implement it.
+// internal/alloc's EnergyAllocator, Directed and Budgeted implement it.
 // The context carries the request's trace (and cancellation, which the
 // stages an allocator calls back into respect).
 type Allocator interface {
@@ -126,8 +136,10 @@ type Allocator interface {
 // configuration to attach a witness — the only way a configuration is ever
 // analysed twice. The *Time fields accumulate wall clock spent in cold
 // stage executions; AllocTime is the allocators' wall clock and includes
-// the nested stage computations a solve triggers (e.g. the wcetalloc
+// the nested stage computations a solve triggers (e.g. the WCET-directed
 // fixpoint's analyses), so it is not disjoint from AnalyzeTime.
+//
+// Every field is a uint64 count or a time.Duration: Add sums them all.
 type Stats struct {
 	Links, LinkHits       uint64
 	Sims, SimHits         uint64
@@ -182,45 +194,21 @@ func (s Stats) DiskMisses() uint64 {
 	return s.SimDiskMisses + s.AnalyzeDiskMisses + s.ProfileDiskMisses + s.AllocDiskMisses
 }
 
-// Add accumulates another snapshot into s (aggregating across pipelines).
+// Add accumulates another snapshot into s (aggregating across pipelines),
+// field by field.
 func (s *Stats) Add(o Stats) {
-	s.Links += o.Links
-	s.LinkHits += o.LinkHits
-	s.Sims += o.Sims
-	s.SimHits += o.SimHits
-	s.Analyses += o.Analyses
-	s.AnalyzeHits += o.AnalyzeHits
-	s.AnalyzeUpgrades += o.AnalyzeUpgrades
-	s.Profiles += o.Profiles
-	s.ProfileHits += o.ProfileHits
-	s.Allocs += o.Allocs
-	s.AllocHits += o.AllocHits
-	s.ContextBuilds += o.ContextBuilds
-	s.ContextReuses += o.ContextReuses
-	s.CacheContextBuilds += o.CacheContextBuilds
-	s.CacheContextReuses += o.CacheContextReuses
-	s.CacheFuncsReanalyzed += o.CacheFuncsReanalyzed
-	s.CacheFuncs += o.CacheFuncs
-	s.FullLinks += o.FullLinks
-	s.DeltaLinks += o.DeltaLinks
-	s.RelocsResolved += o.RelocsResolved
-	s.RelocsReused += o.RelocsReused
-	s.SolverStateHits += o.SolverStateHits
-	s.SolverStateMisses += o.SolverStateMisses
-	s.SimDiskHits += o.SimDiskHits
-	s.SimDiskMisses += o.SimDiskMisses
-	s.AnalyzeDiskHits += o.AnalyzeDiskHits
-	s.AnalyzeDiskMisses += o.AnalyzeDiskMisses
-	s.ProfileDiskHits += o.ProfileDiskHits
-	s.ProfileDiskMisses += o.ProfileDiskMisses
-	s.AllocDiskHits += o.AllocDiskHits
-	s.AllocDiskMisses += o.AllocDiskMisses
-	s.StoreErrors += o.StoreErrors
-	s.LinkTime += o.LinkTime
-	s.SimTime += o.SimTime
-	s.AnalyzeTime += o.AnalyzeTime
-	s.ProfileTime += o.ProfileTime
-	s.AllocTime += o.AllocTime
+	dst, src := reflect.ValueOf(s).Elem(), reflect.ValueOf(o)
+	for i := range dst.NumField() {
+		f := dst.Field(i)
+		switch f.Kind() {
+		case reflect.Uint64:
+			f.SetUint(f.Uint() + src.Field(i).Uint())
+		case reflect.Int64:
+			f.SetInt(f.Int() + src.Field(i).Int())
+		default:
+			panic("pipeline: Stats field " + dst.Type().Field(i).Name + " is not summable")
+		}
+	}
 }
 
 // Pipeline memoizes the link/simulate/analyze/profile/allocate stages for
@@ -230,111 +218,35 @@ type Pipeline struct {
 	// pipeline is constructed.
 	Prog *obj.Program
 
-	mu       sync.Mutex
-	disk     *store.Store
-	splits   map[string]*entry[*obj.Program]
-	links    map[string]*entry[*link.Executable]
-	prepared map[string]*entry[*link.Prepared]
-	sims     map[string]*entry[*sim.Result]
-	analyses map[string]*analysisEntry
-	contexts map[string]*entry[*wcet.Context]
-	cctxs    map[string]*entry[*wcet.CacheContext]
-	allocs   map[string]*entry[*Allocation]
-	profile  *entry[*sim.Profile]
-	stats    Stats
+	disk atomic.Pointer[store.Store]
+
+	link    stage[*link.Executable]
+	sim     stage[*sim.Result]
+	analyze stage[*wcet.Result]
+	profile stage[*sim.Profile]
+	alloc   stage[*Allocation]
+
+	splits   memo[*obj.Program]
+	prepared memo[*link.Prepared]
+	contexts memo[*wcet.Context]
+	cctxs    memo[*wcet.CacheContext]
+
+	upgrades, storeErrors counter
+	// ctxReuses / cctxReuses count cold analyses served by an existing
+	// (cache) analysis context; builds are the registered contexts below.
+	ctxReuses, cctxReuses atomic.Uint64
+
 	// preps/ctxList/cctxList register successfully built prepared linkers
 	// and analysis contexts; Stats folds in their atomic counters without
 	// touching entry locks (which an in-flight compute may hold).
+	mu       sync.Mutex
 	preps    []*link.Prepared
 	ctxList  []*wcet.Context
 	cctxList []*wcet.CacheContext
 
-	bench string
-	om    pipeMetrics
-
+	bench    string
 	progOnce sync.Once
 	progKey  string
-}
-
-// stageMetrics are one stage's series in the process-wide registry,
-// resolved once per pipeline so the hot paths pay only atomic increments.
-// They mirror Stats exactly: runs = cold executions, the cache counters
-// split by tier, seconds distributes the same wall clock the *Time sums
-// accumulate.
-type stageMetrics struct {
-	runs     *obs.Counter
-	seconds  *obs.Histogram
-	memHit   *obs.Counter
-	memMiss  *obs.Counter
-	diskHit  *obs.Counter
-	diskMiss *obs.Counter
-}
-
-func newStageMetrics(stage, bench string) stageMetrics {
-	cache := func(tier, result string) *obs.Counter {
-		return obs.Default.Counter("wcetlab_stage_cache_total",
-			"Pipeline stage cache lookups by tier and result.",
-			"stage", stage, "tier", tier, "result", result, "bench", bench)
-	}
-	return stageMetrics{
-		runs: obs.Default.Counter("wcetlab_stage_runs_total",
-			"Cold pipeline stage executions.", "stage", stage, "bench", bench),
-		seconds: obs.Default.Histogram("wcetlab_stage_seconds",
-			"Wall clock per cold pipeline stage execution.", nil,
-			"stage", stage, "bench", bench),
-		memHit:   cache("memory", "hit"),
-		memMiss:  cache("memory", "miss"),
-		diskHit:  cache("disk", "hit"),
-		diskMiss: cache("disk", "miss"),
-	}
-}
-
-type pipeMetrics struct {
-	link, sim, analyze, profile, alloc stageMetrics
-
-	upgrades    *obs.Counter
-	storeErrors *obs.Counter
-}
-
-func newPipeMetrics(bench string) pipeMetrics {
-	return pipeMetrics{
-		link:    newStageMetrics("link", bench),
-		sim:     newStageMetrics("simulate", bench),
-		analyze: newStageMetrics("analyze", bench),
-		profile: newStageMetrics("profile", bench),
-		alloc:   newStageMetrics("alloc", bench),
-		upgrades: obs.Default.Counter("wcetlab_analyze_witness_upgrades_total",
-			"Re-analyses of a cached configuration to attach a witness.", "bench", bench),
-		storeErrors: obs.Default.Counter("wcetlab_store_write_errors_total",
-			"Failed best-effort artifact store writes.", "bench", bench),
-	}
-}
-
-// entry is a singleflight cache slot: the first getter computes under the
-// entry lock, later getters (and concurrent ones, after blocking) reuse.
-type entry[T any] struct {
-	mu   sync.Mutex
-	done bool
-	val  T
-	err  error
-}
-
-func (e *entry[T]) get(compute func() (T, error)) (T, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.done {
-		e.val, e.err = compute()
-		e.done = true
-	}
-	return e.val, e.err
-}
-
-// analysisEntry additionally supports the witness upgrade.
-type analysisEntry struct {
-	mu   sync.Mutex
-	done bool
-	res  *wcet.Result
-	err  error
 }
 
 // New builds an empty pipeline around a compiled program. Its metrics
@@ -347,20 +259,17 @@ func New(prog *obj.Program) *Pipeline {
 // NewNamed builds an empty pipeline around a compiled program, labelling
 // its metrics with the benchmark name.
 func NewNamed(prog *obj.Program, bench string) *Pipeline {
-	return &Pipeline{
-		Prog:     prog,
-		splits:   make(map[string]*entry[*obj.Program]),
-		links:    make(map[string]*entry[*link.Executable]),
-		prepared: make(map[string]*entry[*link.Prepared]),
-		sims:     make(map[string]*entry[*sim.Result]),
-		analyses: make(map[string]*analysisEntry),
-		contexts: make(map[string]*entry[*wcet.Context]),
-		cctxs:    make(map[string]*entry[*wcet.CacheContext]),
-		allocs:   make(map[string]*entry[*Allocation]),
-		profile:  &entry[*sim.Profile]{},
-		bench:    bench,
-		om:       newPipeMetrics(bench),
-	}
+	p := &Pipeline{Prog: prog, bench: bench}
+	p.link.init("link", bench, nil)
+	p.sim.init("simulate", bench, &simCodec)
+	p.analyze.init("analyze", bench, &wcetCodec)
+	p.profile.init("profile", bench, &profileCodec)
+	p.alloc.init("alloc", bench, &allocCodec)
+	p.upgrades.reg = obs.Default.Counter("wcetlab_analyze_witness_upgrades_total",
+		"Re-analyses of a cached configuration to attach a witness.", "bench", bench)
+	p.storeErrors.reg = obs.Default.Counter("wcetlab_store_write_errors_total",
+		"Failed best-effort artifact store writes.", "bench", bench)
+	return p
 }
 
 const profileStageKey = "profile"
@@ -371,35 +280,34 @@ const profileStageKey = "profile"
 // profile is flushed to the store so other processes skip profiling, but
 // other artifacts already in memory are not backfilled.
 func (p *Pipeline) SetStore(s *store.Store) {
-	p.mu.Lock()
-	p.disk = s
-	prof := p.profile
-	p.mu.Unlock()
+	p.disk.Store(s)
 	if s == nil {
 		return
 	}
-	prof.mu.Lock()
-	defer prof.mu.Unlock()
-	if prof.done && prof.err == nil && prof.val != nil {
-		if err := s.SaveProfile(p.programKey(), profileStageKey, prof.val); err != nil {
-			p.count(func(st *Stats) { st.StoreErrors++ })
-			p.om.storeErrors.Inc()
-		}
+	e := p.profile.memo.slot(profileStageKey)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.done && e.err == nil && e.val != nil {
+		p.saved(s.SaveProfile(p.programKey(), profileStageKey, e.val))
 	}
 }
 
 // Store returns the attached artifact store, or nil.
-func (p *Pipeline) Store() *store.Store {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.disk
-}
+func (p *Pipeline) Store() *store.Store { return p.disk.Load() }
 
 // programKey is the content hash of the compiled program — the program
 // half of every disk key — computed once on first use.
 func (p *Pipeline) programKey() string {
 	p.progOnce.Do(func() { p.progKey = store.ProgramKey(p.Prog) })
 	return p.progKey
+}
+
+// saved counts a failed best-effort store write: the computed artifact is
+// still valid and returned, so the error is counted, not surfaced.
+func (p *Pipeline) saved(err error) {
+	if err != nil {
+		p.storeErrors.inc()
+	}
 }
 
 // unitPrefix canonically encodes a placement-unit partition as a stage-key
@@ -420,18 +328,14 @@ func (p *Pipeline) SplitProgram(regions []obj.Region) (*obj.Program, error) {
 	if len(regions) == 0 {
 		return p.Prog, nil
 	}
-	key := obj.RegionsKey(regions)
-	p.mu.Lock()
-	e, ok := p.splits[key]
-	if !ok {
-		e = &entry[*obj.Program]{}
-		p.splits[key] = e
-	}
-	p.mu.Unlock()
-	return e.get(func() (*obj.Program, error) {
+	prog, _, err := p.splits.get(obj.RegionsKey(regions), func() (*obj.Program, error) {
 		return obj.SplitProgram(p.Prog, regions)
 	})
+	return prog, err
 }
+
+// emptyPlacement is the key of every placement without residents.
+const emptyPlacement = "spm=0|"
 
 // PlacementKey canonicalises one scratchpad placement: residents sorted by
 // name, and the empty placement normalised to capacity 0 (an empty
@@ -444,10 +348,22 @@ func PlacementKey(spmSize uint32, inSPM map[string]bool) string {
 		}
 	}
 	if len(names) == 0 {
-		return "spm=0|"
+		return emptyPlacement
 	}
 	sort.Strings(names)
 	return fmt.Sprintf("spm=%d|%s", spmSize, strings.Join(names, ","))
+}
+
+// placement is the one placement normaliser: the placement's key, and the
+// capacity and residents the stages compute it with — the empty placement
+// as (0, nil), so it links and analyses identically at every capacity,
+// including capacities the linker would reject.
+func placement(spmSize uint32, inSPM map[string]bool) (key string, size uint32, in map[string]bool) {
+	key = PlacementKey(spmSize, inSPM)
+	if key == emptyPlacement {
+		return key, 0, nil
+	}
+	return key, spmSize, inSPM
 }
 
 func cacheKey(c *cache.Config) string {
@@ -475,45 +391,19 @@ func (p *Pipeline) Link(ctx context.Context, spmSize uint32, inSPM map[string]bo
 
 // LinkUnits is Link under a placement-unit partition: the program is first
 // split at the given hot regions (memoized), then linked with the chosen
-// objects — fragments included — in the scratchpad.
+// objects — fragments included — in the scratchpad, as a patch of the
+// partition's prepared base layout.
 func (p *Pipeline) LinkUnits(ctx context.Context, regions []obj.Region, spmSize uint32, inSPM map[string]bool) (*link.Executable, error) {
-	key := unitPrefix(regions) + PlacementKey(spmSize, inSPM)
-	_, sp := obs.Start(ctx, "stage:link", obs.A("tier", "memory"))
-	defer sp.End()
-	p.mu.Lock()
-	e, ok := p.links[key]
-	if !ok {
-		e = &entry[*link.Executable]{}
-		p.links[key] = e
-	}
-	p.mu.Unlock()
-	if ok {
-		p.count(func(s *Stats) { s.LinkHits++ })
-		p.om.link.memHit.Inc()
-	} else {
-		p.om.link.memMiss.Inc()
-	}
-	return e.get(func() (*link.Executable, error) {
-		sp.SetAttr("tier", "compute")
-		prep, err := p.preparedFor(regions)
-		if err != nil {
-			return nil, err
-		}
-		p.count(func(s *Stats) { s.Links++ })
-		p.om.link.runs.Inc()
-		t0 := time.Now()
-		defer func() {
-			d := time.Since(t0)
-			p.count(func(s *Stats) { s.LinkTime += d })
-			p.om.link.seconds.Observe(d.Seconds())
-			p.debugStage(ctx, "link", key, d)
-		}()
-		if strings.HasSuffix(key, "spm=0|") {
-			// Normalised empty placement: capacity-independent (and the
-			// prepared base layout verbatim).
-			return prep.Relink(0, nil)
-		}
-		return prep.Relink(spmSize, inSPM)
+	pk, size, in := placement(spmSize, inSPM)
+	return p.link.get(ctx, p, request[*link.Executable]{
+		key: unitPrefix(regions) + pk,
+		compute: func(_ context.Context, timed timer[*link.Executable]) (*link.Executable, error) {
+			prep, err := p.preparedFor(regions)
+			if err != nil {
+				return nil, err
+			}
+			return timed(func() (*link.Executable, error) { return prep.Relink(size, in) })
+		},
 	})
 }
 
@@ -522,15 +412,7 @@ func (p *Pipeline) LinkUnits(ctx context.Context, regions []obj.Region, spmSize 
 // reverse relocation index, built once; every placement of the partition is
 // then a patch of that base rather than a from-scratch link.
 func (p *Pipeline) preparedFor(regions []obj.Region) (*link.Prepared, error) {
-	key := unitPrefix(regions)
-	p.mu.Lock()
-	e, ok := p.prepared[key]
-	if !ok {
-		e = &entry[*link.Prepared]{}
-		p.prepared[key] = e
-	}
-	p.mu.Unlock()
-	return e.get(func() (*link.Prepared, error) {
+	prep, _, err := p.prepared.get(unitPrefix(regions), func() (*link.Prepared, error) {
 		prog, err := p.SplitProgram(regions)
 		if err != nil {
 			return nil, err
@@ -544,6 +426,7 @@ func (p *Pipeline) preparedFor(regions []obj.Region) (*link.Prepared, error) {
 		p.mu.Unlock()
 		return prep, nil
 	})
+	return prep, err
 }
 
 // Simulate runs (memoized) the typical input under one placement and cache
@@ -557,52 +440,16 @@ func (p *Pipeline) Simulate(ctx context.Context, spmSize uint32, inSPM map[strin
 
 // SimulateUnits is Simulate under a placement-unit partition.
 func (p *Pipeline) SimulateUnits(ctx context.Context, regions []obj.Region, spmSize uint32, inSPM map[string]bool, ccfg *cache.Config) (*sim.Result, error) {
-	key := unitPrefix(regions) + PlacementKey(spmSize, inSPM) + "|" + cacheKey(ccfg)
-	sctx, sp := obs.Start(ctx, "stage:simulate", obs.A("tier", "memory"))
-	defer sp.End()
-	p.mu.Lock()
-	e, ok := p.sims[key]
-	if !ok {
-		e = &entry[*sim.Result]{}
-		p.sims[key] = e
-	}
-	p.mu.Unlock()
-	if ok {
-		p.count(func(s *Stats) { s.SimHits++ })
-		p.om.sim.memHit.Inc()
-	} else {
-		p.om.sim.memMiss.Inc()
-	}
-	return e.get(func() (*sim.Result, error) {
-		if disk := p.diskStore(); disk != nil {
-			if r, ok := disk.LoadSim(p.programKey(), key); ok {
-				p.count(func(s *Stats) { s.SimDiskHits++ })
-				p.om.sim.diskHit.Inc()
-				sp.SetAttr("tier", "disk")
-				return r, nil
+	pk, size, in := placement(spmSize, inSPM)
+	return p.sim.get(ctx, p, request[*sim.Result]{
+		key: unitPrefix(regions) + pk + "|" + cacheKey(ccfg),
+		compute: func(ctx context.Context, timed timer[*sim.Result]) (*sim.Result, error) {
+			exe, err := p.LinkUnits(ctx, regions, size, in)
+			if err != nil {
+				return nil, err
 			}
-			p.count(func(s *Stats) { s.SimDiskMisses++ })
-			p.om.sim.diskMiss.Inc()
-		}
-		p.count(func(s *Stats) { s.Sims++ })
-		p.om.sim.runs.Inc()
-		sp.SetAttr("tier", "compute")
-		exe, err := p.LinkUnits(sctx, regions, spmSize, inSPM)
-		if err != nil {
-			return nil, err
-		}
-		t0 := time.Now()
-		res, err := sim.Run(exe, sim.Options{Cache: ccfg})
-		d := time.Since(t0)
-		p.count(func(s *Stats) { s.SimTime += d })
-		p.om.sim.seconds.Observe(d.Seconds())
-		p.debugStage(ctx, "simulate", key, d)
-		if err == nil {
-			p.storeSave(func(disk *store.Store) error {
-				return disk.SaveSim(p.programKey(), key, res)
-			})
-		}
-		return res, err
+			return timed(func() (*sim.Result, error) { return sim.Run(exe, sim.Options{Cache: ccfg}) })
+		},
 	})
 }
 
@@ -619,160 +466,56 @@ func (p *Pipeline) Analyze(ctx context.Context, spmSize uint32, inSPM map[string
 // AnalyzeUnits is Analyze under a placement-unit partition; the partition
 // is part of the memo and disk keys, so warm runs at a fixed granularity
 // recompute nothing.
+//
+// Analyses share a reusable context per partition (and, with a cache, per
+// cache shape): the CFG, IPET skeletons and — for cache analyses — the
+// symbolic access streams are built once, and each placement re-prices
+// only its delta. Results are bit-identical to a from-scratch link +
+// wcet.Analyze.
 func (p *Pipeline) AnalyzeUnits(ctx context.Context, regions []obj.Region, spmSize uint32, inSPM map[string]bool, opts wcet.Options) (*wcet.Result, error) {
-	key := analysisKey(unitPrefix(regions)+PlacementKey(spmSize, inSPM), opts)
-	sctx, sp := obs.Start(ctx, "stage:analyze", obs.A("tier", "memory"))
-	defer sp.End()
-	p.mu.Lock()
-	e := p.analyses[key]
-	if e == nil {
-		e = &analysisEntry{}
-		p.analyses[key] = e
-	}
-	p.mu.Unlock()
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	upgrade := false
-	switch {
-	case !e.done:
-		p.om.analyze.memMiss.Inc()
-	case e.err == nil && opts.Witness && e.res.Witness == nil:
-		upgrade = true
-		e.done = false
-		p.om.analyze.memMiss.Inc()
-	default:
-		p.count(func(s *Stats) { s.AnalyzeHits++ })
-		p.om.analyze.memHit.Inc()
-	}
-	if !e.done {
-		// Disk tier. LoadWCET treats a witness-less entry as a miss when a
-		// witness is required, which covers both the cold path and the
-		// upgrade of a disk-served witness-less result.
-		if disk := p.diskStore(); disk != nil {
-			if r, ok := disk.LoadWCET(p.programKey(), key, opts.Witness); ok {
-				p.count(func(s *Stats) { s.AnalyzeDiskHits++ })
-				p.om.analyze.diskHit.Inc()
-				sp.SetAttr("tier", "disk")
-				e.res, e.err, e.done = r, nil, true
-				return e.res, e.err
-			}
-			p.count(func(s *Stats) { s.AnalyzeDiskMisses++ })
-			p.om.analyze.diskMiss.Inc()
-		}
-		p.count(func(s *Stats) {
-			s.Analyses++
-			if upgrade {
-				s.AnalyzeUpgrades++
-			}
-		})
-		p.om.analyze.runs.Inc()
-		if upgrade {
-			p.om.upgrades.Inc()
-		}
-		sp.SetAttr("tier", "compute")
-		var usedCtx *wcet.Context
-		if opts.Cache == nil {
-			// Cache-less analyses share a reusable context per partition:
-			// the CFG and IPET skeletons are built once, each placement only
-			// re-prices its delta. Results are bit-identical to the
-			// from-scratch path below.
-			wctx, built, err := p.contextFor(sctx, regions, opts)
-			if err != nil {
-				e.res, e.err = nil, err
-			} else {
-				usedCtx = wctx
-				p.count(func(s *Stats) {
-					if built {
-						s.ContextBuilds++
-					} else {
-						s.ContextReuses++
-					}
+	pk, size, in := placement(spmSize, inSPM)
+	r := request[*wcet.Result]{
+		key: analysisKey(unitPrefix(regions)+pk, opts),
+		compute: func(ctx context.Context, timed timer[*wcet.Result]) (*wcet.Result, error) {
+			if opts.Cache != nil {
+				c, err := p.cacheContextFor(regions, opts)
+				if err != nil {
+					return nil, err
+				}
+				return timed(func() (*wcet.Result, error) {
+					return c.AnalyzeCtx(ctx, opts.Cache.Size, size, in, opts.Witness)
 				})
-				// Mirror LinkUnits' key normalisation: the empty placement
-				// analyses identically at every capacity, including
-				// capacities the linker would reject.
-				if PlacementKey(spmSize, inSPM) == "spm=0|" {
-					spmSize, inSPM = 0, nil
-				}
-				t0 := time.Now()
-				e.res, e.err = wctx.AnalyzeCtx(sctx, spmSize, inSPM, opts.Witness)
-				d := time.Since(t0)
-				p.count(func(s *Stats) { s.AnalyzeTime += d })
-				p.om.analyze.seconds.Observe(d.Seconds())
-				p.debugStage(ctx, "analyze", key, d)
 			}
-		} else {
-			// Cache analyses share a reusable cache context per partition and
-			// cache *shape*: the CFG, IPET skeletons and symbolic access
-			// streams are built once, each (capacity, placement) replays only
-			// the functions whose MUST inputs changed. Results are
-			// bit-identical to a from-scratch link + analyze.
-			cctx, built, err := p.cacheContextFor(sctx, regions, opts)
+			c, err := p.contextFor(ctx, regions, opts)
 			if err != nil {
-				e.res, e.err = nil, err
-			} else {
-				p.count(func(s *Stats) {
-					if built {
-						s.CacheContextBuilds++
-					} else {
-						s.CacheContextReuses++
-					}
-				})
-				// Mirror LinkUnits' key normalisation: the empty placement
-				// analyses identically at every capacity, including
-				// capacities the linker would reject.
-				if PlacementKey(spmSize, inSPM) == "spm=0|" {
-					spmSize, inSPM = 0, nil
-				}
-				t0 := time.Now()
-				e.res, e.err = cctx.AnalyzeCtx(sctx, opts.Cache.Size, spmSize, inSPM, opts.Witness)
-				d := time.Since(t0)
-				p.count(func(s *Stats) { s.AnalyzeTime += d })
-				p.om.analyze.seconds.Observe(d.Seconds())
-				p.debugStage(ctx, "analyze", key, d)
+				return nil, err
 			}
-		}
-		e.done = true
-		if e.err == nil {
-			p.storeSave(func(disk *store.Store) error {
-				return disk.SaveWCET(p.programKey(), key, e.res)
-			})
-			if usedCtx != nil && p.diskStore() != nil {
-				// Persist newly recorded solver state so the next cold
-				// process inherits a warm solver, not just memoized results.
-				if st, dirty := usedCtx.ExportStateIfDirty(); dirty {
-					skey := solverStateKey(contextKey(regions, opts))
-					p.storeSave(func(disk *store.Store) error {
-						return disk.SaveSolverState(p.programKey(), skey, st)
-					})
-				}
+			res, err := timed(func() (*wcet.Result, error) { return c.AnalyzeCtx(ctx, size, in, opts.Witness) })
+			if err == nil {
+				p.saveSolverState(c, regions, opts)
 			}
-		}
+			return res, err
+		},
 	}
-	return e.res, e.err
+	if opts.Witness {
+		r.stale = lacksWitness
+	}
+	return p.analyze.get(ctx, p, r)
 }
+
+// lacksWitness marks a witness-less result stale for a witness request.
+func lacksWitness(r *wcet.Result) bool { return r.Witness == nil }
 
 // contextFor returns (memoized, singleflight) the reusable analysis
 // context for one partition and analysis configuration, built from the
-// partition's scratchpad-less base link. built reports whether this call
-// did the cold build.
-func (p *Pipeline) contextFor(ctx context.Context, regions []obj.Region, opts wcet.Options) (*wcet.Context, bool, error) {
+// partition's scratchpad-less base link.
+func (p *Pipeline) contextFor(ctx context.Context, regions []obj.Region, opts wcet.Options) (*wcet.Context, error) {
 	key := contextKey(regions, opts)
-	p.mu.Lock()
-	e, ok := p.contexts[key]
-	if !ok {
-		e = &entry[*wcet.Context]{}
-		p.contexts[key] = e
-	}
-	p.mu.Unlock()
-	built := false
-	wctx, err := e.get(func() (*wcet.Context, error) {
+	c, built, err := p.contexts.get(key, func() (*wcet.Context, error) {
 		base, err := p.LinkUnits(ctx, regions, 0, nil)
 		if err != nil {
 			return nil, err
 		}
-		built = true
 		c, err := wcet.NewContext(base, opts)
 		if err != nil {
 			return nil, err
@@ -781,7 +524,7 @@ func (p *Pipeline) contextFor(ctx context.Context, regions []obj.Region, opts wc
 		// state a previous process persisted for this exact configuration.
 		// Deliberately outside the stage disk-hit/miss counters — it is a
 		// solver seed, not a served artifact.
-		if disk := p.diskStore(); disk != nil {
+		if disk := p.Store(); disk != nil {
 			if st, ok := disk.LoadSolverState(p.programKey(), solverStateKey(key)); ok {
 				c.ImportState(st)
 			}
@@ -791,7 +534,22 @@ func (p *Pipeline) contextFor(ctx context.Context, regions []obj.Region, opts wc
 		p.mu.Unlock()
 		return c, nil
 	})
-	return wctx, built, err
+	if err == nil && !built {
+		p.ctxReuses.Add(1)
+	}
+	return c, err
+}
+
+// saveSolverState persists a context's newly recorded solver state, so the
+// next cold process inherits a warm solver, not just memoized results.
+func (p *Pipeline) saveSolverState(c *wcet.Context, regions []obj.Region, opts wcet.Options) {
+	disk := p.Store()
+	if disk == nil {
+		return
+	}
+	if st, dirty := c.ExportStateIfDirty(); dirty {
+		p.saved(disk.SaveSolverState(p.programKey(), solverStateKey(contextKey(regions, opts)), st))
+	}
 }
 
 // contextKey is the analysis-context cache key: the partition plus every
@@ -803,25 +561,13 @@ func contextKey(regions []obj.Region, opts wcet.Options) string {
 
 // cacheContextFor returns (memoized, singleflight) the reusable cache
 // analysis context for one partition and cache shape, built from the
-// partition's prepared linker. built reports whether this call did the
-// cold build.
-func (p *Pipeline) cacheContextFor(ctx context.Context, regions []obj.Region, opts wcet.Options) (*wcet.CacheContext, bool, error) {
-	key := cacheContextKey(regions, opts)
-	p.mu.Lock()
-	e, ok := p.cctxs[key]
-	if !ok {
-		e = &entry[*wcet.CacheContext]{}
-		p.cctxs[key] = e
-	}
-	p.mu.Unlock()
-	built := false
-	cctx, err := e.get(func() (*wcet.CacheContext, error) {
-		_ = ctx // the build is pure compute; spans attach per Analyze
+// partition's prepared linker.
+func (p *Pipeline) cacheContextFor(regions []obj.Region, opts wcet.Options) (*wcet.CacheContext, error) {
+	c, built, err := p.cctxs.get(cacheContextKey(regions, opts), func() (*wcet.CacheContext, error) {
 		prep, err := p.preparedFor(regions)
 		if err != nil {
 			return nil, err
 		}
-		built = true
 		c, err := wcet.NewCacheContext(prep, opts)
 		if err != nil {
 			return nil, err
@@ -831,7 +577,10 @@ func (p *Pipeline) cacheContextFor(ctx context.Context, regions []obj.Region, op
 		p.mu.Unlock()
 		return c, nil
 	})
-	return cctx, built, err
+	if err == nil && !built {
+		p.cctxReuses.Add(1)
+	}
+	return c, err
 }
 
 // cacheContextKey is the cache-context cache key: the partition, the cache
@@ -855,59 +604,22 @@ func solverStateKey(ctxKey string) string { return "solverstate|" + ctxKey }
 // baseline system (no scratchpad, no cache), consulting the disk tier
 // before simulating.
 func (p *Pipeline) Profile(ctx context.Context) (*sim.Profile, error) {
-	sctx, sp := obs.Start(ctx, "stage:profile", obs.A("tier", "memory"))
-	defer sp.End()
-	p.mu.Lock()
-	e := p.profile
-	p.mu.Unlock()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.done {
-		p.count(func(s *Stats) { s.ProfileHits++ })
-		p.om.profile.memHit.Inc()
-		return e.val, e.err
-	}
-	p.om.profile.memMiss.Inc()
-	if disk := p.diskStore(); disk != nil {
-		if prof, ok := disk.LoadProfile(p.programKey(), profileStageKey); ok {
-			p.count(func(s *Stats) { s.ProfileDiskHits++ })
-			p.om.profile.diskHit.Inc()
-			sp.SetAttr("tier", "disk")
-			e.val, e.err, e.done = prof, nil, true
-			return e.val, e.err
-		}
-		p.count(func(s *Stats) { s.ProfileDiskMisses++ })
-		p.om.profile.diskMiss.Inc()
-	}
-	p.count(func(s *Stats) { s.Profiles++ })
-	p.om.profile.runs.Inc()
-	sp.SetAttr("tier", "compute")
-	exe, err := p.Link(sctx, 0, nil)
-	if err != nil {
-		e.val, e.err = nil, err
-	} else {
-		t0 := time.Now()
-		e.val, e.err = sim.CollectProfile(exe, sim.Options{})
-		d := time.Since(t0)
-		p.count(func(s *Stats) { s.ProfileTime += d })
-		p.om.profile.seconds.Observe(d.Seconds())
-		p.debugStage(ctx, "profile", profileStageKey, d)
-	}
-	e.done = true
-	if e.err == nil {
-		p.storeSave(func(disk *store.Store) error {
-			return disk.SaveProfile(p.programKey(), profileStageKey, e.val)
-		})
-	}
-	return e.val, e.err
+	return p.profile.get(ctx, p, request[*sim.Profile]{
+		key: profileStageKey,
+		compute: func(ctx context.Context, timed timer[*sim.Profile]) (*sim.Profile, error) {
+			exe, err := p.Link(ctx, 0, nil)
+			if err != nil {
+				return nil, err
+			}
+			return timed(func() (*sim.Profile, error) { return sim.CollectProfile(exe, sim.Options{}) })
+		},
+	})
 }
 
 // PrimeProfile seeds the profile stage with an already-collected artifact
 // (e.g. when resetting link/analyse artifacts without re-profiling).
 func (p *Pipeline) PrimeProfile(prof *sim.Profile) {
-	p.mu.Lock()
-	e := p.profile
-	p.mu.Unlock()
+	e := p.profile.memo.slot(profileStageKey)
 	e.mu.Lock()
 	e.val, e.err, e.done = prof, nil, true
 	e.mu.Unlock()
@@ -921,65 +633,49 @@ func (p *Pipeline) PrimeProfile(prof *sim.Profile) {
 // (stage key "alloc|<ConfigKey>|cap=<n>"), so warm sweeps re-solve zero
 // knapsacks *across processes*, not just within one.
 func (p *Pipeline) Allocate(ctx context.Context, a Allocator, capacity uint32) (*Allocation, error) {
+	solve := func(ctx context.Context, timed timer[*Allocation]) (*Allocation, error) {
+		return timed(func() (*Allocation, error) { return a.Allocate(ctx, p, capacity) })
+	}
 	ck := a.ConfigKey()
 	if ck == "" {
-		return p.runAllocate(ctx, a, capacity)
+		return p.alloc.run(ctx, p, fmt.Sprintf("%s|cap=%d", a.Name(), capacity), solve)
 	}
-	key := fmt.Sprintf("alloc|%s|cap=%d", ck, capacity)
-	sctx, sp := obs.Start(ctx, "stage:alloc", obs.A("tier", "memory"), obs.A("capacity", capacity))
-	defer sp.End()
-	p.mu.Lock()
-	e, ok := p.allocs[key]
-	if !ok {
-		e = &entry[*Allocation]{}
-		p.allocs[key] = e
-	}
-	p.mu.Unlock()
-	if ok {
-		p.count(func(s *Stats) { s.AllocHits++ })
-		p.om.alloc.memHit.Inc()
-	} else {
-		p.om.alloc.memMiss.Inc()
-	}
-	return e.get(func() (*Allocation, error) {
-		if disk := p.diskStore(); disk != nil {
-			if art, ok := disk.LoadAlloc(p.programKey(), key); ok {
-				p.count(func(s *Stats) { s.AllocDiskHits++ })
-				p.om.alloc.diskHit.Inc()
-				sp.SetAttr("tier", "disk")
-				return &Allocation{
-					InSPM: art.InSPM, Benefit: art.Benefit, Used: art.Used, Splits: art.Splits,
-					Iterations: int(art.Iterations), Converged: art.Converged,
-				}, nil
-			}
-			p.count(func(s *Stats) { s.AllocDiskMisses++ })
-			p.om.alloc.diskMiss.Inc()
-		}
-		sp.SetAttr("tier", "compute")
-		alloc, err := p.runAllocate(sctx, a, capacity)
-		if err == nil {
-			p.storeSave(func(disk *store.Store) error {
-				return disk.SaveAlloc(p.programKey(), key, &store.AllocArtifact{
-					InSPM: alloc.InSPM, Benefit: alloc.Benefit, Used: alloc.Used, Splits: alloc.Splits,
-					Iterations: uint32(alloc.Iterations), Converged: alloc.Converged,
-				})
-			})
-		}
-		return alloc, err
+	return p.alloc.get(ctx, p, request[*Allocation]{
+		key:     fmt.Sprintf("alloc|%s|cap=%d", ck, capacity),
+		attrs:   []obs.Attr{obs.A("capacity", capacity)},
+		compute: solve,
 	})
 }
 
-func (p *Pipeline) runAllocate(ctx context.Context, a Allocator, capacity uint32) (*Allocation, error) {
-	p.count(func(s *Stats) { s.Allocs++ })
-	p.om.alloc.runs.Inc()
-	t0 := time.Now()
-	alloc, err := a.Allocate(ctx, p, capacity)
-	d := time.Since(t0)
-	p.count(func(s *Stats) { s.AllocTime += d })
-	p.om.alloc.seconds.Observe(d.Seconds())
-	p.debugStage(ctx, "alloc", fmt.Sprintf("%s|cap=%d", a.Name(), capacity), d)
-	return alloc, err
-}
+// The disk codecs of the persisted stages.
+var (
+	simCodec     = codec[*sim.Result]{(*store.Store).LoadSim, (*store.Store).SaveSim}
+	profileCodec = codec[*sim.Profile]{(*store.Store).LoadProfile, (*store.Store).SaveProfile}
+	// wcetCodec loads witness-less entries too: the runner's staleness
+	// check turns them into misses for witness requests.
+	wcetCodec = codec[*wcet.Result]{
+		func(s *store.Store, prog, key string) (*wcet.Result, bool) { return s.LoadWCET(prog, key, false) },
+		(*store.Store).SaveWCET,
+	}
+	allocCodec = codec[*Allocation]{
+		func(s *store.Store, prog, key string) (*Allocation, bool) {
+			art, ok := s.LoadAlloc(prog, key)
+			if !ok {
+				return nil, false
+			}
+			return &Allocation{
+				InSPM: art.InSPM, Benefit: art.Benefit, Used: art.Used, Splits: art.Splits,
+				Iterations: int(art.Iterations), Converged: art.Converged,
+			}, true
+		},
+		func(s *store.Store, prog, key string, a *Allocation) error {
+			return s.SaveAlloc(prog, key, &store.AllocArtifact{
+				InSPM: a.InSPM, Benefit: a.Benefit, Used: a.Used, Splits: a.Splits,
+				Iterations: uint32(a.Iterations), Converged: a.Converged,
+			})
+		},
+	}
+)
 
 // debugStage emits one debug record per cold stage execution — visible
 // only at `-log debug`, and cost-free below it (one atomic load).
@@ -1023,18 +719,30 @@ func StageLatency(bench string) map[string]obs.HistogramSnapshot {
 	return out
 }
 
-// Stats returns a snapshot of the stage counters.
+// Stats returns a snapshot of the stage counters: a view over the stage
+// runners' counter sets and the registered prepared linkers and analysis
+// contexts.
 func (p *Pipeline) Stats() Stats {
+	var s Stats
+	s.Links, s.LinkHits, _, _, s.LinkTime = p.link.counts()
+	s.Sims, s.SimHits, s.SimDiskHits, s.SimDiskMisses, s.SimTime = p.sim.counts()
+	s.Analyses, s.AnalyzeHits, s.AnalyzeDiskHits, s.AnalyzeDiskMisses, s.AnalyzeTime = p.analyze.counts()
+	s.Profiles, s.ProfileHits, s.ProfileDiskHits, s.ProfileDiskMisses, s.ProfileTime = p.profile.counts()
+	s.Allocs, s.AllocHits, s.AllocDiskHits, s.AllocDiskMisses, s.AllocTime = p.alloc.counts()
+	s.AnalyzeUpgrades = p.upgrades.n.Load()
+	s.StoreErrors = p.storeErrors.n.Load()
+	s.ContextReuses = p.ctxReuses.Load()
+	s.CacheContextReuses = p.cctxReuses.Load()
+
 	p.mu.Lock()
-	s := p.stats
-	preps := append([]*link.Prepared(nil), p.preps...)
-	ctxs := append([]*wcet.Context(nil), p.ctxList...)
-	cctxs := append([]*wcet.CacheContext(nil), p.cctxList...)
+	preps, ctxs, cctxs := slices.Clone(p.preps), slices.Clone(p.ctxList), slices.Clone(p.cctxList)
 	p.mu.Unlock()
 	// Fold in the delta-link and solver-state counters from the registered
 	// objects' atomics — never their locks, which an in-flight compute may
 	// hold for the length of a solve.
 	s.FullLinks = uint64(len(preps))
+	s.ContextBuilds = uint64(len(ctxs))
+	s.CacheContextBuilds = uint64(len(cctxs))
 	for _, prep := range preps {
 		rs := prep.Stats()
 		s.DeltaLinks += rs.Relinks
@@ -1052,29 +760,4 @@ func (p *Pipeline) Stats() Stats {
 		s.CacheFuncs += total
 	}
 	return s
-}
-
-func (p *Pipeline) count(f func(*Stats)) {
-	p.mu.Lock()
-	f(&p.stats)
-	p.mu.Unlock()
-}
-
-func (p *Pipeline) diskStore() *store.Store {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.disk
-}
-
-// storeSave performs a best-effort disk write: a failure is counted, not
-// surfaced — the computed artifact is still valid and returned.
-func (p *Pipeline) storeSave(save func(*store.Store) error) {
-	disk := p.diskStore()
-	if disk == nil {
-		return
-	}
-	if err := save(disk); err != nil {
-		p.count(func(s *Stats) { s.StoreErrors++ })
-		p.om.storeErrors.Inc()
-	}
 }

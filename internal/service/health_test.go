@@ -9,6 +9,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/service"
@@ -146,5 +147,21 @@ func TestRequestIDCorrelation(t *testing.T) {
 	}
 	if !logged {
 		t.Error("no access-log record carried the inbound request id")
+	}
+}
+
+// TestServerTimeouts pins the connection timeouts every listener gets: a
+// client that never finishes its headers, or an idle keep-alive
+// connection, must not hold a connection open forever.
+func TestServerTimeouts(t *testing.T) {
+	srv := service.NewHTTPServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != 10*time.Second {
+		t.Errorf("ReadHeaderTimeout = %v, want 10s", srv.ReadHeaderTimeout)
+	}
+	if srv.IdleTimeout != 2*time.Minute {
+		t.Errorf("IdleTimeout = %v, want 2m", srv.IdleTimeout)
+	}
+	if srv.Handler == nil {
+		t.Error("server has no handler")
 	}
 }

@@ -79,6 +79,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/alloc"
 	"repro/internal/benchprog"
 	"repro/internal/core"
 	"repro/internal/link"
@@ -86,7 +87,6 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/store"
 	"repro/internal/wcet"
-	"repro/internal/wcetalloc"
 )
 
 // Process-wide HTTP gauges: requests inside a handler, and requests
@@ -256,6 +256,22 @@ func (w *statusWriter) Status() int {
 // Handler returns the HTTP handler serving the API.
 func (s *Server) Handler() http.Handler { return s.mux }
 
+// Connection timeouts of every HTTP listener the process opens (the API
+// and the pprof endpoints): ReadHeaderTimeout bounds how long a client may
+// take to send its request headers, so a stalled or slow client cannot
+// hold a connection open forever; IdleTimeout closes keep-alive
+// connections idle that long between requests.
+const (
+	ReadHeaderTimeout = 10 * time.Second
+	IdleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer returns an http.Server serving h with the connection
+// timeouts above.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: ReadHeaderTimeout, IdleTimeout: IdleTimeout}
+}
+
 // Run serves the API on addr until ctx is cancelled, then shuts down
 // gracefully (in-flight requests drain, new connections are refused).
 // ready, when non-nil, is called with the bound address once the listener
@@ -275,7 +291,7 @@ func (s *Server) Run(ctx context.Context, addr string, ready func(boundAddr stri
 	if s.cfg.Store != nil && s.cfg.GCInterval > 0 {
 		go s.gcLoop(ctx)
 	}
-	srv := &http.Server{Handler: s.mux}
+	srv := NewHTTPServer(s.mux)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {
@@ -593,7 +609,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if branch == "" {
 		branch = "spm"
 	}
-	gran, err := wcetalloc.ParseGranularity(q.Get("granularity"))
+	gran, err := alloc.ParseGranularity(q.Get("granularity"))
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "granularity must be object or block")
 		return

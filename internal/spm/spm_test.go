@@ -1,9 +1,14 @@
-package spm
+// Package spm_test pins the paper's energy-directed scratchpad allocation
+// (Steinke et al., DATE 2002): internal/alloc's Steinke knapsack over a
+// typical-input profile, solved by the branch & bound ILP and by dynamic
+// programming. The directory holds only these tests.
+package spm_test
 
 import (
 	"math"
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/cc"
 	"repro/internal/energy"
 	"repro/internal/link"
@@ -43,6 +48,20 @@ func profileOf(t *testing.T, src string) (*obj.Program, *sim.Profile) {
 	return prog, prof
 }
 
+// allocate solves the energy knapsack with the branch & bound ILP solver.
+func allocate(prog *obj.Program, prof *sim.Profile, capacity uint32, m energy.Model) (*alloc.Allocation, error) {
+	return alloc.Knapsack(candidates(prog, prof, m, capacity), capacity)
+}
+
+// allocateDP solves the energy knapsack exactly by dynamic programming.
+func allocateDP(prog *obj.Program, prof *sim.Profile, capacity uint32, m energy.Model) (*alloc.Allocation, error) {
+	return alloc.KnapsackDP(candidates(prog, prof, m, capacity), capacity)
+}
+
+func candidates(prog *obj.Program, prof *sim.Profile, m energy.Model, capacity uint32) []alloc.Item {
+	return alloc.Candidates(prog, alloc.Evidence{Profile: prof}, alloc.EnergyObjective{Model: m}, capacity)
+}
+
 func TestHotObjectsPreferred(t *testing.T) {
 	prog, prof := profileOf(t, hotColdProgram)
 	m := energy.Default()
@@ -50,7 +69,7 @@ func TestHotObjectsPreferred(t *testing.T) {
 	hotFn := prog.Object("hot").Size()
 	hotData := prog.Object("hot_data").Size()
 	capacity := hotFn + hotData + 64
-	a, err := Allocate(prog, prof, capacity, m)
+	a, err := allocate(prog, prof, capacity, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +88,11 @@ func TestILPAgreesWithDP(t *testing.T) {
 	prog, prof := profileOf(t, hotColdProgram)
 	m := energy.Default()
 	for _, capacity := range []uint32{64, 128, 256, 512, 1024, 2048, 4096, 8192} {
-		ilpA, err := Allocate(prog, prof, capacity, m)
+		ilpA, err := allocate(prog, prof, capacity, m)
 		if err != nil {
 			t.Fatalf("capacity %d: ilp: %v", capacity, err)
 		}
-		dpA, err := AllocateDP(prog, prof, capacity, m)
+		dpA, err := allocateDP(prog, prof, capacity, m)
 		if err != nil {
 			t.Fatalf("capacity %d: dp: %v", capacity, err)
 		}
@@ -89,7 +108,7 @@ func TestBenefitMonotoneInCapacity(t *testing.T) {
 	m := energy.Default()
 	last := -1.0
 	for _, capacity := range []uint32{64, 128, 256, 512, 1024, 2048, 4096, 8192} {
-		a, err := AllocateDP(prog, prof, capacity, m)
+		a, err := allocateDP(prog, prof, capacity, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +121,7 @@ func TestBenefitMonotoneInCapacity(t *testing.T) {
 
 func TestZeroCapacityAllocatesNothing(t *testing.T) {
 	prog, prof := profileOf(t, hotColdProgram)
-	a, err := Allocate(prog, prof, 0, energy.Default())
+	a, err := allocate(prog, prof, 0, energy.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +141,7 @@ func TestAllocatedProgramStillCorrectAndFaster(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, capacity := range []uint32{256, 1024, 8192} {
-		a, err := Allocate(prog, prof, capacity, energy.Default())
+		a, err := allocate(prog, prof, capacity, energy.Default())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +177,7 @@ func TestProgramEnergyDecreasesWithAllocation(t *testing.T) {
 	prog, prof := profileOf(t, hotColdProgram)
 	m := energy.Default()
 	e0 := m.ProgramEnergy(prog, prof, nil)
-	a, err := AllocateDP(prog, prof, 8192, m)
+	a, err := allocateDP(prog, prof, 8192, m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package wcetalloc
+package wcetalloc_test
 
 // Block-granularity bound dominance: on every benchmark × paper capacity
 // the block-granularity WCET-directed bound must be ≤ the whole-object
@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/benchprog"
 	"repro/internal/cc"
 	"repro/internal/pipeline"
@@ -40,11 +41,11 @@ func TestBlockGranularityNeverWorse(t *testing.T) {
 				}
 				p := pipeline.New(prog)
 				for _, capacity := range paperSizes {
-					objRes, err := AllocateIn(context.Background(), p, capacity, Options{})
+					objRes, err := allocateIn(context.Background(), p, capacity, alloc.Options{})
 					if err != nil {
 						t.Fatal(err)
 					}
-					blkRes, err := AllocateIn(context.Background(), p, capacity, Options{Granularity: GranBlock})
+					blkRes, err := allocateIn(context.Background(), p, capacity, alloc.Options{Granularity: alloc.GranBlock})
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -1,3 +1,7 @@
+// Package wcetalloc_test pins WCET-directed scratchpad allocation: the
+// fixpoint of internal/alloc under the witness-priced objective, its
+// knapsack solvers, seeding and tie-breaking, and its block granularity.
+// The directory holds only these tests.
 package wcetalloc_test
 
 import (
@@ -8,14 +12,14 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/benchprog"
 	"repro/internal/cache"
 	"repro/internal/cc"
 	"repro/internal/core"
+	"repro/internal/obj"
 	"repro/internal/pipeline"
-	"repro/internal/spm"
 	"repro/internal/wcet"
-	"repro/internal/wcetalloc"
 )
 
 // testProgram is a small program with several functions and globals of
@@ -44,9 +48,26 @@ int main() {
 }
 `
 
+// allocate runs the WCET-directed fixpoint with the branch & bound ILP
+// knapsack (the paper's solver architecture) on a private pipeline.
+func allocate(ctx context.Context, prog *obj.Program, capacity uint32, opts alloc.Options) (*alloc.Result, error) {
+	return allocateIn(ctx, pipeline.New(prog), capacity, opts)
+}
+
+// allocateDP runs the same fixpoint with the exact dynamic-programming
+// knapsack.
+func allocateDP(ctx context.Context, prog *obj.Program, capacity uint32, opts alloc.Options) (*alloc.Result, error) {
+	return alloc.Run(ctx, pipeline.New(prog), capacity, alloc.WCETObjective{}, alloc.SolverDP, opts)
+}
+
+// allocateIn runs the ILP fixpoint against a shared pipeline.
+func allocateIn(ctx context.Context, p *pipeline.Pipeline, capacity uint32, opts alloc.Options) (*alloc.Result, error) {
+	return alloc.Run(ctx, p, capacity, alloc.WCETObjective{}, alloc.SolverILP, opts)
+}
+
 // bruteForceKnapsack enumerates every subset (≤ 2^20) and returns the
 // maximal total benefit over the feasible ones.
-func bruteForceKnapsack(items []spm.Item, capacity uint32) float64 {
+func bruteForceKnapsack(items []alloc.Item, capacity uint32) float64 {
 	best := 0.0
 	for mask := 0; mask < 1<<len(items); mask++ {
 		var size uint32
@@ -69,23 +90,23 @@ func bruteForceKnapsack(items []spm.Item, capacity uint32) float64 {
 func TestKnapsackILPvsDPvsBruteForce(t *testing.T) {
 	cases := []struct {
 		name     string
-		items    []spm.Item
+		items    []alloc.Item
 		capacity uint32
 	}{
 		{"empty", nil, 128},
-		{"one-fits", []spm.Item{{Name: "a", Size: 64, Benefit: 10}}, 64},
-		{"classic", []spm.Item{
+		{"one-fits", []alloc.Item{{Name: "a", Size: 64, Benefit: 10}}, 64},
+		{"classic", []alloc.Item{
 			{Name: "a", Size: 24, Benefit: 24},
 			{Name: "b", Size: 10, Benefit: 18},
 			{Name: "c", Size: 10, Benefit: 18},
 			{Name: "d", Size: 7, Benefit: 10},
 		}, 25},
-		{"ties", []spm.Item{
+		{"ties", []alloc.Item{
 			{Name: "a", Size: 8, Benefit: 5},
 			{Name: "b", Size: 8, Benefit: 5},
 			{Name: "c", Size: 8, Benefit: 5},
 		}, 16},
-		{"dense", []spm.Item{
+		{"dense", []alloc.Item{
 			{Name: "a", Size: 12, Benefit: 4},
 			{Name: "b", Size: 1, Benefit: 2},
 			{Name: "c", Size: 2, Benefit: 2},
@@ -97,11 +118,11 @@ func TestKnapsackILPvsDPvsBruteForce(t *testing.T) {
 	}
 	for _, tc := range cases {
 		want := bruteForceKnapsack(tc.items, tc.capacity)
-		ilpA, err := spm.Knapsack(tc.items, tc.capacity)
+		ilpA, err := alloc.Knapsack(tc.items, tc.capacity)
 		if err != nil {
 			t.Fatalf("%s: ILP: %v", tc.name, err)
 		}
-		dpA, err := spm.KnapsackDP(tc.items, tc.capacity)
+		dpA, err := alloc.KnapsackDP(tc.items, tc.capacity)
 		if err != nil {
 			t.Fatalf("%s: DP: %v", tc.name, err)
 		}
@@ -125,11 +146,11 @@ func TestAllocateILPvsDP(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, size := range []uint32{64, 128, 512} {
-		ilpR, err := wcetalloc.Allocate(context.Background(), prog, size, wcetalloc.Options{})
+		ilpR, err := allocate(context.Background(), prog, size, alloc.Options{})
 		if err != nil {
 			t.Fatalf("size %d: ILP: %v", size, err)
 		}
-		dpR, err := wcetalloc.AllocateDP(context.Background(), prog, size, wcetalloc.Options{})
+		dpR, err := allocateDP(context.Background(), prog, size, alloc.Options{})
 		if err != nil {
 			t.Fatalf("size %d: DP: %v", size, err)
 		}
@@ -151,12 +172,12 @@ func TestFixpointTermination(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, size := range []uint32{64, 256, 1024} {
-		r, err := wcetalloc.Allocate(context.Background(), prog, size, wcetalloc.Options{})
+		r, err := allocate(context.Background(), prog, size, alloc.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !r.Converged {
-			t.Errorf("size %d: did not converge within %d iterations", size, wcetalloc.DefaultMaxIter)
+			t.Errorf("size %d: did not converge within %d iterations", size, alloc.DefaultMaxIter)
 		}
 		if len(r.Iterations) == 0 || r.Iterations[0].WCET != r.Baseline {
 			t.Errorf("size %d: trace must start at the baseline", size)
@@ -178,7 +199,7 @@ func TestFixpointTermination(t *testing.T) {
 			t.Errorf("size %d: allocation uses %d bytes", size, r.Used)
 		}
 		// Determinism: a second run must reproduce the result.
-		r2, err := wcetalloc.Allocate(context.Background(), prog, size, wcetalloc.Options{})
+		r2, err := allocate(context.Background(), prog, size, alloc.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +217,7 @@ func TestRejectsCacheConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = wcetalloc.Allocate(context.Background(), prog, 256, wcetalloc.Options{
+	_, err = allocate(context.Background(), prog, 256, alloc.Options{
 		WCET: wcet.Options{Cache: &cache.Config{Size: 256}},
 	})
 	if err == nil {
@@ -211,11 +232,11 @@ func TestSeedRejection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := wcetalloc.Allocate(context.Background(), prog, 128, wcetalloc.Options{})
+	plain, err := allocate(context.Background(), prog, 128, alloc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeded, err := wcetalloc.Allocate(context.Background(), prog, 128, wcetalloc.Options{
+	seeded, err := allocate(context.Background(), prog, 128, alloc.Options{
 		Seeds: []map[string]bool{
 			{"no_such_object": true},
 			{"a": true, "suma": true, "sumb": true}, // far beyond 128 bytes
@@ -305,13 +326,13 @@ func TestTieBreakPrefersLowerEnergy(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Verify the tie is real: each array alone certifies the same bound.
-	only1, err := wcetalloc.Allocate(context.Background(), prog, 64, wcetalloc.Options{
+	only1, err := allocate(context.Background(), prog, 64, alloc.Options{
 		Seeds: []map[string]bool{{"b1": true}}, MaxIter: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	only2, err := wcetalloc.Allocate(context.Background(), prog, 64, wcetalloc.Options{
+	only2, err := allocate(context.Background(), prog, 64, alloc.Options{
 		Seeds: []map[string]bool{{"b2": true}}, MaxIter: 1,
 	})
 	if err != nil {
@@ -351,7 +372,7 @@ func TestTieBreakPrefersLowerEnergy(t *testing.T) {
 		{"b1", []map[string]bool{{"b1": true}, {"b2": true}}},
 		{"b1", []map[string]bool{{"b2": true}, {"b1": true}}},
 	} {
-		r, err := wcetalloc.Allocate(context.Background(), prog, 64, wcetalloc.Options{
+		r, err := allocate(context.Background(), prog, 64, alloc.Options{
 			Seeds:   tc.seeds,
 			Energy:  price(tc.cheap),
 			MaxIter: 1,
@@ -383,9 +404,9 @@ func TestTieBreakDeterministic(t *testing.T) {
 		}
 		return e
 	}
-	var first *wcetalloc.Result
+	var first *alloc.Result
 	for i := 0; i < 5; i++ {
-		r, err := wcetalloc.Allocate(context.Background(), prog, 128, wcetalloc.Options{Energy: energy})
+		r, err := allocate(context.Background(), prog, 128, alloc.Options{Energy: energy})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -411,7 +432,7 @@ func TestPreEvaluatedSeedSkipsAnalysis(t *testing.T) {
 	}
 	seed := map[string]bool{"b": true}
 
-	plain, err := wcetalloc.Allocate(context.Background(), prog, 128, wcetalloc.Options{
+	plain, err := allocate(context.Background(), prog, 128, alloc.Options{
 		Seeds: []map[string]bool{seed},
 	})
 	if err != nil {
@@ -424,8 +445,8 @@ func TestPreEvaluatedSeedSkipsAnalysis(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := p.Stats()
-	pre, err := wcetalloc.AllocateIn(context.Background(), p, 128, wcetalloc.Options{
-		PreEvaluated: []wcetalloc.Evaluation{{InSPM: seed, WCET: seedRes.WCET, Witness: seedRes.Witness}},
+	pre, err := allocateIn(context.Background(), p, 128, alloc.Options{
+		PreEvaluated: []alloc.Evaluation{{InSPM: seed, WCET: seedRes.WCET, Witness: seedRes.Witness}},
 	})
 	if err != nil {
 		t.Fatal(err)
