@@ -544,3 +544,47 @@ func BenchmarkWarmProcessPareto(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSimulate is the interpreter's layer gate: one full simulation of
+// each benchmark per iteration under the three memory systems the paper
+// compares — main memory only, a 1 KB energy-allocated scratchpad and a
+// 1 KB direct-mapped cache — reporting simulated instructions per second.
+func BenchmarkSimulate(b *testing.B) {
+	for _, name := range []string{"G.721", "ADPCM", "MultiSort"} {
+		l := labFor(b, name)
+		a, err := l.Pipe.Allocate(context.Background(), l.EnergyAllocator(), 1024)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(a.Splits) != 0 {
+			b.Fatalf("%s: energy allocation split functions", name)
+		}
+		configs := []struct {
+			name  string
+			spm   uint32
+			inSPM map[string]bool
+			cache *cache.Config
+		}{
+			{"nospm", 0, nil, nil},
+			{"spm1k", 1024, a.InSPM, nil},
+			{"cache1k", 0, nil, &cache.Config{Size: 1024}},
+		}
+		for _, cfg := range configs {
+			exe, err := link.Link(l.Pipe.Prog, cfg.spm, cfg.inSPM)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(name+"/"+cfg.name, func(b *testing.B) {
+				var instrs uint64
+				for i := 0; i < b.N; i++ {
+					res, err := sim.Run(exe, sim.Options{Cache: cfg.cache})
+					if err != nil {
+						b.Fatal(err)
+					}
+					instrs += res.Instrs
+				}
+				b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "Minstr/s")
+			})
+		}
+	}
+}

@@ -8,9 +8,12 @@
 //
 //	{"benchmarks": [{"name": "BenchmarkFig3aG721Scratchpad",
 //	                 "iterations": 1, "ns_per_op": 123456.0,
-//	                 "bytes_per_op": 4096, "allocs_per_op": 17}, ...]}
+//	                 "bytes_per_op": 4096, "allocs_per_op": 17,
+//	                 "metrics": {"wcet8k-cycles": 1234567}}, ...]}
 //
 // bytes_per_op and allocs_per_op are -1 when the run lacked -benchmem.
+// metrics holds every other value/unit pair on the line, such as those a
+// benchmark reports with b.ReportMetric; it is omitted when there are none.
 // Non-benchmark lines (PASS, ok, goos/goarch headers) are ignored, so the
 // raw `go test` stream pipes straight in. `make bench-json` wires this up
 // and writes BENCH_local.json.
@@ -20,6 +23,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"sort"
@@ -30,20 +34,25 @@ import (
 // stripped), iteration count, ns/op, and whatever trailing pairs follow.
 var benchLine = regexp.MustCompile(`^(Benchmark\S*?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(.*)$`)
 
-// trailingPair matches the -benchmem extras, e.g. "123 B/op" or "4 allocs/op".
-var trailingPair = regexp.MustCompile(`([\d.]+) (B/op|allocs/op)`)
+// trailingPair matches one value/unit pair after ns/op: the -benchmem
+// extras ("123 B/op", "4 allocs/op") and b.ReportMetric output
+// ("31.16 Minstr/s").
+var trailingPair = regexp.MustCompile(`(-?[\d.]+) (\S+)`)
 
 type result struct {
-	Name        string  `json:"name"`
-	Iterations  uint64  `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
+	Name        string             `json:"name"`
+	Iterations  uint64             `json:"iterations"`
+	NsPerOp     float64            `json:"ns_per_op"`
+	BytesPerOp  int64              `json:"bytes_per_op"`
+	AllocsPerOp int64              `json:"allocs_per_op"`
+	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
-func main() {
+// parse reads `go test -bench` output and returns its result rows sorted
+// by name.
+func parse(r io.Reader) ([]result, error) {
 	var results []result
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		m := benchLine.FindStringSubmatch(sc.Text())
@@ -64,16 +73,30 @@ func main() {
 			if err != nil {
 				continue
 			}
-			switch pair[2] {
+			switch unit := pair[2]; unit {
 			case "B/op":
 				r.BytesPerOp = int64(v)
 			case "allocs/op":
 				r.AllocsPerOp = int64(v)
+			default:
+				if r.Metrics == nil {
+					r.Metrics = map[string]float64{}
+				}
+				r.Metrics[unit] = v
 			}
 		}
 		results = append(results, r)
 	}
 	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	sort.Slice(results, func(i, j int) bool { return results[i].Name < results[j].Name })
+	return results, nil
+}
+
+func main() {
+	results, err := parse(os.Stdin)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
@@ -81,7 +104,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
 		os.Exit(1)
 	}
-	sort.Slice(results, func(i, j int) bool { return results[i].Name < results[j].Name })
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(map[string][]result{"benchmarks": results}); err != nil {

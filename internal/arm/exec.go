@@ -1,6 +1,9 @@
 package arm
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Bus is the memory system seen by the CPU. Every access reports the number
 // of cycles it consumed, which is how the memory hierarchy (main-memory
@@ -39,9 +42,40 @@ type CPU struct {
 	Instrs uint64 // retired instruction count
 	Halted bool
 
+	// DecodeMisses counts fetches whose halfword was not in the decode
+	// memo and had to go through Decode.
+	DecodeMisses uint64
+
 	// SWI handles software interrupts. The default handler halts on
 	// SWI 0 (exit) and reports an error otherwise.
 	SWI func(c *CPU, num uint8) error
+
+	// memo caches decoded instructions by fetch address. A slot is reused
+	// only while it holds the halfword actually fetched, so a store into
+	// code is picked up on the next fetch. It lives and dies with the CPU.
+	memo [1 << memoBits]memoEntry
+}
+
+// memoBits sizes the decode memo: 2^12 slots span 8 KB of code, 4 KB per
+// half (see memoIndex), enough for every benchmark to run without a
+// conflict miss.
+const memoBits = 12
+
+// memoValid marks an occupied memo slot; the zero slot is empty.
+const memoValid = 1 << 16
+
+// memoEntry is one decode-memo slot.
+type memoEntry struct {
+	key uint32 // memoValid | the fetched halfword
+	in  Instr
+}
+
+// memoIndex maps a fetch address to its memo slot. The 1 MB region number
+// flips the top index bit, so scratchpad code (region 0) and main-memory
+// code (region 1), which both start at offset 0 of their region, land in
+// different halves of the memo instead of evicting each other.
+func memoIndex(addr uint32) uint32 {
+	return (addr>>1 ^ addr>>20<<(memoBits-1)) & (1<<memoBits - 1)
 }
 
 // NewCPU returns a CPU attached to bus with PC at entry, SP at stackTop and
@@ -72,6 +106,7 @@ func (e *Err) Unwrap() error { return e.Wrap }
 
 // Step fetches, decodes and executes one instruction, advancing Cycles by
 // the memory cost of every access plus the instruction's internal cycles.
+// The fetch always goes through the bus; only the decode is memoised.
 func (c *CPU) Step() error {
 	if c.Halted {
 		return nil
@@ -85,57 +120,15 @@ func (c *CPU) Step() error {
 		return &Err{instrAddr, fmt.Errorf("fetch: %w", err)}
 	}
 	c.Cycles += uint64(cyc)
-	in := Decode(uint16(hw))
+	e := &c.memo[memoIndex(instrAddr)]
+	if key := uint32(uint16(hw)) | memoValid; e.key != key {
+		e.key, e.in = key, Decode(uint16(hw))
+		c.DecodeMisses++
+	}
+	in := &e.in
 	c.R[PC] = instrAddr + 4 // PC reads as instruction address + 4
 	nextPC := instrAddr + 2
 	branched := false
-
-	branchTo := func(target uint32) {
-		nextPC = target &^ 1
-		branched = true
-	}
-
-	setNZ := func(v uint32) {
-		c.N = v&(1<<31) != 0
-		c.Z = v == 0
-	}
-	// adc computes a + b + carry and sets all four flags.
-	adc := func(a, b uint32, carry bool) uint32 {
-		var cin uint32
-		if carry {
-			cin = 1
-		}
-		r64 := uint64(a) + uint64(b) + uint64(cin)
-		r := uint32(r64)
-		setNZ(r)
-		c.C = r64 > 0xFFFFFFFF
-		c.V = (a^r)&(b^r)&(1<<31) != 0
-		return r
-	}
-	sbc := func(a, b uint32, carry bool) uint32 { return adc(a, ^b, carry) }
-
-	load := func(addr uint32, size uint8) (uint32, error) {
-		if addr%uint32(size) != 0 {
-			return 0, &Err{instrAddr, fmt.Errorf("misaligned %d-byte load at %#x", size, addr)}
-		}
-		v, cyc, err := c.Bus.Read(addr, size, false)
-		if err != nil {
-			return 0, &Err{instrAddr, err}
-		}
-		c.Cycles += uint64(cyc)
-		return v, nil
-	}
-	store := func(addr uint32, size uint8, v uint32) error {
-		if addr%uint32(size) != 0 {
-			return &Err{instrAddr, fmt.Errorf("misaligned %d-byte store at %#x", size, addr)}
-		}
-		cyc, err := c.Bus.Write(addr, size, v)
-		if err != nil {
-			return &Err{instrAddr, err}
-		}
-		c.Cycles += uint64(cyc)
-		return nil
-	}
 
 	switch in.Op {
 	case OpLslImm:
@@ -145,7 +138,7 @@ func (c *CPU) Step() error {
 			v <<= uint(in.Imm)
 		}
 		c.R[in.Rd] = v
-		setNZ(v)
+		c.setNZ(v)
 	case OpLsrImm:
 		v := c.R[in.Rs]
 		sh := uint(in.Imm)
@@ -160,7 +153,7 @@ func (c *CPU) Step() error {
 			v >>= sh
 		}
 		c.R[in.Rd] = v
-		setNZ(v)
+		c.setNZ(v)
 	case OpAsrImm:
 		v := c.R[in.Rs]
 		sh := uint(in.Imm)
@@ -175,33 +168,33 @@ func (c *CPU) Step() error {
 			v = uint32(int32(v) >> sh)
 		}
 		c.R[in.Rd] = v
-		setNZ(v)
+		c.setNZ(v)
 
 	case OpAddReg:
-		c.R[in.Rd] = adc(c.R[in.Rs], c.R[in.Rn], false)
+		c.R[in.Rd] = c.adc(c.R[in.Rs], c.R[in.Rn], false)
 	case OpSubReg:
-		c.R[in.Rd] = sbc(c.R[in.Rs], c.R[in.Rn], true)
+		c.R[in.Rd] = c.sbc(c.R[in.Rs], c.R[in.Rn], true)
 	case OpAddImm3:
-		c.R[in.Rd] = adc(c.R[in.Rs], uint32(in.Imm), false)
+		c.R[in.Rd] = c.adc(c.R[in.Rs], uint32(in.Imm), false)
 	case OpSubImm3:
-		c.R[in.Rd] = sbc(c.R[in.Rs], uint32(in.Imm), true)
+		c.R[in.Rd] = c.sbc(c.R[in.Rs], uint32(in.Imm), true)
 
 	case OpMovImm:
 		c.R[in.Rd] = uint32(in.Imm)
-		setNZ(c.R[in.Rd])
+		c.setNZ(c.R[in.Rd])
 	case OpCmpImm:
-		sbc(c.R[in.Rd], uint32(in.Imm), true)
+		c.sbc(c.R[in.Rd], uint32(in.Imm), true)
 	case OpAddImm8:
-		c.R[in.Rd] = adc(c.R[in.Rd], uint32(in.Imm), false)
+		c.R[in.Rd] = c.adc(c.R[in.Rd], uint32(in.Imm), false)
 	case OpSubImm8:
-		c.R[in.Rd] = sbc(c.R[in.Rd], uint32(in.Imm), true)
+		c.R[in.Rd] = c.sbc(c.R[in.Rd], uint32(in.Imm), true)
 
 	case OpAnd:
 		c.R[in.Rd] &= c.R[in.Rs]
-		setNZ(c.R[in.Rd])
+		c.setNZ(c.R[in.Rd])
 	case OpEor:
 		c.R[in.Rd] ^= c.R[in.Rs]
-		setNZ(c.R[in.Rd])
+		c.setNZ(c.R[in.Rd])
 	case OpLslReg:
 		v, amt := c.R[in.Rd], c.R[in.Rs]&0xFF
 		switch {
@@ -217,7 +210,7 @@ func (c *CPU) Step() error {
 			v = 0
 		}
 		c.R[in.Rd] = v
-		setNZ(v)
+		c.setNZ(v)
 	case OpLsrReg:
 		v, amt := c.R[in.Rd], c.R[in.Rs]&0xFF
 		switch {
@@ -233,7 +226,7 @@ func (c *CPU) Step() error {
 			v = 0
 		}
 		c.R[in.Rd] = v
-		setNZ(v)
+		c.setNZ(v)
 	case OpAsrReg:
 		v, amt := c.R[in.Rd], c.R[in.Rs]&0xFF
 		switch {
@@ -246,11 +239,11 @@ func (c *CPU) Step() error {
 			v = uint32(int32(v) >> 31)
 		}
 		c.R[in.Rd] = v
-		setNZ(v)
+		c.setNZ(v)
 	case OpAdc:
-		c.R[in.Rd] = adc(c.R[in.Rd], c.R[in.Rs], c.C)
+		c.R[in.Rd] = c.adc(c.R[in.Rd], c.R[in.Rs], c.C)
 	case OpSbc:
-		c.R[in.Rd] = sbc(c.R[in.Rd], c.R[in.Rs], c.C)
+		c.R[in.Rd] = c.sbc(c.R[in.Rd], c.R[in.Rs], c.C)
 	case OpRor:
 		v, amt := c.R[in.Rd], c.R[in.Rs]&0xFF
 		if amt != 0 {
@@ -263,42 +256,42 @@ func (c *CPU) Step() error {
 			}
 		}
 		c.R[in.Rd] = v
-		setNZ(v)
+		c.setNZ(v)
 	case OpTst:
-		setNZ(c.R[in.Rd] & c.R[in.Rs])
+		c.setNZ(c.R[in.Rd] & c.R[in.Rs])
 	case OpNeg:
-		c.R[in.Rd] = sbc(0, c.R[in.Rs], true)
+		c.R[in.Rd] = c.sbc(0, c.R[in.Rs], true)
 	case OpCmpReg:
-		sbc(c.R[in.Rd], c.R[in.Rs], true)
+		c.sbc(c.R[in.Rd], c.R[in.Rs], true)
 	case OpCmn:
-		adc(c.R[in.Rd], c.R[in.Rs], false)
+		c.adc(c.R[in.Rd], c.R[in.Rs], false)
 	case OpOrr:
 		c.R[in.Rd] |= c.R[in.Rs]
-		setNZ(c.R[in.Rd])
+		c.setNZ(c.R[in.Rd])
 	case OpMul:
 		c.R[in.Rd] *= c.R[in.Rs]
-		setNZ(c.R[in.Rd])
+		c.setNZ(c.R[in.Rd])
 		c.Cycles += CyclesMul
 	case OpBic:
 		c.R[in.Rd] &^= c.R[in.Rs]
-		setNZ(c.R[in.Rd])
+		c.setNZ(c.R[in.Rd])
 	case OpMvn:
 		c.R[in.Rd] = ^c.R[in.Rs]
-		setNZ(c.R[in.Rd])
+		c.setNZ(c.R[in.Rd])
 
 	case OpAddHi:
 		v := c.R[in.Rd] + c.R[in.Rs]
 		if in.Rd == PC {
-			branchTo(v)
+			nextPC, branched = v&^1, true
 		} else {
 			c.R[in.Rd] = v
 		}
 	case OpCmpHi:
-		sbc(c.R[in.Rd], c.R[in.Rs], true)
+		c.sbc(c.R[in.Rd], c.R[in.Rs], true)
 	case OpMovHi:
 		v := c.R[in.Rs]
 		if in.Rd == PC {
-			branchTo(v)
+			nextPC, branched = v&^1, true
 		} else {
 			c.R[in.Rd] = v
 		}
@@ -307,11 +300,11 @@ func (c *CPU) Step() error {
 		if t&1 == 0 {
 			return &Err{instrAddr, fmt.Errorf("bx to ARM state (target %#x); only THUMB is modelled", t)}
 		}
-		branchTo(t)
+		nextPC, branched = t&^1, true
 
 	case OpLdrPC:
 		addr := ((instrAddr + 4) &^ 3) + uint32(in.Imm)
-		v, err := load(addr, 4)
+		v, err := c.load(instrAddr, addr, 4)
 		if err != nil {
 			return err
 		}
@@ -325,7 +318,7 @@ func (c *CPU) Step() error {
 		} else {
 			addr += uint32(in.Imm)
 		}
-		if err := store(addr, in.AccessWidth(), c.R[in.Rd]); err != nil {
+		if err := c.store(instrAddr, addr, in.AccessWidth(), c.R[in.Rd]); err != nil {
 			return err
 		}
 
@@ -338,7 +331,7 @@ func (c *CPU) Step() error {
 		default:
 			addr += uint32(in.Imm)
 		}
-		v, err := load(addr, in.AccessWidth())
+		v, err := c.load(instrAddr, addr, in.AccessWidth())
 		if err != nil {
 			return err
 		}
@@ -352,11 +345,11 @@ func (c *CPU) Step() error {
 		c.Cycles += CyclesLoadInternal
 
 	case OpStrSP:
-		if err := store(c.R[SP]+uint32(in.Imm), 4, c.R[in.Rd]); err != nil {
+		if err := c.store(instrAddr, c.R[SP]+uint32(in.Imm), 4, c.R[in.Rd]); err != nil {
 			return err
 		}
 	case OpLdrSP:
-		v, err := load(c.R[SP]+uint32(in.Imm), 4)
+		v, err := c.load(instrAddr, c.R[SP]+uint32(in.Imm), 4)
 		if err != nil {
 			return err
 		}
@@ -375,86 +368,74 @@ func (c *CPU) Step() error {
 		base := c.R[SP] - 4*n
 		c.R[SP] = base
 		addr := base
-		for r := Reg(0); r <= 7; r++ {
-			if in.Regs&(1<<r) != 0 {
-				if err := store(addr, 4, c.R[r]); err != nil {
-					return err
-				}
-				addr += 4
+		for regs := in.Regs & 0xFF; regs != 0; regs &= regs - 1 {
+			if err := c.store(instrAddr, addr, 4, c.R[bits.TrailingZeros16(regs)]); err != nil {
+				return err
 			}
+			addr += 4
 		}
 		if in.Regs&(1<<LR) != 0 {
-			if err := store(addr, 4, c.R[LR]); err != nil {
+			if err := c.store(instrAddr, addr, 4, c.R[LR]); err != nil {
 				return err
 			}
 		}
 	case OpPop:
 		addr := c.R[SP]
-		for r := Reg(0); r <= 7; r++ {
-			if in.Regs&(1<<r) != 0 {
-				v, err := load(addr, 4)
-				if err != nil {
-					return err
-				}
-				c.R[r] = v
-				addr += 4
+		for regs := in.Regs & 0xFF; regs != 0; regs &= regs - 1 {
+			v, err := c.load(instrAddr, addr, 4)
+			if err != nil {
+				return err
 			}
+			c.R[bits.TrailingZeros16(regs)] = v
+			addr += 4
 		}
 		if in.Regs&(1<<PC) != 0 {
-			v, err := load(addr, 4)
+			v, err := c.load(instrAddr, addr, 4)
 			if err != nil {
 				return err
 			}
 			addr += 4
-			branchTo(v)
+			nextPC, branched = v&^1, true
 		}
 		c.R[SP] = addr
 		c.Cycles += CyclesLoadInternal
 
 	case OpStmia:
 		addr := c.R[in.Rs]
-		for r := Reg(0); r <= 7; r++ {
-			if in.Regs&(1<<r) != 0 {
-				if err := store(addr, 4, c.R[r]); err != nil {
-					return err
-				}
-				addr += 4
+		for regs := in.Regs & 0xFF; regs != 0; regs &= regs - 1 {
+			if err := c.store(instrAddr, addr, 4, c.R[bits.TrailingZeros16(regs)]); err != nil {
+				return err
 			}
+			addr += 4
 		}
 		c.R[in.Rs] = addr
 	case OpLdmia:
 		addr := c.R[in.Rs]
-		loadedBase := false
-		for r := Reg(0); r <= 7; r++ {
-			if in.Regs&(1<<r) != 0 {
-				v, err := load(addr, 4)
-				if err != nil {
-					return err
-				}
-				c.R[r] = v
-				if r == in.Rs {
-					loadedBase = true
-				}
-				addr += 4
+		for regs := in.Regs & 0xFF; regs != 0; regs &= regs - 1 {
+			v, err := c.load(instrAddr, addr, 4)
+			if err != nil {
+				return err
 			}
+			c.R[bits.TrailingZeros16(regs)] = v
+			addr += 4
 		}
-		if !loadedBase {
+		if in.Regs&(1<<in.Rs) == 0 { // a loaded base keeps the loaded value
 			c.R[in.Rs] = addr
 		}
 		c.Cycles += CyclesLoadInternal
 
 	case OpBCond:
 		if c.condPasses(in.Cond) {
-			branchTo(instrAddr + 4 + uint32(in.Imm))
+			nextPC, branched = (instrAddr+4+uint32(in.Imm))&^1, true
 		}
 	case OpB:
-		branchTo(instrAddr + 4 + uint32(in.Imm))
+		nextPC, branched = (instrAddr+4+uint32(in.Imm))&^1, true
 	case OpBlHi:
 		c.R[LR] = instrAddr + 4 + uint32(in.Imm<<12)
 	case OpBlLo:
 		target := c.R[LR] + uint32(in.Imm<<1)
 		c.R[LR] = (instrAddr + 2) | 1
-		branchTo(target)
+		nextPC, branched = target&^1, true
 
 	case OpSwi:
 		c.Cycles += CyclesSwi
@@ -471,6 +452,55 @@ func (c *CPU) Step() error {
 	}
 	c.R[PC] = nextPC
 	c.Instrs++
+	return nil
+}
+
+// setNZ sets N and Z from a result.
+func (c *CPU) setNZ(v uint32) {
+	c.N = v&(1<<31) != 0
+	c.Z = v == 0
+}
+
+// adc computes a + b + carry and sets all four flags.
+func (c *CPU) adc(a, b uint32, carry bool) uint32 {
+	var cin uint32
+	if carry {
+		cin = 1
+	}
+	r64 := uint64(a) + uint64(b) + uint64(cin)
+	r := uint32(r64)
+	c.setNZ(r)
+	c.C = r64 > 0xFFFFFFFF
+	c.V = (a^r)&(b^r)&(1<<31) != 0
+	return r
+}
+
+// sbc computes a - b - !carry and sets all four flags.
+func (c *CPU) sbc(a, b uint32, carry bool) uint32 { return c.adc(a, ^b, carry) }
+
+// load performs an aligned data read for the instruction at pc.
+func (c *CPU) load(pc, addr uint32, size uint8) (uint32, error) {
+	if addr&(uint32(size)-1) != 0 { // size is 1, 2 or 4
+		return 0, &Err{pc, fmt.Errorf("misaligned %d-byte load at %#x", size, addr)}
+	}
+	v, cyc, err := c.Bus.Read(addr, size, false)
+	if err != nil {
+		return 0, &Err{pc, err}
+	}
+	c.Cycles += uint64(cyc)
+	return v, nil
+}
+
+// store performs an aligned data write for the instruction at pc.
+func (c *CPU) store(pc, addr uint32, size uint8, v uint32) error {
+	if addr&(uint32(size)-1) != 0 { // size is 1, 2 or 4
+		return &Err{pc, fmt.Errorf("misaligned %d-byte store at %#x", size, addr)}
+	}
+	cyc, err := c.Bus.Write(addr, size, v)
+	if err != nil {
+		return &Err{pc, err}
+	}
+	c.Cycles += uint64(cyc)
 	return nil
 }
 

@@ -2,14 +2,18 @@
 // instruction set, as used by the paper's target platform (ATMEL AT91EB01).
 //
 // The package provides the instruction set model (Instr/Op), a decoder from
-// raw halfwords, an interpreter (CPU) with a pluggable memory bus that
-// reports per-access cycle costs, and a disassembler. The same decoded
+// raw halfwords, an interpreter (CPU) that memoises decoded instructions by
+// fetch address and runs against a pluggable memory bus reporting
+// per-access cycle costs, and a disassembler. The same decoded
 // representation is consumed by the control-flow reconstruction
 // (internal/cfg) and the WCET analyser (internal/wcet), so simulator and
 // analyser agree on instruction semantics by construction.
 package arm
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Reg is a register number r0..r15. r13 = SP, r14 = LR, r15 = PC.
 type Reg = uint8
@@ -246,15 +250,7 @@ func (i Instr) AccessWidth() uint8 {
 
 // RegCount returns the number of registers transferred by a multi-register
 // operation, counting the LR/PC slot.
-func (i Instr) RegCount() int {
-	n := 0
-	for b := 0; b < 16; b++ {
-		if i.Regs&(1<<b) != 0 {
-			n++
-		}
-	}
-	return n
-}
+func (i Instr) RegCount() int { return bits.OnesCount16(i.Regs) }
 
 func (o Op) String() string {
 	if int(o) < len(opNames) {

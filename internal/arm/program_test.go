@@ -1,0 +1,112 @@
+package arm_test
+
+import (
+	"bytes"
+	"context"
+	"testing"
+
+	"repro/internal/arm"
+	"repro/internal/benchprog"
+	"repro/internal/cache"
+	"repro/internal/core"
+	"repro/internal/link"
+	"repro/internal/mem"
+)
+
+// run executes exe to completion under the given stepper and returns the
+// CPU, its final memory system and the number of distinct addresses it
+// fetched from.
+func run(t *testing.T, exe *link.Executable, ccfg *cache.Config, step func(*arm.CPU) error) (*arm.CPU, *mem.System, int) {
+	t.Helper()
+	sys, err := exe.NewMemory(ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetched := map[uint32]bool{}
+	sys.OnAccess = func(a mem.Access) {
+		if a.Fetch {
+			fetched[a.Addr] = true
+		}
+	}
+	cpu := arm.NewCPU(sys, exe.EntryAddr, link.StackTop)
+	for !cpu.Halted {
+		if cpu.Instrs >= 50_000_000 {
+			t.Fatal("instruction budget exhausted")
+		}
+		if err := step(cpu); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cpu, sys, len(fetched)
+}
+
+// TestProgramsMatchReference runs every benchmark to completion with both
+// Step and the original interpreter, across scratchpad placements and
+// cache shapes, and requires identical cycles, instructions, cache hits
+// and misses, exit code and final memory. It also requires one decode-memo
+// miss per distinct code halfword.
+func TestProgramsMatchReference(t *testing.T) {
+	ctx := context.Background()
+	for _, b := range benchprog.All() {
+		t.Run(b.Name, func(t *testing.T) {
+			lab, err := core.NewLab(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			type config struct {
+				name  string
+				spm   uint32
+				cache *cache.Config
+			}
+			configs := []config{
+				{"nospm", 0, nil},
+				{"spm1k", 1024, nil},
+				{"spm8k", 8192, nil},
+				{"dm1k", 0, &cache.Config{Size: 1024}},
+				{"4way2k", 0, &cache.Config{Size: 2048, Assoc: 4}},
+				{"icache1k", 0, &cache.Config{Size: 1024, InstructionOnly: true}},
+			}
+			for _, cfg := range configs {
+				var inSPM map[string]bool
+				if cfg.spm > 0 {
+					a, err := lab.Pipe.Allocate(ctx, lab.EnergyAllocator(), cfg.spm)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(a.Splits) != 0 {
+						t.Fatalf("%s: energy allocation split functions", cfg.name)
+					}
+					inSPM = a.InSPM
+				}
+				exe, err := link.Link(lab.Prog, cfg.spm, inSPM)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, gotMem, distinct := run(t, exe, cfg.cache, (*arm.CPU).Step)
+				want, wantMem, _ := run(t, exe, cfg.cache, arm.RefStep)
+				// The memo is sized so that no benchmark suffers a conflict
+				// miss: every code halfword is decoded exactly once.
+				if got.DecodeMisses != uint64(distinct) {
+					t.Errorf("%s: %d decode misses for %d distinct code halfwords", cfg.name, got.DecodeMisses, distinct)
+				}
+				if got.Cycles != want.Cycles || got.Instrs != want.Instrs || got.R[0] != want.R[0] {
+					t.Errorf("%s: cycles/instrs/exit %d/%d/%d, reference %d/%d/%d", cfg.name,
+						got.Cycles, got.Instrs, got.R[0], want.Cycles, want.Instrs, want.R[0])
+				}
+				if cfg.cache != nil && (gotMem.Cache.Hits != wantMem.Cache.Hits || gotMem.Cache.Misses != wantMem.Cache.Misses) {
+					t.Errorf("%s: cache hits/misses %d/%d, reference %d/%d", cfg.name,
+						gotMem.Cache.Hits, gotMem.Cache.Misses, wantMem.Cache.Hits, wantMem.Cache.Misses)
+				}
+				segs, refSegs := append([]*mem.Segment{gotMem.SPM}, gotMem.Main...), append([]*mem.Segment{wantMem.SPM}, wantMem.Main...)
+				for i, s := range segs {
+					if s != nil && !bytes.Equal(s.Data, refSegs[i].Data) {
+						t.Errorf("%s: final %s segment differs from the reference", cfg.name, s.Name)
+					}
+				}
+				if got.Instrs == 0 || (cfg.cache != nil && gotMem.Cache.Hits == 0) {
+					t.Errorf("%s: degenerate run: %d instructions", cfg.name, got.Instrs)
+				}
+			}
+		})
+	}
+}

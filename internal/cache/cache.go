@@ -9,7 +9,10 @@
 // (4 accesses + 12 waitstates, as in the paper) and then delivers the word.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Timing constants, derived from the paper's Table 1 and cache description.
 const (
@@ -87,9 +90,16 @@ type way struct {
 
 // Cache is a running cache model.
 type Cache struct {
-	cfg   Config
-	sets  [][]way
-	clock uint64
+	cfg Config
+	// ways holds every set's ways back to back: set s is
+	// ways[s*assoc : (s+1)*assoc].
+	ways  []way
+	assoc uint32
+	// An address splits into tag | set | line offset. Validate guarantees
+	// power-of-two sizes, so the set is a shift and a mask, and the tag is
+	// kept in place as the address bits above the set.
+	lineShift, setMask, tagMask uint32
+	clock                       uint64
 
 	Hits   uint64
 	Misses uint64
@@ -101,27 +111,35 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	cfg = cfg.WithDefaults()
-	sets := make([][]way, cfg.NumSets())
-	for i := range sets {
-		sets[i] = make([]way, cfg.Assoc)
-	}
-	return &Cache{cfg: cfg, sets: sets}, nil
+	sets := cfg.NumSets()
+	return &Cache{
+		cfg:       cfg,
+		ways:      make([]way, sets*uint32(cfg.Assoc)),
+		assoc:     uint32(cfg.Assoc),
+		lineShift: uint32(bits.TrailingZeros32(cfg.LineSize)),
+		setMask:   sets - 1,
+		tagMask:   ^(sets*cfg.LineSize - 1),
+	}, nil
 }
 
 // Config returns the cache configuration (with defaults applied).
 func (c *Cache) Config() Config { return c.cfg }
 
-func (c *Cache) index(addr uint32) (set uint32, tag uint32) {
-	line := addr / c.cfg.LineSize
-	return line % uint32(len(c.sets)), line / uint32(len(c.sets))
+// InstructionOnly reports whether data accesses bypass the cache.
+func (c *Cache) InstructionOnly() bool { return c.cfg.InstructionOnly }
+
+// set returns the ways of addr's set and addr's tag.
+func (c *Cache) set(addr uint32) ([]way, uint32) {
+	// & 31 lets the compiler drop its fixup for shifts of 32 or more.
+	base := (addr >> (c.lineShift & 31) & c.setMask) * c.assoc
+	return c.ways[base : base+c.assoc], addr & c.tagMask
 }
 
 // lookup returns the way holding addr, or nil.
 func (c *Cache) lookup(addr uint32) *way {
-	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		w := &c.sets[set][i]
-		if w.valid && w.tag == tag {
+	ws, tag := c.set(addr)
+	for i := range ws {
+		if w := &ws[i]; w.valid && w.tag == tag {
 			return w
 		}
 	}
@@ -138,10 +156,10 @@ func (c *Cache) Read(addr uint32) int {
 		return HitCycles
 	}
 	c.Misses++
-	set, tag := c.index(addr)
-	victim := &c.sets[set][0]
-	for i := range c.sets[set] {
-		w := &c.sets[set][i]
+	ws, tag := c.set(addr)
+	victim := &ws[0]
+	for i := range ws {
+		w := &ws[i]
 		if !w.valid {
 			victim = w
 			break
@@ -171,11 +189,7 @@ func (c *Cache) Write(addr uint32, size uint8) int {
 
 // Flush invalidates all lines and resets statistics.
 func (c *Cache) Flush() {
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			c.sets[s][i] = way{}
-		}
-	}
+	clear(c.ways)
 	c.clock, c.Hits, c.Misses = 0, 0, 0
 }
 

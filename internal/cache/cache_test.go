@@ -179,3 +179,48 @@ func TestNumSets(t *testing.T) {
 		t.Errorf("1K 4-way: %d sets, want 16", n)
 	}
 }
+
+// TestSetAliasingPinned pins hits, misses and final residency for one
+// access sequence under three 256-byte organisations. A..D are 256 bytes
+// apart and E is 1 MB further on, so all five alias to set 0 in every
+// organisation; Y lands in set 1.
+func TestSetAliasingPinned(t *testing.T) {
+	const (
+		A = 0x0010_0000
+		B = A + 0x100
+		C = A + 0x200
+		D = A + 0x300
+		E = A + 0x10_0000
+		Y = A + 0x10
+	)
+	seq := []uint32{A, A + 8, B, A, C, B, A, Y, D, A, Y, E, B}
+	cases := []struct {
+		assoc        int
+		hits, misses uint64
+		resident     []uint32
+		evicted      []uint32
+	}{
+		{1, 2, 11, []uint32{B, Y}, []uint32{A, C, D, E}},
+		{2, 4, 9, []uint32{B, E, Y}, []uint32{A, C, D}},
+		{4, 7, 6, []uint32{A, B, D, E, Y}, []uint32{C}},
+	}
+	for _, tc := range cases {
+		c := mustNew(t, Config{Size: 256, Assoc: tc.assoc})
+		for _, addr := range seq {
+			c.Read(addr)
+		}
+		if c.Hits != tc.hits || c.Misses != tc.misses {
+			t.Errorf("%d-way: hits=%d misses=%d, want %d, %d", tc.assoc, c.Hits, c.Misses, tc.hits, tc.misses)
+		}
+		for _, addr := range tc.resident {
+			if !c.Contains(addr) {
+				t.Errorf("%d-way: %#x evicted, want resident", tc.assoc, addr)
+			}
+		}
+		for _, addr := range tc.evicted {
+			if c.Contains(addr) {
+				t.Errorf("%d-way: %#x resident, want evicted", tc.assoc, addr)
+			}
+		}
+	}
+}

@@ -12,6 +12,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/cache"
@@ -49,19 +50,28 @@ func (s *Segment) Contains(addr uint32, size uint8) bool {
 	return addr >= s.Base && uint64(addr)+uint64(size) <= uint64(s.Base)+uint64(len(s.Data))
 }
 
-func (s *Segment) read(addr uint32, size uint8) uint32 {
-	off := addr - s.Base
-	var v uint32
-	for i := uint8(0); i < size; i++ {
-		v |= uint32(s.Data[off+uint32(i)]) << (8 * i)
+// get reads a little-endian value of size (1, 2 or 4) bytes from the
+// front of b.
+func get(b []byte, size uint8) uint32 {
+	switch size {
+	case 4:
+		return binary.LittleEndian.Uint32(b)
+	case 2:
+		return uint32(binary.LittleEndian.Uint16(b))
 	}
-	return v
+	return uint32(b[0])
 }
 
-func (s *Segment) write(addr uint32, size uint8, val uint32) {
-	off := addr - s.Base
-	for i := uint8(0); i < size; i++ {
-		s.Data[off+uint32(i)] = byte(val >> (8 * i))
+// put writes a little-endian value of size (1, 2 or 4) bytes to the front
+// of b.
+func put(b []byte, size uint8, val uint32) {
+	switch size {
+	case 4:
+		binary.LittleEndian.PutUint32(b, val)
+	case 2:
+		binary.LittleEndian.PutUint16(b, uint16(val))
+	default:
+		b[0] = byte(val)
 	}
 }
 
@@ -90,23 +100,103 @@ type System struct {
 	// Statistics.
 	SPMAccesses  uint64
 	MainAccesses uint64
+
+	// regions caches, per address region, the segment the region's last
+	// access resolved to: slot (addr >> regionShift) % regionSlots. An
+	// access inside its slot's segment needs no search; any other access
+	// searches the segments and refills the slot. Segments are disjoint,
+	// so the cache never changes where an address resolves.
+	regions     [regionSlots]window
+	regionShift uint8
 }
 
-// NewSystem builds a memory system from segments. spm may be nil.
+// regionSlots is the size of the region cache.
+const regionSlots = 8
+
+// window is one region-cache slot: a segment's bounds copied into the
+// System, so that a hit is a single compare with no pointer to chase.
+type window struct {
+	base uint32
+	data []byte
+	spm  bool
+}
+
+// NewSystem builds a memory system from segments. spm may be nil. The
+// segments must not overlap and must stay fixed while the system is used.
 func NewSystem(spm *Segment, main ...*Segment) *System {
-	return &System{SPM: spm, Main: main}
+	m := &System{SPM: spm, Main: main}
+	m.regionShift = m.separatingShift()
+	return m
 }
 
-func (m *System) find(addr uint32, size uint8) (*Segment, bool) {
+// separatingShift returns the coarsest region size, as a shift, at which
+// every segment lies within one region and no two segments share a
+// region-cache slot, so that after one miss per segment every access hits.
+// When there is none, 0 still resolves correctly, just with more misses.
+func (m *System) separatingShift() uint8 {
+	segs := m.Main
+	if m.SPM != nil {
+		segs = append([]*Segment{m.SPM}, segs...)
+	}
+shifts:
+	for shift := uint8(31); shift > 0; shift-- {
+		var used [regionSlots]bool
+		for _, s := range segs {
+			if len(s.Data) == 0 {
+				continue
+			}
+			last := uint64(s.Base) + uint64(len(s.Data)) - 1
+			slot := s.Base >> shift % regionSlots
+			if uint64(s.Base>>shift) != last>>shift || used[slot] {
+				continue shifts
+			}
+			used[slot] = true
+		}
+		return shift
+	}
+	return 0
+}
+
+// region returns the region-cache slot for addr.
+func (m *System) region(addr uint32) *window {
+	return &m.regions[addr>>(m.regionShift&31)%regionSlots]
+}
+
+// offset returns addr's offset into the window and whether the access
+// fits in it. Below the base the subtraction wraps past every segment end.
+func (w *window) offset(addr uint32, size uint8) (uint32, bool) {
+	off := addr - w.base
+	return off, uint64(off)+uint64(size) <= uint64(len(w.data))
+}
+
+// segment returns the segment holding [addr, addr+size): the scratchpad
+// when it covers the range, else the first main segment that does.
+func (m *System) segment(addr uint32, size uint8) *Segment {
 	if m.SPM != nil && m.SPM.Contains(addr, size) {
-		return m.SPM, true
+		return m.SPM
 	}
 	for _, s := range m.Main {
 		if s.Contains(addr, size) {
-			return s, false
+			return s
 		}
 	}
-	return nil, false
+	return nil
+}
+
+// fill points slot w at the segment holding the access and reports
+// whether there is one.
+func (m *System) fill(w *window, addr uint32, size uint8) bool {
+	s := m.segment(addr, size)
+	if s == nil {
+		return false
+	}
+	*w = window{base: s.Base, data: s.Data, spm: s == m.SPM}
+	return true
+}
+
+// unmapped reports an access that no segment backs.
+func unmapped(what string, addr uint32, size uint8) error {
+	return fmt.Errorf("mem: unmapped %d-byte %s at %#x", size, what, addr)
 }
 
 // Read implements arm.Bus.
@@ -114,17 +204,21 @@ func (m *System) Read(addr uint32, size uint8, fetch bool) (uint32, int, error) 
 	if m.OnAccess != nil {
 		m.OnAccess(Access{Addr: addr, Size: size, Fetch: fetch})
 	}
-	seg, isSPM := m.find(addr, size)
-	if seg == nil {
-		return 0, 0, fmt.Errorf("mem: unmapped %d-byte read at %#x", size, addr)
+	w := m.region(addr)
+	off, ok := w.offset(addr, size)
+	if !ok {
+		if !m.fill(w, addr, size) {
+			return 0, 0, unmapped("read", addr, size)
+		}
+		off = addr - w.base
 	}
-	v := seg.read(addr, size)
-	if isSPM {
+	v := get(w.data[off:], size)
+	if w.spm {
 		m.SPMAccesses++
 		return v, SPMCycles, nil
 	}
 	m.MainAccesses++
-	if m.Cache != nil && (fetch || !m.Cache.Config().InstructionOnly) {
+	if m.Cache != nil && (fetch || !m.Cache.InstructionOnly()) {
 		return v, m.Cache.Read(addr), nil
 	}
 	return v, MainCost(size), nil
@@ -135,17 +229,21 @@ func (m *System) Write(addr uint32, size uint8, val uint32) (int, error) {
 	if m.OnAccess != nil {
 		m.OnAccess(Access{Addr: addr, Size: size, Write: true})
 	}
-	seg, isSPM := m.find(addr, size)
-	if seg == nil {
-		return 0, fmt.Errorf("mem: unmapped %d-byte write at %#x", size, addr)
+	w := m.region(addr)
+	off, ok := w.offset(addr, size)
+	if !ok {
+		if !m.fill(w, addr, size) {
+			return 0, unmapped("write", addr, size)
+		}
+		off = addr - w.base
 	}
-	seg.write(addr, size, val)
-	if isSPM {
+	put(w.data[off:], size, val)
+	if w.spm {
 		m.SPMAccesses++
 		return SPMCycles, nil
 	}
 	m.MainAccesses++
-	if m.Cache != nil && !m.Cache.Config().InstructionOnly {
+	if m.Cache != nil && !m.Cache.InstructionOnly() {
 		return m.Cache.Write(addr, size), nil
 	}
 	return MainCost(size), nil
@@ -154,19 +252,19 @@ func (m *System) Write(addr uint32, size uint8, val uint32) (int, error) {
 // Peek reads memory without timing, statistics or profiling side effects.
 // It is used to inspect results after simulation.
 func (m *System) Peek(addr uint32, size uint8) (uint32, error) {
-	seg, _ := m.find(addr, size)
+	seg := m.segment(addr, size)
 	if seg == nil {
-		return 0, fmt.Errorf("mem: unmapped %d-byte peek at %#x", size, addr)
+		return 0, unmapped("peek", addr, size)
 	}
-	return seg.read(addr, size), nil
+	return get(seg.Data[addr-seg.Base:], size), nil
 }
 
 // Poke writes memory without timing side effects (test/input injection).
 func (m *System) Poke(addr uint32, size uint8, val uint32) error {
-	seg, _ := m.find(addr, size)
+	seg := m.segment(addr, size)
 	if seg == nil {
-		return fmt.Errorf("mem: unmapped %d-byte poke at %#x", size, addr)
+		return unmapped("poke", addr, size)
 	}
-	seg.write(addr, size, val)
+	put(seg.Data[addr-seg.Base:], size, val)
 	return nil
 }

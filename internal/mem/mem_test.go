@@ -177,3 +177,65 @@ func TestPeekPokeNoSideEffects(t *testing.T) {
 		t.Fatal("peek must not count as an access")
 	}
 }
+
+// TestRegionCacheAgreesWithSearch drives accesses around every segment
+// boundary through Read and Write, whose region cache only ever short-cuts
+// the segment search, and checks each against Peek and Poke, which always
+// search. The layouts include one the cache separates (the linker's
+// 1 MB regions), adjacent segments, and more segments than cache slots.
+func TestRegionCacheAgreesWithSearch(t *testing.T) {
+	seg := func(base uint32, n int) *Segment {
+		s := &Segment{Base: base, Data: make([]byte, n)}
+		for i := range s.Data {
+			s.Data[i] = byte(i*7 + int(base>>8))
+		}
+		return s
+	}
+	layouts := map[string]*System{
+		"linker":   NewSystem(seg(0, 1024), seg(0x10_0000, 4096), seg(0x20_0000, 512), seg(0x30_0000, 0x1_0000)),
+		"adjacent": NewSystem(nil, seg(0x1000, 0x100), seg(0x1100, 0x100), seg(0x1200, 0x40)),
+		"crowded": NewSystem(seg(0, 64), seg(0x100, 16), seg(0x200, 16), seg(0x300, 16), seg(0x400, 16),
+			seg(0x500, 16), seg(0x600, 16), seg(0x700, 16), seg(0x800, 16), seg(0x900, 16)),
+	}
+	if got := layouts["linker"].regionShift; got != 20 {
+		t.Errorf("linker layout region shift %d, want 20", got)
+	}
+	for name, m := range layouts {
+		var addrs []uint32
+		for _, s := range append([]*Segment{m.SPM}, m.Main...) {
+			if s == nil {
+				continue
+			}
+			end := s.Base + uint32(len(s.Data))
+			for _, a := range []uint32{s.Base - 4, s.Base - 1, s.Base, s.Base + 1, end - 4, end - 3, end - 2, end - 1, end, end + 2} {
+				addrs = append(addrs, a)
+			}
+		}
+		// Alternate between boundaries so that slots keep being refilled.
+		for round := 0; round < 3; round++ {
+			for i, a := range addrs {
+				for _, size := range []uint8{1, 2, 4} {
+					want, wantErr := m.Peek(a, size)
+					got, _, err := m.Read(a, size, i%2 == 0)
+					if (err == nil) != (wantErr == nil) || got != want {
+						t.Fatalf("%s: read %#x/%d = %#x, %v; search gives %#x, %v", name, a, size, got, err, want, wantErr)
+					}
+					if err != nil {
+						continue
+					}
+					val := uint32(round*1000 + i)
+					if _, err := m.Write(a, size, val); err != nil {
+						t.Fatalf("%s: write %#x/%d: %v", name, a, size, err)
+					}
+					back, _ := m.Peek(a, size)
+					if mask := uint32(1)<<(8*uint32(size)) - 1; back != val&mask { // a 32-bit shift gives 0
+						t.Fatalf("%s: wrote %#x at %#x/%d, read back %#x", name, val, a, size, back)
+					}
+					if err := m.Poke(a, size, want); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+}

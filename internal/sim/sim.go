@@ -11,6 +11,16 @@ import (
 	"repro/internal/link"
 	"repro/internal/mem"
 	"repro/internal/obj"
+	"repro/internal/obs"
+)
+
+// Interpreter counters, added once per Run from the CPU's own tallies so the
+// per-instruction path never touches the registry.
+var (
+	mInstrs = obs.Default.Counter("wcetlab_sim_instructions_total",
+		"THUMB instructions retired by simulation runs.")
+	mDecodeMisses = obs.Default.Counter("wcetlab_sim_decode_misses_total",
+		"Instruction fetches that missed the interpreter's decode memo.")
 )
 
 // DefaultMaxInstrs bounds simulated instructions to catch runaway programs.
@@ -50,7 +60,10 @@ func Run(exe *link.Executable, opts Options) (*Result, error) {
 	if budget == 0 {
 		budget = DefaultMaxInstrs
 	}
-	if err := cpu.Run(budget); err != nil {
+	err = cpu.Run(budget)
+	mInstrs.Add(cpu.Instrs)
+	mDecodeMisses.Add(cpu.DecodeMisses)
+	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 	res := &Result{
@@ -117,6 +130,10 @@ func CollectProfile(exe *link.Executable, opts Options) (*Profile, error) {
 		prof.ByObject[pl.Obj.Name] = &ObjectProfile{}
 	}
 	prev := opts.OnAccess
+	// Consecutive accesses mostly hit the same object, so the last
+	// placement and its counters are checked before the address search.
+	var lastPl *link.Placement
+	var lastOp *ObjectProfile
 	opts.OnAccess = func(a mem.Access) {
 		if prev != nil {
 			prev(a)
@@ -128,11 +145,14 @@ func CollectProfile(exe *link.Executable, opts Options) (*Profile, error) {
 			}
 			return
 		}
-		pl := exe.FindAddr(a.Addr)
-		if pl == nil {
-			return
+		pl, op := lastPl, lastOp
+		if pl == nil || !pl.Contains(a.Addr) {
+			if pl = exe.FindAddr(a.Addr); pl == nil {
+				return
+			}
+			op = prof.ByObject[pl.Obj.Name]
+			lastPl, lastOp = pl, op
 		}
-		op := prof.ByObject[pl.Obj.Name]
 		switch {
 		case a.Fetch:
 			op.Fetches++

@@ -6,6 +6,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/cc"
 	"repro/internal/link"
+	"repro/internal/mem"
 )
 
 const profProgram = `
@@ -166,5 +167,29 @@ func TestProfileTotalsConsistent(t *testing.T) {
 	}
 	if fetches != prof.Result.Instrs {
 		t.Fatalf("fetches %d != instructions %d", fetches, prof.Result.Instrs)
+	}
+}
+
+// TestInterpreterCounters checks the per-run counters: the instruction
+// counter advances by exactly the run's instructions, and the decode memo
+// misses at least once but never more often than there are distinct code
+// halfwords executed (each is decoded once; nothing evicts it).
+func TestInterpreterCounters(t *testing.T) {
+	exe := exeFor(t, profProgram, 0, nil)
+	fetched := map[uint32]bool{}
+	instrs0, misses0 := mInstrs.Value(), mDecodeMisses.Value()
+	res, err := Run(exe, Options{OnAccess: func(a mem.Access) {
+		if a.Fetch {
+			fetched[a.Addr] = true
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := mInstrs.Value() - instrs0; d != res.Instrs {
+		t.Errorf("instructions counter moved by %d, want %d", d, res.Instrs)
+	}
+	if d := mDecodeMisses.Value() - misses0; d == 0 || d > uint64(len(fetched)) {
+		t.Errorf("decode misses moved by %d, want 1..%d (distinct fetched halfwords)", d, len(fetched))
 	}
 }
