@@ -488,7 +488,7 @@ func BenchmarkCacheSweepWarm(b *testing.B) {
 		b.Fatal(err)
 	}
 	ccfg := cache.Config{}
-	cctx, err := wcet.NewCacheContext(prep, wcet.Options{Cache: &ccfg, StackBound: l.StackBound})
+	cctx, err := wcet.NewEngine(prep, wcet.Options{Cache: &ccfg, StackBound: l.StackBound})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -584,6 +584,64 @@ func BenchmarkSimulate(b *testing.B) {
 					instrs += res.Instrs
 				}
 				b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "Minstr/s")
+			})
+		}
+	}
+}
+
+// BenchmarkAnalyze is the WCET analysis layer gate: per benchmark and per
+// iteration, a fresh wcet.Engine analyses one sweep — spm: the 8
+// energy-allocated paper placements without a cache; cache-dm and
+// cache-4way: the 8 paper capacities of a direct-mapped and a 4-way cache
+// with no scratchpad. Each iteration pays the engine build plus the
+// sweep's incremental analyses, as a cold pipeline does.
+func BenchmarkAnalyze(b *testing.B) {
+	for _, name := range []string{"G.721", "ADPCM", "MultiSort"} {
+		l := labFor(b, name)
+		prep, err := link.Prepare(l.Pipe.Prog)
+		if err != nil {
+			b.Fatal(err)
+		}
+		placements := make([]map[string]bool, len(core.PaperSizes))
+		for i, size := range core.PaperSizes {
+			a, err := l.Pipe.Allocate(context.Background(), l.EnergyAllocator(), size)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(a.Splits) != 0 {
+				b.Fatalf("%s: energy allocation split functions", name)
+			}
+			placements[i] = a.InSPM
+		}
+		sweep := func(b *testing.B, opts wcet.Options, analyze func(e *wcet.Engine, i int, size uint32) error) {
+			for i := 0; i < b.N; i++ {
+				e, err := wcet.NewEngine(prep, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for j, size := range core.PaperSizes {
+					if err := analyze(e, j, size); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}
+		b.Run(name+"/spm", func(b *testing.B) {
+			sweep(b, wcet.Options{}, func(e *wcet.Engine, i int, size uint32) error {
+				_, err := e.Analyze(0, size, placements[i], false)
+				return err
+			})
+		})
+		for _, c := range []struct {
+			name  string
+			assoc int
+		}{{"cache-dm", 1}, {"cache-4way", 4}} {
+			b.Run(name+"/"+c.name, func(b *testing.B) {
+				opts := wcet.Options{Cache: &cache.Config{Assoc: c.assoc}, StackBound: l.StackBound}
+				sweep(b, opts, func(e *wcet.Engine, _ int, size uint32) error {
+					_, err := e.Analyze(size, 0, nil, false)
+					return err
+				})
 			})
 		}
 	}

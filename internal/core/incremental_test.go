@@ -105,23 +105,23 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 }
 
 // TestIncrementalRepricingSavesWork counter-asserts the perf claim: over
-// a capacity sweep's worth of placements, the context re-prices at most
+// a capacity sweep's worth of placements, the engine re-prices at most
 // half the blocks a from-scratch run would (every block, every analysis),
 // and re-solves at most half the per-function IPET programs.
 func TestIncrementalRepricingSavesWork(t *testing.T) {
 	for _, name := range []string{"G.721", "ADPCM"} {
 		t.Run(name, func(t *testing.T) {
 			lab := labFor(t, name)
-			base, err := lab.Pipe.LinkUnits(context.Background(), nil, 0, nil)
+			prep, err := link.Prepare(lab.Prog)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ctx, err := wcet.NewContext(base, wcet.Options{})
+			ctx, err := wcet.NewEngine(prep, wcet.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, size := range PaperSizes {
-				if _, err := ctx.Analyze(size, greedyPlacement(base.Prog, size), false); err != nil {
+				if _, err := ctx.Analyze(0, size, greedyPlacement(lab.Prog, size), false); err != nil {
 					t.Fatalf("cap %d: %v", size, err)
 				}
 			}

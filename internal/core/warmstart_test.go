@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/benchprog"
+	"repro/internal/cache"
 	"repro/internal/link"
 	"repro/internal/obj"
 	"repro/internal/sim"
@@ -147,7 +148,7 @@ func compareSimulations(t *testing.T, size uint32, got, want *link.Executable) {
 
 // TestSolverStateRoundTrip asserts the persistence bar: solver state
 // exported after a capacity sweep, pushed through the store codec and
-// imported into a fresh context yields bit-identical bounds and witnesses
+// imported into a fresh engine yields bit-identical bounds and witnesses
 // with every per-function solve served as a state hit.
 func TestSolverStateRoundTrip(t *testing.T) {
 	for _, b := range append(benchprog.All(), benchprog.WorstCaseSort) {
@@ -163,13 +164,17 @@ func TestSolverStateRoundTrip(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					cold, err := wcet.NewContext(base, wcet.Options{})
+					prep, err := link.Prepare(base.Prog)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cold, err := wcet.NewEngine(prep, wcet.Options{})
 					if err != nil {
 						t.Fatal(err)
 					}
 					coldRes := make([]*wcet.Result, 0, len(PaperSizes))
 					for _, size := range PaperSizes {
-						r, err := cold.Analyze(size, greedyPlacement(base.Prog, size), true)
+						r, err := cold.Analyze(0, size, greedyPlacement(base.Prog, size), true)
 						if err != nil {
 							t.Fatalf("cap %d: cold: %v", size, err)
 						}
@@ -182,7 +187,7 @@ func TestSolverStateRoundTrip(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					warm, err := wcet.NewContext(base, wcet.Options{})
+					warm, err := wcet.NewEngine(prep, wcet.Options{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -190,7 +195,7 @@ func TestSolverStateRoundTrip(t *testing.T) {
 						t.Fatal("no solver state imported")
 					}
 					for i, size := range PaperSizes {
-						r, err := warm.Analyze(size, greedyPlacement(base.Prog, size), true)
+						r, err := warm.Analyze(0, size, greedyPlacement(base.Prog, size), true)
 						if err != nil {
 							t.Fatalf("cap %d: warm: %v", size, err)
 						}
@@ -204,14 +209,71 @@ func TestSolverStateRoundTrip(t *testing.T) {
 							t.Errorf("cap %d: witnesses diverge", size)
 						}
 					}
-					hits, misses := warm.StateCounts()
-					if hits == 0 {
-						t.Error("warm context recorded no state hits")
+					ws := warm.Stats()
+					if ws.StateHits == 0 {
+						t.Error("warm engine recorded no state hits")
 					}
-					if misses != 0 {
-						t.Errorf("warm context re-solved %d functions despite full imported state", misses)
+					if ws.FuncsSolved != 0 {
+						t.Errorf("warm engine re-solved %d functions despite full imported state", ws.FuncsSolved)
 					}
 				})
+			}
+		})
+	}
+}
+
+// TestCacheSolverStateRoundTrip is TestSolverStateRoundTrip for cache
+// engines: the solver state of a direct-mapped capacity sweep, pushed
+// through the store codec into a fresh engine, re-serves the sweep with
+// zero IPET solves and bit-identical results (bounds, classification
+// counts, witnesses).
+func TestCacheSolverStateRoundTrip(t *testing.T) {
+	for _, b := range benchprog.All() {
+		t.Run(b.Name, func(t *testing.T) {
+			t.Parallel()
+			lab, err := NewLab(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prep, err := link.Prepare(lab.Prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := wcet.Options{Cache: &cache.Config{Assoc: 1}, StackBound: lab.StackBound}
+			cold, err := wcet.NewEngine(prep, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			coldRes := make([]*wcet.Result, 0, len(PaperSizes))
+			for _, size := range PaperSizes {
+				r, err := cold.Analyze(size, 0, nil, true)
+				if err != nil {
+					t.Fatalf("cache %d: cold: %v", size, err)
+				}
+				coldRes = append(coldRes, r)
+			}
+			decoded, err := store.DecodeSolverState(store.EncodeSolverState(cold.ExportState()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm, err := wcet.NewEngine(prep, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := warm.ImportState(decoded); n == 0 {
+				t.Fatal("no solver state imported")
+			}
+			for i, size := range PaperSizes {
+				r, err := warm.Analyze(size, 0, nil, true)
+				if err != nil {
+					t.Fatalf("cache %d: warm: %v", size, err)
+				}
+				if !reflect.DeepEqual(r, coldRes[i]) {
+					t.Errorf("cache %d: warm %+v != cold %+v", size, r, coldRes[i])
+				}
+			}
+			if ws := warm.Stats(); ws.FuncsSolved != 0 || ws.StateHits == 0 {
+				t.Errorf("warm engine: %d solves, %d state hits; want 0 solves", ws.FuncsSolved, ws.StateHits)
 			}
 		})
 	}

@@ -117,9 +117,9 @@ type ObjLayout struct {
 
 // Layout runs the linker's address walk for one placement without
 // materialising images — identical arithmetic and diagnostics to Link and
-// Relink — returning only each object's address and memory side. It is the
-// layout-stability oracle of the incremental cache analysis: diffing two
-// placements' layouts yields exactly the objects a move actually changed.
+// Relink — returning only each object's address and memory side. It is how
+// the incremental WCET engine validates a placement and sees which objects
+// a move actually changed.
 func (pr *Prepared) Layout(spmSize uint32, inSPM map[string]bool) ([]ObjLayout, error) {
 	if spmSize > SPMMax {
 		return nil, fmt.Errorf("link: scratchpad size %d exceeds maximum %d", spmSize, SPMMax)
@@ -150,18 +150,6 @@ func (pr *Prepared) Layout(spmSize uint32, inSPM map[string]bool) ([]ObjLayout, 
 		}
 	}
 	return out, nil
-}
-
-// MovedObjects returns the placement indices of objects whose address or
-// memory side differs between two layouts of the same program.
-func MovedObjects(a, b []ObjLayout) []int {
-	var moved []int
-	for i := range a {
-		if a[i] != b[i] {
-			moved = append(moved, i)
-		}
-	}
-	return moved
 }
 
 // Stats returns cumulative relink counters.

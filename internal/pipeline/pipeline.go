@@ -148,16 +148,13 @@ type Stats struct {
 	Profiles, ProfileHits uint64
 	Allocs, AllocHits     uint64
 
-	// ContextBuilds counts reusable analysis contexts built (cold: CFG +
-	// IPET skeletons + cost decomposition); ContextReuses counts cold
-	// analyses served by re-pricing an existing context instead.
-	ContextBuilds, ContextReuses uint64
-
-	// CacheContextBuilds / CacheContextReuses are the cache-path analogue:
-	// cache analysis contexts built cold vs cold analyses served by an
-	// existing cache context. CacheFuncsReanalyzed / CacheFuncs split the
-	// function-level MUST fixed point: solves that actually re-ran vs
-	// functions in scope across all cache-context analyses.
+	// ContextBuilds / ContextReuses count cache-less analysis engines
+	// built cold (CFG + IPET skeletons + decomposition) vs cold analyses
+	// served by an existing one; CacheContextBuilds / CacheContextReuses
+	// are the same for cache engines. CacheFuncsReanalyzed / CacheFuncs
+	// split the function-level MUST fixed point: solves that actually
+	// re-ran vs functions in scope across all cache analyses.
+	ContextBuilds, ContextReuses           uint64
 	CacheContextBuilds, CacheContextReuses uint64
 	CacheFuncsReanalyzed, CacheFuncs       uint64
 
@@ -170,7 +167,7 @@ type Stats struct {
 
 	// SolverStateHits / SolverStateMisses: per-function IPET solves served
 	// from recorded solver state (in-process or store-imported) vs solves
-	// that had to run.
+	// that had to run, over engines of both modes.
 	SolverStateHits, SolverStateMisses uint64
 
 	SimDiskHits, SimDiskMisses         uint64
@@ -228,21 +225,19 @@ type Pipeline struct {
 
 	splits   memo[*obj.Program]
 	prepared memo[*link.Prepared]
-	contexts memo[*wcet.Context]
-	cctxs    memo[*wcet.CacheContext]
+	engines  memo[*wcet.Engine]
 
 	upgrades, storeErrors counter
-	// ctxReuses / cctxReuses count cold analyses served by an existing
-	// (cache) analysis context; builds are the registered contexts below.
-	ctxReuses, cctxReuses atomic.Uint64
+	// reuses counts cold analyses served by an existing analysis engine,
+	// cache-less [0] and cache [1]; builds are the registered engines below.
+	reuses [2]atomic.Uint64
 
-	// preps/ctxList/cctxList register successfully built prepared linkers
-	// and analysis contexts; Stats folds in their atomic counters without
+	// preps/engineList register successfully built prepared linkers and
+	// analysis engines; Stats folds in their atomic counters without
 	// touching entry locks (which an in-flight compute may hold).
-	mu       sync.Mutex
-	preps    []*link.Prepared
-	ctxList  []*wcet.Context
-	cctxList []*wcet.CacheContext
+	mu         sync.Mutex
+	preps      []*link.Prepared
+	engineList []*wcet.Engine
 
 	bench    string
 	progOnce sync.Once
@@ -370,11 +365,14 @@ func cacheKey(c *cache.Config) string {
 	if c == nil {
 		return "nocache"
 	}
-	kind := "unified"
+	return fmt.Sprintf("cache=%d/%d/%d/%s", c.Size, c.LineSize, c.Assoc, cacheKind(c))
+}
+
+func cacheKind(c *cache.Config) string {
 	if c.InstructionOnly {
-		kind = "icache"
+		return "icache"
 	}
-	return fmt.Sprintf("cache=%d/%d/%d/%s", c.Size, c.LineSize, c.Assoc, kind)
+	return "unified"
 }
 
 func analysisKey(placement string, opts wcet.Options) string {
@@ -467,32 +465,27 @@ func (p *Pipeline) Analyze(ctx context.Context, spmSize uint32, inSPM map[string
 // is part of the memo and disk keys, so warm runs at a fixed granularity
 // recompute nothing.
 //
-// Analyses share a reusable context per partition (and, with a cache, per
-// cache shape): the CFG, IPET skeletons and — for cache analyses — the
-// symbolic access streams are built once, and each placement re-prices
-// only its delta. Results are bit-identical to a from-scratch link +
-// wcet.Analyze.
+// Analyses share a reusable wcet.Engine per partition (and, with a cache,
+// per cache shape): the CFG, IPET skeletons and symbolic access streams
+// are built once, and each placement redoes only its delta. Results are
+// bit-identical to a from-scratch link + wcet.Analyze.
 func (p *Pipeline) AnalyzeUnits(ctx context.Context, regions []obj.Region, spmSize uint32, inSPM map[string]bool, opts wcet.Options) (*wcet.Result, error) {
 	pk, size, in := placement(spmSize, inSPM)
 	r := request[*wcet.Result]{
 		key: analysisKey(unitPrefix(regions)+pk, opts),
 		compute: func(ctx context.Context, timed timer[*wcet.Result]) (*wcet.Result, error) {
-			if opts.Cache != nil {
-				c, err := p.cacheContextFor(regions, opts)
-				if err != nil {
-					return nil, err
-				}
-				return timed(func() (*wcet.Result, error) {
-					return c.AnalyzeCtx(ctx, opts.Cache.Size, size, in, opts.Witness)
-				})
-			}
-			c, err := p.contextFor(ctx, regions, opts)
+			key := contextKey(regions, opts)
+			e, err := p.engineFor(ctx, key, regions, opts)
 			if err != nil {
 				return nil, err
 			}
-			res, err := timed(func() (*wcet.Result, error) { return c.AnalyzeCtx(ctx, size, in, opts.Witness) })
+			var cacheSize uint32
+			if opts.Cache != nil {
+				cacheSize = opts.Cache.Size
+			}
+			res, err := timed(func() (*wcet.Result, error) { return e.AnalyzeCtx(ctx, cacheSize, size, in, opts.Witness) })
 			if err == nil {
-				p.saveSolverState(c, regions, opts)
+				p.saveSolverState(e, key)
 			}
 			return res, err
 		},
@@ -506,99 +499,80 @@ func (p *Pipeline) AnalyzeUnits(ctx context.Context, regions []obj.Region, spmSi
 // lacksWitness marks a witness-less result stale for a witness request.
 func lacksWitness(r *wcet.Result) bool { return r.Witness == nil }
 
-// contextFor returns (memoized, singleflight) the reusable analysis
-// context for one partition and analysis configuration, built from the
-// partition's scratchpad-less base link.
-func (p *Pipeline) contextFor(ctx context.Context, regions []obj.Region, opts wcet.Options) (*wcet.Context, error) {
-	key := contextKey(regions, opts)
-	c, built, err := p.contexts.get(key, func() (*wcet.Context, error) {
-		base, err := p.LinkUnits(ctx, regions, 0, nil)
+// engineFor returns (memoized, singleflight) the analysis engine for one
+// partition and analysis configuration, built from the partition's
+// prepared linker.
+func (p *Pipeline) engineFor(ctx context.Context, key string, regions []obj.Region, opts wcet.Options) (*wcet.Engine, error) {
+	e, built, err := p.engines.get(key, func() (*wcet.Engine, error) {
+		// The engine analyses the partition's scratchpad-less base layout,
+		// the executable the link stage serves for the empty placement.
+		// Requesting it through the stage memoizes it for later
+		// empty-placement requests and counts it in the link statistics.
+		if _, err := p.LinkUnits(ctx, regions, 0, nil); err != nil {
+			return nil, err
+		}
+		prep, err := p.preparedFor(regions)
 		if err != nil {
 			return nil, err
 		}
-		c, err := wcet.NewContext(base, opts)
+		e, err := wcet.NewEngine(prep, opts)
 		if err != nil {
 			return nil, err
 		}
-		// Cross-process warm start: seed the fresh context with the solver
+		// Cross-process warm start: seed the fresh engine with the solver
 		// state a previous process persisted for this exact configuration.
 		// Deliberately outside the stage disk-hit/miss counters — it is a
 		// solver seed, not a served artifact.
 		if disk := p.Store(); disk != nil {
 			if st, ok := disk.LoadSolverState(p.programKey(), solverStateKey(key)); ok {
-				c.ImportState(st)
+				e.ImportState(st)
 			}
 		}
 		p.mu.Lock()
-		p.ctxList = append(p.ctxList, c)
+		p.engineList = append(p.engineList, e)
 		p.mu.Unlock()
-		return c, nil
+		return e, nil
 	})
 	if err == nil && !built {
-		p.ctxReuses.Add(1)
+		mode := 0
+		if opts.Cache != nil {
+			mode = 1
+		}
+		p.reuses[mode].Add(1)
 	}
-	return c, err
+	return e, err
 }
 
-// saveSolverState persists a context's newly recorded solver state, so the
+// saveSolverState persists an engine's newly recorded solver state, so the
 // next cold process inherits a warm solver, not just memoized results.
-func (p *Pipeline) saveSolverState(c *wcet.Context, regions []obj.Region, opts wcet.Options) {
+func (p *Pipeline) saveSolverState(e *wcet.Engine, key string) {
 	disk := p.Store()
 	if disk == nil {
 		return
 	}
-	if st, dirty := c.ExportStateIfDirty(); dirty {
-		p.saved(disk.SaveSolverState(p.programKey(), solverStateKey(contextKey(regions, opts)), st))
+	if st, dirty := e.ExportStateIfDirty(); dirty {
+		p.saved(disk.SaveSolverState(p.programKey(), solverStateKey(key), st))
 	}
 }
 
-// contextKey is the analysis-context cache key: the partition plus every
-// Options field the context bakes in (placement and witness vary per
-// Analyze; Cache is always nil on this path).
+// contextKey is the analysis-engine cache key: the partition, the cache
+// *shape* (capacity varies per Analyze, so it is deliberately absent — one
+// engine serves a whole capacity sweep) and the Options fields the engine
+// bakes in. A cache-less key has no shape part.
 func contextKey(regions []obj.Region, opts wcet.Options) string {
-	return fmt.Sprintf("%sstack=%d|root=%s", unitPrefix(regions), opts.StackBound, opts.Root)
-}
-
-// cacheContextFor returns (memoized, singleflight) the reusable cache
-// analysis context for one partition and cache shape, built from the
-// partition's prepared linker.
-func (p *Pipeline) cacheContextFor(regions []obj.Region, opts wcet.Options) (*wcet.CacheContext, error) {
-	c, built, err := p.cctxs.get(cacheContextKey(regions, opts), func() (*wcet.CacheContext, error) {
-		prep, err := p.preparedFor(regions)
-		if err != nil {
-			return nil, err
-		}
-		c, err := wcet.NewCacheContext(prep, opts)
-		if err != nil {
-			return nil, err
-		}
-		p.mu.Lock()
-		p.cctxList = append(p.cctxList, c)
-		p.mu.Unlock()
-		return c, nil
-	})
-	if err == nil && !built {
-		p.cctxReuses.Add(1)
+	shape := ""
+	if opts.Cache != nil {
+		cc := opts.Cache.WithDefaults()
+		shape = fmt.Sprintf("cacheshape=%d/%d/%s|", cc.LineSize, cc.Assoc, cacheKind(&cc))
 	}
-	return c, err
+	return fmt.Sprintf("%s%sstack=%d|root=%s", unitPrefix(regions), shape, opts.StackBound, opts.Root)
 }
 
-// cacheContextKey is the cache-context cache key: the partition, the cache
-// *shape* (capacity varies per Analyze, so it is deliberately absent —
-// one context serves a whole capacity sweep) and the Options fields the
-// context bakes in.
-func cacheContextKey(regions []obj.Region, opts wcet.Options) string {
-	cc := opts.Cache.WithDefaults()
-	kind := "unified"
-	if cc.InstructionOnly {
-		kind = "icache"
-	}
-	return fmt.Sprintf("%scacheshape=%d/%d/%s|stack=%d|root=%s",
-		unitPrefix(regions), cc.LineSize, cc.Assoc, kind, opts.StackBound, opts.Root)
-}
-
-// solverStateKey is the store stage key persisting a context's solver state.
-func solverStateKey(ctxKey string) string { return "solverstate|" + ctxKey }
+// solverStateKey is the store stage key persisting an engine's solver
+// state. The "/v2" marks the solve-input signature encoding (block costs
+// plus callee bounds), so state recorded under another encoding is never
+// adopted.
+func solverStateKey(ctxKey string) string { return "solverstate/v2|" + ctxKey }
 
 // Profile collects (memoized) the typical-input access profile on the
 // baseline system (no scratchpad, no cache), consulting the disk tier
@@ -731,33 +705,33 @@ func (p *Pipeline) Stats() Stats {
 	s.Allocs, s.AllocHits, s.AllocDiskHits, s.AllocDiskMisses, s.AllocTime = p.alloc.counts()
 	s.AnalyzeUpgrades = p.upgrades.n.Load()
 	s.StoreErrors = p.storeErrors.n.Load()
-	s.ContextReuses = p.ctxReuses.Load()
-	s.CacheContextReuses = p.cctxReuses.Load()
+	s.ContextReuses = p.reuses[0].Load()
+	s.CacheContextReuses = p.reuses[1].Load()
 
 	p.mu.Lock()
-	preps, ctxs, cctxs := slices.Clone(p.preps), slices.Clone(p.ctxList), slices.Clone(p.cctxList)
+	preps, engines := slices.Clone(p.preps), slices.Clone(p.engineList)
 	p.mu.Unlock()
-	// Fold in the delta-link and solver-state counters from the registered
+	// Fold in the delta-link and engine counters from the registered
 	// objects' atomics — never their locks, which an in-flight compute may
 	// hold for the length of a solve.
 	s.FullLinks = uint64(len(preps))
-	s.ContextBuilds = uint64(len(ctxs))
-	s.CacheContextBuilds = uint64(len(cctxs))
 	for _, prep := range preps {
 		rs := prep.Stats()
 		s.DeltaLinks += rs.Relinks
 		s.RelocsResolved += rs.RelocsResolved
 		s.RelocsReused += rs.RelocsReused
 	}
-	for _, c := range ctxs {
-		h, m := c.StateCounts()
-		s.SolverStateHits += h
-		s.SolverStateMisses += m
-	}
-	for _, c := range cctxs {
-		re, total := c.FuncCounts()
-		s.CacheFuncsReanalyzed += re
-		s.CacheFuncs += total
+	for _, e := range engines {
+		es := e.Stats()
+		if e.HasCache() {
+			s.CacheContextBuilds++
+			s.CacheFuncsReanalyzed += es.FuncsReanalyzed
+			s.CacheFuncs += es.FuncsTotal
+		} else {
+			s.ContextBuilds++
+		}
+		s.SolverStateHits += es.StateHits
+		s.SolverStateMisses += es.FuncsSolved
 	}
 	return s
 }

@@ -81,7 +81,7 @@ const (
 	// KindAlloc is a scratchpad allocation solve (pipeline.Allocation
 	// fields), keyed by the allocator's ConfigKey and the capacity.
 	KindAlloc Kind = 4
-	// KindSolverState is an analysis context's recorded per-function IPET
+	// KindSolverState is an analysis engine's recorded per-function IPET
 	// solutions (wcet.SolverState), keyed by the context configuration; a
 	// cold process imports it to skip re-proving unchanged functions.
 	KindSolverState Kind = 5
@@ -338,7 +338,7 @@ func (s *Store) LoadSolverState(progKey, stageKey string) (*wcet.SolverState, bo
 	return st, true
 }
 
-// SaveSolverState persists an analysis context's recorded solver state.
+// SaveSolverState persists an analysis engine's recorded solver state.
 func (s *Store) SaveSolverState(progKey, stageKey string, st *wcet.SolverState) error {
 	return s.write(KindSolverState, progKey, stageKey, EncodeSolverState(st))
 }

@@ -9,7 +9,7 @@ import (
 	"repro/internal/link"
 )
 
-// cacheCtxSrc exercises everything the cache context must replay: a shared
+// cacheCtxSrc exercises everything the cache engine must replay: a shared
 // helper called from two sites (interprocedural entry joins), array walks
 // (range clobbers), scalar globals (exact classification), literal pools
 // and a call chain deeper than one.
@@ -44,9 +44,10 @@ func prepProg(t *testing.T, src string) *link.Prepared {
 	return pr
 }
 
-// TestCacheContextMatchesCold drives one CacheContext through a sweep of
+// TestCacheContextMatchesCold drives one cache engine through a sweep of
 // capacities, associativities and placements — including revisits that hit
-// the memo and the layout-stable fast path — and checks every Result
+// the memo and the layout-stable fast path, and a data-only move that
+// leaves every code address in place — and checks every Result
 // (bound, per-function bounds, classification counts, witness) is
 // bit-identical to a from-scratch link + Analyze.
 func TestCacheContextMatchesCold(t *testing.T) {
@@ -63,6 +64,8 @@ func TestCacheContextMatchesCold(t *testing.T) {
 			{spmSize: 0},
 			{spmSize: 512, inSPM: map[string]bool{"table": true}},
 			{spmSize: 512, inSPM: map[string]bool{"scale": true, "weight": true}},
+			{spmSize: 512, inSPM: map[string]bool{"table": true}},
+			{spmSize: 512, inSPM: map[string]bool{"weight": true}}, // only data moves
 			{spmSize: 0}, // revisit: memo hit territory
 		} {
 			steps = append(steps, step{cacheSize: size, spmSize: pl.spmSize, inSPM: pl.inSPM})
@@ -73,7 +76,7 @@ func TestCacheContextMatchesCold(t *testing.T) {
 
 	for _, assoc := range []int{1, 2, 4} {
 		ccfg := cache.Config{Assoc: assoc}
-		ctx, err := NewCacheContext(pr, Options{Cache: &ccfg, StackBound: 256, Witness: true})
+		ctx, err := NewEngine(pr, Options{Cache: &ccfg, StackBound: 256, Witness: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,11 +131,11 @@ func TestCacheContextMatchesCold(t *testing.T) {
 }
 
 // TestCacheContextInstructionOnly covers the paper's instruction-cache
-// variant through the context path.
+// variant through the engine.
 func TestCacheContextInstructionOnly(t *testing.T) {
 	pr := prepProg(t, cacheCtxSrc)
 	ccfg := cache.Config{InstructionOnly: true}
-	ctx, err := NewCacheContext(pr, Options{Cache: &ccfg, StackBound: 256})
+	ctx, err := NewEngine(pr, Options{Cache: &ccfg, StackBound: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +166,7 @@ func TestCacheContextInstructionOnly(t *testing.T) {
 func TestCacheContextStablePlacementSkipsReanalysis(t *testing.T) {
 	pr := prepProg(t, cacheCtxSrc)
 	ccfg := cache.Config{}
-	ctx, err := NewCacheContext(pr, Options{Cache: &ccfg})
+	ctx, err := NewEngine(pr, Options{Cache: &ccfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,26 +182,50 @@ func TestCacheContextStablePlacementSkipsReanalysis(t *testing.T) {
 	}
 }
 
-// TestCacheContextErrorsMatchLink pins error parity: the context surfaces
-// the linker's placement diagnostics and the cache validation errors
-// exactly as the cold path does.
+// TestCacheContextErrorsMatchLink pins error parity in both engine modes:
+// the engine surfaces the linker's placement diagnostics (capacity over the
+// maximum, a resident at capacity 0, overflow) and the cache validation
+// errors exactly as the cold path does.
 func TestCacheContextErrorsMatchLink(t *testing.T) {
 	pr := prepProg(t, cacheCtxSrc)
-	ccfg := cache.Config{}
-	ctx, err := NewCacheContext(pr, Options{Cache: &ccfg})
+	placements := []struct {
+		name    string
+		spmSize uint32
+		inSPM   map[string]bool
+	}{
+		{"over-max", link.SPMMax + 1, nil},
+		{"capacity-0", 0, map[string]bool{"table": true}},
+		{"overflow", 4, map[string]bool{"table": true}},
+	}
+	for _, mode := range []struct {
+		name      string
+		cache     *cache.Config
+		cacheSize uint32
+	}{{"cache-less", nil, 0}, {"cache", &cache.Config{}, 128}} {
+		e, err := NewEngine(pr, Options{Cache: mode.cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pl := range placements {
+			_, warmErr := e.Analyze(mode.cacheSize, pl.spmSize, pl.inSPM, false)
+			_, coldErr := link.Link(pr.Base().Prog, pl.spmSize, pl.inSPM)
+			if warmErr == nil || coldErr == nil || warmErr.Error() != coldErr.Error() {
+				t.Fatalf("%s %s: engine %v, cold link %v", mode.name, pl.name, warmErr, coldErr)
+			}
+		}
+		// The engine still serves a valid placement after the errors.
+		if _, err := e.Analyze(mode.cacheSize, 512, map[string]bool{"table": true}, false); err != nil {
+			t.Fatalf("%s: valid placement after errors: %v", mode.name, err)
+		}
+	}
+	// Invalid cache size: same message as cache.Config.Validate.
+	e, err := NewEngine(pr, Options{Cache: &cache.Config{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Scratchpad overflow: same message as link.Link.
-	_, warmErr := ctx.Analyze(128, 4, map[string]bool{"table": true}, false)
-	_, coldErr := link.Link(pr.Base().Prog, 4, map[string]bool{"table": true})
-	if warmErr == nil || coldErr == nil || warmErr.Error() != coldErr.Error() {
-		t.Fatalf("overflow: warm %v, cold link %v", warmErr, coldErr)
-	}
-	// Invalid cache size: same message as cache.Config.Validate.
-	_, warmErr = ctx.Analyze(100, 0, nil, false)
+	_, warmErr := e.Analyze(100, 0, nil, false)
 	badCfg := cache.Config{Size: 100}
-	coldErr = badCfg.Validate()
+	coldErr := badCfg.Validate()
 	if warmErr == nil || coldErr == nil || warmErr.Error() != coldErr.Error() {
 		t.Fatalf("bad size: warm %v, cold validate %v", warmErr, coldErr)
 	}

@@ -3,6 +3,7 @@ package wcet
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -56,8 +57,12 @@ int mix(int a, int b) {
 }
 
 // TestFuzzSoundnessAcrossConfigs: for random programs and every memory
-// configuration, the WCET bound must cover the simulation and the program
-// result must be configuration-independent.
+// configuration, the WCET bound must cover the simulation, the program
+// result must be configuration-independent, and the incremental engine
+// must reproduce the from-scratch analysis exactly. Each trial runs its
+// cache-less configurations in sequence through one engine (exercising
+// delta repricing) and its cache configurations through one engine per
+// cache shape.
 func TestFuzzSoundnessAcrossConfigs(t *testing.T) {
 	rng := rand.New(rand.NewSource(20050307))
 	const trials = 12
@@ -66,6 +71,10 @@ func TestFuzzSoundnessAcrossConfigs(t *testing.T) {
 		prog, err := cc.Compile(src)
 		if err != nil {
 			t.Fatalf("trial %d: compile: %v\n%s", trial, err, src)
+		}
+		prep, err := link.Prepare(prog)
+		if err != nil {
+			t.Fatalf("trial %d: prepare: %v", trial, err)
 		}
 
 		type config struct {
@@ -81,7 +90,9 @@ func TestFuzzSoundnessAcrossConfigs(t *testing.T) {
 			{name: "cache-128", cache: &cache.Config{Size: 128}},
 			{name: "cache-1k-2way", cache: &cache.Config{Size: 1024, Assoc: 2}},
 			{name: "icache-512", cache: &cache.Config{Size: 512, InstructionOnly: true}},
+			{name: "spm-data+cache-1k", spm: 2048, inSPM: map[string]bool{"tbl": true, "bias": true}, cache: &cache.Config{Size: 1024}},
 		}
+		engines := make(map[string]*Engine)
 		var wantExit uint32
 		for ci, cfg := range configs {
 			exe, err := link.Link(prog, cfg.spm, cfg.inSPM)
@@ -98,13 +109,34 @@ func TestFuzzSoundnessAcrossConfigs(t *testing.T) {
 				t.Fatalf("trial %d %s: result %d differs from plain %d — memory config changed semantics\n%s",
 					trial, cfg.name, res.ExitCode, wantExit, src)
 			}
-			wres, err := Analyze(exe, Options{Cache: cfg.cache, StackBound: 512})
+			opts := Options{Cache: cfg.cache, StackBound: 512, Witness: true}
+			wres, err := Analyze(exe, opts)
 			if err != nil {
 				t.Fatalf("trial %d %s: analyse: %v\n%s", trial, cfg.name, err, src)
 			}
 			if wres.WCET < res.Cycles {
 				t.Fatalf("trial %d %s: UNSOUND: WCET %d < sim %d\n%s",
 					trial, cfg.name, wres.WCET, res.Cycles, src)
+			}
+
+			shape, cacheSize := "none", uint32(0)
+			if cfg.cache != nil {
+				cc := cfg.cache.WithDefaults()
+				shape, cacheSize = fmt.Sprintf("%d/%d/%v", cc.LineSize, cc.Assoc, cc.InstructionOnly), cc.Size
+			}
+			e := engines[shape]
+			if e == nil {
+				if e, err = NewEngine(prep, opts); err != nil {
+					t.Fatalf("trial %d %s: engine: %v", trial, cfg.name, err)
+				}
+				engines[shape] = e
+			}
+			inc, err := e.Analyze(cacheSize, cfg.spm, cfg.inSPM, true)
+			if err != nil {
+				t.Fatalf("trial %d %s: engine analyse: %v", trial, cfg.name, err)
+			}
+			if !reflect.DeepEqual(inc, wres) {
+				t.Fatalf("trial %d %s: engine %+v != from-scratch %+v\n%s", trial, cfg.name, inc, wres, src)
 			}
 		}
 	}

@@ -10,15 +10,15 @@ import (
 	"repro/internal/lp"
 )
 
-// ipetSolution is the witness the ILP certifies: the per-invocation
-// execution counts of every block and edge on a worst-case path, alongside
-// the resulting bound.
-type ipetSolution struct {
-	wcet uint64
-	// blocks[i] is the execution count of the block with Index i.
-	blocks []uint64
-	// edges holds the traversal count of every CFG edge.
-	edges map[*cfg.Edge]uint64
+// FuncSolution is one function's IPET solution, the witness the ILP
+// certifies: the bound plus the per-invocation execution counts of every
+// block (by cfg Index) and edge on a worst-case path. Edges is in the
+// function's deterministic IPET edge order (f.Blocks × b.Succs), so the
+// solution round-trips through the artifact store without naming edges.
+type FuncSolution struct {
+	WCET   uint64
+	Blocks []uint64
+	Edges  []uint64
 }
 
 // ipetEdge is one CFG edge with its IPET variable index (block variables
@@ -33,7 +33,7 @@ type ipetEdge struct {
 // and the edge-penalty objective template. Only the block cost coefficients
 // of the objective depend on placement, so a built program can be re-solved
 // under any placement without reconstructing the constraint matrix — the
-// substrate of the incremental analysis Context.
+// substrate of the incremental Engine.
 type ipetProgram struct {
 	f     *cfg.Function
 	nb, n int // block variables, total variables
@@ -140,7 +140,7 @@ func (ip *ipetProgram) objective(blockCost, callExtra map[*cfg.Block]int64) []fl
 // returned rather than discarded: its x(b) values are the block execution
 // counts on the worst-case path, which the WCET-directed scratchpad
 // allocator weighs objects by.
-func (ip *ipetProgram) solve(objective []float64, opt ilp.Options) (*ipetSolution, error) {
+func (ip *ipetProgram) solve(objective []float64, opt ilp.Options) (*FuncSolution, error) {
 	p := &ilp.Problem{LP: lp.Problem{NumVars: ip.n, Objective: objective, Cons: ip.cons}}
 	s, err := ilp.SolveOpts(p, opt)
 	if err != nil {
@@ -149,23 +149,23 @@ func (ip *ipetProgram) solve(objective []float64, opt ilp.Options) (*ipetSolutio
 	if s.Obj < -1e-6 {
 		return nil, fmt.Errorf("wcet: %s: negative WCET %f", ip.f.Name, s.Obj)
 	}
-	sol := &ipetSolution{
-		wcet:   uint64(math.Round(s.Obj)),
-		blocks: make([]uint64, ip.nb),
-		edges:  make(map[*cfg.Edge]uint64, len(ip.edges)),
+	sol := &FuncSolution{
+		WCET:   uint64(math.Round(s.Obj)),
+		Blocks: make([]uint64, ip.nb),
+		Edges:  make([]uint64, len(ip.edges)),
 	}
 	for _, b := range ip.f.Blocks {
-		sol.blocks[b.Index] = uint64(math.Round(s.X[b.Index]))
+		sol.Blocks[b.Index] = uint64(math.Round(s.X[b.Index]))
 	}
-	for _, ev := range ip.edges {
-		sol.edges[ev.e] = uint64(math.Round(s.X[ev.idx]))
+	for i, ev := range ip.edges {
+		sol.Edges[i] = uint64(math.Round(s.X[ev.idx]))
 	}
 	return sol, nil
 }
 
 // ipet computes a function's WCET by implicit path enumeration: maximise
 // Σ cost(b)·x(b) + Σ penalty(e)·x(e) over the flow polytope, solved cold.
-func ipet(f *cfg.Function, blockCost map[*cfg.Block]int64, callExtra map[*cfg.Block]int64) (*ipetSolution, error) {
+func ipet(f *cfg.Function, blockCost map[*cfg.Block]int64, callExtra map[*cfg.Block]int64) (*FuncSolution, error) {
 	ip, err := newIPETProgram(f)
 	if err != nil {
 		return nil, err

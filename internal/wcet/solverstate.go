@@ -1,135 +1,18 @@
 package wcet
 
-import (
-	"strings"
-
-	"repro/internal/cfg"
-	"repro/internal/obs"
-)
-
-// Persistent solver state. A Context's per-function IPET solves are fully
-// determined by (a) which of the function's priced objects sit in the
-// scratchpad and (b) the callee bounds folded into the objective — the
-// constraint skeleton never changes. Each solved function is therefore
-// recorded under an input signature capturing exactly those two inputs, and
-// a later analysis (in this process or, via the artifact store, a cold one)
-// whose signature matches adopts the recorded solution instead of re-solving.
-// The solver is deterministic and exact, so adoption is bit-identical to a
-// fresh solve.
-
-var (
-	mSolverHits = obs.Default.Counter("wcetlab_solver_state_hits_total",
-		"Per-function IPET solves served from recorded solver state.")
-	mSolverMisses = obs.Default.Counter("wcetlab_solver_state_misses_total",
-		"Per-function IPET solves that ran because no recorded state matched.")
-)
-
-// FuncSolution is one function's recorded IPET solution: the bound plus the
-// block and edge execution counts. Edges is in the function's deterministic
-// IPET edge order (f.Blocks × b.Succs), so it round-trips the per-edge map
-// without naming edges.
-type FuncSolution struct {
-	WCET   uint64
-	Blocks []uint64
-	Edges  []uint64
-}
-
-// SolverState is the serialisable solver state of one Context: function name
-// → input signature → solution. Treated as immutable once built.
+// SolverState is the serialisable solver state of one Engine: function
+// name → solve-input signature → solution. Treated as immutable once built.
 type SolverState struct {
 	Funcs map[string]map[string]FuncSolution
 }
 
-// funcSig is the function's solve-input signature under the context's
-// current placement: the scratchpad-resident subset of the objects its block
-// costs depend on, then each callee's current bound. Two solves with equal
-// signatures have identical objectives (the constraint skeleton is static),
-// and the solver is deterministic, so equal signatures imply equal solutions.
-func (c *Context) funcSig(cf *ctxFunc) string {
-	var sb strings.Builder
-	for _, d := range cf.depObjs {
-		if c.cur[d] {
-			sb.WriteString(d)
-			sb.WriteByte(',')
-		}
-	}
-	sb.WriteByte('|')
-	for _, callee := range cf.callees {
-		sb.WriteString(callee)
-		sb.WriteByte('=')
-		writeUint(&sb, c.funcs[callee].wcet)
-		sb.WriteByte(',')
-	}
-	return sb.String()
-}
-
-func writeUint(sb *strings.Builder, v uint64) {
-	var buf [20]byte
-	i := len(buf)
-	for {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-		if v == 0 {
-			break
-		}
-	}
-	sb.Write(buf[i:])
-}
-
-// lookupState returns the recorded solution for (cf, sig), if any.
-func (c *Context) lookupState(name, sig string) (FuncSolution, bool) {
-	fs, ok := c.state[name][sig]
-	return fs, ok
-}
-
-// adopt installs a recorded solution as the function's current one,
-// maintaining the changed-set exactly as a fresh solve would.
-func (c *Context) adopt(cf *ctxFunc, fs FuncSolution, changed map[string]bool) {
-	sol := &ipetSolution{
-		wcet:   fs.WCET,
-		blocks: append([]uint64(nil), fs.Blocks...),
-		edges:  make(map[*cfg.Edge]uint64, len(cf.ip.edges)),
-	}
-	for i, ev := range cf.ip.edges {
-		sol.edges[ev.e] = fs.Edges[i]
-	}
-	if cf.sol == nil || fs.WCET != cf.wcet {
-		changed[cf.f.Name] = true
-	}
-	cf.sol, cf.wcet, cf.dirty = sol, fs.WCET, false
-}
-
-// recordState stores the function's just-solved solution under sig.
-func (c *Context) recordState(cf *ctxFunc, sig string) {
-	name := cf.f.Name
-	m := c.state[name]
-	if m == nil {
-		m = make(map[string]FuncSolution)
-		c.state[name] = m
-	}
-	if _, ok := m[sig]; ok {
-		return
-	}
-	edges := make([]uint64, len(cf.ip.edges))
-	for i, ev := range cf.ip.edges {
-		edges[i] = cf.sol.edges[ev.e]
-	}
-	m[sig] = FuncSolution{
-		WCET:   cf.wcet,
-		Blocks: append([]uint64(nil), cf.sol.blocks...),
-		Edges:  edges,
-	}
-	c.stateDirty = true
-}
-
-// ImportState merges previously recorded solver state (typically loaded from
-// the artifact store by a cold process) into the context. Entries for
+// ImportState merges previously recorded solver state (typically loaded
+// from the artifact store by a cold process) into the engine. Entries for
 // unknown functions or with mismatched vector lengths are ignored — the
-// store key ties state to the exact program and context configuration, so
-// mismatches only arise from foreign/corrupt payloads. Returns the number of
-// solutions imported.
-func (c *Context) ImportState(st *SolverState) int {
+// store key ties state to the exact program and engine configuration, so
+// mismatches only arise from foreign or corrupt payloads. Returns the
+// number of solutions imported.
+func (c *Engine) ImportState(st *SolverState) int {
 	if st == nil {
 		return 0
 	}
@@ -142,36 +25,28 @@ func (c *Context) ImportState(st *SolverState) int {
 			continue
 		}
 		for sig, fs := range sols {
-			if len(fs.Blocks) != len(cf.blocks) || len(fs.Edges) != len(cf.ip.edges) {
+			if len(fs.Blocks) != len(cf.blocks) || len(fs.Edges) != len(cf.ip.edges) || cf.sols[sig] != nil {
 				continue
 			}
-			m := c.state[name]
-			if m == nil {
-				m = make(map[string]FuncSolution)
-				c.state[name] = m
-			}
-			if _, ok := m[sig]; ok {
-				continue
-			}
-			m[sig] = fs
+			putCapped(cf.sols, sig, &fs)
 			n++
 		}
 	}
 	return n
 }
 
-// ExportState snapshots the context's recorded solver state. The snapshot
-// shares the (immutable) solution vectors with the context.
-func (c *Context) ExportState() *SolverState {
+// ExportState snapshots the engine's recorded solver state. The snapshot
+// shares the (immutable) solution vectors with the engine.
+func (c *Engine) ExportState() *SolverState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.exportLocked()
 }
 
-// ExportStateIfDirty snapshots the solver state when solutions were recorded
-// since the last export, and marks it clean. Used to persist state after an
-// analysis without rewriting unchanged store entries.
-func (c *Context) ExportStateIfDirty() (*SolverState, bool) {
+// ExportStateIfDirty snapshots the solver state when solutions were
+// recorded since the last export, and marks it clean. Used to persist state
+// after an analysis without rewriting unchanged store entries.
+func (c *Engine) ExportStateIfDirty() (*SolverState, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.stateDirty {
@@ -181,20 +56,17 @@ func (c *Context) ExportStateIfDirty() (*SolverState, bool) {
 	return c.exportLocked(), true
 }
 
-func (c *Context) exportLocked() *SolverState {
-	st := &SolverState{Funcs: make(map[string]map[string]FuncSolution, len(c.state))}
-	for name, m := range c.state {
-		cp := make(map[string]FuncSolution, len(m))
-		for sig, fs := range m {
-			cp[sig] = fs
+func (c *Engine) exportLocked() *SolverState {
+	st := &SolverState{Funcs: make(map[string]map[string]FuncSolution, len(c.funcs))}
+	for name, cf := range c.funcs {
+		if len(cf.sols) == 0 {
+			continue
 		}
-		st.Funcs[name] = cp
+		m := make(map[string]FuncSolution, len(cf.sols))
+		for sig, fs := range cf.sols {
+			m[sig] = *fs
+		}
+		st.Funcs[name] = m
 	}
 	return st
-}
-
-// StateCounts returns the context's solver-state hit/miss counters. Safe to
-// call without blocking an in-flight analysis.
-func (c *Context) StateCounts() (hits, misses uint64) {
-	return c.stateHits.Load(), c.stateMisses.Load()
 }

@@ -94,7 +94,7 @@ func Analyze(exe *link.Executable, opts Options) (*Result, error) {
 	}
 
 	res := &Result{PerFunction: make(map[string]uint64, len(order))}
-	sols := make(map[string]*ipetSolution, len(order))
+	sols := make(map[string]*FuncSolution, len(order))
 	for _, name := range order {
 		f := g.Funcs[name]
 		blockCost := make(map[*cfg.Block]int64, len(f.Blocks))
@@ -118,7 +118,7 @@ func Analyze(exe *link.Executable, opts Options) (*Result, error) {
 			return nil, err
 		}
 		sols[name] = sol
-		res.PerFunction[name] = sol.wcet
+		res.PerFunction[name] = sol.WCET
 	}
 	res.WCET = res.PerFunction[root]
 	if opts.Witness {

@@ -143,10 +143,23 @@ func (w *Witness) TopBlocks(n int) []BlockRank {
 	return rows
 }
 
-// buildWitness composes the per-function IPET solutions into whole-program
-// counts. order lists functions callees-first (the analysis order), so the
-// reverse walk sees every caller before its callees.
-func buildWitness(g *cfg.Graph, order []string, root string, sols map[string]*ipetSolution, stackLo uint32) (*Witness, error) {
+// buildWitness composes the per-function IPET solutions into the
+// whole-program witness, attributing accesses by walking every instruction.
+func buildWitness(g *cfg.Graph, order []string, root string, sols map[string]*FuncSolution, stackLo uint32) (*Witness, error) {
+	w := composeWitness(g, order, root, sols)
+	for _, name := range order {
+		if err := w.addAccesses(g.Exe, g.Funcs[name], w.BlockCounts[name], stackLo); err != nil {
+			return nil, err
+		}
+	}
+	return w, nil
+}
+
+// composeWitness composes per-function IPET solutions into whole-program
+// invocation, block and edge counts, leaving ObjectAccesses empty for the
+// caller to attribute. order lists functions callees-first (the analysis
+// order), so the reverse walk sees every caller before its callees.
+func composeWitness(g *cfg.Graph, order []string, root string, sols map[string]*FuncSolution) *Witness {
 	w := &Witness{
 		FuncRuns:       make(map[string]uint64, len(order)),
 		BlockCounts:    make(map[string][]uint64, len(order)),
@@ -156,10 +169,9 @@ func buildWitness(g *cfg.Graph, order []string, root string, sols map[string]*ip
 	w.FuncRuns[root] = 1
 	for i := len(order) - 1; i >= 0; i-- {
 		name := order[i]
-		f := g.Funcs[name]
 		runs := w.FuncRuns[name]
-		for _, cs := range f.Calls {
-			w.FuncRuns[cs.Callee] += runs * sols[name].blocks[cs.Block.Index]
+		for _, cs := range g.Funcs[name].Calls {
+			w.FuncRuns[cs.Callee] += runs * sols[name].Blocks[cs.Block.Index]
 		}
 	}
 	for _, name := range order {
@@ -167,13 +179,15 @@ func buildWitness(g *cfg.Graph, order []string, root string, sols map[string]*ip
 		sol := sols[name]
 		runs := w.FuncRuns[name]
 		counts := make([]uint64, len(f.Blocks))
-		for i, x := range sol.blocks {
+		for i, x := range sol.Blocks {
 			counts[i] = x * runs
 		}
 		w.BlockCounts[name] = counts
 		var ecs []EdgeCount
-		for e, x := range sol.edges {
-			ecs = append(ecs, EdgeCount{From: e.From.Index, To: e.To.Index, Taken: e.Taken, Count: x * runs})
+		for _, b := range f.Blocks { // the IPET edge order
+			for _, e := range b.Succs {
+				ecs = append(ecs, EdgeCount{From: e.From.Index, To: e.To.Index, Taken: e.Taken, Count: sol.Edges[len(ecs)] * runs})
+			}
 		}
 		sort.Slice(ecs, func(i, j int) bool {
 			if ecs[i].From != ecs[j].From {
@@ -187,11 +201,8 @@ func buildWitness(g *cfg.Graph, order []string, root string, sols map[string]*ip
 			return !ecs[i].Taken && ecs[j].Taken
 		})
 		w.EdgeCounts[name] = ecs
-		if err := w.addAccesses(g.Exe, f, counts, stackLo); err != nil {
-			return nil, err
-		}
 	}
-	return w, nil
+	return w
 }
 
 // addAccesses attributes one function's witness counts to memory objects:
