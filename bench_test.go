@@ -342,6 +342,37 @@ func BenchmarkSweepSequential(b *testing.B) { benchColdSweep(b, "G.721", 1) }
 // improvement of the staged pipeline's bounded parallelism.
 func BenchmarkSweepParallel(b *testing.B) { benchColdSweep(b, "G.721", 0) }
 
+// BenchmarkSweepScratchpadCold measures the paper's scratchpad sweep
+// (energy allocation, simulation and WCET analysis at every capacity) with
+// cold artifact caches, per benchmark. Every placement is a whole-object,
+// cache-less one, so the simulate stage retimes it from the profile; the
+// executed/op and retimed/op metrics show a silent fall-back to the
+// interpreter.
+func BenchmarkSweepScratchpadCold(b *testing.B) {
+	for _, bench := range benchprog.All() {
+		b.Run(bench.Name, func(b *testing.B) {
+			l, err := core.NewLab(bench)
+			if err != nil {
+				b.Fatal(err)
+			}
+			l.Workers = 1
+			var executed, retimed uint64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				l.ResetArtifacts()
+				if _, err := l.SweepScratchpad(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+				st := l.Pipe.Stats()
+				executed += st.Sims - st.SimsRetimed
+				retimed += st.SimsRetimed
+			}
+			b.ReportMetric(float64(executed)/float64(b.N), "executed/op")
+			b.ReportMetric(float64(retimed)/float64(b.N), "retimed/op")
+		})
+	}
+}
+
 // BenchmarkFixpointCold measures the WCET-directed allocation fixpoint
 // with cold artifact caches and no store: every iteration rebuilds the
 // pipeline's in-memory artifacts from scratch, so the incremental

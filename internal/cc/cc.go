@@ -11,7 +11,7 @@ import (
 // code object per function, one data object per global, the runtime library
 // (software division) and the startup stub. The program's entry is
 // "__start" and its analysis root is "main", which must be defined and take
-// no parameters.
+// no parameters. The program is marked PlacementIndependent.
 func Compile(src string) (*obj.Program, error) {
 	file, err := parse(src)
 	if err != nil {
@@ -52,7 +52,9 @@ func Compile(src string) (*obj.Program, error) {
 	}
 	objs = append(objs, rt...)
 
-	prog := &obj.Program{Objects: objs, Entry: "__start", Main: "main"}
+	// MiniC has no pointers (sema rejects them), so no value a program
+	// computes depends on an object's address.
+	prog := &obj.Program{Objects: objs, Entry: "__start", Main: "main", PlacementIndependent: true}
 	if err := prog.Validate(); err != nil {
 		return nil, fmt.Errorf("cc: %w", err)
 	}

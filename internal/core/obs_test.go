@@ -9,18 +9,31 @@ import (
 	"repro/internal/pipeline"
 )
 
+// simRunKinds names the simulate stage's split counters in stageRuns.
+var simRunKinds = map[string]string{
+	"wcetlab_sim_executed_total": "executed",
+	"wcetlab_sim_retimed_total":  "retimed",
+}
+
 // stageRuns reads the cold-execution counters back out of the process-wide
-// registry for one benchmark.
+// registry for one benchmark, keyed by stage, plus the simulate stage's
+// "executed" and "retimed" runs.
 func stageRuns(bench string) map[string]uint64 {
 	out := map[string]uint64{}
 	for _, f := range obs.Default.Snapshot() {
-		if f.Name != "wcetlab_stage_runs_total" {
+		kind, split := simRunKinds[f.Name]
+		if !split && f.Name != "wcetlab_stage_runs_total" {
 			continue
 		}
 		for _, s := range f.Samples {
-			if s.Label("bench") == bench {
-				out[s.Label("stage")] += uint64(s.Value)
+			if s.Label("bench") != bench {
+				continue
 			}
+			key := kind
+			if !split {
+				key = s.Label("stage")
+			}
+			out[key] += uint64(s.Value)
 		}
 	}
 	return out
@@ -42,6 +55,9 @@ func TestMetricsMirrorStats(t *testing.T) {
 	if _, err := lab.SweepScratchpad(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := lab.WithCache(context.Background(), 1024, 1); err != nil {
+		t.Fatal(err)
+	}
 	st := lab.Pipe.Stats()
 	after := stageRuns("MultiSort")
 	delta := func(stage string) uint64 { return after[stage] - before[stage] }
@@ -52,14 +68,17 @@ func TestMetricsMirrorStats(t *testing.T) {
 		"analyze":  st.Analyses,
 		"alloc":    st.Allocs,
 		"profile":  st.Profiles,
+		"executed": st.Sims - st.SimsRetimed,
+		"retimed":  st.SimsRetimed,
 	}
 	for stage, w := range want {
 		if got := delta(stage); got != w {
 			t.Errorf("registry %s runs moved by %d, Stats says %d", stage, got, w)
 		}
 	}
-	if st.Sims == 0 || st.Analyses == 0 {
-		t.Fatalf("sweep ran no cold stages (sims=%d analyses=%d) — test is vacuous", st.Sims, st.Analyses)
+	if st.SimsRetimed == 0 || st.SimsRetimed == st.Sims || st.Analyses == 0 {
+		t.Fatalf("sweep did not both retime and execute simulations and analyse (sims=%d retimed=%d analyses=%d) — test is vacuous",
+			st.Sims, st.SimsRetimed, st.Analyses)
 	}
 
 	// Latency histograms must hold exactly one observation per cold run.

@@ -149,6 +149,13 @@ type Program struct {
 	Entry   string // entry function (the runtime start stub)
 	// Main is the analysed root function for WCET (entry calls it).
 	Main string
+	// PlacementIndependent marks a program whose instructions and memory
+	// accesses do not depend on where its objects are placed, so a new
+	// placement changes only what each access costs. Compiled MiniC has it
+	// (the language has no pointers); hand-assembled and split programs do
+	// not. It changes how a result is computed, never the result, so it
+	// is not part of the program's store key.
+	PlacementIndependent bool
 }
 
 // Object returns the named object, or nil.

@@ -134,15 +134,18 @@ type Allocator interface {
 // lookups by memory misses when a store is attached (a disk miss always
 // pairs with a run). AnalyzeUpgrades counts re-runs of an already-analysed
 // configuration to attach a witness — the only way a configuration is ever
-// analysed twice. The *Time fields accumulate wall clock spent in cold
-// stage executions; AllocTime is the allocators' wall clock and includes
-// the nested stage computations a solve triggers (e.g. the WCET-directed
-// fixpoint's analyses), so it is not disjoint from AnalyzeTime.
+// analysed twice. SimsRetimed counts the Sims computed in closed form
+// (sim.Retime) rather than by running the interpreter. The *Time fields
+// accumulate wall clock spent in cold stage executions; AllocTime is the
+// allocators' wall clock and includes the nested stage computations a
+// solve triggers (e.g. the WCET-directed fixpoint's analyses), so it is
+// not disjoint from AnalyzeTime.
 //
 // Every field is a uint64 count or a time.Duration: Add sums them all.
 type Stats struct {
 	Links, LinkHits       uint64
 	Sims, SimHits         uint64
+	SimsRetimed           uint64
 	Analyses, AnalyzeHits uint64
 	AnalyzeUpgrades       uint64
 	Profiles, ProfileHits uint64
@@ -228,6 +231,9 @@ type Pipeline struct {
 	engines  memo[*wcet.Engine]
 
 	upgrades, storeErrors counter
+	// simExecuted / simRetimed split the simulate stage's cold runs into
+	// interpreter runs and closed-form retimes.
+	simExecuted, simRetimed counter
 	// reuses counts cold analyses served by an existing analysis engine,
 	// cache-less [0] and cache [1]; builds are the registered engines below.
 	reuses [2]atomic.Uint64
@@ -264,10 +270,17 @@ func NewNamed(prog *obj.Program, bench string) *Pipeline {
 		"Re-analyses of a cached configuration to attach a witness.", "bench", bench)
 	p.storeErrors.reg = obs.Default.Counter("wcetlab_store_write_errors_total",
 		"Failed best-effort artifact store writes.", "bench", bench)
+	p.simExecuted.reg = obs.Default.Counter("wcetlab_sim_executed_total",
+		"Cold simulate-stage runs that ran the interpreter.", "bench", bench)
+	p.simRetimed.reg = obs.Default.Counter("wcetlab_sim_retimed_total",
+		"Cold simulate-stage runs computed in closed form from the profile.", "bench", bench)
 	return p
 }
 
-const profileStageKey = "profile"
+// profileStageKey is the profile's store key. The "/v2" marks the encoding
+// with per-width data access counts, so a profile stored in an earlier
+// encoding is never decoded as a current one.
+const profileStageKey = "profile/v2"
 
 // SetStore attaches (or, with nil, detaches) the on-disk artifact store as
 // the second cache tier. Attach before first use so cold stages are served
@@ -429,14 +442,20 @@ func (p *Pipeline) preparedFor(regions []obj.Region) (*link.Prepared, error) {
 
 // Simulate runs (memoized) the typical input under one placement and cache
 // configuration, consulting the disk tier before computing. The returned
-// result is shared and must be treated as read-only; a disk-served result
-// carries the run's counters but a nil Mem (the final memory image is not
-// persisted).
+// result is shared and must be treated as read-only. It carries the run's
+// counters and a nil Mem from every tier: the final memory image is
+// neither memoized nor persisted (call sim.Run to inspect it).
 func (p *Pipeline) Simulate(ctx context.Context, spmSize uint32, inSPM map[string]bool, ccfg *cache.Config) (*sim.Result, error) {
 	return p.SimulateUnits(ctx, nil, spmSize, inSPM, ccfg)
 }
 
 // SimulateUnits is Simulate under a placement-unit partition.
+//
+// A whole-object, cache-less placement of a placement-independent program
+// is not simulated: sim.Retime computes it in closed form from the
+// memoized profile, bit-identical to a run. Every other configuration runs
+// the interpreter. Either way the placement is linked first, so link
+// errors are the same on both paths.
 func (p *Pipeline) SimulateUnits(ctx context.Context, regions []obj.Region, spmSize uint32, inSPM map[string]bool, ccfg *cache.Config) (*sim.Result, error) {
 	pk, size, in := placement(spmSize, inSPM)
 	return p.sim.get(ctx, p, request[*sim.Result]{
@@ -446,7 +465,23 @@ func (p *Pipeline) SimulateUnits(ctx context.Context, regions []obj.Region, spmS
 			if err != nil {
 				return nil, err
 			}
-			return timed(func() (*sim.Result, error) { return sim.Run(exe, sim.Options{Cache: ccfg}) })
+			if len(regions) == 0 && ccfg == nil && p.Prog.PlacementIndependent {
+				prof, err := p.Profile(ctx)
+				if err != nil {
+					return nil, err
+				}
+				p.simRetimed.inc()
+				return timed(func() (*sim.Result, error) { return sim.Retime(prof, exe), nil })
+			}
+			p.simExecuted.inc()
+			return timed(func() (*sim.Result, error) {
+				res, err := sim.Run(exe, sim.Options{Cache: ccfg})
+				if err != nil {
+					return nil, err
+				}
+				res.Mem = nil
+				return res, nil
+			})
 		},
 	})
 }
@@ -585,7 +620,14 @@ func (p *Pipeline) Profile(ctx context.Context) (*sim.Profile, error) {
 			if err != nil {
 				return nil, err
 			}
-			return timed(func() (*sim.Profile, error) { return sim.CollectProfile(exe, sim.Options{}) })
+			return timed(func() (*sim.Profile, error) {
+				prof, err := sim.CollectProfile(exe, sim.Options{})
+				if err != nil {
+					return nil, err
+				}
+				prof.Result.Mem = nil
+				return prof, nil
+			})
 		},
 	})
 }
@@ -705,6 +747,7 @@ func (p *Pipeline) Stats() Stats {
 	s.Allocs, s.AllocHits, s.AllocDiskHits, s.AllocDiskMisses, s.AllocTime = p.alloc.counts()
 	s.AnalyzeUpgrades = p.upgrades.n.Load()
 	s.StoreErrors = p.storeErrors.n.Load()
+	s.SimsRetimed = p.simRetimed.n.Load()
 	s.ContextReuses = p.reuses[0].Load()
 	s.CacheContextReuses = p.reuses[1].Load()
 

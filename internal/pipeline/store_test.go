@@ -220,3 +220,25 @@ func TestAllocateMemoized(t *testing.T) {
 		t.Errorf("unkeyable policy solved %d times over 2 requests, want 2", unkeyed.Load())
 	}
 }
+
+// TestOldProfileKeyIsAMiss: a profile stored under the key of the encoding
+// without per-width counts is never read; the pipeline profiles afresh.
+func TestOldProfileKeyIsAMiss(t *testing.T) {
+	st := openStore(t)
+	p := compile(t)
+	prof, err := p.Profile(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveProfile(store.ProgramKey(p.Prog), "profile", prof); err != nil {
+		t.Fatal(err)
+	}
+	p2 := pipeline.New(p.Prog)
+	p2.SetStore(st)
+	if _, err := p2.Profile(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if s := p2.Stats(); s.Profiles != 1 || s.ProfileDiskHits != 0 {
+		t.Errorf("profiles=%d disk hits=%d, want 1/0", s.Profiles, s.ProfileDiskHits)
+	}
+}

@@ -5,6 +5,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/arm"
 	"repro/internal/cache"
@@ -44,7 +45,8 @@ type Result struct {
 	CacheMisses uint64
 	// ExitCode is r0 when the program executed SWI 0 (main's return value).
 	ExitCode uint32
-	// Mem is the final memory system, for post-run inspection of outputs.
+	// Mem is the final memory system of a Run, for post-run inspection of
+	// outputs. Results served by the pipeline and Retime carry nil.
 	Mem *mem.System
 }
 
@@ -88,10 +90,25 @@ type ObjectProfile struct {
 	// LiteralReads counts 32-bit data reads within a code object (literal
 	// pool accesses).
 	LiteralReads uint64
-	// Reads and Writes count data accesses to data objects, performed at
-	// the object's element width.
+	// Reads and Writes count data accesses to data objects.
 	Reads  uint64
 	Writes uint64
+	// DataByWidth counts the object's data accesses (literal reads, reads
+	// and writes) by their observed width: [0] bytes, [1] halfwords, [2]
+	// words. A data object need not be accessed at its element width.
+	DataByWidth [3]uint64
+}
+
+// SPMSaving returns the cycles the object's accesses save when it sits in
+// the scratchpad rather than in cache-less main memory: every access
+// costs MainCost of its width there and SPMCycles here (Table 1).
+// Instruction fetches are halfwords.
+func (p *ObjectProfile) SPMSaving() uint64 {
+	s := p.Fetches * uint64(mem.MainCost(2)-mem.SPMCycles)
+	for i, n := range p.DataByWidth {
+		s += n * uint64(mem.MainCost(1<<i)-mem.SPMCycles)
+	}
+	return s
 }
 
 // Total returns the total access count.
@@ -153,9 +170,12 @@ func CollectProfile(exe *link.Executable, opts Options) (*Profile, error) {
 			op = prof.ByObject[pl.Obj.Name]
 			lastPl, lastOp = pl, op
 		}
-		switch {
-		case a.Fetch:
+		if a.Fetch {
 			op.Fetches++
+			return
+		}
+		op.DataByWidth[bits.TrailingZeros8(a.Size)]++ // sizes 1, 2, 4 → 0, 1, 2
+		switch {
 		case pl.Obj.Kind == obj.Code:
 			op.LiteralReads++
 		case a.Write:
@@ -170,4 +190,22 @@ func CollectProfile(exe *link.Executable, opts Options) (*Profile, error) {
 	}
 	prof.Result = res
 	return prof, nil
+}
+
+// Retime returns the result of running exe, a cache-less placement of the
+// program base was profiled on, without simulating it. Scratchpad timing
+// is a fixed price per access, so a run that makes the profiled accesses
+// takes base's cycles minus the SPMSaving of every object exe places in
+// the scratchpad. That holds only for a program whose accesses do not
+// depend on where its objects are placed (obj.Program's
+// PlacementIndependent). The result has base's instruction count and exit
+// code, no cache counters and a nil Mem.
+func Retime(base *Profile, exe *link.Executable) *Result {
+	res := &Result{Cycles: base.Result.Cycles, Instrs: base.Result.Instrs, ExitCode: base.Result.ExitCode}
+	for _, pl := range exe.Placements {
+		if op := base.ByObject[pl.Obj.Name]; pl.InSPM && op != nil {
+			res.Cycles -= op.SPMSaving()
+		}
+	}
+	return res
 }

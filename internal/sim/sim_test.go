@@ -193,3 +193,74 @@ func TestInterpreterCounters(t *testing.T) {
 		t.Errorf("decode misses moved by %d, want 1..%d (distinct fetched halfwords)", d, len(fetched))
 	}
 }
+
+// widthProgram touches globals of all three widths, reading each at its
+// element width, and mixes them in a loop so every object is hot.
+const widthProgram = `
+char c[4] = {1, 2, 3, 4};
+short h[4] = {5, 6, 7, 8};
+int w[4];
+int main() {
+    int s = 0;
+    for (int r = 0; r < 6; r += 1)
+        for (int i = 0; i < 4; i += 1) {
+            w[i] = c[i] + h[i];
+            s += w[i] / 3;
+        }
+    h[1] = s;
+    return s;
+}
+`
+
+// TestProfileDataByWidth: data accesses are counted by the width they were
+// made at, and the per-width counts add up to the per-kind counts.
+func TestProfileDataByWidth(t *testing.T) {
+	prof, err := CollectProfile(exeFor(t, widthProgram, 0, nil), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, slot := range map[string]int{"c": 0, "h": 1, "w": 2} {
+		op := prof.ByObject[name]
+		var want [3]uint64
+		want[slot] = op.Reads + op.Writes
+		if want[slot] == 0 || op.DataByWidth != want {
+			t.Errorf("%s: by width %v, want %v", name, op.DataByWidth, want)
+		}
+	}
+	for name, op := range prof.ByObject {
+		if got := op.DataByWidth[0] + op.DataByWidth[1] + op.DataByWidth[2]; got != op.LiteralReads+op.Reads+op.Writes {
+			t.Errorf("%s: %d accesses by width, %d by kind", name, got, op.LiteralReads+op.Reads+op.Writes)
+		}
+	}
+}
+
+// TestRetimeMatchesRun: on every subset of a small program's objects, the
+// closed-form retime reproduces a full simulation of that placement.
+func TestRetimeMatchesRun(t *testing.T) {
+	base := exeFor(t, widthProgram, 0, nil)
+	prof, err := CollectProfile(base, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	objs := base.Prog.Objects
+	for mask := 0; mask < 1<<len(objs); mask++ {
+		in := map[string]bool{}
+		for i, o := range objs {
+			if mask&(1<<i) != 0 {
+				in[o.Name] = true
+			}
+		}
+		exe, err := link.Link(base.Prog, link.SPMMax, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Run(exe, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Mem = nil
+		if got := Retime(prof, exe); *got != *want {
+			t.Fatalf("placement %v: retimed %+v, simulated %+v", in, got, want)
+		}
+	}
+}

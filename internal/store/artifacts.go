@@ -181,7 +181,9 @@ func DecodeSim(b []byte) (*sim.Result, error) {
 
 // EncodeProfile serializes a typical-input access profile, including the
 // scalar fields of its underlying simulation result (everything the energy
-// model and the stack-bound derivation consume).
+// model, the stack-bound derivation and sim.Retime consume). The
+// per-width data counts are part of the encoding, whose stage key the
+// pipeline versions ("profile/v2").
 func EncodeProfile(p *sim.Profile) []byte {
 	var e encoder
 	e.u32(uint32(len(p.ByObject)))
@@ -192,6 +194,9 @@ func EncodeProfile(p *sim.Profile) []byte {
 		e.u64(op.LiteralReads)
 		e.u64(op.Reads)
 		e.u64(op.Writes)
+		for _, n := range op.DataByWidth {
+			e.u64(n)
+		}
 	}
 	e.u64(p.StackAccesses)
 	e.u32(p.MinStackAddr)
@@ -214,6 +219,9 @@ func DecodeProfile(b []byte) (*sim.Profile, error) {
 			LiteralReads: d.u64(),
 			Reads:        d.u64(),
 			Writes:       d.u64(),
+		}
+		for w := range op.DataByWidth {
+			op.DataByWidth[w] = d.u64()
 		}
 		if d.err == nil {
 			p.ByObject[name] = op

@@ -2,9 +2,11 @@ package store_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -435,6 +437,13 @@ func TestProgramKeySensitivity(t *testing.T) {
 	}
 
 	base := store.ProgramKey(p2)
+	// The placement-independence mark changes how a result is computed,
+	// never the result, so it leaves the key alone.
+	p2.PlacementIndependent = !p2.PlacementIndependent
+	if store.ProgramKey(p2) != base {
+		t.Error("the placement-independence mark changed the key")
+	}
+	p2.PlacementIndependent = !p2.PlacementIndependent
 	p2.Objects[0].Data[0] ^= 0xFF
 	if store.ProgramKey(p2) == base {
 		t.Error("flipping an object byte did not change the key")
@@ -549,4 +558,71 @@ func TestGCPolicy(t *testing.T) {
 	if removed, _, err = s.GCPolicy(time.Now(), store.Policy{MaxBytes: 1 << 30, MaxAge: 24 * time.Hour}); err != nil || removed != 0 {
 		t.Fatalf("no-op GC removed %d (err %v)", removed, err)
 	}
+}
+
+// TestProfileWidthsRoundTrip: the per-width data access counts survive the
+// profile codec.
+func TestProfileWidthsRoundTrip(t *testing.T) {
+	_, _, prof, _, _ := artifacts(t)
+	if prof.ByObject["a"].DataByWidth[2] == 0 {
+		t.Fatal("profile recorded no word accesses to a")
+	}
+	got, err := store.DecodeProfile(store.EncodeProfile(prof))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, op := range prof.ByObject {
+		if got.ByObject[name].DataByWidth != op.DataByWidth {
+			t.Errorf("%s: widths %v decoded as %v", name, op.DataByWidth, got.ByObject[name].DataByWidth)
+		}
+	}
+}
+
+// TestProfileOldOrTruncatedIsMiss: a profile payload in the encoding
+// without per-width counts, or cut short anywhere, decodes as an error
+// (which LoadProfile reports as a miss), never as a profile or a panic.
+func TestProfileOldOrTruncatedIsMiss(t *testing.T) {
+	_, _, prof, _, _ := artifacts(t)
+	cur := store.EncodeProfile(prof)
+	for n := 0; n < len(cur); n++ {
+		if _, err := store.DecodeProfile(cur[:n]); err == nil {
+			t.Fatalf("profile truncated to %d of %d bytes decoded", n, len(cur))
+		}
+	}
+	if _, err := store.DecodeProfile(oldProfileEncoding(prof)); err == nil {
+		t.Error("profile in the encoding without per-width counts decoded")
+	}
+}
+
+// oldProfileEncoding encodes prof in the layout stored under the profile
+// key before per-width counts: per object its name and four counters,
+// then the stack fields and the run's scalars.
+func oldProfileEncoding(p *sim.Profile) []byte {
+	var b []byte
+	u32 := func(v uint32) { b = binary.LittleEndian.AppendUint32(b, v) }
+	u64 := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
+	names := make([]string, 0, len(p.ByObject))
+	for name := range p.ByObject {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	u32(uint32(len(names)))
+	for _, name := range names {
+		op := p.ByObject[name]
+		u32(uint32(len(name)))
+		b = append(b, name...)
+		u64(op.Fetches)
+		u64(op.LiteralReads)
+		u64(op.Reads)
+		u64(op.Writes)
+	}
+	u64(p.StackAccesses)
+	u32(p.MinStackAddr)
+	b = append(b, 1)
+	u64(p.Result.Cycles)
+	u64(p.Result.Instrs)
+	u64(p.Result.CacheHits)
+	u64(p.Result.CacheMisses)
+	u32(p.Result.ExitCode)
+	return b
 }

@@ -4,57 +4,14 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/cc"
 	"repro/internal/link"
 	"repro/internal/sim"
+	"repro/internal/testgen"
 )
-
-// genLoopProgram emits a random but always-terminating MiniC program with
-// data-dependent control flow inside bounded loops, exercising the whole
-// pipeline: compiler, flow facts, IPET and (optionally) cache analysis.
-func genLoopProgram(rng *rand.Rand) string {
-	n := 8 + rng.Intn(24) // array length
-	iters := 5 + rng.Intn(40)
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "int tbl[%d] = {", n)
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		fmt.Fprintf(&sb, "%d", rng.Intn(2001)-1000)
-	}
-	sb.WriteString("};\n")
-	fmt.Fprintf(&sb, "int bias = %d;\n", rng.Intn(100))
-	sb.WriteString(`
-int mix(int a, int b) {
-    int r = a ^ (b << 1);
-    if (r < 0) r = -r;
-    return r + bias;
-}
-`)
-	sb.WriteString("int main() {\n    int acc = 0;\n")
-	fmt.Fprintf(&sb, "    for (int i = 0; i < %d; i += 1) {\n", iters)
-	fmt.Fprintf(&sb, "        int v = tbl[i %% %d];\n", n)
-	switch rng.Intn(3) {
-	case 0:
-		fmt.Fprintf(&sb, "        if (v > %d) acc += mix(v, i); else acc -= v;\n", rng.Intn(500)-250)
-	case 1:
-		sb.WriteString("        if (v % 3 == 0) acc += v; else if (v % 3 == 1) acc -= v; else acc ^= v;\n")
-	default:
-		fmt.Fprintf(&sb, "        acc += v > acc ? mix(v, acc & 15) : (v - acc) %% 97;\n")
-	}
-	// Occasionally add a nested bounded inner loop.
-	if rng.Intn(2) == 0 {
-		inner := 2 + rng.Intn(6)
-		fmt.Fprintf(&sb, "        for (int j = 0; j < %d; j += 1) acc += tbl[j %% %d] & 7;\n", inner, n)
-	}
-	sb.WriteString("    }\n    return acc;\n}\n")
-	return sb.String()
-}
 
 // TestFuzzSoundnessAcrossConfigs: for random programs and every memory
 // configuration, the WCET bound must cover the simulation, the program
@@ -67,7 +24,7 @@ func TestFuzzSoundnessAcrossConfigs(t *testing.T) {
 	rng := rand.New(rand.NewSource(20050307))
 	const trials = 12
 	for trial := 0; trial < trials; trial++ {
-		src := genLoopProgram(rng)
+		src := testgen.LoopProgram(rng)
 		prog, err := cc.Compile(src)
 		if err != nil {
 			t.Fatalf("trial %d: compile: %v\n%s", trial, err, src)
