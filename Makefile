@@ -1,15 +1,23 @@
 GO ?= go
 
-.PHONY: check ci fmt vet build test test-race bench bench-json bench-smoke bench-diff perfbench-smoke wcetlab warmstore smoke
+.PHONY: check ci fmt vet build test test-race fuzz-smoke bench bench-json bench-smoke bench-diff perfbench-smoke wcetlab warmstore smoke
 
 # Tier-1 verification plus formatting/lint gates.
 check: fmt vet build test
 
 # What .github/workflows/ci.yml runs: check with the race detector on,
-# plus the single-iteration benchmark smoke (validated JSON), the
-# benchmark module's build and tests, the warm-store determinism check
-# and the serve smoke test.
-ci: fmt vet build test-race bench-smoke perfbench-smoke warmstore smoke
+# plus a short fuzzing run of the simplex kernel against its reference,
+# the single-iteration benchmark smoke (validated JSON), the benchmark
+# module's build and tests, the warm-store determinism check and the
+# serve smoke test.
+ci: fmt vet build test-race fuzz-smoke bench-smoke perfbench-smoke warmstore smoke
+
+# Ten seconds of native fuzzing: the simplex kernel must match the dense
+# reference tableau (internal/lp/ref_test.go) on generated programs. The
+# checked-in seed corpus (internal/lp/testdata/fuzz) replays in every
+# plain `go test`; this target searches beyond it.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz=FuzzSolveMatchesReference -fuzztime=10s ./internal/lp
 
 # The CI benchmark gate: one pass over every benchmark, output validated
 # by cmd/jsoncheck against the BENCH_local.json schema.

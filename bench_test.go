@@ -12,12 +12,14 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/benchprog"
 	"repro/internal/cache"
 	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/link"
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/wcet"
@@ -416,6 +418,57 @@ func BenchmarkParetoFrontCold(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkEpsilonKnapsack measures the branch & bound ε-knapsack of the
+// Pareto scan on its own: alloc.KnapsackBudget over each benchmark's
+// bi-objective candidates (energy benefit as the objective, savings on
+// the empty scratchpad's WCET witness as the ε-weights) at every paper
+// capacity, with ε fixed at half the largest witness saving that fits.
+// It reports the search's nodes and simplex pivots per op.
+func BenchmarkEpsilonKnapsack(b *testing.B) {
+	ctx := context.Background()
+	type instance struct {
+		items     []alloc.Item
+		weights   []float64
+		capacity  uint32
+		minWeight float64
+	}
+	var insts []instance
+	for _, name := range []string{"G.721", "ADPCM", "MultiSort"} {
+		l := labFor(b, name)
+		for _, size := range core.PaperSizes {
+			res, err := l.Pipe.Analyze(ctx, size, nil, wcet.Options{Witness: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ev := alloc.Evidence{Profile: l.Profile, Witness: res.Witness}
+			items, weights := alloc.CandidatesBi(l.Prog, ev, alloc.EnergyObjective{Model: l.Model}, alloc.WCETObjective{}, size)
+			savings := make([]alloc.Item, len(items))
+			for i, it := range items {
+				savings[i] = alloc.Item{Name: it.Name, Size: it.Size, Benefit: weights[i]}
+			}
+			most, err := alloc.KnapsackDP(savings, size)
+			if err != nil {
+				b.Fatal(err)
+			}
+			insts = append(insts, instance{items, weights, size, most.Benefit / 2})
+		}
+	}
+	nodes := obs.Default.Counter("wcetlab_ilp_nodes_total", "")
+	pivots := obs.Default.Counter("wcetlab_lp_pivots_total", "", "mode", "cold")
+	nodes0, pivots0 := nodes.Value(), pivots.Value()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, in := range insts {
+			if _, err := alloc.KnapsackBudget(ctx, in.items, in.capacity, in.weights, in.minWeight); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(nodes.Value()-nodes0)/float64(b.N), "nodes/op")
+	b.ReportMetric(float64(pivots.Value()-pivots0)/float64(b.N), "pivots/op")
 }
 
 // BenchmarkSweepMemoized re-runs the full sweep against warm artifact

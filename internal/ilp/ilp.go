@@ -9,6 +9,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"repro/internal/lp"
 	"repro/internal/obs"
@@ -71,38 +73,86 @@ type Options struct {
 	HasIncumbent bool
 }
 
-// Solve runs best-first branch & bound (maximisation).
+// solveHook, when set, is shown every program SolveOpts is asked to
+// solve. It is a test seam: tests capture the programs real sweeps build.
+var solveHook func(*Problem, Options)
+
+// Solve runs depth-first branch & bound (maximisation): the open nodes
+// form a stack, and of each branching's two children the one that rounds
+// the branch variable up is explored first.
 func Solve(p *Problem) (Solution, error) { return SolveOpts(p, Options{}) }
 
 // SolveOpts is Solve with warm-start options.
 func SolveOpts(p *Problem, o Options) (Solution, error) {
-	incumbent := Solution{Status: lp.Infeasible, Obj: math.Inf(-1)}
-	type node struct {
-		prob *lp.Problem
-		root bool
+	if solveHook != nil {
+		solveHook(p, o)
 	}
-	stack := []node{{prob: p.LP.Clone(), root: true}}
-	nodes := 0
+	s, nodes, err := solve(p, o)
 	mSolves.Inc()
-	defer func() { mNodes.Add(uint64(nodes)) }()
+	mNodes.Add(uint64(nodes))
+	return s, err
+}
+
+// workspaces recycles simplex workspaces between solves. A solve holds
+// one for its whole search, so no workspace is used by two goroutines.
+var workspaces = sync.Pool{New: func() any { return new(lp.Workspace) }}
+
+// solve is SolveOpts reporting the nodes it explored. A node's
+// constraints are the root program's followed by the bound rows on its
+// path, oldest first: the order that copying the parent's program and
+// appending one row would give. Bound rows live in one arena, each linked
+// to its predecessor on the path, so branching copies nothing; a node's
+// constraint list is assembled in one reused buffer when it is solved.
+// Bound rows on one variable share one unit coefficient vector.
+func solve(p *Problem, o Options) (Solution, int, error) {
+	incumbent := Solution{Status: lp.Infeasible, Obj: math.Inf(-1)}
+	type bound struct {
+		row  lp.Constraint
+		prev int // the previous bound row on the path, or -1
+	}
+	type node struct {
+		last  int // the node's last bound row, or -1 at the root
+		depth int // bound rows on the path
+	}
+	nv := p.LP.NumVars
+	ws := workspaces.Get().(*lp.Workspace)
+	defer workspaces.Put(ws)
+	var (
+		bounds []bound
+		cons   []lp.Constraint // the solved node's constraints
+		units  [][]float64
+	)
+	relax := lp.Problem{NumVars: nv, Objective: p.LP.Objective}
+	stack := []node{{last: -1}}
+	nodes := 0
 	for len(stack) > 0 {
 		nodes++
 		if nodes > MaxNodes {
-			return incumbent, fmt.Errorf("ilp: node limit %d exceeded", MaxNodes)
+			return incumbent, nodes, fmt.Errorf("ilp: node limit %d exceeded", MaxNodes)
 		}
 		nd := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		var rel lp.Solution
-		if nd.root && o.Root != nil {
-			rel = o.Root.SolveObjective(nd.prob.Objective)
+		if nd.last < 0 && o.Root != nil {
+			rel = ws.SolveObjective(o.Root, p.LP.Objective)
 		} else {
-			rel = lp.Solve(nd.prob)
+			k := len(p.LP.Cons) + nd.depth
+			cons = slices.Grow(cons[:0], k)[:k]
+			copy(cons, p.LP.Cons)
+			for i := nd.last; i >= 0; i = bounds[i].prev {
+				k--
+				cons[k] = bounds[i].row
+			}
+			relax.Cons = cons
+			rel = ws.Solve(&relax)
 		}
 		switch rel.Status {
 		case lp.Infeasible:
 			continue
 		case lp.Unbounded:
-			return Solution{}, fmt.Errorf("ilp: relaxation unbounded")
+			return Solution{}, nodes, fmt.Errorf("ilp: relaxation unbounded")
+		case lp.IterationLimit:
+			return Solution{}, nodes, fmt.Errorf("ilp: relaxation hit the simplex iteration limit")
 		}
 		if rel.Obj <= incumbent.Obj+intTol && incumbent.Status == lp.Optimal {
 			continue // bound: cannot beat the incumbent
@@ -113,7 +163,7 @@ func SolveOpts(p *Problem, o Options) (Solution, error) {
 		// Find the most fractional integral variable.
 		branch := -1
 		worst := intTol
-		for i := 0; i < nd.prob.NumVars; i++ {
+		for i := 0; i < nv; i++ {
 			if !p.integral(i) {
 				continue
 			}
@@ -126,12 +176,10 @@ func SolveOpts(p *Problem, o Options) (Solution, error) {
 		if branch < 0 {
 			// Integral solution.
 			if rel.Obj > incumbent.Obj {
-				x := make([]float64, len(rel.X))
-				for i, v := range rel.X {
+				x := rel.X
+				for i, v := range x {
 					if p.integral(i) {
 						x[i] = math.Round(v)
-					} else {
-						x[i] = v
 					}
 				}
 				incumbent = Solution{Status: lp.Optimal, X: x, Obj: rel.Obj}
@@ -140,20 +188,21 @@ func SolveOpts(p *Problem, o Options) (Solution, error) {
 		}
 		v := rel.X[branch]
 		lo, hi := math.Floor(v), math.Ceil(v)
-		le := nd.prob.Clone()
-		le.AddConstraint(unit(nd.prob.NumVars, branch), lp.LE, lo)
-		ge := nd.prob.Clone()
-		ge.AddConstraint(unit(nd.prob.NumVars, branch), lp.GE, hi)
-		stack = append(stack, node{prob: le}, node{prob: ge})
+		if units == nil {
+			units = make([][]float64, nv)
+		}
+		if units[branch] == nil {
+			units[branch] = make([]float64, branch+1)
+			units[branch][branch] = 1
+		}
+		bounds = append(bounds,
+			bound{row: lp.Constraint{Coef: units[branch], Rel: lp.LE, RHS: lo}, prev: nd.last},
+			bound{row: lp.Constraint{Coef: units[branch], Rel: lp.GE, RHS: hi}, prev: nd.last})
+		le, ge := len(bounds)-2, len(bounds)-1
+		stack = append(stack, node{last: le, depth: nd.depth + 1}, node{last: ge, depth: nd.depth + 1})
 	}
 	if incumbent.Status != lp.Optimal {
-		return incumbent, ErrInfeasible
+		return incumbent, nodes, ErrInfeasible
 	}
-	return incumbent, nil
-}
-
-func unit(n, i int) []float64 {
-	c := make([]float64, n)
-	c[i] = 1
-	return c
+	return incumbent, nodes, nil
 }

@@ -1,13 +1,26 @@
-// Package lp implements a dense two-phase primal simplex solver for linear
-// programs in the form
+// Package lp solves linear programs in the form
 //
-//	maximise  c·x   subject to  A·x {<=,=,>=} b,  x >= 0.
+//	maximise  c·x   subject to  A·x {<=,=,>=} b,  x >= 0
 //
-// It is the optimisation substrate for the scratchpad knapsack allocation
-// (the paper solves it with a commercial ILP solver) and for the IPET path
-// analysis in the WCET tool. Problems in this repository are small (tens to
-// hundreds of variables), so a dense tableau with Bland's anti-cycling rule
-// is entirely adequate.
+// with the two-phase primal simplex method under Bland's anti-cycling
+// rule. It is the optimisation substrate for the scratchpad knapsack
+// allocation (the paper solves it with a commercial ILP solver) and for
+// the IPET path analysis in the WCET tool, both reached through the
+// branch & bound search of internal/ilp.
+//
+// The kernel keeps a tableau in one flat row-major slice: the constraint
+// rows, then the reduced-cost row, each ending in its right-hand side.
+// Tableaux are built in a Workspace, so a branch & bound search reuses one
+// arena for every node it solves. A pivot scales the pivot row once,
+// records its nonzero columns and updates the other rows only there.
+// Since x − f·0 == x, that is exactly the full dense update: every pivot,
+// every nonzero value and every comparison is the same, and zeros differ
+// at most in sign.
+//
+// The dense tableau the kernel replaced is kept verbatim in ref_test.go as
+// its oracle. TestSolveMatchesReference and FuzzSolveMatchesReference hold
+// Solve and Prepare+SolveObjective to it: the same status, bitwise-equal
+// solutions and the same number of pivots.
 package lp
 
 import (
@@ -80,9 +93,16 @@ const (
 	Optimal Status = iota
 	Infeasible
 	Unbounded
+	// IterationLimit reports that a simplex phase gave up after
+	// iterationCap pivots without reaching an answer. Bland's rule cannot
+	// cycle, so this is a numerical failure, not a property of the
+	// problem: neither infeasible nor unbounded.
+	IterationLimit
 )
 
-func (s Status) String() string { return [...]string{"optimal", "infeasible", "unbounded"}[s] }
+func (s Status) String() string {
+	return [...]string{"optimal", "infeasible", "unbounded", "iteration limit"}[s]
+}
 
 // Solution is the result of solving a Problem.
 type Solution struct {
@@ -95,67 +115,94 @@ type Solution struct {
 
 const eps = 1e-9
 
-// tableau is the dense simplex tableau. Row 0..m-1 are constraints with the
-// RHS in the last column; the objective row is stored separately.
+// iterationCap bounds the pivots of one simplex phase. It is a variable
+// only so tests can lower it.
+var iterationCap = 50000
+
+// tableau is the simplex tableau, stored flat and row-major with stride
+// w = n+1: rows 0..m-1 are the constraints and row m is the reduced-cost
+// row (for maximisation); column n holds each row's right-hand side, and
+// the reduced-cost row's column n the (negated) objective constant.
 type tableau struct {
-	m, n   int // constraint rows, total columns (excluding RHS)
-	nv     int // decision variables (columns 0..nv-1)
-	a      [][]float64
-	rhs    []float64
-	obj    []float64 // reduced-cost row (for maximisation)
-	objC   float64   // objective constant
-	basis  []int     // basic variable of each row
+	m, n   int       // constraint rows, total columns (excluding the RHS)
+	nv     int       // decision variables (columns 0..nv-1)
+	art    int       // first artificial column (artificials are art..n-1)
+	w      int       // row stride, n+1
+	a      []float64 // (m+1)·w entries
+	basis  []int     // basic variable of each constraint row
+	nz     []int     // scratch: nonzero columns of the current pivot row
 	pivots int       // pivot operations performed on this tableau
 }
 
-// clone deep-copies the tableau so a Prepared base can be re-solved many
-// times. The pivot counter restarts at zero: each re-solve reports only its
-// own phase-2 effort.
-func (t *tableau) clone() *tableau {
-	c := &tableau{
-		m: t.m, n: t.n, nv: t.nv,
-		a:     make([][]float64, t.m),
-		rhs:   append([]float64(nil), t.rhs...),
-		obj:   append([]float64(nil), t.obj...),
-		objC:  t.objC,
-		basis: append([]int(nil), t.basis...),
-	}
-	for i, row := range t.a {
-		c.a[i] = append([]float64(nil), row...)
-	}
-	return c
+// Workspace is the memory the simplex kernel builds its tableaux in. The
+// zero value is ready to use. Reusing one Workspace across solves, as the
+// branch & bound search does across its nodes, allocates the tableau's
+// storage once rather than per solve. A Workspace must not be shared
+// between goroutines.
+type Workspace struct {
+	t tableau
 }
 
+// row returns constraint row i (i == m is the reduced-cost row), RHS
+// included.
+func (t *tableau) row(i int) []float64 { return t.a[i*t.w : (i+1)*t.w : (i+1)*t.w] }
+
+// reset shapes the tableau as m constraint rows over n columns, all zero,
+// reusing its storage when it is large enough. Storage grows to twice the
+// size asked for, since branch & bound asks for a row and a column or two
+// more with every level it descends.
+func (t *tableau) reset(m, n, nv, art int) {
+	t.m, t.n, t.nv, t.art, t.w, t.pivots = m, n, nv, art, n+1, 0
+	size := (m + 1) * (n + 1)
+	if cap(t.a) < size {
+		t.a = make([]float64, size, 2*size)
+	} else {
+		t.a = t.a[:size]
+		clear(t.a)
+	}
+	if cap(t.basis) < m {
+		t.basis = make([]int, m, 2*m)
+	}
+	t.basis = t.basis[:m]
+}
+
+// load makes t a copy of base, whose pivot count it does not inherit:
+// each re-solve reports only its own phase-2 effort.
+func (t *tableau) load(base *tableau) {
+	t.m, t.n, t.nv, t.art, t.w, t.pivots = base.m, base.n, base.nv, base.art, base.w, 0
+	t.a = append(t.a[:0], base.a...)
+	t.basis = append(t.basis[:0], base.basis...)
+}
+
+// pivot makes col basic in row. The pivot row is scaled once and its
+// nonzero columns recorded; every other row, the reduced-cost row
+// included, is updated only in those columns, which is the dense update
+// without its x − f·0 terms.
 func (t *tableau) pivot(row, col int) {
 	t.pivots++
-	p := t.a[row][col]
-	inv := 1 / p
-	for j := 0; j < t.n; j++ {
-		t.a[row][j] *= inv
+	w := t.w
+	pr := t.row(row)
+	inv := 1 / pr[col]
+	nz := t.nz[:0]
+	for j, v := range pr {
+		if v != 0 {
+			pr[j] = v * inv
+			nz = append(nz, j)
+		}
 	}
-	t.rhs[row] *= inv
-	t.a[row][col] = 1
-	for i := 0; i < t.m; i++ {
-		if i == row {
+	pr[col] = 1
+	t.nz = nz
+	// Walk column col down the rows.
+	for k := col; k < len(t.a); k += w {
+		f := t.a[k]
+		if f == 0 || k == row*w+col {
 			continue
 		}
-		f := t.a[i][col]
-		if f == 0 {
-			continue
+		r := t.a[k-col : k-col+w]
+		for _, j := range nz {
+			r[j] -= f * pr[j]
 		}
-		for j := 0; j < t.n; j++ {
-			t.a[i][j] -= f * t.a[row][j]
-		}
-		t.rhs[i] -= f * t.rhs[row]
-		t.a[i][col] = 0
-	}
-	f := t.obj[col]
-	if f != 0 {
-		for j := 0; j < t.n; j++ {
-			t.obj[j] -= f * t.a[row][j]
-		}
-		t.objC -= f * t.rhs[row]
-		t.obj[col] = 0
+		r[col] = 0
 	}
 	t.basis[row] = col
 }
@@ -163,14 +210,14 @@ func (t *tableau) pivot(row, col int) {
 // iterate runs primal simplex until optimality or unboundedness, using
 // Bland's rule (smallest index) to prevent cycling.
 func (t *tableau) iterate() Status {
+	obj := t.row(t.m)[:t.n]
 	for iter := 0; ; iter++ {
-		if iter > 50000 {
-			// Defensive limit; with Bland's rule this should not trigger.
-			return Unbounded
+		if iter > iterationCap {
+			return IterationLimit
 		}
 		col := -1
-		for j := 0; j < t.n; j++ {
-			if t.obj[j] > eps {
+		for j, v := range obj {
+			if v > eps {
 				col = j
 				break
 			}
@@ -180,9 +227,9 @@ func (t *tableau) iterate() Status {
 		}
 		row := -1
 		best := math.Inf(1)
-		for i := 0; i < t.m; i++ {
-			if t.a[i][col] > eps {
-				ratio := t.rhs[i] / t.a[i][col]
+		for i, k := 0, col; i < t.m; i, k = i+1, k+t.w {
+			if v := t.a[k]; v > eps {
+				ratio := t.a[k-col+t.n] / v
 				if ratio < best-eps || (ratio < best+eps && (row < 0 || t.basis[i] < t.basis[row])) {
 					best = ratio
 					row = i
@@ -197,10 +244,15 @@ func (t *tableau) iterate() Status {
 }
 
 // Solve solves the problem with the two-phase simplex method.
-func Solve(p *Problem) Solution {
+func Solve(p *Problem) Solution { return new(Workspace).Solve(p) }
+
+// Solve solves the problem with the two-phase simplex method, building
+// its tableau in the workspace. The solution does not refer to the
+// workspace, so it outlives the next solve.
+func (ws *Workspace) Solve(p *Problem) Solution {
 	mSolvesCold.Inc()
-	t, st := newTableau(p)
-	if st != Optimal {
+	t := &ws.t
+	if st := t.build(p); st != Optimal {
 		return Solution{Status: st}
 	}
 	sol := t.solveObjective(p.Objective)
@@ -208,28 +260,21 @@ func Solve(p *Problem) Solution {
 	return sol
 }
 
-// newTableau builds the simplex tableau for p's constraints and runs
-// phase 1 (feasibility). The returned tableau depends only on p.NumVars and
-// p.Cons — never on p.Objective — so it can be re-solved under any
-// objective with solveObjective. A non-Optimal status means the constraints
-// are infeasible and the tableau is nil.
-func newTableau(p *Problem) (*tableau, Status) {
+// build shapes the tableau for p's constraints and runs phase 1
+// (feasibility). The result depends only on p.NumVars and p.Cons — never
+// on p.Objective — so it can be re-solved under any objective with
+// solveObjective. A non-Optimal status means the constraints are
+// infeasible (or phase 1 hit the iteration cap) and the tableau is unusable.
+func (t *tableau) build(p *Problem) Status {
 	m := len(p.Cons)
 	nv := p.NumVars
-
-	coef := func(c Constraint, j int) float64 {
-		if j < len(c.Coef) {
-			return c.Coef[j]
-		}
-		return 0
-	}
 
 	// Count slack and artificial columns.
 	nSlack := 0
 	nArt := 0
 	for _, c := range p.Cons {
-		rel, rhs := c.Rel, c.RHS
-		if rhs < 0 { // normalised below: flips the relation
+		rel := c.Rel
+		if c.RHS < 0 { // normalised below: flips the relation
 			rel = flip(rel)
 		}
 		switch rel {
@@ -243,139 +288,130 @@ func newTableau(p *Problem) (*tableau, Status) {
 		}
 	}
 	n := nv + nSlack + nArt
-	t := &tableau{
-		m: m, n: n, nv: nv,
-		a:     make([][]float64, m),
-		rhs:   make([]float64, m),
-		obj:   make([]float64, n),
-		basis: make([]int, m),
-	}
-	artCols := make([]int, 0, nArt)
-	slackCur, artCur := nv, nv+nSlack
+	art := nv + nSlack
+	t.reset(m, n, nv, art)
+	slackCur, artCur := nv, art
 	for i, c := range p.Cons {
-		t.a[i] = make([]float64, n)
+		r := t.row(i)
 		sign := 1.0
 		rel := c.Rel
 		if c.RHS < 0 {
 			sign = -1
 			rel = flip(rel)
 		}
-		for j := 0; j < nv; j++ {
-			t.a[i][j] = sign * coef(c, j)
+		for j := 0; j < nv && j < len(c.Coef); j++ {
+			r[j] = sign * c.Coef[j]
 		}
-		t.rhs[i] = sign * c.RHS
+		r[n] = sign * c.RHS
 		switch rel {
 		case LE:
-			t.a[i][slackCur] = 1
+			r[slackCur] = 1
 			t.basis[i] = slackCur
 			slackCur++
 		case GE:
-			t.a[i][slackCur] = -1
+			r[slackCur] = -1
 			slackCur++
-			t.a[i][artCur] = 1
+			r[artCur] = 1
 			t.basis[i] = artCur
-			artCols = append(artCols, artCur)
 			artCur++
 		case EQ:
-			t.a[i][artCur] = 1
+			r[artCur] = 1
 			t.basis[i] = artCur
-			artCols = append(artCols, artCur)
 			artCur++
 		}
+	}
+	if nArt == 0 {
+		return Optimal
 	}
 
 	// Phase 1: maximise -(sum of artificials).
-	if len(artCols) > 0 {
-		isArt := make([]bool, n)
-		for _, j := range artCols {
-			isArt[j] = true
-			t.obj[j] = -1
-		}
-		// Price out the artificial basis.
-		for i := 0; i < t.m; i++ {
-			if isArt[t.basis[i]] {
-				for j := 0; j < t.n; j++ {
-					t.obj[j] += t.a[i][j]
-				}
-				t.objC += t.rhs[i]
-				t.obj[t.basis[i]] = 0
+	obj := t.row(m)
+	for j := art; j < n; j++ {
+		obj[j] = -1
+	}
+	// Price out the artificial basis.
+	for i := 0; i < m; i++ {
+		if b := t.basis[i]; b >= art {
+			for j, v := range t.row(i) {
+				obj[j] += v
 			}
-		}
-		if st := t.iterate(); st == Unbounded {
-			return nil, Infeasible
-		}
-		// objC tracks the negated objective, so a positive residual means
-		// some artificial variable is still non-zero: infeasible.
-		if t.objC > 1e-6 {
-			return nil, Infeasible
-		}
-		// Drive remaining artificials out of the basis where possible.
-		for i := 0; i < t.m; i++ {
-			if !isArt[t.basis[i]] {
-				continue
-			}
-			pivoted := false
-			for j := 0; j < nv+nSlack; j++ {
-				if math.Abs(t.a[i][j]) > eps {
-					t.pivot(i, j)
-					pivoted = true
-					break
-				}
-			}
-			if !pivoted && math.Abs(t.rhs[i]) > 1e-6 {
-				return nil, Infeasible
-			}
-		}
-		// Forbid artificials from re-entering: zero their columns.
-		for _, j := range artCols {
-			for i := 0; i < t.m; i++ {
-				t.a[i][j] = 0
-			}
+			obj[b] = 0
 		}
 	}
-	return t, Optimal
+	switch t.iterate() {
+	case Unbounded:
+		return Infeasible
+	case IterationLimit:
+		return IterationLimit
+	}
+	// obj[n] tracks the negated objective, so a positive residual means
+	// some artificial variable is still non-zero: infeasible.
+	if obj[n] > 1e-6 {
+		return Infeasible
+	}
+	// Drive remaining artificials out of the basis where possible.
+	for i := 0; i < m; i++ {
+		if t.basis[i] < art {
+			continue
+		}
+		r := t.row(i)
+		pivoted := false
+		for j := 0; j < art; j++ {
+			if math.Abs(r[j]) > eps {
+				t.pivot(i, j)
+				pivoted = true
+				break
+			}
+		}
+		if !pivoted && math.Abs(r[n]) > 1e-6 {
+			return Infeasible
+		}
+	}
+	// Forbid artificials from re-entering: zero their columns.
+	for i := 0; i < m; i++ {
+		clear(t.row(i)[art:n])
+	}
+	return Optimal
 }
 
 // solveObjective runs phase 2 of the simplex method on a phase-1-feasible
 // tableau under the given (maximisation) objective and extracts the
-// solution. It mutates the tableau, so warm-start callers must clone first.
+// solution. It mutates the tableau, so warm-start callers load a copy.
 func (t *tableau) solveObjective(objective []float64) Solution {
 	nv := t.nv
 	// Phase 2: the real objective.
-	for j := range t.obj {
-		t.obj[j] = 0
-	}
-	t.objC = 0
+	obj := t.row(t.m)
+	clear(obj)
 	for j := 0; j < nv && j < len(objective); j++ {
-		t.obj[j] = objective[j]
+		obj[j] = objective[j]
 	}
 	// Price out basic variables.
 	for i := 0; i < t.m; i++ {
 		b := t.basis[i]
-		f := t.obj[b]
-		if f != 0 {
-			for j := 0; j < t.n; j++ {
-				t.obj[j] -= f * t.a[i][j]
+		if f := obj[b]; f != 0 {
+			for j, v := range t.row(i) {
+				if v != 0 {
+					obj[j] -= f * v
+				}
 			}
-			t.objC -= f * t.rhs[i]
-			t.obj[b] = 0
+			obj[b] = 0
 		}
 	}
-	if st := t.iterate(); st == Unbounded {
-		return Solution{Status: Unbounded}
+	if st := t.iterate(); st != Optimal {
+		return Solution{Status: st}
 	}
 
 	x := make([]float64, nv)
 	for i := 0; i < t.m; i++ {
-		if t.basis[i] < nv {
-			x[t.basis[i]] = t.rhs[i]
+		if b := t.basis[i]; b < nv {
+			x[b] = t.a[i*t.w+t.n]
 		}
 	}
-	obj := 0.0
+	val := 0.0
 	for j := 0; j < nv && j < len(objective); j++ {
-		obj += objective[j] * x[j]
+		val += objective[j] * x[j]
 	}
-	return Solution{Status: Optimal, X: x, Obj: obj}
+	return Solution{Status: Optimal, X: x, Obj: val}
 }
 
 // Prepared is a phase-1-solved constraint skeleton: the feasibility work of
@@ -383,7 +419,7 @@ func (t *tableau) solveObjective(objective []float64) Solution {
 // IPET analysis warm-starts re-priced solves — the flow constraints of a
 // function never change across placements, only the cost row does.
 //
-// SolveObjective clones the base tableau and runs phase 2 from it, which by
+// SolveObjective copies the base tableau and runs phase 2 from it, which by
 // construction performs the exact pivot sequence a cold Solve would after
 // its own phase 1 — so results are bit-identical to Solve, just cheaper.
 type Prepared struct {
@@ -394,12 +430,14 @@ type Prepared struct {
 // Prepare runs phase 1 on p's constraints (the objective is ignored) and
 // captures the resulting tableau. The phase-1 pivots count as cold work.
 func Prepare(p *Problem) *Prepared {
-	t, st := newTableau(p)
-	if st != Optimal {
+	var ws Workspace
+	if st := ws.t.build(p); st != Optimal {
 		return &Prepared{status: st}
 	}
-	mPivotsCold.Add(uint64(t.pivots))
-	return &Prepared{base: t, status: st}
+	mPivotsCold.Add(uint64(ws.t.pivots))
+	base := new(tableau)
+	base.load(&ws.t) // sized exactly: Prepared tableaux are long-lived
+	return &Prepared{base: base, status: Optimal}
 }
 
 // NumVars reports the decision-variable count of the prepared problem, or 0
@@ -415,11 +453,18 @@ func (pr *Prepared) NumVars() int {
 // constraints. The base tableau is never mutated after Prepare, so
 // concurrent calls on one Prepared are safe.
 func (pr *Prepared) SolveObjective(objective []float64) Solution {
+	return new(Workspace).SolveObjective(pr, objective)
+}
+
+// SolveObjective is Prepared.SolveObjective with the copy of the base
+// tableau made in the workspace.
+func (ws *Workspace) SolveObjective(pr *Prepared, objective []float64) Solution {
 	mSolvesWarm.Inc()
 	if pr.status != Optimal {
 		return Solution{Status: pr.status}
 	}
-	t := pr.base.clone()
+	t := &ws.t
+	t.load(pr.base)
 	sol := t.solveObjective(objective)
 	mPivotsWarm.Add(uint64(t.pivots))
 	return sol
@@ -433,16 +478,6 @@ func flip(r Rel) Rel {
 		return LE
 	}
 	return EQ
-}
-
-// Clone deep-copies the problem (used by the branch & bound search).
-func (p *Problem) Clone() *Problem {
-	q := &Problem{NumVars: p.NumVars, Objective: append([]float64(nil), p.Objective...)}
-	q.Cons = make([]Constraint, len(p.Cons))
-	for i, c := range p.Cons {
-		q.Cons[i] = Constraint{Coef: append([]float64(nil), c.Coef...), Rel: c.Rel, RHS: c.RHS}
-	}
-	return q
 }
 
 // String renders the problem for debugging.
