@@ -104,7 +104,7 @@ func (EnergyObjective) NeedsWitness() bool { return false }
 // Benefit is the energy saved per program run by placing the unit in the
 // scratchpad.
 func (ob EnergyObjective) Benefit(ev Evidence, o *obj.Object) float64 {
-	return ob.Model.ObjectBenefit(o, ev.Profile.ByObject[o.Name])
+	return ob.Model.ObjectBenefit(ev.Profile.ByObject[o.Name])
 }
 
 // WCETObjective prices a unit by the worst-case cycles its witness
@@ -132,7 +132,7 @@ func (WCETObjective) Benefit(ev Evidence, o *obj.Object) float64 {
 	if ac == nil {
 		return 0
 	}
-	return float64(ac.SPMCycleBenefit())
+	return float64(ac.Saving())
 }
 
 // Candidates builds the knapsack items for one program under one

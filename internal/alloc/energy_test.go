@@ -1,8 +1,8 @@
-// Package spm_test pins the paper's energy-directed scratchpad allocation
-// (Steinke et al., DATE 2002): internal/alloc's Steinke knapsack over a
-// typical-input profile, solved by the branch & bound ILP and by dynamic
-// programming. The directory holds only these tests.
-package spm_test
+package alloc_test
+
+// The paper's energy-directed scratchpad allocation (Steinke et al., DATE
+// 2002): the Steinke knapsack over a typical-input profile, solved by the
+// branch & bound ILP and by dynamic programming.
 
 import (
 	"math"
@@ -48,13 +48,13 @@ func profileOf(t *testing.T, src string) (*obj.Program, *sim.Profile) {
 	return prog, prof
 }
 
-// allocate solves the energy knapsack with the branch & bound ILP solver.
-func allocate(prog *obj.Program, prof *sim.Profile, capacity uint32, m energy.Model) (*alloc.Allocation, error) {
+// allocateEnergy solves the energy knapsack with the branch & bound ILP solver.
+func allocateEnergy(prog *obj.Program, prof *sim.Profile, capacity uint32, m energy.Model) (*alloc.Allocation, error) {
 	return alloc.Knapsack(candidates(prog, prof, m, capacity), capacity)
 }
 
-// allocateDP solves the energy knapsack exactly by dynamic programming.
-func allocateDP(prog *obj.Program, prof *sim.Profile, capacity uint32, m energy.Model) (*alloc.Allocation, error) {
+// allocateEnergyDP solves the energy knapsack exactly by dynamic programming.
+func allocateEnergyDP(prog *obj.Program, prof *sim.Profile, capacity uint32, m energy.Model) (*alloc.Allocation, error) {
 	return alloc.KnapsackDP(candidates(prog, prof, m, capacity), capacity)
 }
 
@@ -69,7 +69,7 @@ func TestHotObjectsPreferred(t *testing.T) {
 	hotFn := prog.Object("hot").Size()
 	hotData := prog.Object("hot_data").Size()
 	capacity := hotFn + hotData + 64
-	a, err := allocate(prog, prof, capacity, m)
+	a, err := allocateEnergy(prog, prof, capacity, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +88,11 @@ func TestILPAgreesWithDP(t *testing.T) {
 	prog, prof := profileOf(t, hotColdProgram)
 	m := energy.Default()
 	for _, capacity := range []uint32{64, 128, 256, 512, 1024, 2048, 4096, 8192} {
-		ilpA, err := allocate(prog, prof, capacity, m)
+		ilpA, err := allocateEnergy(prog, prof, capacity, m)
 		if err != nil {
 			t.Fatalf("capacity %d: ilp: %v", capacity, err)
 		}
-		dpA, err := allocateDP(prog, prof, capacity, m)
+		dpA, err := allocateEnergyDP(prog, prof, capacity, m)
 		if err != nil {
 			t.Fatalf("capacity %d: dp: %v", capacity, err)
 		}
@@ -108,7 +108,7 @@ func TestBenefitMonotoneInCapacity(t *testing.T) {
 	m := energy.Default()
 	last := -1.0
 	for _, capacity := range []uint32{64, 128, 256, 512, 1024, 2048, 4096, 8192} {
-		a, err := allocateDP(prog, prof, capacity, m)
+		a, err := allocateEnergyDP(prog, prof, capacity, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestBenefitMonotoneInCapacity(t *testing.T) {
 
 func TestZeroCapacityAllocatesNothing(t *testing.T) {
 	prog, prof := profileOf(t, hotColdProgram)
-	a, err := allocate(prog, prof, 0, energy.Default())
+	a, err := allocateEnergy(prog, prof, 0, energy.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestAllocatedProgramStillCorrectAndFaster(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, capacity := range []uint32{256, 1024, 8192} {
-		a, err := allocate(prog, prof, capacity, energy.Default())
+		a, err := allocateEnergy(prog, prof, capacity, energy.Default())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +177,7 @@ func TestProgramEnergyDecreasesWithAllocation(t *testing.T) {
 	prog, prof := profileOf(t, hotColdProgram)
 	m := energy.Default()
 	e0 := m.ProgramEnergy(prog, prof, nil)
-	a, err := allocateDP(prog, prof, 8192, m)
+	a, err := allocateEnergyDP(prog, prof, 8192, m)
 	if err != nil {
 		t.Fatal(err)
 	}

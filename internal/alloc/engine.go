@@ -330,17 +330,16 @@ func HotRegions(ctx context.Context, p *pipeline.Pipeline, w *wcet.Witness, capa
 			}
 			// Worst-case fetch cycles recoverable by serving the region's
 			// address range from the scratchpad.
-			var benefit int64
+			var fetches mem.Accesses
 			for _, b := range f.Blocks {
 				if b.Start < f.Addr+lo || b.Start >= f.Addr+hi || b.Index >= len(counts) {
 					continue
 				}
-				var halfwords uint64
 				for _, ci := range b.Instrs {
-					halfwords += uint64(ci.Size / 2)
+					fetches.Fetches += counts[b.Index] * uint64(ci.Size/2)
 				}
-				benefit += int64(counts[b.Index]*halfwords) * int64(mem.MainHalfCycles-mem.SPMCycles)
 			}
+			benefit := int64(fetches.Saving())
 			if benefit <= 0 {
 				continue
 			}

@@ -1,4 +1,4 @@
-package wcetalloc_test
+package alloc_test
 
 // Block-granularity bound dominance: on every benchmark × paper capacity
 // the block-granularity WCET-directed bound must be ≤ the whole-object

@@ -1,8 +1,8 @@
-// Package wcetalloc_test pins WCET-directed scratchpad allocation: the
-// fixpoint of internal/alloc under the witness-priced objective, its
-// knapsack solvers, seeding and tie-breaking, and its block granularity.
-// The directory holds only these tests.
-package wcetalloc_test
+package alloc_test
+
+// WCET-directed scratchpad allocation: the fixpoint under the
+// witness-priced objective, its knapsack solvers, seeding and
+// tie-breaking (block granularity is in granularity_test.go).
 
 import (
 	"context"

@@ -297,11 +297,11 @@ func TestProfileAttributesAccesses(t *testing.T) {
 		t.Fatal(err)
 	}
 	gp := prof.ByObject["g"]
-	if gp.Reads != 1 || gp.Writes != 1 {
-		t.Fatalf("g profile = %+v, want 1 read 1 write", gp)
+	if gp.Data != [3]uint64{2: 2} {
+		t.Fatalf("g profile = %+v, want 2 word accesses (1 read, 1 write)", gp)
 	}
 	mp := prof.ByObject["main"]
-	if mp.Fetches == 0 || mp.LiteralReads != 1 {
-		t.Fatalf("main profile = %+v, want fetches > 0 and 1 literal read", mp)
+	if mp.Fetches == 0 || mp.Data != [3]uint64{2: 1} {
+		t.Fatalf("main profile = %+v, want fetches > 0 and 1 literal word read", mp)
 	}
 }

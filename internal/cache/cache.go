@@ -182,7 +182,7 @@ func (c *Cache) Write(addr uint32, size uint8) int {
 		w.lru = c.clock
 	}
 	if size == 4 {
-		return 4 // MainWordCycles; kept literal to avoid an import cycle
+		return 4 // mem.MainCost; literals avoid an import cycle, mem's tests pin them
 	}
 	return 2
 }

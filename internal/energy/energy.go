@@ -15,6 +15,7 @@ package energy
 import (
 	"fmt"
 
+	"repro/internal/mem"
 	"repro/internal/obj"
 	"repro/internal/sim"
 )
@@ -68,18 +69,15 @@ func (m Model) MainAccess(width uint8) float64 {
 func (m Model) SaveBenefit(width uint8) float64 { return m.MainAccess(width) - m.SPM }
 
 // ObjectBenefit returns the total energy saved per program run by placing
-// the object in the scratchpad, given its access profile: instruction
-// fetches are 16-bit, literal-pool reads 32-bit, and data accesses use the
-// object's element width. This is the knapsack benefit function of the
+// an object with the given accesses in the scratchpad: every access saves
+// the main-memory energy of the width the bus carried (fetches are 16-bit)
+// less the scratchpad's. This is the knapsack benefit function of the
 // paper's static allocation (Steinke et al. DATE 2002).
-func (m Model) ObjectBenefit(o *obj.Object, p *sim.ObjectProfile) float64 {
-	if p == nil {
+func (m Model) ObjectBenefit(a *mem.Accesses) float64 {
+	if a == nil {
 		return 0
 	}
-	if o.Kind == obj.Code {
-		return float64(p.Fetches)*m.SaveBenefit(2) + float64(p.LiteralReads)*m.SaveBenefit(4)
-	}
-	return float64(p.Reads+p.Writes) * m.SaveBenefit(o.ElemWidth)
+	return perAccess(a, m.SaveBenefit)
 }
 
 // ProgramEnergy estimates whole-program energy for a profile, given which
@@ -89,19 +87,27 @@ func (m Model) ProgramEnergy(prog *obj.Program, prof *sim.Profile, inSPM map[str
 	total := float64(prof.Result.Instrs) * m.CPUInstr
 	total += float64(prof.StackAccesses) * m.MainAccess(4)
 	for _, o := range prog.Objects {
-		p := prof.ByObject[o.Name]
-		if p == nil {
+		a := prof.ByObject[o.Name]
+		if a == nil {
 			continue
 		}
 		if inSPM[o.Name] {
-			total += float64(p.Total()) * m.SPM
+			total += float64(a.Total()) * m.SPM
 			continue
 		}
-		if o.Kind == obj.Code {
-			total += float64(p.Fetches)*m.MainAccess(2) + float64(p.LiteralReads)*m.MainAccess(4)
-		} else {
-			total += float64(p.Reads+p.Writes) * m.MainAccess(o.ElemWidth)
-		}
+		total += perAccess(a, m.MainAccess)
 	}
 	return total
+}
+
+// perAccess sums n·energy(width) over the vector: the halfword fetches
+// first, then the data accesses by ascending width. The order is fixed
+// because the modelled energies in the golden outputs depend on it bit for
+// bit.
+func perAccess(a *mem.Accesses, energy func(width uint8) float64) float64 {
+	e := float64(a.Fetches) * energy(2)
+	for i, n := range a.Data {
+		e += float64(n) * energy(1<<i)
+	}
+	return e
 }

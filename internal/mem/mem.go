@@ -14,6 +14,7 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/cache"
 )
@@ -31,11 +32,61 @@ const (
 // MainCost returns the main-memory access cost for an access of the given
 // width in bytes (Table 1).
 func MainCost(width uint8) int {
-	if width == 4 {
+	switch width {
+	case 4:
 		return MainWordCycles
+	case 1:
+		return MainByteCycles
 	}
 	return MainHalfCycles
 }
+
+// Accesses is one memory object's access vector: its halfword instruction
+// fetches and its data accesses by width. The profile, the WCET witness
+// and the allocation objectives all count accesses in it, and Cycles is
+// the one place such counts are priced.
+type Accesses struct {
+	Fetches uint64
+	// Data counts data accesses by width: [0] bytes, [1] halfwords, [2]
+	// words.
+	Data [3]uint64
+}
+
+// Add counts n data accesses of the given width (1, 2 or 4 bytes).
+func (a *Accesses) Add(width uint8, n uint64) {
+	a.Data[bits.TrailingZeros8(width)] += n
+}
+
+// AddScaled adds n times b's counts to a.
+func (a *Accesses) AddScaled(b *Accesses, n uint64) {
+	a.Fetches += n * b.Fetches
+	for i, c := range b.Data {
+		a.Data[i] += n * c
+	}
+}
+
+// Total returns the number of accesses.
+func (a *Accesses) Total() uint64 {
+	return a.Fetches + a.Data[0] + a.Data[1] + a.Data[2]
+}
+
+// Cycles returns what the accesses cost when served from the scratchpad
+// (spm) or from cache-less main memory (Table 1): a fetch is a halfword
+// access, a data access costs the price of its width.
+func (a *Accesses) Cycles(spm bool) uint64 {
+	if spm {
+		return a.Total() * SPMCycles
+	}
+	c := a.Fetches * uint64(MainCost(2))
+	for i, n := range a.Data {
+		c += n * uint64(MainCost(1<<i))
+	}
+	return c
+}
+
+// Saving returns the cycles the accesses save when served from the
+// scratchpad instead of cache-less main memory.
+func (a *Accesses) Saving() uint64 { return a.Cycles(false) - a.Cycles(true) }
 
 // Segment is a contiguous backed address range.
 type Segment struct {

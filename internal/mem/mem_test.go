@@ -49,6 +49,70 @@ func TestTable1Costs(t *testing.T) {
 	}
 }
 
+// TestAccessesPriceMatchesSystem pins the access vector's price table to
+// the simulator: one access of each width, and one instruction fetch, costs
+// what System.Read and System.Write charge for it on either memory side.
+func TestAccessesPriceMatchesSystem(t *testing.T) {
+	m := sys(1024)
+	for _, side := range []struct {
+		spm  bool
+		addr uint32
+	}{{true, 0x10}, {false, 0x20000}} {
+		for _, width := range []uint8{1, 2, 4} {
+			var a Accesses
+			a.Add(width, 1)
+			_, rcyc, err := m.Read(side.addr, width, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wcyc, err := m.Write(side.addr, width, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := a.Cycles(side.spm); got != uint64(rcyc) || got != uint64(wcyc) {
+				t.Errorf("spm=%v width %d: vector prices %d, read costs %d, write %d", side.spm, width, got, rcyc, wcyc)
+			}
+		}
+		fetch := Accesses{Fetches: 1}
+		_, fcyc, err := m.Read(side.addr, 2, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fetch.Cycles(side.spm); got != uint64(fcyc) {
+			t.Errorf("spm=%v: vector prices a fetch %d, the fetch costs %d", side.spm, got, fcyc)
+		}
+	}
+}
+
+// TestCacheWriteCostIsMainCost: the cache's write-through costs, written as
+// literals there to avoid an import cycle, equal MainCost at every width.
+func TestCacheWriteCostIsMainCost(t *testing.T) {
+	c, err := cache.New(cache.Config{Size: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, width := range []uint8{1, 2, 4} {
+		if got := c.Write(0x10000, width); got != MainCost(width) {
+			t.Errorf("width %d: cache write costs %d, MainCost %d", width, got, MainCost(width))
+		}
+	}
+}
+
+// TestAccessesArithmetic: Total, AddScaled and Saving agree with counting
+// and pricing the accesses one by one.
+func TestAccessesArithmetic(t *testing.T) {
+	b := Accesses{Fetches: 3, Data: [3]uint64{1, 2, 5}}
+	var a Accesses
+	a.AddScaled(&b, 4)
+	if a != (Accesses{Fetches: 12, Data: [3]uint64{4, 8, 20}}) || a.Total() != 44 {
+		t.Fatalf("4 × %+v = %+v (total %d)", b, a, a.Total())
+	}
+	main := 12*MainHalfCycles + 4*MainByteCycles + 8*MainHalfCycles + 20*MainWordCycles
+	if a.Cycles(false) != uint64(main) || a.Saving() != uint64(main-44*SPMCycles) {
+		t.Errorf("main cycles %d, saving %d; want %d, %d", a.Cycles(false), a.Saving(), main, main-44*SPMCycles)
+	}
+}
+
 func TestReadWriteRoundTrip(t *testing.T) {
 	m := sys(256)
 	for _, tc := range []struct {

@@ -277,10 +277,10 @@ func NewNamed(prog *obj.Program, bench string) *Pipeline {
 	return p
 }
 
-// profileStageKey is the profile's store key. The "/v2" marks the encoding
-// with per-width data access counts, so a profile stored in an earlier
-// encoding is never decoded as a current one.
-const profileStageKey = "profile/v2"
+// profileStageKey is the profile's store key. The "/v3" marks the encoding
+// as one access vector per object (fetches, then data by width), so a
+// profile stored in an earlier encoding is never decoded as a current one.
+const profileStageKey = "profile/v3"
 
 // SetStore attaches (or, with nil, detaches) the on-disk artifact store as
 // the second cache tier. Attach before first use so cold stages are served

@@ -5,13 +5,11 @@ package sim
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/arm"
 	"repro/internal/cache"
 	"repro/internal/link"
 	"repro/internal/mem"
-	"repro/internal/obj"
 	"repro/internal/obs"
 )
 
@@ -81,45 +79,12 @@ func Run(exe *link.Executable, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// ObjectProfile aggregates the accesses hitting one memory object during a
-// profiling run.
-type ObjectProfile struct {
-	// Fetches counts instruction fetches (16-bit accesses) within the
-	// object (code objects only).
-	Fetches uint64
-	// LiteralReads counts 32-bit data reads within a code object (literal
-	// pool accesses).
-	LiteralReads uint64
-	// Reads and Writes count data accesses to data objects.
-	Reads  uint64
-	Writes uint64
-	// DataByWidth counts the object's data accesses (literal reads, reads
-	// and writes) by their observed width: [0] bytes, [1] halfwords, [2]
-	// words. A data object need not be accessed at its element width.
-	DataByWidth [3]uint64
-}
-
-// SPMSaving returns the cycles the object's accesses save when it sits in
-// the scratchpad rather than in cache-less main memory: every access
-// costs MainCost of its width there and SPMCycles here (Table 1).
-// Instruction fetches are halfwords.
-func (p *ObjectProfile) SPMSaving() uint64 {
-	s := p.Fetches * uint64(mem.MainCost(2)-mem.SPMCycles)
-	for i, n := range p.DataByWidth {
-		s += n * uint64(mem.MainCost(1<<i)-mem.SPMCycles)
-	}
-	return s
-}
-
-// Total returns the total access count.
-func (p *ObjectProfile) Total() uint64 {
-	return p.Fetches + p.LiteralReads + p.Reads + p.Writes
-}
-
 // Profile is a per-object access profile from a typical-input run.
 type Profile struct {
-	// ByObject maps object name to its access counts.
-	ByObject map[string]*ObjectProfile
+	// ByObject maps object name to its access counts: fetches, and data
+	// accesses (literal-pool reads included) by the width they were made
+	// at, which need not be a data object's element width.
+	ByObject map[string]*mem.Accesses
 	// StackAccesses counts accesses that fell into the stack region.
 	StackAccesses uint64
 	// MinStackAddr is the lowest stack address touched (== link.StackTop if
@@ -140,17 +105,17 @@ func (p *Profile) ObservedStackDepth() uint32 { return link.StackTop - p.MinStac
 // frequencies" to drive the knapsack allocation.
 func CollectProfile(exe *link.Executable, opts Options) (*Profile, error) {
 	prof := &Profile{
-		ByObject:     make(map[string]*ObjectProfile, len(exe.Placements)),
+		ByObject:     make(map[string]*mem.Accesses, len(exe.Placements)),
 		MinStackAddr: link.StackTop,
 	}
 	for _, pl := range exe.Placements {
-		prof.ByObject[pl.Obj.Name] = &ObjectProfile{}
+		prof.ByObject[pl.Obj.Name] = &mem.Accesses{}
 	}
 	prev := opts.OnAccess
 	// Consecutive accesses mostly hit the same object, so the last
 	// placement and its counters are checked before the address search.
 	var lastPl *link.Placement
-	var lastOp *ObjectProfile
+	var lastOp *mem.Accesses
 	opts.OnAccess = func(a mem.Access) {
 		if prev != nil {
 			prev(a)
@@ -172,16 +137,8 @@ func CollectProfile(exe *link.Executable, opts Options) (*Profile, error) {
 		}
 		if a.Fetch {
 			op.Fetches++
-			return
-		}
-		op.DataByWidth[bits.TrailingZeros8(a.Size)]++ // sizes 1, 2, 4 → 0, 1, 2
-		switch {
-		case pl.Obj.Kind == obj.Code:
-			op.LiteralReads++
-		case a.Write:
-			op.Writes++
-		default:
-			op.Reads++
+		} else {
+			op.Add(a.Size, 1)
 		}
 	}
 	res, err := Run(exe, opts)
@@ -195,7 +152,7 @@ func CollectProfile(exe *link.Executable, opts Options) (*Profile, error) {
 // Retime returns the result of running exe, a cache-less placement of the
 // program base was profiled on, without simulating it. Scratchpad timing
 // is a fixed price per access, so a run that makes the profiled accesses
-// takes base's cycles minus the SPMSaving of every object exe places in
+// takes base's cycles minus the Saving of every object exe places in
 // the scratchpad. That holds only for a program whose accesses do not
 // depend on where its objects are placed (obj.Program's
 // PlacementIndependent). The result has base's instruction count and exit
@@ -204,7 +161,7 @@ func Retime(base *Profile, exe *link.Executable) *Result {
 	res := &Result{Cycles: base.Result.Cycles, Instrs: base.Result.Instrs, ExitCode: base.Result.ExitCode}
 	for _, pl := range exe.Placements {
 		if op := base.ByObject[pl.Obj.Name]; pl.InSPM && op != nil {
-			res.Cycles -= op.SPMSaving()
+			res.Cycles -= op.Saving()
 		}
 	}
 	return res

@@ -91,22 +91,19 @@ func TestProfileAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	hot := prof.ByObject["hot"]
-	if hot == nil || hot.Reads != 80 {
-		t.Fatalf("hot profile = %+v, want 80 reads", hot)
-	}
-	if hot.Writes != 1 {
-		t.Errorf("hot writes = %d, want 1", hot.Writes)
+	if hot == nil || hot.Data != [3]uint64{2: 81} {
+		t.Fatalf("hot profile = %+v, want 81 word accesses (80 reads, 1 write)", hot)
 	}
 	cs := prof.ByObject["cold_scalar"]
-	if cs.Reads != 1 || cs.Writes != 0 {
-		t.Errorf("cold_scalar profile = %+v, want 1 read", cs)
+	if cs.Data != [3]uint64{2: 1} {
+		t.Errorf("cold_scalar profile = %+v, want 1 word read", cs)
 	}
 	work := prof.ByObject["work"]
 	if work.Fetches == 0 {
 		t.Error("work has no fetches")
 	}
 	mainP := prof.ByObject["main"]
-	if mainP.LiteralReads == 0 {
+	if mainP.Data[2] == 0 {
 		t.Error("main should read its literal pool (global addresses)")
 	}
 	if prof.StackAccesses == 0 {
@@ -213,24 +210,26 @@ int main() {
 `
 
 // TestProfileDataByWidth: data accesses are counted by the width they were
-// made at, and the per-width counts add up to the per-kind counts.
+// made at, and every access is attributed to an object or the stack.
 func TestProfileDataByWidth(t *testing.T) {
-	prof, err := CollectProfile(exeFor(t, widthProgram, 0, nil), Options{})
+	var accesses uint64
+	prof, err := CollectProfile(exeFor(t, widthProgram, 0, nil), Options{OnAccess: func(mem.Access) { accesses++ }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, slot := range map[string]int{"c": 0, "h": 1, "w": 2} {
-		op := prof.ByObject[name]
-		var want [3]uint64
-		want[slot] = op.Reads + op.Writes
-		if want[slot] == 0 || op.DataByWidth != want {
-			t.Errorf("%s: by width %v, want %v", name, op.DataByWidth, want)
+	// 24 iterations read c[i] and h[i] and write and read w[i]; h[1] is
+	// written once more at the end.
+	for name, want := range map[string][3]uint64{"c": {24, 0, 0}, "h": {0, 25, 0}, "w": {0, 0, 48}} {
+		if got := prof.ByObject[name].Data; got != want {
+			t.Errorf("%s: by width %v, want %v", name, got, want)
 		}
 	}
-	for name, op := range prof.ByObject {
-		if got := op.DataByWidth[0] + op.DataByWidth[1] + op.DataByWidth[2]; got != op.LiteralReads+op.Reads+op.Writes {
-			t.Errorf("%s: %d accesses by width, %d by kind", name, got, op.LiteralReads+op.Reads+op.Writes)
-		}
+	total := prof.StackAccesses
+	for _, a := range prof.ByObject {
+		total += a.Total()
+	}
+	if total != accesses {
+		t.Errorf("%d accesses attributed, %d made", total, accesses)
 	}
 }
 

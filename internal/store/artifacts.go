@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/mem"
 	"repro/internal/obj"
 	"repro/internal/sim"
 	"repro/internal/wcet"
@@ -181,20 +182,17 @@ func DecodeSim(b []byte) (*sim.Result, error) {
 
 // EncodeProfile serializes a typical-input access profile, including the
 // scalar fields of its underlying simulation result (everything the energy
-// model, the stack-bound derivation and sim.Retime consume). The
-// per-width data counts are part of the encoding, whose stage key the
-// pipeline versions ("profile/v2").
+// model, the stack-bound derivation and sim.Retime consume). Each object
+// is written as its access vector, fetches then data by width, under the
+// pipeline's versioned stage key ("profile/v3").
 func EncodeProfile(p *sim.Profile) []byte {
 	var e encoder
 	e.u32(uint32(len(p.ByObject)))
 	for _, name := range sortedKeys(p.ByObject) {
-		op := p.ByObject[name]
+		a := p.ByObject[name]
 		e.str(name)
-		e.u64(op.Fetches)
-		e.u64(op.LiteralReads)
-		e.u64(op.Reads)
-		e.u64(op.Writes)
-		for _, n := range op.DataByWidth {
+		e.u64(a.Fetches)
+		for _, n := range a.Data {
 			e.u64(n)
 		}
 	}
@@ -210,21 +208,16 @@ func EncodeProfile(p *sim.Profile) []byte {
 // DecodeProfile is the inverse of EncodeProfile.
 func DecodeProfile(b []byte) (*sim.Profile, error) {
 	d := &decoder{b: b}
-	p := &sim.Profile{ByObject: make(map[string]*sim.ObjectProfile)}
+	p := &sim.Profile{ByObject: make(map[string]*mem.Accesses)}
 	n := d.count()
 	for i := 0; i < n; i++ {
 		name := d.str()
-		op := &sim.ObjectProfile{
-			Fetches:      d.u64(),
-			LiteralReads: d.u64(),
-			Reads:        d.u64(),
-			Writes:       d.u64(),
-		}
-		for w := range op.DataByWidth {
-			op.DataByWidth[w] = d.u64()
+		a := &mem.Accesses{Fetches: d.u64()}
+		for w := range a.Data {
+			a.Data[w] = d.u64()
 		}
 		if d.err == nil {
-			p.ByObject[name] = op
+			p.ByObject[name] = a
 		}
 	}
 	p.StackAccesses = d.u64()
@@ -318,15 +311,19 @@ func appendWitness(e *encoder, w *wcet.Witness) {
 		ac := w.ObjectAccesses[name]
 		e.str(name)
 		e.u64(ac.Fetches)
-		widths := make([]int, 0, len(ac.Data))
-		for wd := range ac.Data {
-			widths = append(widths, int(wd))
+		// The nonzero widths in ascending order, as (width, count) pairs.
+		var widths uint32
+		for _, n := range ac.Data {
+			if n != 0 {
+				widths++
+			}
 		}
-		sort.Ints(widths)
-		e.u32(uint32(len(widths)))
-		for _, wd := range widths {
-			e.u8(uint8(wd))
-			e.u64(ac.Data[uint8(wd)])
+		e.u32(widths)
+		for i, n := range ac.Data {
+			if n != 0 {
+				e.u8(1 << i)
+				e.u64(n)
+			}
 		}
 	}
 }
@@ -336,7 +333,7 @@ func readWitness(d *decoder) *wcet.Witness {
 		FuncRuns:       make(map[string]uint64),
 		BlockCounts:    make(map[string][]uint64),
 		EdgeCounts:     make(map[string][]wcet.EdgeCount),
-		ObjectAccesses: make(map[string]*wcet.AccessCounts),
+		ObjectAccesses: make(map[string]*mem.Accesses),
 	}
 	n := d.count()
 	for i := 0; i < n; i++ {
@@ -380,16 +377,16 @@ func readWitness(d *decoder) *wcet.Witness {
 	n = d.count()
 	for i := 0; i < n; i++ {
 		name := d.str()
-		ac := &wcet.AccessCounts{Fetches: d.u64()}
+		ac := &mem.Accesses{Fetches: d.u64()}
 		m := d.count()
-		if m > 0 {
-			ac.Data = make(map[uint8]uint64, m)
-		}
 		for j := 0; j < m; j++ {
 			wd := d.u8()
 			v := d.u64()
+			if wd != 1 && wd != 2 && wd != 4 {
+				d.fail("access width %d", wd)
+			}
 			if d.err == nil {
-				ac.Data[wd] = v
+				ac.Add(wd, v)
 			}
 		}
 		if d.err == nil {

@@ -564,22 +564,22 @@ func TestGCPolicy(t *testing.T) {
 // profile codec.
 func TestProfileWidthsRoundTrip(t *testing.T) {
 	_, _, prof, _, _ := artifacts(t)
-	if prof.ByObject["a"].DataByWidth[2] == 0 {
+	if prof.ByObject["a"].Data[2] == 0 {
 		t.Fatal("profile recorded no word accesses to a")
 	}
 	got, err := store.DecodeProfile(store.EncodeProfile(prof))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, op := range prof.ByObject {
-		if got.ByObject[name].DataByWidth != op.DataByWidth {
-			t.Errorf("%s: widths %v decoded as %v", name, op.DataByWidth, got.ByObject[name].DataByWidth)
+	for name, a := range prof.ByObject {
+		if got.ByObject[name].Data != a.Data {
+			t.Errorf("%s: widths %v decoded as %v", name, a.Data, got.ByObject[name].Data)
 		}
 	}
 }
 
-// TestProfileOldOrTruncatedIsMiss: a profile payload in the encoding
-// without per-width counts, or cut short anywhere, decodes as an error
+// TestProfileOldOrTruncatedIsMiss: a profile payload in the previous
+// ("profile/v2") encoding, or cut short anywhere, decodes as an error
 // (which LoadProfile reports as a miss), never as a profile or a panic.
 func TestProfileOldOrTruncatedIsMiss(t *testing.T) {
 	_, _, prof, _, _ := artifacts(t)
@@ -589,15 +589,18 @@ func TestProfileOldOrTruncatedIsMiss(t *testing.T) {
 			t.Fatalf("profile truncated to %d of %d bytes decoded", n, len(cur))
 		}
 	}
-	if _, err := store.DecodeProfile(oldProfileEncoding(prof)); err == nil {
-		t.Error("profile in the encoding without per-width counts decoded")
+	if _, err := store.DecodeProfile(v2ProfileEncoding(prof)); err == nil {
+		t.Error("profile in the profile/v2 encoding decoded")
 	}
 }
 
-// oldProfileEncoding encodes prof in the layout stored under the profile
-// key before per-width counts: per object its name and four counters,
-// then the stack fields and the run's scalars.
-func oldProfileEncoding(p *sim.Profile) []byte {
+// v2ProfileEncoding encodes prof in the layout stored under "profile/v2":
+// per object its name, four counters (fetches, literal reads, reads,
+// writes) and the three per-width data counts, then the stack fields and
+// the run's scalars. The kind split is not recoverable from an access
+// vector, so every data access is written as a read; only the layout
+// matters here.
+func v2ProfileEncoding(p *sim.Profile) []byte {
 	var b []byte
 	u32 := func(v uint32) { b = binary.LittleEndian.AppendUint32(b, v) }
 	u64 := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
@@ -608,13 +611,16 @@ func oldProfileEncoding(p *sim.Profile) []byte {
 	sort.Strings(names)
 	u32(uint32(len(names)))
 	for _, name := range names {
-		op := p.ByObject[name]
+		a := p.ByObject[name]
 		u32(uint32(len(name)))
 		b = append(b, name...)
-		u64(op.Fetches)
-		u64(op.LiteralReads)
-		u64(op.Reads)
-		u64(op.Writes)
+		u64(a.Fetches)
+		u64(0)
+		u64(a.Total() - a.Fetches)
+		u64(0)
+		for _, n := range a.Data {
+			u64(n)
+		}
 	}
 	u64(p.StackAccesses)
 	u32(p.MinStackAddr)

@@ -99,25 +99,22 @@ type symInstr struct {
 	accs []symAcc
 }
 
-// accRef is one block's group of identical non-stack data accesses: n
-// accesses per block execution of the given width to object obj (the
-// literal pool's owner, or the hinted target). It prices the cache-less
-// cost and attributes the witness.
+// accRef is the accesses one block execution makes to one object: the
+// owner's fetches and literal-pool reads, or the data accesses to a hinted
+// target. They price the cache-less cost and attribute the witness.
 type accRef struct {
-	obj   int32
-	width uint8
-	n     int64
+	obj int32
+	acc mem.Accesses
 }
 
 // engineBlock is one basic block's layout-independent decomposition:
 //
-//	cost(b) = constCycles + stack accesses + fetches + Σ refs
+//	cost(b) = constCycles + stack accesses + Σ refs
 //
-// where, without a cache, every fetch and reference is priced by the memory
-// side its object sits on, and with one the symbolic stream is replayed
-// through the MUST transfer and cost walk. All terms are integers, so
-// recomputing from the decomposition is bit-identical to the cost model's
-// instruction walk.
+// where, without a cache, every reference is priced by the memory side its
+// object sits on, and with one the symbolic stream is replayed through the
+// MUST transfer and cost walk. All terms are integers, so recomputing from
+// the decomposition is bit-identical to the cost model's instruction walk.
 type engineBlock struct {
 	b        *cfg.Block
 	fn       *engineFunc
@@ -125,26 +122,19 @@ type engineBlock struct {
 	// constCycles is the placement- and state-independent part: internal
 	// cycles and unconditional-transfer penalties.
 	constCycles int64
-	fetchHW     int64 // halfword fetches, priced by the owning object
-	stackN      int64 // 4-byte stack accesses (the stack is never allocated)
-	refs        []accRef
-	instrs      []symInstr // cache engines only
+	stack       mem.Accesses // in main memory: the stack is never allocated
+	// refs holds one vector per object the block touches, the owner's
+	// first.
+	refs   []accRef
+	instrs []symInstr // cache engines only
 }
 
 // price is the block's cache-less cost under a layout.
 func (cb *engineBlock) price(lay []link.ObjLayout) int64 {
-	total := cb.constCycles + cb.stackN*int64(mem.MainCost(4))
-	if lay[cb.ownerIdx].InSPM {
-		total += cb.fetchHW * mem.SPMCycles
-	} else {
-		total += cb.fetchHW * mem.MainHalfCycles
-	}
-	for _, r := range cb.refs {
-		if lay[r.obj].InSPM {
-			total += r.n * mem.SPMCycles
-		} else {
-			total += r.n * int64(mem.MainCost(r.width))
-		}
+	total := cb.constCycles + int64(cb.stack.Cycles(false))
+	for i := range cb.refs {
+		r := &cb.refs[i]
+		total += int64(r.acc.Cycles(lay[r.obj].InSPM))
 	}
 	return total
 }
@@ -392,8 +382,8 @@ func NewEngine(prep *link.Prepared, opts Options) (*Engine, error) {
 
 // decompose walks one block's instructions once against the base layout,
 // splitting its cost into the layout-independent constant, the stack
-// accesses, the fetches and the grouped references (plus, for a cache
-// engine, the symbolic stream) — mirroring costModel.blockCost,
+// accesses and one access vector per object (plus, for a cache engine,
+// the symbolic stream) — mirroring costModel.blockCost,
 // instrAccesses and Witness.addAccesses. It adds the objects the block
 // reads to foot. Access-metadata violations surface here, once, instead of
 // per analysis.
@@ -402,12 +392,12 @@ func (c *Engine) decompose(f *cfg.Function, b *cfg.Block, foot map[int32]bool) (
 	if !ok {
 		return nil, fmt.Errorf("wcet: %s: block object %q not placed", f.Name, b.Obj)
 	}
-	cb := &engineBlock{b: b, ownerIdx: ownerIdx}
+	cb := &engineBlock{b: b, ownerIdx: ownerIdx, refs: []accRef{{obj: ownerIdx}}}
 	foot[ownerIdx] = true
 	ownerBase := c.prep.Base().Placements[ownerIdx].Addr
-	refIdx := make(map[accRef]int) // n zeroed: the group's index in cb.refs
+	refIdx := map[int32]int{ownerIdx: 0} // an object's index in cb.refs
 	for _, ci := range b.Instrs {
-		cb.fetchHW += int64(ci.Size / 2)
+		cb.refs[0].acc.Fetches += uint64(ci.Size / 2)
 		switch {
 		case ci.In.IsLoad():
 			cb.constCycles += arm.CyclesLoadInternal
@@ -427,23 +417,23 @@ func (c *Engine) decompose(f *cfg.Function, b *cfg.Block, foot map[int32]bool) (
 			return nil, fmt.Errorf("wcet: %s: %w", f.Name, err)
 		}
 		for _, a := range accs {
-			k := accRef{obj: a.tgt, width: a.width}
+			oi := a.tgt
 			switch a.kind {
 			case symStack:
-				cb.stackN++
+				cb.stack.Add(a.width, 1)
 				continue
 			case symLit:
 				// The literal pool travels with the owning object.
-				k.obj = ownerIdx
+				oi = ownerIdx
 			}
-			foot[k.obj] = true
-			i, seen := refIdx[k]
+			foot[oi] = true
+			i, seen := refIdx[oi]
 			if !seen {
 				i = len(cb.refs)
-				refIdx[k] = i
-				cb.refs = append(cb.refs, k)
+				refIdx[oi] = i
+				cb.refs = append(cb.refs, accRef{obj: oi})
 			}
-			cb.refs[i].n++
+			cb.refs[i].acc.Add(a.width, 1)
 		}
 		if c.shape != nil {
 			cb.instrs = append(cb.instrs, symInstr{off: ci.Addr - ownerBase, size: ci.Size, accs: accs})
@@ -455,13 +445,8 @@ func (c *Engine) decompose(f *cfg.Function, b *cfg.Block, foot map[int32]bool) (
 // addDeps registers a cache-less engine's block in the object → blocks
 // dependence index, under every object its price reads.
 func (c *Engine) addDeps(cb *engineBlock) {
-	seen := map[int32]bool{cb.ownerIdx: true}
-	c.deps[cb.ownerIdx] = append(c.deps[cb.ownerIdx], cb)
 	for _, r := range cb.refs {
-		if !seen[r.obj] {
-			seen[r.obj] = true
-			c.deps[r.obj] = append(c.deps[r.obj], cb)
-		}
+		c.deps[r.obj] = append(c.deps[r.obj], cb)
 	}
 }
 
@@ -696,14 +681,6 @@ func (c *Engine) witness() *Witness {
 		sols[name] = c.funcs[name].sol
 	}
 	w := composeWitness(c.g, c.order, c.root, sols)
-	at := func(oi int32) *AccessCounts {
-		ac := w.ObjectAccesses[c.objName[oi]]
-		if ac == nil {
-			ac = &AccessCounts{}
-			w.ObjectAccesses[c.objName[oi]] = ac
-		}
-		return ac
-	}
 	for _, name := range c.order {
 		counts := w.BlockCounts[name]
 		for _, cb := range c.funcs[name].blocks {
@@ -711,9 +688,9 @@ func (c *Engine) witness() *Witness {
 			if n == 0 {
 				continue
 			}
-			at(cb.ownerIdx).Fetches += n * uint64(cb.fetchHW)
-			for _, r := range cb.refs {
-				at(r.obj).add(r.width, n*uint64(r.n))
+			for i := range cb.refs {
+				r := &cb.refs[i]
+				w.accesses(c.objName[r.obj]).AddScaled(&r.acc, n)
 			}
 		}
 	}

@@ -28,8 +28,10 @@ type Witness struct {
 	EdgeCounts map[string][]EdgeCount
 	// ObjectAccesses maps a memory object to the worst-case number of
 	// accesses it serves (instruction fetches and data accesses by width).
+	// Literal-pool reads count against their function's object, since the
+	// pool moves with the function (a folded BL pair fetches twice).
 	// Stack accesses belong to no object and are not counted.
-	ObjectAccesses map[string]*AccessCounts
+	ObjectAccesses map[string]*mem.Accesses
 }
 
 // EdgeCount is the worst-case traversal count of one CFG edge.
@@ -37,36 +39,6 @@ type EdgeCount struct {
 	From, To int
 	Taken    bool
 	Count    uint64
-}
-
-// AccessCounts aggregates the worst-case accesses one memory object serves.
-type AccessCounts struct {
-	// Fetches is the number of halfword instruction fetches (code objects;
-	// a folded BL pair fetches twice).
-	Fetches uint64
-	// Data counts data accesses by width in bytes (1, 2 or 4). Literal-pool
-	// reads count here (width 4) against their function's object, since the
-	// pool moves with the function.
-	Data map[uint8]uint64
-}
-
-func (a *AccessCounts) add(width uint8, n uint64) {
-	if a.Data == nil {
-		a.Data = make(map[uint8]uint64, 3)
-	}
-	a.Data[width] += n
-}
-
-// SPMCycleBenefit returns the worst-case cycles saved per program run by
-// serving all of these accesses from the scratchpad instead of main memory.
-// It mirrors costModel exactly: each fetch drops from the halfword cost to
-// the single scratchpad cycle, each data access from its width cost.
-func (a *AccessCounts) SPMCycleBenefit() int64 {
-	total := int64(a.Fetches) * int64(mem.MainHalfCycles-mem.SPMCycles)
-	for width, n := range a.Data {
-		total += int64(n) * int64(mem.MainCost(width)-mem.SPMCycles)
-	}
-	return total
 }
 
 // ObjectRank is one entry of TopObjects: a memory object with its
@@ -87,11 +59,7 @@ type ObjectRank struct {
 func (w *Witness) TopObjects(n int) []ObjectRank {
 	rows := make([]ObjectRank, 0, len(w.ObjectAccesses))
 	for name, ac := range w.ObjectAccesses {
-		var data uint64
-		for _, c := range ac.Data {
-			data += c
-		}
-		rows = append(rows, ObjectRank{Name: name, Fetches: ac.Fetches, Data: data, Benefit: ac.SPMCycleBenefit()})
+		rows = append(rows, ObjectRank{Name: name, Fetches: ac.Fetches, Data: ac.Total() - ac.Fetches, Benefit: int64(ac.Saving())})
 	}
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].Benefit != rows[j].Benefit {
@@ -164,7 +132,7 @@ func composeWitness(g *cfg.Graph, order []string, root string, sols map[string]*
 		FuncRuns:       make(map[string]uint64, len(order)),
 		BlockCounts:    make(map[string][]uint64, len(order)),
 		EdgeCounts:     make(map[string][]EdgeCount, len(order)),
-		ObjectAccesses: make(map[string]*AccessCounts),
+		ObjectAccesses: make(map[string]*mem.Accesses),
 	}
 	w.FuncRuns[root] = 1
 	for i := len(order) - 1; i >= 0; i-- {
@@ -219,11 +187,7 @@ func (w *Witness) addAccesses(exe *link.Executable, f *cfg.Function, counts []ui
 		if n == 0 {
 			continue
 		}
-		ac := w.ObjectAccesses[b.Obj]
-		if ac == nil {
-			ac = &AccessCounts{}
-			w.ObjectAccesses[b.Obj] = ac
-		}
+		ac := w.accesses(b.Obj)
 		for _, ci := range b.Instrs {
 			ac.Fetches += n * uint64(ci.Size/2)
 			das, err := instrAccesses(exe, ci, stackLo)
@@ -239,14 +203,20 @@ func (w *Witness) addAccesses(exe *link.Executable, f *cfg.Function, counts []ui
 				if pl == nil {
 					continue // stack region: not an allocatable object
 				}
-				tac := w.ObjectAccesses[pl.Obj.Name]
-				if tac == nil {
-					tac = &AccessCounts{}
-					w.ObjectAccesses[pl.Obj.Name] = tac
-				}
-				tac.add(da.width, n)
+				w.accesses(pl.Obj.Name).Add(da.width, n)
 			}
 		}
 	}
 	return nil
+}
+
+// accesses returns the object's access vector, adding an empty one first
+// if the witness has none.
+func (w *Witness) accesses(name string) *mem.Accesses {
+	ac := w.ObjectAccesses[name]
+	if ac == nil {
+		ac = &mem.Accesses{}
+		w.ObjectAccesses[name] = ac
+	}
+	return ac
 }
