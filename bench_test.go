@@ -11,6 +11,7 @@ package repro
 import (
 	"context"
 	"testing"
+	"time"
 
 	"repro/internal/alloc"
 	"repro/internal/benchprog"
@@ -20,6 +21,7 @@ import (
 	"repro/internal/link"
 	"repro/internal/mem"
 	"repro/internal/obs"
+	"repro/internal/pipeline"
 	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/wcet"
@@ -366,7 +368,7 @@ func BenchmarkSweepScratchpadCold(b *testing.B) {
 					b.Fatal(err)
 				}
 				st := l.Pipe.Stats()
-				executed += st.Sims - st.SimsRetimed
+				executed += st.Sims - st.SimsRetimed - st.SimsSwept
 				retimed += st.SimsRetimed
 			}
 			b.ReportMetric(float64(executed)/float64(b.N), "executed/op")
@@ -486,14 +488,31 @@ func BenchmarkSweepMemoized(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepAllBenchmarks measures the new all-benchmarks sweep behind
-// `wcetlab all`: every Table 2 benchmark swept over both branches,
-// benchmarks in parallel, each with its own artifact pipeline.
-func BenchmarkSweepAllBenchmarks(b *testing.B) {
+// BenchmarkAll is `wcetlab -store off all` without the printing: a cold,
+// store-less SweepAllBenchmarks per iteration, every Table 2 benchmark
+// swept over both branches, benchmarks in parallel, each with its own
+// artifact pipeline. Besides ns/op it reports
+// each stage's wall clock per op, summed over the benchmarks' pipelines,
+// which run in parallel, so the stages can add up to more than ns/op.
+func BenchmarkAll(b *testing.B) {
+	var total pipeline.Stats
 	for i := 0; i < b.N; i++ {
-		if _, err := core.SweepAllBenchmarks(context.Background(), 0); err != nil {
+		sweeps, err := core.SweepAllBenchmarks(context.Background(), 0)
+		if err != nil {
 			b.Fatal(err)
 		}
+		for _, s := range sweeps {
+			total.Add(s.Lab.Pipe.Stats())
+		}
+	}
+	for _, st := range []struct {
+		name string
+		d    time.Duration
+	}{
+		{"simulate", total.SimTime}, {"profile", total.ProfileTime}, {"analyse", total.AnalyzeTime},
+		{"allocate", total.AllocTime}, {"link", total.LinkTime},
+	} {
+		b.ReportMetric(float64(st.d)/float64(time.Millisecond)/float64(b.N), st.name+"-ms/op")
 	}
 }
 

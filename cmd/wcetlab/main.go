@@ -672,8 +672,8 @@ func printPipelineStats(labs []*core.Lab) {
 	}
 	fmt.Printf("\nstage wall-clock: link %.1fms, simulate %.1fms, analyse %.1fms, profile %.1fms, allocate %.1fms\n",
 		ms(total.LinkTime), ms(total.SimTime), ms(total.AnalyzeTime), ms(total.ProfileTime), ms(total.AllocTime))
-	fmt.Printf("simulations: %d executed, %d retimed from the profile\n",
-		total.Sims-total.SimsRetimed, total.SimsRetimed)
+	fmt.Printf("simulations: %d executed, %d retimed from the profile, %d swept from a shared cache pass\n",
+		total.Sims-total.SimsRetimed-total.SimsSwept, total.SimsRetimed, total.SimsSwept)
 	if artifactStore != nil {
 		fmt.Printf("artifact store: %d disk hits, %d disk misses (%s)\n",
 			total.DiskHits(), total.DiskMisses(), artifactStore.Dir())

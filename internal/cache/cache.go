@@ -12,6 +12,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Timing constants, derived from the paper's Table 1 and cache description.
@@ -81,25 +82,18 @@ func (c Config) NumSets() uint32 {
 	return c.Size / (c.LineSize * uint32(c.Assoc))
 }
 
-// way is one cache way within a set; tag-only.
-type way struct {
-	valid bool
-	tag   uint32
-	lru   uint64 // last-use stamp; larger is more recent
-}
-
 // Cache is a running cache model.
 type Cache struct {
 	cfg Config
-	// ways holds every set's ways back to back: set s is
-	// ways[s*assoc : (s+1)*assoc].
-	ways  []way
+	// tags holds every set's tags back to back, most recently used first:
+	// set s is tags[s*assoc : (s+1)*assoc]. A tag is the address bits above
+	// the set with bit 0 set, so the zero value is an invalid line and a
+	// direct-mapped lookup is one compare.
+	tags  []uint32
 	assoc uint32
 	// An address splits into tag | set | line offset. Validate guarantees
-	// power-of-two sizes, so the set is a shift and a mask, and the tag is
-	// kept in place as the address bits above the set.
+	// power-of-two sizes, so the set is a shift and a mask.
 	lineShift, setMask, tagMask uint32
-	clock                       uint64
 
 	Hits   uint64
 	Misses uint64
@@ -114,7 +108,7 @@ func New(cfg Config) (*Cache, error) {
 	sets := cfg.NumSets()
 	return &Cache{
 		cfg:       cfg,
-		ways:      make([]way, sets*uint32(cfg.Assoc)),
+		tags:      make([]uint32, sets*uint32(cfg.Assoc)),
 		assoc:     uint32(cfg.Assoc),
 		lineShift: uint32(bits.TrailingZeros32(cfg.LineSize)),
 		setMask:   sets - 1,
@@ -128,58 +122,49 @@ func (c *Cache) Config() Config { return c.cfg }
 // InstructionOnly reports whether data accesses bypass the cache.
 func (c *Cache) InstructionOnly() bool { return c.cfg.InstructionOnly }
 
-// set returns the ways of addr's set and addr's tag.
-func (c *Cache) set(addr uint32) ([]way, uint32) {
+// set returns addr's set, most recently used first, and addr's tag.
+func (c *Cache) set(addr uint32) ([]uint32, uint32) {
 	// & 31 lets the compiler drop its fixup for shifts of 32 or more.
 	base := (addr >> (c.lineShift & 31) & c.setMask) * c.assoc
-	return c.ways[base : base+c.assoc], addr & c.tagMask
+	return c.tags[base : base+c.assoc], addr&c.tagMask | 1
 }
 
-// lookup returns the way holding addr, or nil.
-func (c *Cache) lookup(addr uint32) *way {
-	ws, tag := c.set(addr)
-	for i := range ws {
-		if w := &ws[i]; w.valid && w.tag == tag {
-			return w
-		}
+// touch moves tag to the front of set, shifting the more recently used
+// tags down one place. Absent, it enters at the front and the least
+// recently used tag (or an invalid line) drops off the end. It reports
+// whether tag was present.
+func touch(set []uint32, tag uint32) bool {
+	if set[0] == tag {
+		return true
 	}
-	return nil
+	i := 1
+	for i < len(set) && set[i] != tag {
+		i++
+	}
+	hit := i < len(set)
+	copy(set[1:], set[:min(i, len(set)-1)])
+	set[0] = tag
+	return hit
 }
 
 // Read performs a read access and returns its cycle cost. A miss fills the
-// line (evicting the LRU way of the set).
+// line, evicting the least recently used line of the set.
 func (c *Cache) Read(addr uint32) int {
-	c.clock++
-	if w := c.lookup(addr); w != nil {
-		w.lru = c.clock
+	if touch(c.set(addr)) {
 		c.Hits++
 		return HitCycles
 	}
 	c.Misses++
-	ws, tag := c.set(addr)
-	victim := &ws[0]
-	for i := range ws {
-		w := &ws[i]
-		if !w.valid {
-			victim = w
-			break
-		}
-		if w.lru < victim.lru {
-			victim = w
-		}
-	}
-	*victim = way{valid: true, tag: tag, lru: c.clock}
 	return MissCycles
 }
 
 // Write performs a write-through access and returns its cycle cost: the
 // main-memory cost of the written width. No allocation happens on a write
-// miss; a write hit refreshes the line's LRU stamp (the line stays valid —
-// memory and cache are updated together).
+// miss; a write hit makes the line the set's most recently used (the line
+// stays valid — memory and cache are updated together).
 func (c *Cache) Write(addr uint32, size uint8) int {
-	c.clock++
-	if w := c.lookup(addr); w != nil {
-		w.lru = c.clock
+	if set, tag := c.set(addr); slices.Contains(set, tag) {
+		touch(set, tag)
 	}
 	if size == 4 {
 		return 4 // mem.MainCost; literals avoid an import cycle, mem's tests pin them
@@ -189,9 +174,12 @@ func (c *Cache) Write(addr uint32, size uint8) int {
 
 // Flush invalidates all lines and resets statistics.
 func (c *Cache) Flush() {
-	clear(c.ways)
-	c.clock, c.Hits, c.Misses = 0, 0, 0
+	clear(c.tags)
+	c.Hits, c.Misses = 0, 0
 }
 
 // Contains reports whether addr's line is currently cached (for tests).
-func (c *Cache) Contains(addr uint32) bool { return c.lookup(addr) != nil }
+func (c *Cache) Contains(addr uint32) bool {
+	set, tag := c.set(addr)
+	return slices.Contains(set, tag)
+}

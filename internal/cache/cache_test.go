@@ -100,6 +100,21 @@ func TestLRUReplacement(t *testing.T) {
 	}
 }
 
+// TestWriteHitRefreshesLRU: a write hit makes its line the set's most
+// recently used, so the next fill evicts the other line.
+func TestWriteHitRefreshesLRU(t *testing.T) {
+	c := mustNew(t, Config{Size: 64, Assoc: 2})
+	A, B, C := uint32(0x000), uint32(0x040), uint32(0x080)
+	c.Read(A)
+	c.Read(B)
+	c.Write(A, 4) // A most recent
+	c.Read(C)     // evicts B
+	if !c.Contains(A) || c.Contains(B) || !c.Contains(C) {
+		t.Errorf("after a write hit on A: A %v, B %v, C %v; want A and C cached",
+			c.Contains(A), c.Contains(B), c.Contains(C))
+	}
+}
+
 func TestWriteThroughNoAllocate(t *testing.T) {
 	c := mustNew(t, Config{Size: 64})
 	if cyc := c.Write(0x2000, 4); cyc != 4 {

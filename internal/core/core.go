@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 
 	"repro/internal/alloc"
@@ -298,6 +299,12 @@ func (l *Lab) measure(ctx context.Context, splits []obj.Region, spmSize uint32, 
 	if err != nil {
 		return Measurement{}, err
 	}
+	return l.measured(ctx, res, splits, spmSize, inSPM, ccfg, a)
+}
+
+// measured checks and analyses one configuration whose simulation result
+// is res.
+func (l *Lab) measured(ctx context.Context, res *sim.Result, splits []obj.Region, spmSize uint32, inSPM map[string]bool, ccfg *cache.Config, a *pipeline.Allocation) (Measurement, error) {
 	if err := l.validateExit(int32(res.ExitCode)); err != nil {
 		return Measurement{}, err
 	}
@@ -543,17 +550,42 @@ func (l *Lab) SweepScratchpadStream(ctx context.Context, emit func(Measurement) 
 
 // SweepCache measures every paper cache capacity (direct mapped).
 func (l *Lab) SweepCache(ctx context.Context) ([]Measurement, error) {
-	return sweep(ctx, l, "cache", PaperSizes, func(ctx context.Context, size uint32) (Measurement, error) {
-		return l.WithCache(ctx, size, 1)
-	})
+	return sweep(ctx, l, "cache", PaperSizes, l.cacheSweep(ctx))
 }
 
 // SweepCacheStream is SweepCache delivering each measurement to emit in
 // capacity order as soon as it is ready.
 func (l *Lab) SweepCacheStream(ctx context.Context, emit func(Measurement) error) error {
-	return sweepStream(ctx, l, "cache", PaperSizes, func(ctx context.Context, size uint32) (Measurement, error) {
-		return l.WithCache(ctx, size, 1)
-	}, func(_ int, m Measurement) error { return emit(m) })
+	return sweepStream(ctx, l, "cache", PaperSizes, l.cacheSweep(ctx),
+		func(_ int, m Measurement) error { return emit(m) })
+}
+
+// cacheSweep simulates every paper capacity of the direct-mapped cache
+// branch in one batch (Pipeline.SimulateCaches: one interpreter pass when
+// cold, none when warm) and returns the function that measures one
+// capacity from it. A capacity the batch failed on, or every capacity if
+// it panicked, is measured on its own instead, which reports the failure
+// under that capacity in its sweep cell.
+func (l *Lab) cacheSweep(ctx context.Context) func(context.Context, uint32) (Measurement, error) {
+	cfgs := make([]cache.Config, len(PaperSizes))
+	for i, size := range PaperSizes {
+		cfgs[i] = cache.Config{Size: size, Assoc: 1}
+	}
+	sims, _ := recovered(ctx, func() ([]*sim.Result, error) {
+		return l.Pipe.SimulateCaches(ctx, cfgs)
+	})
+	return func(ctx context.Context, size uint32) (Measurement, error) {
+		i := slices.Index(PaperSizes, size)
+		if sims == nil || sims[i] == nil {
+			return l.WithCache(ctx, size, 1)
+		}
+		m, err := l.measured(ctx, sims[i], nil, 0, nil, &cfgs[i], nil)
+		if err != nil {
+			return Measurement{}, err
+		}
+		m.CacheSize = size
+		return m, nil
+	}
 }
 
 // BenchmarkSweep is one benchmark's full scratchpad and cache sweep.

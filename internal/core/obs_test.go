@@ -13,11 +13,12 @@ import (
 var simRunKinds = map[string]string{
 	"wcetlab_sim_executed_total": "executed",
 	"wcetlab_sim_retimed_total":  "retimed",
+	"wcetlab_sim_swept_total":    "swept",
 }
 
 // stageRuns reads the cold-execution counters back out of the process-wide
 // registry for one benchmark, keyed by stage, plus the simulate stage's
-// "executed" and "retimed" runs.
+// "executed", "retimed" and "swept" runs.
 func stageRuns(bench string) map[string]uint64 {
 	out := map[string]uint64{}
 	for _, f := range obs.Default.Snapshot() {
@@ -58,6 +59,9 @@ func TestMetricsMirrorStats(t *testing.T) {
 	if _, err := lab.WithCache(context.Background(), 1024, 1); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := lab.SweepCache(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	st := lab.Pipe.Stats()
 	after := stageRuns("MultiSort")
 	delta := func(stage string) uint64 { return after[stage] - before[stage] }
@@ -68,17 +72,18 @@ func TestMetricsMirrorStats(t *testing.T) {
 		"analyze":  st.Analyses,
 		"alloc":    st.Allocs,
 		"profile":  st.Profiles,
-		"executed": st.Sims - st.SimsRetimed,
+		"executed": st.Sims - st.SimsRetimed - st.SimsSwept,
 		"retimed":  st.SimsRetimed,
+		"swept":    st.SimsSwept,
 	}
 	for stage, w := range want {
 		if got := delta(stage); got != w {
 			t.Errorf("registry %s runs moved by %d, Stats says %d", stage, got, w)
 		}
 	}
-	if st.SimsRetimed == 0 || st.SimsRetimed == st.Sims || st.Analyses == 0 {
-		t.Fatalf("sweep did not both retime and execute simulations and analyse (sims=%d retimed=%d analyses=%d) — test is vacuous",
-			st.Sims, st.SimsRetimed, st.Analyses)
+	if st.SimsRetimed == 0 || st.SimsSwept == 0 || st.SimsRetimed+st.SimsSwept == st.Sims || st.Analyses == 0 {
+		t.Fatalf("sweeps did not retime, sweep and execute simulations and analyse (sims=%d retimed=%d swept=%d analyses=%d) — test is vacuous",
+			st.Sims, st.SimsRetimed, st.SimsSwept, st.Analyses)
 	}
 
 	// Latency histograms must hold exactly one observation per cold run.

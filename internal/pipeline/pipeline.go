@@ -135,7 +135,9 @@ type Allocator interface {
 // pairs with a run). AnalyzeUpgrades counts re-runs of an already-analysed
 // configuration to attach a witness — the only way a configuration is ever
 // analysed twice. SimsRetimed counts the Sims computed in closed form
-// (sim.Retime) rather than by running the interpreter. The *Time fields
+// (sim.Retime), SimsSwept the Sims priced by a cache-sweep pass shared
+// with other capacities (SimulateCaches); the rest each ran the
+// interpreter. The *Time fields
 // accumulate wall clock spent in cold stage executions; AllocTime is the
 // allocators' wall clock and includes the nested stage computations a
 // solve triggers (e.g. the WCET-directed fixpoint's analyses), so it is
@@ -143,13 +145,13 @@ type Allocator interface {
 //
 // Every field is a uint64 count or a time.Duration: Add sums them all.
 type Stats struct {
-	Links, LinkHits       uint64
-	Sims, SimHits         uint64
-	SimsRetimed           uint64
-	Analyses, AnalyzeHits uint64
-	AnalyzeUpgrades       uint64
-	Profiles, ProfileHits uint64
-	Allocs, AllocHits     uint64
+	Links, LinkHits        uint64
+	Sims, SimHits          uint64
+	SimsRetimed, SimsSwept uint64
+	Analyses, AnalyzeHits  uint64
+	AnalyzeUpgrades        uint64
+	Profiles, ProfileHits  uint64
+	Allocs, AllocHits      uint64
 
 	// ContextBuilds / ContextReuses count cache-less analysis engines
 	// built cold (CFG + IPET skeletons + decomposition) vs cold analyses
@@ -231,9 +233,10 @@ type Pipeline struct {
 	engines  memo[*wcet.Engine]
 
 	upgrades, storeErrors counter
-	// simExecuted / simRetimed split the simulate stage's cold runs into
-	// interpreter runs and closed-form retimes.
-	simExecuted, simRetimed counter
+	// simExecuted / simRetimed / simSwept split the simulate stage's cold
+	// runs into interpreter runs, closed-form retimes and results priced
+	// by a shared cache-sweep pass.
+	simExecuted, simRetimed, simSwept counter
 	// reuses counts cold analyses served by an existing analysis engine,
 	// cache-less [0] and cache [1]; builds are the registered engines below.
 	reuses [2]atomic.Uint64
@@ -274,6 +277,8 @@ func NewNamed(prog *obj.Program, bench string) *Pipeline {
 		"Cold simulate-stage runs that ran the interpreter.", "bench", bench)
 	p.simRetimed.reg = obs.Default.Counter("wcetlab_sim_retimed_total",
 		"Cold simulate-stage runs computed in closed form from the profile.", "bench", bench)
+	p.simSwept.reg = obs.Default.Counter("wcetlab_sim_swept_total",
+		"Cold simulate-stage runs priced by a pass shared with other cache capacities.", "bench", bench)
 	return p
 }
 
@@ -484,6 +489,75 @@ func (p *Pipeline) SimulateUnits(ctx context.Context, regions []obj.Region, spmS
 			})
 		},
 	})
+}
+
+// SimulateCaches simulates the whole-object, scratchpad-less layout under
+// each cache configuration in cfgs. Each configuration is served memory →
+// disk → compute under its own simulate key, exactly as Simulate serves
+// it. The direct-mapped unified configurations with the first such one's
+// line size share one interpreter pass (sim.RunCaches), which runs at most
+// once per call, only if one of them misses both tiers, and is timed as
+// the first of them to compute; every other configuration runs on its
+// own. A sweep over capacities therefore costs about one run cold and
+// none warm.
+//
+// It returns one result per configuration, nil where that configuration
+// failed, and the first failure.
+func (p *Pipeline) SimulateCaches(ctx context.Context, cfgs []cache.Config) ([]*sim.Result, error) {
+	// pos[i] is cfgs[i]'s index in swept, the configurations one pass
+	// prices, or -1.
+	var swept []cache.Config
+	pos := make([]int, len(cfgs))
+	for i, c := range cfgs {
+		pos[i] = -1
+		d := c.WithDefaults()
+		if c.Validate() == nil && d.Assoc == 1 && !d.InstructionOnly &&
+			(len(swept) == 0 || d.LineSize == swept[0].WithDefaults().LineSize) {
+			pos[i] = len(swept)
+			swept = append(swept, c)
+		}
+	}
+	// The pass, run by the first configuration that computes.
+	var (
+		ran     bool
+		pass    []*sim.Result
+		passErr error
+	)
+	out := make([]*sim.Result, len(cfgs))
+	var first error
+	for i := range cfgs {
+		var err error
+		if pos[i] < 0 {
+			out[i], err = p.Simulate(ctx, 0, nil, &cfgs[i])
+		} else {
+			out[i], err = p.sim.get(ctx, p, request[*sim.Result]{
+				key: emptyPlacement + "|" + cacheKey(&cfgs[i]),
+				compute: func(ctx context.Context, timed timer[*sim.Result]) (*sim.Result, error) {
+					var exe *link.Executable
+					if !ran {
+						ran = true
+						exe, passErr = p.Link(ctx, 0, nil)
+					}
+					if passErr != nil {
+						return nil, passErr
+					}
+					p.simSwept.inc()
+					return timed(func() (*sim.Result, error) {
+						if exe != nil {
+							if pass, passErr = sim.RunCaches(exe, swept); passErr != nil {
+								return nil, passErr
+							}
+						}
+						return pass[pos[i]], nil
+					})
+				},
+			})
+		}
+		if err != nil && first == nil {
+			first = err
+		}
+	}
+	return out, first
 }
 
 // Analyze runs (memoized) the WCET analysis for one placement and analysis
@@ -748,6 +822,7 @@ func (p *Pipeline) Stats() Stats {
 	s.AnalyzeUpgrades = p.upgrades.n.Load()
 	s.StoreErrors = p.storeErrors.n.Load()
 	s.SimsRetimed = p.simRetimed.n.Load()
+	s.SimsSwept = p.simSwept.n.Load()
 	s.ContextReuses = p.reuses[0].Load()
 	s.CacheContextReuses = p.reuses[1].Load()
 

@@ -165,3 +165,71 @@ func TestServerTimeouts(t *testing.T) {
 		t.Error("server has no handler")
 	}
 }
+
+// TestServeShedsOverload: with every worker busy, requests wait up to the
+// queue bound (four per worker); a burst beyond it is answered 503 with
+// Retry-After at once, readiness reports the full queue, and the waiting
+// requests are served once the workers free up.
+func TestServeShedsOverload(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := service.New(service.Config{Store: st, Workers: 1})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	url := ts.URL + "/v1/wcet?bench=WorstCaseSort&spm=512"
+	get(t, url, http.StatusOK, nil) // build the shard: the queue then only waits
+
+	release := srv.HoldWorkers()
+	defer func() {
+		if release != nil {
+			release()
+		}
+	}()
+	const bound = 4
+	codes := make(chan int, bound)
+	for range bound {
+		go func() {
+			resp, err := http.Get(url)
+			if err != nil {
+				codes <- 0
+				return
+			}
+			resp.Body.Close()
+			codes <- resp.StatusCode
+		}()
+	}
+	for deadline := time.Now().Add(10 * time.Second); srv.Queued() < bound; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d requests queued, want %d", srv.Queued(), bound)
+		}
+	}
+	// Without shedding these would wait for the held workers; the client
+	// timeout turns that into a failure instead of a hang.
+	client := &http.Client{Timeout: 10 * time.Second}
+	for range 3 {
+		resp, err := client.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+			t.Errorf("request beyond the queue bound: status %d, Retry-After %q; want 503 with Retry-After",
+				resp.StatusCode, resp.Header.Get("Retry-After"))
+		}
+	}
+	var notReady struct{ Reasons []string }
+	get(t, ts.URL+"/v1/readyz", http.StatusServiceUnavailable, &notReady)
+	if !strings.Contains(strings.Join(notReady.Reasons, ";"), "queue depth 4 at bound 4") {
+		t.Errorf("readyz reasons %v missing the full queue", notReady.Reasons)
+	}
+
+	release()
+	release = nil
+	for range bound {
+		if c := <-codes; c != http.StatusOK {
+			t.Errorf("queued request answered %d, want 200", c)
+		}
+	}
+}

@@ -8,10 +8,12 @@
 // first computation instead of repeating it).
 //
 // A bounded worker pool caps concurrently served measurement requests;
-// waiters honour request cancellation. With a store attached, everything a
-// request computes persists, so answers survive restarts and are shared
-// with CLI runs against the same store; a periodic GC (Config.GCInterval
-// plus the store's retention policy) keeps long-running servers bounded.
+// waiters honour request cancellation, and once four pools' worth of
+// requests wait, further ones are shed with 503 and Retry-After. With a
+// store attached, everything a request computes persists, so answers
+// survive restarts and are shared with CLI runs against the same store; a
+// periodic GC (Config.GCInterval plus the store's retention policy) keeps
+// long-running servers bounded.
 //
 // # API
 //
@@ -107,7 +109,8 @@ type Config struct {
 	Store *store.Store
 	// Workers bounds concurrently served measurement requests (0 means
 	// GOMAXPROCS). Requests beyond the bound wait, honouring their
-	// context's cancellation.
+	// context's cancellation, up to four times Workers waiting; the
+	// rest are answered 503 with Retry-After.
 	Workers int
 	// LabWorkers bounds each shard's sweep worker pool (0 = GOMAXPROCS).
 	LabWorkers int
@@ -134,6 +137,8 @@ type Server struct {
 
 	start  time.Time
 	warmed atomic.Bool
+	// queued counts this server's requests waiting for a worker slot.
+	queued atomic.Int64
 
 	requests, failures atomic.Uint64
 
@@ -370,9 +375,9 @@ func (s *Server) sampleStore() {
 	}
 }
 
-// queueBound is the readiness bound on queued requests: four full worker
-// pools already waiting means new traffic would sit far behind current
-// work, so readiness probes should steer it elsewhere.
+// queueBound is the bound on queued requests: four full worker pools
+// already waiting means new traffic would sit far behind current work, so
+// readiness probes steer it elsewhere and acquire sheds it.
 func (s *Server) queueBound() int64 { return int64(4 * cap(s.sem)) }
 
 // handleHealthz is pure liveness: 200 as long as the process serves.
@@ -399,7 +404,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 			reasons = append(reasons, "store not writable: "+err.Error())
 		}
 	}
-	if qd := mQueueDepth.Value(); qd >= s.queueBound() {
+	if qd := s.queued.Load(); qd >= s.queueBound() {
 		reasons = append(reasons, fmt.Sprintf("queue depth %d at bound %d", qd, s.queueBound()))
 	}
 	if len(reasons) > 0 {
@@ -441,10 +446,27 @@ func (s *Server) lab(name string) (*core.Lab, error) {
 }
 
 // acquire takes a worker slot, failing the request if it is cancelled
-// while waiting. Release the slot with release().
+// while waiting. A request that finds queueBound requests already waiting
+// is shed at once: 503 with Retry-After, rather than a wait without
+// limit. Release the slot with release().
 func (s *Server) acquire(w http.ResponseWriter, r *http.Request) bool {
+	select {
+	case s.sem <- struct{}{}:
+		return true
+	default:
+	}
+	if s.queued.Add(1) > s.queueBound() {
+		s.queued.Add(-1)
+		w.Header().Set("Retry-After", "1")
+		s.writeError(w, http.StatusServiceUnavailable,
+			fmt.Sprintf("overloaded: %d requests already wait for a worker", s.queueBound()))
+		return false
+	}
 	mQueueDepth.Add(1)
-	defer mQueueDepth.Add(-1)
+	defer func() {
+		s.queued.Add(-1)
+		mQueueDepth.Add(-1)
+	}()
 	select {
 	case s.sem <- struct{}{}:
 		return true
@@ -795,6 +817,8 @@ type stageStatsDTO struct {
 	LinkHits        uint64  `json:"link_hits"`
 	Sims            uint64  `json:"sims"`
 	SimHits         uint64  `json:"sim_hits"`
+	SimsRetimed     uint64  `json:"sims_retimed"`
+	SimsSwept       uint64  `json:"sims_swept"`
 	Analyses        uint64  `json:"analyses"`
 	AnalyzeHits     uint64  `json:"analyze_hits"`
 	AnalyzeUpgrades uint64  `json:"analyze_upgrades"`
@@ -865,6 +889,8 @@ func toStatsDTO(st pipeline.Stats) stageStatsDTO {
 		LinkHits:        st.LinkHits,
 		Sims:            st.Sims,
 		SimHits:         st.SimHits,
+		SimsRetimed:     st.SimsRetimed,
+		SimsSwept:       st.SimsSwept,
 		Analyses:        st.Analyses,
 		AnalyzeHits:     st.AnalyzeHits,
 		AnalyzeUpgrades: st.AnalyzeUpgrades,

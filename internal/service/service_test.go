@@ -118,6 +118,23 @@ func TestServeSweepAndWitness(t *testing.T) {
 		}
 	}
 
+	// The cache sweep prices all its capacities from one shared pass, and
+	// /v1/stats splits the shard's simulations by how they were computed.
+	get(t, ts.URL+"/v1/sweep?bench=WorstCaseSort&branch=cache", http.StatusOK, &sweep)
+	var stats struct {
+		Benchmarks map[string]struct {
+			Sims        uint64 `json:"sims"`
+			SimsRetimed uint64 `json:"sims_retimed"`
+			SimsSwept   uint64 `json:"sims_swept"`
+		} `json:"benchmarks"`
+	}
+	get(t, ts.URL+"/v1/stats", http.StatusOK, &stats)
+	if sh := stats.Benchmarks["WorstCaseSort"]; sh.SimsSwept != uint64(len(core.PaperSizes)) ||
+		sh.Sims != sh.SimsRetimed+sh.SimsSwept {
+		t.Errorf("stats after both sweeps: sims=%d retimed=%d swept=%d, want %d swept and none executed",
+			sh.Sims, sh.SimsRetimed, sh.SimsSwept, len(core.PaperSizes))
+	}
+
 	var wit struct {
 		Benchmark string `json:"benchmark"`
 		WCET      uint64 `json:"wcet"`

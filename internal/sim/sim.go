@@ -44,7 +44,8 @@ type Result struct {
 	// ExitCode is r0 when the program executed SWI 0 (main's return value).
 	ExitCode uint32
 	// Mem is the final memory system of a Run, for post-run inspection of
-	// outputs. Results served by the pipeline and Retime carry nil.
+	// outputs. Results served by the pipeline, RunCaches and Retime carry
+	// nil.
 	Mem *mem.System
 }
 
@@ -77,6 +78,45 @@ func Run(exe *link.Executable, opts Options) (*Result, error) {
 		res.CacheMisses = sys.Cache.Misses
 	}
 	return res, nil
+}
+
+// RunCaches runs exe once, without a cache, and returns what Run would
+// return under each of cfgs, which must be direct-mapped unified caches of
+// one line size (cache.NewSweep). Every main-memory read of the run feeds
+// one cache.Sweep; scratchpad accesses bypass it as they bypass a System's
+// cache, and writes, which never allocate, leave it unchanged. A cached
+// read costs HitCycles or MissCycles where the run paid its MainCost, so
+// each result's cycles are the run's minus what its main-memory reads
+// cost, plus its hits and misses priced.
+func RunCaches(exe *link.Executable, cfgs []cache.Config) ([]*Result, error) {
+	sw, err := cache.NewSweep(cfgs)
+	if err != nil {
+		return nil, err
+	}
+	var mainReads uint64 // cycles the run's main-memory reads cost
+	run, err := Run(exe, Options{OnAccess: func(a mem.Access) {
+		// Below the scratchpad the subtraction wraps past its end.
+		if a.Write || uint64(a.Addr-link.SPMBase)+uint64(a.Size) <= uint64(exe.SPMSize) {
+			return
+		}
+		mainReads += uint64(mem.MainCost(a.Size))
+		sw.Read(a.Addr)
+	}})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*Result, len(cfgs))
+	for i := range cfgs {
+		hits, misses := sw.Counts(i)
+		out[i] = &Result{
+			Cycles:      run.Cycles - mainReads + hits*cache.HitCycles + misses*cache.MissCycles,
+			Instrs:      run.Instrs,
+			CacheHits:   hits,
+			CacheMisses: misses,
+			ExitCode:    run.ExitCode,
+		}
+	}
+	return out, nil
 }
 
 // Profile is a per-object access profile from a typical-input run.

@@ -263,3 +263,30 @@ func TestRetimeMatchesRun(t *testing.T) {
 		}
 	}
 }
+
+// TestRunCachesMatchesRun: one RunCaches pass equals a cached Run at
+// every capacity, with scratchpad residents bypassing the caches.
+func TestRunCachesMatchesRun(t *testing.T) {
+	var cfgs []cache.Config
+	for size := uint32(16); size <= 8192; size <<= 1 {
+		cfgs = append(cfgs, cache.Config{Size: size})
+	}
+	for _, in := range []map[string]bool{nil, {"hot": true}, {"work": true, "cold_scalar": true}} {
+		exe := exeFor(t, profProgram, 1024, in)
+		got, err := RunCaches(exe, cfgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range cfgs {
+			want, err := Run(exe, Options{Cache: &cfgs[i]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := got[i]
+			if g.Cycles != want.Cycles || g.Instrs != want.Instrs || g.ExitCode != want.ExitCode ||
+				g.CacheHits != want.CacheHits || g.CacheMisses != want.CacheMisses || g.Mem != nil {
+				t.Errorf("%v, %d B: RunCaches %+v, Run %+v", in, cfgs[i].Size, *g, *want)
+			}
+		}
+	}
+}
