@@ -516,12 +516,10 @@ func BenchmarkAll(b *testing.B) {
 	}
 }
 
-// BenchmarkRelinkDelta compares linking every G.721 energy-sweep placement
-// from scratch against patching them from a prepared base layout: the
-// "full" case is what each sweep step paid before delta linking, "delta"
-// is the Prepare-once + Relink-per-placement hot path (relocs/relink
-// reports how many relocation sites each delta actually re-resolved).
-func BenchmarkRelinkDelta(b *testing.B) {
+// BenchmarkLinkSweep links every G.721 energy-sweep placement, one
+// link.Link per paper capacity: the link stage's share of a cold
+// scratchpad sweep.
+func BenchmarkLinkSweep(b *testing.B) {
 	l := labFor(b, "G.721")
 	prog := l.Pipe.Prog
 	placements := make([]map[string]bool, 0, len(core.PaperSizes))
@@ -532,31 +530,14 @@ func BenchmarkRelinkDelta(b *testing.B) {
 		}
 		placements = append(placements, a.InSPM)
 	}
-	b.Run("full", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for j, size := range core.PaperSizes {
-				if _, err := link.Link(prog, size, placements[j]); err != nil {
-					b.Fatal(err)
-				}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, size := range core.PaperSizes {
+			if _, err := link.Link(prog, size, placements[j]); err != nil {
+				b.Fatal(err)
 			}
 		}
-	})
-	b.Run("delta", func(b *testing.B) {
-		prep, err := link.Prepare(prog)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j, size := range core.PaperSizes {
-				if _, err := prep.Relink(size, placements[j]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		st := prep.Stats()
-		b.ReportMetric(float64(st.RelocsResolved)/float64(st.Relinks), "relocs/relink")
-	})
+	}
 }
 
 // BenchmarkCacheSweepCold measures the paper's cache capacity sweep the
@@ -586,12 +567,12 @@ func BenchmarkCacheSweepCold(b *testing.B) {
 // incremental-analysis win; results are bit-identical.
 func BenchmarkCacheSweepWarm(b *testing.B) {
 	l := labFor(b, "ADPCM")
-	prep, err := link.Prepare(l.Pipe.Prog)
+	base, err := link.Link(l.Pipe.Prog, 0, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	ccfg := cache.Config{}
-	cctx, err := wcet.NewEngine(prep, wcet.Options{Cache: &ccfg, StackBound: l.StackBound})
+	cctx, err := wcet.NewEngine(base, wcet.Options{Cache: &ccfg, StackBound: l.StackBound})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -701,7 +682,7 @@ func BenchmarkSimulate(b *testing.B) {
 func BenchmarkAnalyze(b *testing.B) {
 	for _, name := range []string{"G.721", "ADPCM", "MultiSort"} {
 		l := labFor(b, name)
-		prep, err := link.Prepare(l.Pipe.Prog)
+		base, err := link.Link(l.Pipe.Prog, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -718,7 +699,7 @@ func BenchmarkAnalyze(b *testing.B) {
 		}
 		sweep := func(b *testing.B, opts wcet.Options, analyze func(e *wcet.Engine, i int, size uint32) error) {
 			for i := 0; i < b.N; i++ {
-				e, err := wcet.NewEngine(prep, opts)
+				e, err := wcet.NewEngine(base, opts)
 				if err != nil {
 					b.Fatal(err)
 				}

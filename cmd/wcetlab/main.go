@@ -610,10 +610,6 @@ func printIncrementalStats(labs []*core.Lab) {
 		}
 		return 100 * float64(part) / float64(whole)
 	}
-	full := val("wcetlab_link_full_total", "Full (from-scratch) program links.")
-	delta := val("wcetlab_link_delta_total", "Delta relinks patched from a prepared base layout.")
-	resolved := val("wcetlab_link_relocs_resolved_total", "Relocations re-resolved by delta relinks.")
-	reused := val("wcetlab_link_relocs_reused_total", "Relocations reused byte-exact by delta relinks.")
 	stateHits := val("wcetlab_solver_state_hits_total", "IPET solves served from recorded solver state.")
 	stateMisses := val("wcetlab_solver_state_misses_total", "IPET solves that ran for lack of recorded state.")
 	cacheRerun := val("wcetlab_cache_context_funcs_reanalyzed_total", "Functions whose MUST fixed point re-ran across cache-context analyses.")
@@ -622,8 +618,6 @@ func printIncrementalStats(labs []*core.Lab) {
 	fmt.Printf("functions solved:  %d of %d (%.1f%%)\n", solved, funcs, pct(solved, funcs))
 	fmt.Printf("cache funcs rerun: %d of %d (%.1f%%)\n", cacheRerun, cacheFuncs, pct(cacheRerun, cacheFuncs))
 	fmt.Printf("simplex pivots:    %d warm, %d cold\n", warmPivots, coldPivots)
-	fmt.Printf("links:             %d full, %d delta\n", full, delta)
-	fmt.Printf("relocs resolved:   %d of %d (%.1f%%)\n", resolved, resolved+reused, pct(resolved, resolved+reused))
 	fmt.Printf("solver state:      %d hits, %d misses\n", stateHits, stateMisses)
 }
 

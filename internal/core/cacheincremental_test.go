@@ -80,9 +80,8 @@ func TestCacheIncrementalMatchesFromScratch(t *testing.T) {
 	}
 }
 
-// TestCacheContextSavesReanalysis counter-asserts the perf claim on G.721
-// (mirroring TestRelinkSavesRelocations): over three passes of a capacity
-// × placement sweep, the cache context re-runs at most half the
+// TestCacheContextSavesReanalysis counter-asserts the perf claim on G.721:
+// over three passes of a capacity × placement sweep, the cache context re-runs at most half the
 // function-level MUST solves a from-scratch run would (every function,
 // every analysis) — repeated configurations replay entirely from the
 // layout-keyed memo.
@@ -91,7 +90,7 @@ func TestCacheContextSavesReanalysis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := link.Prepare(lab.Prog)
+	base, err := link.Link(lab.Prog, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +104,7 @@ func TestCacheContextSavesReanalysis(t *testing.T) {
 			for _, spmCap := range []uint32{0, 512} {
 				var inSPM map[string]bool
 				if spmCap > 0 {
-					inSPM = greedyPlacement(base.Base().Prog, spmCap)
+					inSPM = greedyPlacement(base.Prog, spmCap)
 				}
 				if _, err := cctx.Analyze(size, spmCap, inSPM, false); err != nil {
 					t.Fatalf("pass %d cache %d spm %d: %v", pass, size, spmCap, err)

@@ -598,7 +598,9 @@ type BenchmarkSweep struct {
 
 // SweepAllBenchmarks builds a lab for every Table 2 benchmark and runs
 // both sweeps, benchmarks in parallel (each with its own pipeline and
-// worker pool). The slice follows the registry order regardless of
+// worker pool). workers bounds both pools — benchmarks at once, and each
+// lab's capacities at once — so workers 1 runs everything in one
+// deterministic order. The slice follows the registry order regardless of
 // completion order; workers ≤ 0 means GOMAXPROCS.
 func SweepAllBenchmarks(ctx context.Context, workers int) ([]BenchmarkSweep, error) {
 	return SweepAllBenchmarksWithStore(ctx, workers, nil)
@@ -611,7 +613,7 @@ func SweepAllBenchmarksWithStore(ctx context.Context, workers int, st *store.Sto
 	benches := benchprog.All()
 	out := make([]BenchmarkSweep, 0, len(benches))
 	i, err := ordered(ctx, len(benches), workers, func(i int) (BenchmarkSweep, error) {
-		return sweepOneBenchmark(ctx, benches[i], st)
+		return sweepOneBenchmark(ctx, benches[i], workers, st)
 	}, func(_ int, b BenchmarkSweep) error {
 		out = append(out, b)
 		return nil
@@ -622,11 +624,12 @@ func SweepAllBenchmarksWithStore(ctx context.Context, workers int, st *store.Sto
 	return out, nil
 }
 
-func sweepOneBenchmark(ctx context.Context, b benchprog.Benchmark, st *store.Store) (BenchmarkSweep, error) {
+func sweepOneBenchmark(ctx context.Context, b benchprog.Benchmark, workers int, st *store.Store) (BenchmarkSweep, error) {
 	lab, err := NewLabWithStore(b, st)
 	if err != nil {
 		return BenchmarkSweep{}, err
 	}
+	lab.Workers = workers
 	spms, err := lab.SweepScratchpad(ctx)
 	if err != nil {
 		return BenchmarkSweep{}, err

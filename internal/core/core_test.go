@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/benchprog"
+	"repro/internal/pipeline"
 )
 
 // labFor caches compiled labs per benchmark across tests in this package.
@@ -318,6 +319,33 @@ func TestSweepAllBenchmarksMatchesPerLab(t *testing.T) {
 		}
 		if !reflect.DeepEqual(spms, sweeps[i].SPM) {
 			t.Errorf("%s: parallel all-benchmarks SPM sweep differs from sequential", b.Name)
+		}
+	}
+}
+
+// TestSweepAllBenchmarksRepeatsWork: with one worker every pool of the
+// all-benchmarks sweep runs in one order, so the work each pipeline does —
+// blocks re-priced, solver-state hits — is a function of the request
+// sequence alone, not only its results. Two sweeps record equal Stats
+// (timings aside).
+func TestSweepAllBenchmarksRepeatsWork(t *testing.T) {
+	run := func() []pipeline.Stats {
+		sweeps, err := SweepAllBenchmarks(context.Background(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]pipeline.Stats, len(sweeps))
+		for i, s := range sweeps {
+			st := s.Lab.Pipe.Stats()
+			st.LinkTime, st.SimTime, st.AnalyzeTime, st.ProfileTime, st.AllocTime = 0, 0, 0, 0, 0
+			out[i] = st
+		}
+		return out
+	}
+	first, second := run(), run()
+	for i, b := range benchprog.All() {
+		if !reflect.DeepEqual(first[i], second[i]) {
+			t.Errorf("%s: stats differ between identical sweeps:\n%+v\n%+v", b.Name, first[i], second[i])
 		}
 	}
 }

@@ -112,11 +112,11 @@ func TestIncrementalRepricingSavesWork(t *testing.T) {
 	for _, name := range []string{"G.721", "ADPCM"} {
 		t.Run(name, func(t *testing.T) {
 			lab := labFor(t, name)
-			prep, err := link.Prepare(lab.Prog)
+			base, err := link.Link(lab.Prog, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ctx, err := wcet.NewEngine(prep, wcet.Options{})
+			ctx, err := wcet.NewEngine(base, wcet.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/link"
 	"repro/internal/obj"
-	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/wcet"
 )
@@ -43,109 +42,6 @@ func granularities(t *testing.T, lab *Lab) []struct {
 	return grans
 }
 
-// TestPreparedRelinkBitIdentical asserts the delta linker's correctness
-// bar: on every benchmark × paper capacity × granularity, the prepared
-// relink produces the same addresses and image bytes as a from-scratch
-// link.Link, and (spot-checked per capacity extreme) simulates to the same
-// exit code, cycle count and data memory.
-func TestPreparedRelinkBitIdentical(t *testing.T) {
-	simSizes := map[uint32]bool{64: true, 1024: true, 8192: true}
-	for _, b := range append(benchprog.All(), benchprog.WorstCaseSort) {
-		t.Run(b.Name, func(t *testing.T) {
-			t.Parallel()
-			lab, err := NewLab(b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, g := range granularities(t, lab) {
-				t.Run(g.name, func(t *testing.T) {
-					prog, err := lab.Pipe.SplitProgram(g.regions)
-					if err != nil {
-						t.Fatal(err)
-					}
-					prep, err := link.Prepare(prog)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, size := range PaperSizes {
-						inSPM := greedyPlacement(prog, size)
-						want, err := link.Link(prog, size, inSPM)
-						if err != nil {
-							t.Fatalf("cap %d: link: %v", size, err)
-						}
-						got, err := prep.Relink(size, inSPM)
-						if err != nil {
-							t.Fatalf("cap %d: relink: %v", size, err)
-						}
-						compareExecutables(t, size, got, want)
-						if simSizes[size] {
-							compareSimulations(t, size, got, want)
-						}
-					}
-				})
-			}
-		})
-	}
-}
-
-func compareExecutables(t *testing.T, size uint32, got, want *link.Executable) {
-	t.Helper()
-	if got.SPMSize != want.SPMSize || got.EntryAddr != want.EntryAddr || got.MainAddr != want.MainAddr {
-		t.Errorf("cap %d: executable header differs", size)
-	}
-	if len(got.Placements) != len(want.Placements) {
-		t.Fatalf("cap %d: placement count %d != %d", size, len(got.Placements), len(want.Placements))
-	}
-	for i, wp := range want.Placements {
-		gp := got.Placements[i]
-		if gp.Obj.Name != wp.Obj.Name || gp.Addr != wp.Addr || gp.InSPM != wp.InSPM {
-			t.Errorf("cap %d: %s placed (%#x,%v), want (%#x,%v)",
-				size, wp.Obj.Name, gp.Addr, gp.InSPM, wp.Addr, wp.InSPM)
-		}
-		if len(gp.Image) != len(wp.Image) {
-			t.Errorf("cap %d: %s image length differs", size, wp.Obj.Name)
-			continue
-		}
-		for j := range wp.Image {
-			if gp.Image[j] != wp.Image[j] {
-				t.Errorf("cap %d: %s image byte %d: %#x != %#x", size, wp.Obj.Name, j, gp.Image[j], wp.Image[j])
-				break
-			}
-		}
-	}
-}
-
-func compareSimulations(t *testing.T, size uint32, got, want *link.Executable) {
-	t.Helper()
-	gres, err := sim.Run(got, sim.Options{})
-	if err != nil {
-		t.Fatalf("cap %d: relink sim: %v", size, err)
-	}
-	wres, err := sim.Run(want, sim.Options{})
-	if err != nil {
-		t.Fatalf("cap %d: link sim: %v", size, err)
-	}
-	if gres.ExitCode != wres.ExitCode || gres.Cycles != wres.Cycles || gres.Instrs != wres.Instrs {
-		t.Errorf("cap %d: simulation diverges: exit %d/%d cycles %d/%d instrs %d/%d",
-			size, gres.ExitCode, wres.ExitCode, gres.Cycles, wres.Cycles, gres.Instrs, wres.Instrs)
-	}
-	// Final data memory must agree byte-for-byte at every data placement.
-	for _, pl := range want.Placements {
-		if pl.Obj.Kind != obj.Data {
-			continue
-		}
-		for off := uint32(0); off < pl.Obj.Size(); off++ {
-			gv, gerr := gres.Mem.Peek(pl.Addr+off, 1)
-			wv, werr := wres.Mem.Peek(pl.Addr+off, 1)
-			if gerr != nil || werr != nil || gv != wv {
-				t.Errorf("cap %d: %s+%d: final memory %d != %d (%v, %v)",
-					size, pl.Obj.Name, off, gv, wv, gerr, werr)
-				break
-			}
-		}
-	}
-}
-
 // TestSolverStateRoundTrip asserts the persistence bar: solver state
 // exported after a capacity sweep, pushed through the store codec and
 // imported into a fresh engine yields bit-identical bounds and witnesses
@@ -164,11 +60,7 @@ func TestSolverStateRoundTrip(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					prep, err := link.Prepare(base.Prog)
-					if err != nil {
-						t.Fatal(err)
-					}
-					cold, err := wcet.NewEngine(prep, wcet.Options{})
+					cold, err := wcet.NewEngine(base, wcet.Options{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -187,7 +79,7 @@ func TestSolverStateRoundTrip(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					warm, err := wcet.NewEngine(prep, wcet.Options{})
+					warm, err := wcet.NewEngine(base, wcet.Options{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -235,12 +127,12 @@ func TestCacheSolverStateRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prep, err := link.Prepare(lab.Prog)
+			base, err := link.Link(lab.Prog, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			opts := wcet.Options{Cache: &cache.Config{Assoc: 1}, StackBound: lab.StackBound}
-			cold, err := wcet.NewEngine(prep, opts)
+			cold, err := wcet.NewEngine(base, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -256,7 +148,7 @@ func TestCacheSolverStateRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			warm, err := wcet.NewEngine(prep, opts)
+			warm, err := wcet.NewEngine(base, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -331,38 +223,4 @@ func TestCrossProcessWarmSolverState(t *testing.T) {
 	if s.SolverStateMisses != 0 {
 		t.Errorf("second process re-solved %d functions despite persisted state", s.SolverStateMisses)
 	}
-}
-
-// TestRelinkSavesRelocations counter-asserts the delta linker's perf claim
-// on G.721: the paper's capacity sweep (both allocators, both placement
-// granularities — what `wcetlab all` runs) re-resolves at most half the
-// relocations that from-scratch links of the same placements would.
-func TestRelinkSavesRelocations(t *testing.T) {
-	lab, err := NewLabByName("G.721") // fresh lab: counters isolated from other tests
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if _, err := lab.SweepScratchpad(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := lab.SweepWCETAllocation(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := lab.SweepWCETAllocationGran(ctx, alloc.GranBlock); err != nil {
-		t.Fatal(err)
-	}
-	st := lab.Pipe.Stats()
-	if st.DeltaLinks == 0 {
-		t.Fatal("sweep performed no delta relinks")
-	}
-	full := st.RelocsResolved + st.RelocsReused // what from-scratch links would resolve
-	if st.RelocsResolved == 0 || st.RelocsReused == 0 {
-		t.Fatalf("degenerate counters: resolved %d, reused %d", st.RelocsResolved, st.RelocsReused)
-	}
-	if 2*st.RelocsResolved > full {
-		t.Errorf("resolved %d of %d relocation sites; want at least a 2x reduction", st.RelocsResolved, full)
-	}
-	t.Logf("G.721: %d/%d relocations re-resolved over %d relinks (%d full links)",
-		st.RelocsResolved, full, st.DeltaLinks, st.FullLinks)
 }

@@ -99,6 +99,50 @@ func (e *Executable) FindAddr(addr uint32) *Placement {
 	return nil
 }
 
+// ObjLayout is one object's address assignment under a placement, in
+// program (placement) order.
+type ObjLayout struct {
+	Addr  uint32
+	InSPM bool
+}
+
+// Layout is the linker's address walk: each object's address and memory
+// side under one placement, without materialising images. Link resolves
+// relocations against it; the incremental WCET engine calls it alone to
+// validate a placement and see which objects a move changed. The program
+// is not validated here (Link does that first).
+func Layout(p *obj.Program, spmSize uint32, inSPM map[string]bool) ([]ObjLayout, error) {
+	if spmSize > SPMMax {
+		return nil, fmt.Errorf("link: scratchpad size %d exceeds maximum %d", spmSize, SPMMax)
+	}
+	out := make([]ObjLayout, len(p.Objects))
+	align := func(v, a uint32) uint32 { return (v + a - 1) &^ (a - 1) }
+	spmCur, codeCur, dataCur := SPMBase, CodeBase, DataBase
+	for i, o := range p.Objects {
+		switch {
+		case inSPM[o.Name]:
+			if spmSize == 0 {
+				return nil, fmt.Errorf("link: %s allocated to scratchpad but scratchpad size is 0", o.Name)
+			}
+			spmCur = align(spmCur, o.Align)
+			out[i] = ObjLayout{Addr: spmCur, InSPM: true}
+			spmCur += o.Size()
+			if spmCur-SPMBase > spmSize {
+				return nil, fmt.Errorf("link: scratchpad overflow: %s ends at %d, capacity %d", o.Name, spmCur-SPMBase, spmSize)
+			}
+		case o.Kind == obj.Code:
+			codeCur = align(codeCur, o.Align)
+			out[i] = ObjLayout{Addr: codeCur}
+			codeCur += o.Size()
+		default:
+			dataCur = align(dataCur, o.Align)
+			out[i] = ObjLayout{Addr: dataCur}
+			dataCur += o.Size()
+		}
+	}
+	return out, nil
+}
+
 // Link places the program with the given scratchpad capacity. Objects named
 // in inSPM go to the scratchpad (the allocator guarantees they fit);
 // remaining code and data objects go to the main-memory code and data
@@ -107,39 +151,19 @@ func Link(p *obj.Program, spmSize uint32, inSPM map[string]bool) (*Executable, e
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if spmSize > SPMMax {
-		return nil, fmt.Errorf("link: scratchpad size %d exceeds maximum %d", spmSize, SPMMax)
+	lay, err := Layout(p, spmSize, inSPM)
+	if err != nil {
+		return nil, err
 	}
 	e := &Executable{
-		Prog:    p,
-		SPMSize: spmSize,
-		byName:  make(map[string]*Placement, len(p.Objects)),
+		Prog:       p,
+		SPMSize:    spmSize,
+		Placements: make([]*Placement, len(p.Objects)),
+		byName:     make(map[string]*Placement, len(p.Objects)),
 	}
-	align := func(v, a uint32) uint32 { return (v + a - 1) &^ (a - 1) }
-	spmCur, codeCur, dataCur := SPMBase, CodeBase, DataBase
-	for _, o := range p.Objects {
-		pl := &Placement{Obj: o}
-		switch {
-		case inSPM[o.Name]:
-			if spmSize == 0 {
-				return nil, fmt.Errorf("link: %s allocated to scratchpad but scratchpad size is 0", o.Name)
-			}
-			spmCur = align(spmCur, o.Align)
-			pl.Addr, pl.InSPM = spmCur, true
-			spmCur += o.Size()
-			if spmCur-SPMBase > spmSize {
-				return nil, fmt.Errorf("link: scratchpad overflow: %s ends at %d, capacity %d", o.Name, spmCur-SPMBase, spmSize)
-			}
-		case o.Kind == obj.Code:
-			codeCur = align(codeCur, o.Align)
-			pl.Addr = codeCur
-			codeCur += o.Size()
-		default:
-			dataCur = align(dataCur, o.Align)
-			pl.Addr = dataCur
-			dataCur += o.Size()
-		}
-		e.Placements = append(e.Placements, pl)
+	for i, o := range p.Objects {
+		pl := &Placement{Obj: o, Addr: lay[i].Addr, InSPM: lay[i].InSPM}
+		e.Placements[i] = pl
 		e.byName[o.Name] = pl
 	}
 
@@ -186,7 +210,6 @@ func Link(p *obj.Program, spmSize uint32, inSPM map[string]bool) (*Executable, e
 	if p.Main != "" {
 		e.MainAddr = e.byName[p.Main].Addr
 	}
-	mLinkFull.Inc()
 	return e, nil
 }
 

@@ -1,6 +1,7 @@
 package link
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -214,5 +215,133 @@ func TestFindAddr(t *testing.T) {
 	}
 	if exe.FindAddr(0xDEAD0000) != nil {
 		t.Error("FindAddr should return nil for unmapped addresses")
+	}
+}
+
+// placementCases are placements spanning the interesting shapes: empty, data
+// into SPM, code into SPM, mixed, everything movable, and an unknown name
+// (which the linker silently ignores).
+func placementCases() []struct {
+	name    string
+	spmSize uint32
+	inSPM   map[string]bool
+} {
+	return []struct {
+		name    string
+		spmSize uint32
+		inSPM   map[string]bool
+	}{
+		{"empty0", 0, nil},
+		{"emptyCap", 512, nil},
+		{"dataOnly", 512, map[string]bool{"g": true}},
+		{"codeOnly", 1024, map[string]bool{"main": true}},
+		{"mixed", 1024, map[string]bool{"helper": true, "g": true}},
+		{"all", 2048, map[string]bool{"main": true, "helper": true, "g": true}},
+		{"unknownName", 512, map[string]bool{"nosuch": true}},
+	}
+}
+
+// TestLayoutMatchesLink pins the address walk the WCET engine validates
+// with to the one Link places by: same address and side for every object.
+func TestLayoutMatchesLink(t *testing.T) {
+	p := tinyProgram(t)
+	for _, tc := range placementCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			exe, err := Link(p, tc.spmSize, tc.inSPM)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lay, err := Layout(p, tc.spmSize, tc.inSPM)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(lay) != len(exe.Placements) {
+				t.Fatalf("layout has %d objects, link placed %d", len(lay), len(exe.Placements))
+			}
+			for i, pl := range exe.Placements {
+				if lay[i].Addr != pl.Addr || lay[i].InSPM != pl.InSPM {
+					t.Errorf("%s: layout (%#x,%v) != link (%#x,%v)", pl.Obj.Name, lay[i].Addr, lay[i].InSPM, pl.Addr, pl.InSPM)
+				}
+			}
+		})
+	}
+	// A resident name the program lacks places nothing.
+	got, err := Layout(p, 512, map[string]bool{"nosuch": true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Layout(p, 512, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("unknown resident changed the layout: %v, want %v", got, want)
+	}
+}
+
+// TestLayoutErrors pins Layout's diagnostics to Link's.
+func TestLayoutErrors(t *testing.T) {
+	p := tinyProgram(t)
+	for _, tc := range []struct {
+		name    string
+		spmSize uint32
+		inSPM   map[string]bool
+	}{
+		{"overflow", 4, map[string]bool{"g": true, "helper": true}},
+		{"zeroSPM", 0, map[string]bool{"g": true}},
+		{"oversize", SPMMax * 2, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, wantErr := Link(p, tc.spmSize, tc.inSPM)
+			_, gotErr := Layout(p, tc.spmSize, tc.inSPM)
+			if wantErr == nil || gotErr == nil {
+				t.Fatalf("want errors from both, got Link=%v Layout=%v", wantErr, gotErr)
+			}
+			if gotErr.Error() != wantErr.Error() {
+				t.Errorf("diagnostics differ:\nLayout: %v\nLink:   %v", gotErr, wantErr)
+			}
+		})
+	}
+}
+
+// TestFindAddrBoundaries covers the binary search across an SPM/main split:
+// first and last byte of every placement, the gaps between regions, and
+// addresses beyond every region.
+func TestFindAddrBoundaries(t *testing.T) {
+	p := tinyProgram(t)
+	exe, err := Link(p, 1024, map[string]bool{"helper": true, "g": true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pl := range exe.Placements {
+		if got := exe.FindAddr(pl.Addr); got != pl {
+			t.Errorf("%s: FindAddr(first byte %#x) = %v", pl.Obj.Name, pl.Addr, got)
+		}
+		if got := exe.FindAddr(pl.End() - 1); got != pl {
+			t.Errorf("%s: FindAddr(last byte %#x) = %v", pl.Obj.Name, pl.End()-1, got)
+		}
+	}
+	// Region boundaries and gaps resolve to nothing.
+	var spmEnd, codeEnd uint32 = SPMBase, CodeBase
+	for _, pl := range exe.Placements {
+		if pl.InSPM && pl.End() > spmEnd {
+			spmEnd = pl.End()
+		}
+		if !pl.InSPM && pl.Obj.Kind == obj.Code && pl.End() > codeEnd {
+			codeEnd = pl.End()
+		}
+	}
+	for _, addr := range []uint32{spmEnd, CodeBase - 1, codeEnd, DataBase - 1, StackBase - 1, 0xDEAD0000} {
+		if got := exe.FindAddr(addr); got != nil {
+			t.Errorf("FindAddr(%#x) = %s, want nil", addr, got.Obj.Name)
+		}
+	}
+	// The split must not leak across regions: SPM placements resolve at SPM
+	// addresses, main placements at main addresses.
+	if pl := exe.FindAddr(exe.Placement("helper").Addr); pl == nil || !pl.InSPM {
+		t.Error("helper's SPM address should resolve to an SPM placement")
+	}
+	if pl := exe.FindAddr(exe.Placement("main").Addr); pl == nil || pl.InSPM {
+		t.Error("main's code address should resolve to a main-memory placement")
 	}
 }

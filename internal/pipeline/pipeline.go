@@ -163,13 +163,6 @@ type Stats struct {
 	CacheContextBuilds, CacheContextReuses uint64
 	CacheFuncsReanalyzed, CacheFuncs       uint64
 
-	// FullLinks counts base layouts linked from scratch (one per prepared
-	// partition); DeltaLinks counts placements patched from a prepared base.
-	// RelocsResolved / RelocsReused split the relocation sites those delta
-	// relinks re-resolved vs reused byte-exact from the base images.
-	FullLinks, DeltaLinks        uint64
-	RelocsResolved, RelocsReused uint64
-
 	// SolverStateHits / SolverStateMisses: per-function IPET solves served
 	// from recorded solver state (in-process or store-imported) vs solves
 	// that had to run, over engines of both modes.
@@ -228,9 +221,8 @@ type Pipeline struct {
 	profile stage[*sim.Profile]
 	alloc   stage[*Allocation]
 
-	splits   memo[*obj.Program]
-	prepared memo[*link.Prepared]
-	engines  memo[*wcet.Engine]
+	splits  memo[*obj.Program]
+	engines memo[*wcet.Engine]
 
 	upgrades, storeErrors counter
 	// simExecuted / simRetimed / simSwept split the simulate stage's cold
@@ -241,11 +233,10 @@ type Pipeline struct {
 	// cache-less [0] and cache [1]; builds are the registered engines below.
 	reuses [2]atomic.Uint64
 
-	// preps/engineList register successfully built prepared linkers and
-	// analysis engines; Stats folds in their atomic counters without
-	// touching entry locks (which an in-flight compute may hold).
+	// engineList registers successfully built analysis engines; Stats
+	// folds in their atomic counters without touching entry locks (which
+	// an in-flight compute may hold).
 	mu         sync.Mutex
-	preps      []*link.Prepared
 	engineList []*wcet.Engine
 
 	bench    string
@@ -407,42 +398,19 @@ func (p *Pipeline) Link(ctx context.Context, spmSize uint32, inSPM map[string]bo
 
 // LinkUnits is Link under a placement-unit partition: the program is first
 // split at the given hot regions (memoized), then linked with the chosen
-// objects — fragments included — in the scratchpad, as a patch of the
-// partition's prepared base layout.
+// objects — fragments included — in the scratchpad.
 func (p *Pipeline) LinkUnits(ctx context.Context, regions []obj.Region, spmSize uint32, inSPM map[string]bool) (*link.Executable, error) {
 	pk, size, in := placement(spmSize, inSPM)
 	return p.link.get(ctx, p, request[*link.Executable]{
 		key: unitPrefix(regions) + pk,
 		compute: func(_ context.Context, timed timer[*link.Executable]) (*link.Executable, error) {
-			prep, err := p.preparedFor(regions)
+			prog, err := p.SplitProgram(regions)
 			if err != nil {
 				return nil, err
 			}
-			return timed(func() (*link.Executable, error) { return prep.Relink(size, in) })
+			return timed(func() (*link.Executable, error) { return link.Link(prog, size, in) })
 		},
 	})
-}
-
-// preparedFor returns (memoized, singleflight) the partition's prepared
-// delta linker: the capacity-0 base layout, its resolved images and the
-// reverse relocation index, built once; every placement of the partition is
-// then a patch of that base rather than a from-scratch link.
-func (p *Pipeline) preparedFor(regions []obj.Region) (*link.Prepared, error) {
-	prep, _, err := p.prepared.get(unitPrefix(regions), func() (*link.Prepared, error) {
-		prog, err := p.SplitProgram(regions)
-		if err != nil {
-			return nil, err
-		}
-		prep, err := link.Prepare(prog)
-		if err != nil {
-			return nil, err
-		}
-		p.mu.Lock()
-		p.preps = append(p.preps, prep)
-		p.mu.Unlock()
-		return prep, nil
-	})
-	return prep, err
 }
 
 // Simulate runs (memoized) the typical input under one placement and cache
@@ -610,21 +578,17 @@ func lacksWitness(r *wcet.Result) bool { return r.Witness == nil }
 
 // engineFor returns (memoized, singleflight) the analysis engine for one
 // partition and analysis configuration, built from the partition's
-// prepared linker.
+// scratchpad-less base executable.
 func (p *Pipeline) engineFor(ctx context.Context, key string, regions []obj.Region, opts wcet.Options) (*wcet.Engine, error) {
 	e, built, err := p.engines.get(key, func() (*wcet.Engine, error) {
-		// The engine analyses the partition's scratchpad-less base layout,
-		// the executable the link stage serves for the empty placement.
-		// Requesting it through the stage memoizes it for later
+		// The base is the executable the link stage serves for the empty
+		// placement. Requesting it through the stage memoizes it for later
 		// empty-placement requests and counts it in the link statistics.
-		if _, err := p.LinkUnits(ctx, regions, 0, nil); err != nil {
-			return nil, err
-		}
-		prep, err := p.preparedFor(regions)
+		base, err := p.LinkUnits(ctx, regions, 0, nil)
 		if err != nil {
 			return nil, err
 		}
-		e, err := wcet.NewEngine(prep, opts)
+		e, err := wcet.NewEngine(base, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -810,8 +774,7 @@ func StageLatency(bench string) map[string]obs.HistogramSnapshot {
 }
 
 // Stats returns a snapshot of the stage counters: a view over the stage
-// runners' counter sets and the registered prepared linkers and analysis
-// contexts.
+// runners' counter sets and the registered analysis engines.
 func (p *Pipeline) Stats() Stats {
 	var s Stats
 	s.Links, s.LinkHits, _, _, s.LinkTime = p.link.counts()
@@ -827,18 +790,11 @@ func (p *Pipeline) Stats() Stats {
 	s.CacheContextReuses = p.reuses[1].Load()
 
 	p.mu.Lock()
-	preps, engines := slices.Clone(p.preps), slices.Clone(p.engineList)
+	engines := slices.Clone(p.engineList)
 	p.mu.Unlock()
-	// Fold in the delta-link and engine counters from the registered
-	// objects' atomics — never their locks, which an in-flight compute may
-	// hold for the length of a solve.
-	s.FullLinks = uint64(len(preps))
-	for _, prep := range preps {
-		rs := prep.Stats()
-		s.DeltaLinks += rs.Relinks
-		s.RelocsResolved += rs.RelocsResolved
-		s.RelocsReused += rs.RelocsReused
-	}
+	// Fold in the engine counters from the registered engines' atomics —
+	// never their locks, which an in-flight compute may hold for the
+	// length of a solve.
 	for _, e := range engines {
 		es := e.Stats()
 		if e.HasCache() {

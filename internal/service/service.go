@@ -832,10 +832,6 @@ type stageStatsDTO struct {
 	CacheCtxReuses  uint64  `json:"cache_context_reuses"`
 	CacheFuncsRerun uint64  `json:"cache_funcs_reanalyzed"`
 	CacheFuncs      uint64  `json:"cache_funcs"`
-	FullLinks       uint64  `json:"link_full"`
-	DeltaLinks      uint64  `json:"link_delta"`
-	RelocsResolved  uint64  `json:"link_relocs_resolved"`
-	RelocsReused    uint64  `json:"link_relocs_reused"`
 	SolverHits      uint64  `json:"solver_state_hits"`
 	SolverMisses    uint64  `json:"solver_state_misses"`
 	DiskHits        uint64  `json:"disk_hits"`
@@ -904,10 +900,6 @@ func toStatsDTO(st pipeline.Stats) stageStatsDTO {
 		CacheCtxReuses:  st.CacheContextReuses,
 		CacheFuncsRerun: st.CacheFuncsReanalyzed,
 		CacheFuncs:      st.CacheFuncs,
-		FullLinks:       st.FullLinks,
-		DeltaLinks:      st.DeltaLinks,
-		RelocsResolved:  st.RelocsResolved,
-		RelocsReused:    st.RelocsReused,
 		SolverHits:      st.SolverStateHits,
 		SolverMisses:    st.SolverStateMisses,
 		DiskHits:        st.DiskHits(),

@@ -17,8 +17,8 @@
 // address is only known as a range.
 //
 // Engine is the one incremental analyser every production path uses: built
-// once per program from a link.Prepared, it re-analyses placements (and,
-// with a cache, capacities) by redoing only what changed. A nil
+// once per program from its base link.Executable, it re-analyses placements
+// (and, with a cache, capacities) by redoing only what changed. A nil
 // Options.Cache is its cache-less mode, where accesses are priced by memory
 // side and the MUST pass is skipped. Analyze is the from-scratch oracle,
 // used only by tests, examples and benchmarks; Engine results are

@@ -203,7 +203,7 @@ func putCapped[V any](m map[string]V, k string, v V) {
 // program that does not depend on the placement (or the cache capacity) —
 // CFG, topological order, per-function IPET skeletons (phase-1 solved) and
 // one layout-independent symbolic decomposition per block — built once
-// from a prepared linker and re-used per analysis. Results are
+// from the program's base executable and re-used per analysis. Results are
 // bit-identical to a from-scratch link + Analyze of the same configuration.
 //
 // Without a cache (nil Options.Cache) every access is priced by the memory
@@ -233,7 +233,7 @@ func putCapped[V any](m map[string]V, k string, v V) {
 // serialise.
 type Engine struct {
 	mu      sync.Mutex
-	prep    *link.Prepared
+	base    *link.Executable // capacity-0 link: CFG source and object order
 	g       *cfg.Graph
 	order   []string // callees-first
 	root    string
@@ -270,12 +270,15 @@ type Engine struct {
 	funcsTotal, funcsSolved, stateHits                     atomic.Uint64
 }
 
-// NewEngine builds the incremental analysis engine from a prepared linker.
+// NewEngine builds the incremental analysis engine from the program's
+// scratchpad-less base executable, link.Link(prog, 0, nil).
 // opts.Cache, when set, supplies the cache shape — its Size is ignored and
 // chosen per Analyze, so one engine serves a whole capacity sweep.
 // opts.Witness is ignored: witnesses are requested per Analyze.
-func NewEngine(prep *link.Prepared, opts Options) (*Engine, error) {
-	base := prep.Base()
+func NewEngine(base *link.Executable, opts Options) (*Engine, error) {
+	if base.SPMSize != 0 {
+		return nil, fmt.Errorf("wcet: engine base linked with a %d-byte scratchpad, want none", base.SPMSize)
+	}
 	root := opts.Root
 	if root == "" {
 		root = base.Prog.Entry
@@ -297,7 +300,7 @@ func NewEngine(prep *link.Prepared, opts Options) (*Engine, error) {
 	}
 
 	c := &Engine{
-		prep: prep, g: g, order: order, root: root, stackLo: stackLo,
+		base: base, g: g, order: order, root: root, stackLo: stackLo,
 		objIdx:  make(map[string]int32, len(base.Placements)),
 		objName: make([]string, len(base.Placements)),
 		objSize: make([]uint32, len(base.Placements)),
@@ -394,7 +397,7 @@ func (c *Engine) decompose(f *cfg.Function, b *cfg.Block, foot map[int32]bool) (
 	}
 	cb := &engineBlock{b: b, ownerIdx: ownerIdx, refs: []accRef{{obj: ownerIdx}}}
 	foot[ownerIdx] = true
-	ownerBase := c.prep.Base().Placements[ownerIdx].Addr
+	ownerBase := c.base.Placements[ownerIdx].Addr
 	refIdx := map[int32]int{ownerIdx: 0} // an object's index in cb.refs
 	for _, ci := range b.Instrs {
 		cb.refs[0].acc.Fetches += uint64(ci.Size / 2)
@@ -482,7 +485,7 @@ func (c *Engine) symAccesses(ci cfg.Instr) ([]symAcc, error) {
 		return stackAccesses(1, true), nil
 	}
 	if ci.Hint != "" {
-		pl := c.prep.Base().Placement(ci.Hint)
+		pl := c.base.Placement(ci.Hint)
 		if pl == nil {
 			return nil, fmt.Errorf("wcet: %#x: access hint %q not placed", ci.Addr, ci.Hint)
 		}
@@ -541,7 +544,7 @@ func (c *Engine) Analyze(cacheSize, spmSize uint32, inSPM map[string]bool, witne
 
 	// Link-identical error precedence: the layout walk first (the cold path
 	// links before analysing), then the cache validation.
-	lay, err := c.prep.Layout(spmSize, inSPM)
+	lay, err := link.Layout(c.base.Prog, spmSize, inSPM)
 	if err != nil {
 		return nil, err
 	}

@@ -31,17 +31,18 @@ int main() {
     return acc;
 }`
 
-func prepProg(t *testing.T, src string) *link.Prepared {
+// baseProg compiles src and links its scratchpad-less base executable.
+func baseProg(t *testing.T, src string) *link.Executable {
 	t.Helper()
 	prog, err := cc.Compile(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := link.Prepare(prog)
+	base, err := link.Link(prog, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pr
+	return base
 }
 
 // TestCacheContextMatchesCold drives one cache engine through a sweep of
@@ -51,7 +52,7 @@ func prepProg(t *testing.T, src string) *link.Prepared {
 // (bound, per-function bounds, classification counts, witness) is
 // bit-identical to a from-scratch link + Analyze.
 func TestCacheContextMatchesCold(t *testing.T) {
-	pr := prepProg(t, cacheCtxSrc)
+	base := baseProg(t, cacheCtxSrc)
 
 	type step struct {
 		cacheSize uint32
@@ -76,7 +77,7 @@ func TestCacheContextMatchesCold(t *testing.T) {
 
 	for _, assoc := range []int{1, 2, 4} {
 		ccfg := cache.Config{Assoc: assoc}
-		ctx, err := NewEngine(pr, Options{Cache: &ccfg, StackBound: 256, Witness: true})
+		ctx, err := NewEngine(base, Options{Cache: &ccfg, StackBound: 256, Witness: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +93,7 @@ func TestCacheContextMatchesCold(t *testing.T) {
 				if pass > 0 {
 					continue // identical inputs: pass 0 already verified
 				}
-				exe, err := link.Link(pr.Base().Prog, st.spmSize, st.inSPM)
+				exe, err := link.Link(base.Prog, st.spmSize, st.inSPM)
 				if err != nil {
 					t.Fatalf("assoc %d step %d: link: %v", assoc, i, err)
 				}
@@ -133,9 +134,9 @@ func TestCacheContextMatchesCold(t *testing.T) {
 // TestCacheContextInstructionOnly covers the paper's instruction-cache
 // variant through the engine.
 func TestCacheContextInstructionOnly(t *testing.T) {
-	pr := prepProg(t, cacheCtxSrc)
+	base := baseProg(t, cacheCtxSrc)
 	ccfg := cache.Config{InstructionOnly: true}
-	ctx, err := NewEngine(pr, Options{Cache: &ccfg, StackBound: 256})
+	ctx, err := NewEngine(base, Options{Cache: &ccfg, StackBound: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestCacheContextInstructionOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exe, err := link.Link(pr.Base().Prog, 0, nil)
+		exe, err := link.Link(base.Prog, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,9 +165,9 @@ func TestCacheContextInstructionOnly(t *testing.T) {
 // TestCacheContextStablePlacementSkipsReanalysis pins the fast path: an
 // analysis under an unchanged layout and capacity re-runs zero functions.
 func TestCacheContextStablePlacementSkipsReanalysis(t *testing.T) {
-	pr := prepProg(t, cacheCtxSrc)
+	base := baseProg(t, cacheCtxSrc)
 	ccfg := cache.Config{}
-	ctx, err := NewEngine(pr, Options{Cache: &ccfg})
+	ctx, err := NewEngine(base, Options{Cache: &ccfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestCacheContextStablePlacementSkipsReanalysis(t *testing.T) {
 // maximum, a resident at capacity 0, overflow) and the cache validation
 // errors exactly as the cold path does.
 func TestCacheContextErrorsMatchLink(t *testing.T) {
-	pr := prepProg(t, cacheCtxSrc)
+	base := baseProg(t, cacheCtxSrc)
 	placements := []struct {
 		name    string
 		spmSize uint32
@@ -202,13 +203,13 @@ func TestCacheContextErrorsMatchLink(t *testing.T) {
 		cache     *cache.Config
 		cacheSize uint32
 	}{{"cache-less", nil, 0}, {"cache", &cache.Config{}, 128}} {
-		e, err := NewEngine(pr, Options{Cache: mode.cache})
+		e, err := NewEngine(base, Options{Cache: mode.cache})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, pl := range placements {
 			_, warmErr := e.Analyze(mode.cacheSize, pl.spmSize, pl.inSPM, false)
-			_, coldErr := link.Link(pr.Base().Prog, pl.spmSize, pl.inSPM)
+			_, coldErr := link.Link(base.Prog, pl.spmSize, pl.inSPM)
 			if warmErr == nil || coldErr == nil || warmErr.Error() != coldErr.Error() {
 				t.Fatalf("%s %s: engine %v, cold link %v", mode.name, pl.name, warmErr, coldErr)
 			}
@@ -218,8 +219,16 @@ func TestCacheContextErrorsMatchLink(t *testing.T) {
 			t.Fatalf("%s: valid placement after errors: %v", mode.name, err)
 		}
 	}
+	// The engine's base layout has no scratchpad.
+	spmExe, err := link.Link(base.Prog, 512, map[string]bool{"table": true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewEngine(spmExe, Options{}); err == nil {
+		t.Error("engine built from a scratchpad link")
+	}
 	// Invalid cache size: same message as cache.Config.Validate.
-	e, err := NewEngine(pr, Options{Cache: &cache.Config{}})
+	e, err := NewEngine(base, Options{Cache: &cache.Config{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,9 +29,9 @@ func TestFuzzSoundnessAcrossConfigs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: compile: %v\n%s", trial, err, src)
 		}
-		prep, err := link.Prepare(prog)
+		base, err := link.Link(prog, 0, nil)
 		if err != nil {
-			t.Fatalf("trial %d: prepare: %v", trial, err)
+			t.Fatalf("trial %d: link: %v", trial, err)
 		}
 
 		type config struct {
@@ -83,7 +83,7 @@ func TestFuzzSoundnessAcrossConfigs(t *testing.T) {
 			}
 			e := engines[shape]
 			if e == nil {
-				if e, err = NewEngine(prep, opts); err != nil {
+				if e, err = NewEngine(base, opts); err != nil {
 					t.Fatalf("trial %d %s: engine: %v", trial, cfg.name, err)
 				}
 				engines[shape] = e
