@@ -14,12 +14,14 @@ ci: fmt vet build test-race fuzz-smoke bench-smoke perfbench-smoke warmstore smo
 
 # Ten seconds of native fuzzing per target: the simplex kernel must match
 # the dense reference tableau (internal/lp/ref_test.go) on generated
-# programs, and the store's artifact decoders must return a value or an
-# error, never panic, on arbitrary bytes. The checked-in seed corpora
+# programs, its dual re-optimisation of a branch & bound child must match
+# a cold solve of the child's program, and the store's artifact decoders
+# must return a value or an error, never panic, on arbitrary bytes. The checked-in seed corpora
 # (testdata/fuzz under each package) replay in every plain `go test`;
 # this target searches beyond them.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSolveMatchesReference -fuzztime=10s ./internal/lp
+	$(GO) test -run='^$$' -fuzz=FuzzBranchMatchesSolve -fuzztime=10s ./internal/lp
 	$(GO) test -run='^$$' -fuzz=FuzzStoreDecode -fuzztime=10s ./internal/store
 
 # The CI benchmark gate: one pass over every benchmark, output validated

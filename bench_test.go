@@ -427,7 +427,8 @@ func BenchmarkParetoFrontCold(b *testing.B) {
 // bi-objective candidates (energy benefit as the objective, savings on
 // the empty scratchpad's WCET witness as the ε-weights) at every paper
 // capacity, with ε fixed at half the largest witness saving that fits.
-// It reports the search's nodes and simplex pivots per op.
+// It reports the search's nodes, its cold simplex pivots, its dual-simplex
+// pivots and its cold re-solves of dual children (fallbacks) per op.
 func BenchmarkEpsilonKnapsack(b *testing.B) {
 	ctx := context.Background()
 	type instance struct {
@@ -459,7 +460,11 @@ func BenchmarkEpsilonKnapsack(b *testing.B) {
 	}
 	nodes := obs.Default.Counter("wcetlab_ilp_nodes_total", "")
 	pivots := obs.Default.Counter("wcetlab_lp_pivots_total", "", "mode", "cold")
-	nodes0, pivots0 := nodes.Value(), pivots.Value()
+	dual := obs.Default.Counter("wcetlab_lp_pivots_total", "", "mode", "dual")
+	degenerate := obs.Default.Counter("wcetlab_ilp_cold_resolves_total", "", "reason", "degenerate")
+	incumbent := obs.Default.Counter("wcetlab_ilp_cold_resolves_total", "", "reason", "incumbent")
+	nodes0, pivots0, dual0 := nodes.Value(), pivots.Value(), dual.Value()
+	fallbacks0 := degenerate.Value() + incumbent.Value()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, in := range insts {
@@ -471,6 +476,8 @@ func BenchmarkEpsilonKnapsack(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(nodes.Value()-nodes0)/float64(b.N), "nodes/op")
 	b.ReportMetric(float64(pivots.Value()-pivots0)/float64(b.N), "pivots/op")
+	b.ReportMetric(float64(dual.Value()-dual0)/float64(b.N), "dual-pivots/op")
+	b.ReportMetric(float64(degenerate.Value()+incumbent.Value()-fallbacks0)/float64(b.N), "fallbacks/op")
 }
 
 // BenchmarkSweepMemoized re-runs the full sweep against warm artifact

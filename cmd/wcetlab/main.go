@@ -580,7 +580,7 @@ func all() error {
 // often an analysis context was reused instead of rebuilt per benchmark,
 // and process-wide how much repricing and LP warm-starting saved over a
 // from-scratch run (repriced vs total blocks, re-solved vs total
-// functions, warm vs cold simplex pivots).
+// functions, warm vs dual vs cold simplex pivots).
 func printIncrementalStats(labs []*core.Lab) {
 	header("Incremental analysis")
 	fmt.Printf("%-14s %12s %12s %12s %12s\n", "benchmark", "ctx builds", "ctx reuses", "cctx builds", "cctx reuses")
@@ -604,6 +604,7 @@ func printIncrementalStats(labs []*core.Lab) {
 	funcs := val("wcetlab_context_funcs_total", "Functions held by analysis contexts at each analysis.")
 	warmPivots := val("wcetlab_lp_pivots_total", "Simplex pivots by solve mode.", "mode", "warm")
 	coldPivots := val("wcetlab_lp_pivots_total", "Simplex pivots by solve mode.", "mode", "cold")
+	dualPivots := val("wcetlab_lp_pivots_total", "Simplex pivots by solve mode.", "mode", "dual")
 	pct := func(part, whole uint64) float64 {
 		if whole == 0 {
 			return 0
@@ -617,7 +618,7 @@ func printIncrementalStats(labs []*core.Lab) {
 	fmt.Printf("\nblocks re-priced:  %d of %d (%.1f%%)\n", repriced, blocks, pct(repriced, blocks))
 	fmt.Printf("functions solved:  %d of %d (%.1f%%)\n", solved, funcs, pct(solved, funcs))
 	fmt.Printf("cache funcs rerun: %d of %d (%.1f%%)\n", cacheRerun, cacheFuncs, pct(cacheRerun, cacheFuncs))
-	fmt.Printf("simplex pivots:    %d warm, %d cold\n", warmPivots, coldPivots)
+	fmt.Printf("simplex pivots:    %d warm, %d dual, %d cold\n", warmPivots, dualPivots, coldPivots)
 	fmt.Printf("solver state:      %d hits, %d misses\n", stateHits, stateMisses)
 }
 

@@ -1,7 +1,10 @@
 package ilp
 
-// SolveNodes is SolveOpts reporting the branch & bound nodes it explored.
-var SolveNodes = solve
+// Search is the work one branch & bound search did.
+type Search = search
+
+// SolveSearch is SolveOpts reporting the work of its search.
+var SolveSearch = solve
 
 // SetSolveHook shows every program SolveOpts is asked to solve to f, until
 // the returned function removes the hook.

@@ -138,9 +138,9 @@ func TestSolveLeavesProgramUntouched(t *testing.T) {
 		spare[i] = sentinel
 	}
 	p := &Problem{LP: lp.Problem{NumVars: 3, Objective: []float64{60, 100, 120}, Cons: cons}}
-	s, nodes, err := solve(p, Options{})
-	if err != nil || nodes < 3 {
-		t.Fatalf("solve: %d nodes, err %v; want a search that branches", nodes, err)
+	s, st, err := solve(p, Options{})
+	if err != nil || st.Nodes < 3 {
+		t.Fatalf("solve: %d nodes, err %v; want a search that branches", st.Nodes, err)
 	}
 	if !approx(s.Obj, 180) {
 		t.Fatalf("obj %g, want 180", s.Obj)

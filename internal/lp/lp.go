@@ -17,37 +17,49 @@
 // every nonzero value and every comparison is the same, and zeros differ
 // at most in sign.
 //
+// Branch & bound children need not start over. A Workspace keeps the
+// optimal tableau of each level of a depth-first search (Keep), and
+// Branch re-optimises a child, its parent plus one bound row, from the
+// parent's tableau by dual simplex (Lemke, 1954). That takes other pivots
+// than a cold Solve of the child's program, so Branch reports whether its
+// optimum is one Solve could not differ from; internal/ilp re-solves the
+// others cold.
+//
 // The dense tableau the kernel replaced is kept verbatim in ref_test.go as
 // its oracle. TestSolveMatchesReference and FuzzSolveMatchesReference hold
 // Solve and Prepare+SolveObjective to it: the same status, bitwise-equal
-// solutions and the same number of pivots.
+// solutions and the same number of pivots. TestBranchMatchesSolve and
+// FuzzBranchMatchesSolve hold Branch to a cold Solve of the child: the
+// same status, objectives within 1e-6, and solutions within 1e-6 wherever
+// Branch reports the optimum unique.
 package lp
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/obs"
 )
 
 // Process-wide simplex metrics, split by mode: "cold" counts full two-phase
 // solves (Solve, and the phase-1 work done by Prepare); "warm" counts
-// phase-2-only re-solves from a Prepared tableau (SolveObjective). The
-// pivot counters measure actual simplex effort, so cold-vs-warm ratios
-// quantify what constraint-skeleton reuse saves.
+// phase-2-only re-solves from a Prepared tableau (SolveObjective); "dual"
+// counts branch & bound children re-optimised from their parent's
+// tableau (Branch). The pivot counters measure actual simplex effort, so
+// the ratios between modes quantify what each kind of reuse saves.
+const (
+	solvesHelp = "Simplex solves by mode (cold = two-phase, warm = phase 2 from a prepared tableau, dual = dual simplex from a parent tableau)."
+	pivotsHelp = "Simplex pivots by mode (cold = two-phase, warm = phase 2 from a prepared tableau, dual = dual simplex from a parent tableau)."
+)
+
 var (
-	mSolvesCold = obs.Default.Counter("wcetlab_lp_solves_total",
-		"Simplex solves by mode (cold = two-phase, warm = phase 2 from a prepared tableau).",
-		"mode", "cold")
-	mSolvesWarm = obs.Default.Counter("wcetlab_lp_solves_total",
-		"Simplex solves by mode (cold = two-phase, warm = phase 2 from a prepared tableau).",
-		"mode", "warm")
-	mPivotsCold = obs.Default.Counter("wcetlab_lp_pivots_total",
-		"Simplex pivots by mode (cold = two-phase, warm = phase 2 from a prepared tableau).",
-		"mode", "cold")
-	mPivotsWarm = obs.Default.Counter("wcetlab_lp_pivots_total",
-		"Simplex pivots by mode (cold = two-phase, warm = phase 2 from a prepared tableau).",
-		"mode", "warm")
+	mSolvesCold = obs.Default.Counter("wcetlab_lp_solves_total", solvesHelp, "mode", "cold")
+	mSolvesWarm = obs.Default.Counter("wcetlab_lp_solves_total", solvesHelp, "mode", "warm")
+	mSolvesDual = obs.Default.Counter("wcetlab_lp_solves_total", solvesHelp, "mode", "dual")
+	mPivotsCold = obs.Default.Counter("wcetlab_lp_pivots_total", pivotsHelp, "mode", "cold")
+	mPivotsWarm = obs.Default.Counter("wcetlab_lp_pivots_total", pivotsHelp, "mode", "warm")
+	mPivotsDual = obs.Default.Counter("wcetlab_lp_pivots_total", pivotsHelp, "mode", "dual")
 )
 
 // Rel is a constraint relation.
@@ -123,10 +135,13 @@ var iterationCap = 50000
 // w = n+1: rows 0..m-1 are the constraints and row m is the reduced-cost
 // row (for maximisation); column n holds each row's right-hand side, and
 // the reduced-cost row's column n the (negated) objective constant.
+// Columns are the decision variables, the slacks of the built rows, their
+// artificials, then the slacks of the bound rows Branch appended.
 type tableau struct {
 	m, n   int       // constraint rows, total columns (excluding the RHS)
 	nv     int       // decision variables (columns 0..nv-1)
-	art    int       // first artificial column (artificials are art..n-1)
+	art    int       // first artificial column
+	artEnd int       // one past the last artificial column
 	w      int       // row stride, n+1
 	a      []float64 // (m+1)·w entries
 	basis  []int     // basic variable of each constraint row
@@ -139,9 +154,20 @@ type tableau struct {
 // branch & bound search does across its nodes, allocates the tableau's
 // storage once rather than per solve. A Workspace must not be shared
 // between goroutines.
+//
+// Besides the tableau of the last Solve or SolveObjective, a workspace
+// holds one optimal tableau per level of a depth-first search: Keep stores
+// a solved tableau at its depth, and Branch re-optimises a child from the
+// level above it.
 type Workspace struct {
-	t tableau
+	t      tableau
+	levels []tableau
 }
+
+// keepFloats caps the level storage a workspace carries from one search
+// to the next (Trim): about 4 MB, ample for every level of the knapsack
+// searches, which reach 22 levels.
+const keepFloats = 1 << 19
 
 // row returns constraint row i (i == m is the reduced-cost row), RHS
 // included.
@@ -152,7 +178,7 @@ func (t *tableau) row(i int) []float64 { return t.a[i*t.w : (i+1)*t.w : (i+1)*t.
 // size asked for, since branch & bound asks for a row and a column or two
 // more with every level it descends.
 func (t *tableau) reset(m, n, nv, art int) {
-	t.m, t.n, t.nv, t.art, t.w, t.pivots = m, n, nv, art, n+1, 0
+	t.m, t.n, t.nv, t.art, t.artEnd, t.w, t.pivots = m, n, nv, art, n, n+1, 0
 	size := (m + 1) * (n + 1)
 	if cap(t.a) < size {
 		t.a = make([]float64, size, 2*size)
@@ -169,7 +195,7 @@ func (t *tableau) reset(m, n, nv, art int) {
 // load makes t a copy of base, whose pivot count it does not inherit:
 // each re-solve reports only its own phase-2 effort.
 func (t *tableau) load(base *tableau) {
-	t.m, t.n, t.nv, t.art, t.w, t.pivots = base.m, base.n, base.nv, base.art, base.w, 0
+	t.m, t.n, t.nv, t.art, t.artEnd, t.w, t.pivots = base.m, base.n, base.nv, base.art, base.artEnd, base.w, 0
 	t.a = append(t.a[:0], base.a...)
 	t.basis = append(t.basis[:0], base.basis...)
 }
@@ -400,7 +426,13 @@ func (t *tableau) solveObjective(objective []float64) Solution {
 	if st := t.iterate(); st != Optimal {
 		return Solution{Status: st}
 	}
+	return t.solution(objective)
+}
 
+// solution extracts the optimum of an optimal tableau: the basic decision
+// variables' values, and the objective priced from them.
+func (t *tableau) solution(objective []float64) Solution {
+	nv := t.nv
 	x := make([]float64, nv)
 	for i := 0; i < t.m; i++ {
 		if b := t.basis[i]; b < nv {
@@ -468,6 +500,180 @@ func (ws *Workspace) SolveObjective(pr *Prepared, objective []float64) Solution 
 	sol := t.solveObjective(objective)
 	mPivotsWarm.Add(uint64(t.pivots))
 	return sol
+}
+
+// Keep stores a copy of the tableau of the workspace's last Solve or
+// SolveObjective as the optimum at the given depth of a depth-first
+// search, the parent Branch re-optimises that node's children from.
+func (ws *Workspace) Keep(depth int) {
+	ws.level(depth).load(&ws.t)
+}
+
+// level returns the level tableau at the given depth, adding levels as
+// needed.
+func (ws *Workspace) level(depth int) *tableau {
+	for len(ws.levels) <= depth {
+		ws.levels = append(ws.levels, tableau{})
+	}
+	return &ws.levels[depth]
+}
+
+// Branch re-optimises a branch & bound child by dual simplex. The child is
+// the optimum kept at depth-1 (by Keep or an earlier Branch) with one more
+// bound row, x_v ≤ rhs (LE) or x_v ≥ rhs (GE); the parent level must hold
+// an optimal tableau. The row is appended with its own slack column and
+// expressed in the parent's basis, which leaves the reduced costs dual
+// feasible, so dual simplex only has to restore the right-hand sides. The
+// child's tableau becomes the level at depth, for its own children.
+//
+// unique reports that a cold Solve of the child's program could return
+// nothing else: the child is infeasible, or its optimum is dual
+// nondegenerate (every nonbasic, non-artificial column has a reduced cost
+// below −eps), so no other vertex attains it. Otherwise — an optimum that
+// may have ties, or a dual phase at its iteration cap — a caller that
+// needs Solve's exact answer must solve the child cold.
+func (ws *Workspace) Branch(depth, v int, rel Rel, rhs float64, objective []float64) (sol Solution, unique bool) {
+	mSolvesDual.Inc()
+	t := ws.level(depth)
+	t.extend(&ws.levels[depth-1], v, rel, rhs)
+	st := t.dualIterate()
+	if st == Optimal {
+		// Dual simplex keeps every reduced cost within eps of feasible;
+		// primal simplex settles any that drifted, normally in no pivots.
+		st = t.iterate()
+	}
+	mPivotsDual.Add(uint64(t.pivots))
+	switch st {
+	case Optimal:
+		return t.solution(objective), t.unique()
+	case Infeasible:
+		return Solution{Status: st}, true
+	}
+	return Solution{Status: st}, false
+}
+
+// Trim releases the deepest levels until the workspace keeps at most
+// keepFloats tableau entries across them, so a pooled workspace does not
+// carry one unusually large search's levels into every later one.
+func (ws *Workspace) Trim() {
+	total := 0
+	for i := range ws.levels {
+		total += cap(ws.levels[i].a)
+		if total > keepFloats {
+			clear(ws.levels[i:])
+			ws.levels = ws.levels[:i]
+			return
+		}
+	}
+}
+
+// extend shapes t as parent plus the bound row x_v rel rhs and its slack
+// column, appended after every column of the parent. The row is written
+// in the parent's basis: when x_v is basic, its row (times the bound's
+// sign) is subtracted, so the new slack is the row's basic variable and
+// the right-hand side the bound's violation, negative when violated.
+func (t *tableau) extend(parent *tableau, v int, rel Rel, rhs float64) {
+	pm, pn := parent.m, parent.n
+	m, n := pm+1, pn+1
+	t.m, t.n, t.nv, t.art, t.artEnd, t.w, t.pivots = m, n, parent.nv, parent.art, parent.artEnd, n+1, 0
+	size := (m + 1) * (n + 1)
+	if cap(t.a) < size {
+		t.a = make([]float64, size)
+	}
+	t.a = t.a[:size]
+	// The parent's rows keep their places, the reduced-cost row moves
+	// below the new row, and every row gains a zero in the new column.
+	for i := 0; i <= pm; i++ {
+		dst := i
+		if i == pm {
+			dst = m
+		}
+		src, r := parent.row(i), t.row(dst)
+		copy(r[:pn], src[:pn])
+		r[pn] = 0
+		r[n] = src[pn]
+	}
+	t.basis = append(append(t.basis[:0], parent.basis...), pn)
+
+	sign := 1.0
+	if rel == GE { // x_v ≥ rhs as −x_v + s = −rhs
+		sign = -1
+	} else if rel != LE {
+		panic("lp: Branch takes an LE or GE bound row")
+	}
+	r := t.row(pm)
+	k := slices.Index(parent.basis, v)
+	if k < 0 { // x_v is nonbasic, zero: the row is already in the basis
+		clear(r)
+		r[v] = sign
+		r[n] = sign * rhs
+	} else {
+		src := t.row(k)
+		for j, a := range src {
+			r[j] = -sign * a
+		}
+		r[v] = 0
+		r[n] = sign * (rhs - src[n])
+	}
+	r[pn] = 1
+}
+
+// dualIterate runs dual simplex on a dual-feasible tableau until its
+// right-hand sides are feasible (Optimal) or a row proves the program
+// infeasible. Bland's rule carries over: the leaving row is the violated
+// one whose basic variable has the smallest index, and ratio ties enter
+// the smallest column.
+func (t *tableau) dualIterate() Status {
+	obj := t.row(t.m)
+	for iter := 0; ; iter++ {
+		if iter > iterationCap {
+			return IterationLimit
+		}
+		row := -1
+		for i, k := 0, t.n; i < t.m; i, k = i+1, k+t.w {
+			if t.a[k] < -eps && (row < 0 || t.basis[i] < t.basis[row]) {
+				row = i
+			}
+		}
+		if row < 0 {
+			return Optimal
+		}
+		col := -1
+		best := math.Inf(1)
+		for j, v := range t.row(row)[:t.n] {
+			if v < -eps {
+				if ratio := obj[j] / v; ratio < best-eps {
+					best = ratio
+					col = j
+				}
+			}
+		}
+		if col < 0 {
+			return Infeasible // the row's basic variable cannot rise to zero
+		}
+		t.pivot(row, col)
+	}
+}
+
+// unique reports that an optimal tableau's optimum is dual nondegenerate:
+// no nonbasic column outside the artificial range has a reduced cost
+// within eps of zero. Basic columns are exact unit columns with a zero
+// reduced cost, so it suffices that the columns with reduced costs of
+// -eps or more are exactly the basic non-artificial ones.
+func (t *tableau) unique() bool {
+	basic := 0
+	for _, b := range t.basis {
+		if b < t.art || b >= t.artEnd {
+			basic++
+		}
+	}
+	zero := 0
+	for j, v := range t.row(t.m)[:t.n] {
+		if v >= -eps && (j < t.art || j >= t.artEnd) {
+			zero++
+		}
+	}
+	return zero == basic
 }
 
 func flip(r Rel) Rel {
