@@ -6,22 +6,25 @@ GO ?= go
 check: fmt vet build test
 
 # What .github/workflows/ci.yml runs: check with the race detector on,
-# plus short fuzzing runs of the simplex kernel and the store decoders,
-# the single-iteration benchmark smoke (validated JSON), the benchmark
-# module's build and tests, the warm-store determinism check and the
-# serve smoke test.
+# plus short fuzzing runs of the simplex kernel, the cache-sweep pricing
+# and the store decoders, the single-iteration benchmark smoke (validated
+# JSON), the benchmark module's build and tests, the warm-store
+# determinism check and the serve smoke test.
 ci: fmt vet build test-race fuzz-smoke bench-smoke perfbench-smoke warmstore smoke
 
 # Ten seconds of native fuzzing per target: the simplex kernel must match
 # the dense reference tableau (internal/lp/ref_test.go) on generated
 # programs, its dual re-optimisation of a branch & bound child must match
-# a cold solve of the child's program, and the store's artifact decoders
-# must return a value or an error, never panic, on arbitrary bytes. The checked-in seed corpora
-# (testdata/fuzz under each package) replay in every plain `go test`;
-# this target searches beyond them.
+# a cold solve of the child's program, sim.RunCaches must price generated
+# programs under random cache batches and scratchpad placements as the
+# reference bus does (internal/sim/ref_test.go), and the store's artifact
+# decoders must return a value or an error, never panic, on arbitrary
+# bytes. The checked-in seed corpora (testdata/fuzz under each package)
+# replay in every plain `go test`; this target searches beyond them.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSolveMatchesReference -fuzztime=10s ./internal/lp
 	$(GO) test -run='^$$' -fuzz=FuzzBranchMatchesSolve -fuzztime=10s ./internal/lp
+	$(GO) test -run='^$$' -fuzz=FuzzRunCachesMatchesReference -fuzztime=10s ./internal/sim
 	$(GO) test -run='^$$' -fuzz=FuzzStoreDecode -fuzztime=10s ./internal/store
 
 # The CI benchmark gate: one pass over every benchmark, output validated

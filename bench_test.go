@@ -586,14 +586,14 @@ func BenchmarkCacheSweepWarm(b *testing.B) {
 	// One warming pass populates the memo; the measured loop is the
 	// steady-state serving cost (what a warm `/v1/sweep?branch=cache` pays).
 	for _, size := range core.PaperSizes {
-		if _, err := cctx.Analyze(size, 0, nil, false); err != nil {
+		if _, err := cctx.Analyze(context.Background(), size, 0, nil, false); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, size := range core.PaperSizes {
-			if _, err := cctx.Analyze(size, 0, nil, false); err != nil {
+			if _, err := cctx.Analyze(context.Background(), size, 0, nil, false); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -636,6 +636,19 @@ func BenchmarkWarmProcessPareto(b *testing.B) {
 	}
 }
 
+// simulate runs exe, under a cache as a one-configuration sim.RunCaches
+// pass.
+func simulate(exe *link.Executable, ccfg *cache.Config) (*sim.Result, error) {
+	if ccfg == nil {
+		return sim.Run(exe, sim.Options{})
+	}
+	res, err := sim.RunCaches(exe, []cache.Config{*ccfg})
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
 // BenchmarkSimulate is the interpreter's layer gate: one full simulation of
 // each benchmark per iteration under the three memory systems the paper
 // compares — main memory only, a 1 KB energy-allocated scratchpad and a
@@ -668,7 +681,7 @@ func BenchmarkSimulate(b *testing.B) {
 			b.Run(name+"/"+cfg.name, func(b *testing.B) {
 				var instrs uint64
 				for i := 0; i < b.N; i++ {
-					res, err := sim.Run(exe, sim.Options{Cache: cfg.cache})
+					res, err := simulate(exe, cfg.cache)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -719,7 +732,7 @@ func BenchmarkAnalyze(b *testing.B) {
 		}
 		b.Run(name+"/spm", func(b *testing.B) {
 			sweep(b, wcet.Options{}, func(e *wcet.Engine, i int, size uint32) error {
-				_, err := e.Analyze(0, size, placements[i], false)
+				_, err := e.Analyze(context.Background(), 0, size, placements[i], false)
 				return err
 			})
 		})
@@ -730,7 +743,7 @@ func BenchmarkAnalyze(b *testing.B) {
 			b.Run(name+"/"+c.name, func(b *testing.B) {
 				opts := wcet.Options{Cache: &cache.Config{Assoc: c.assoc}, StackBound: l.StackBound}
 				sweep(b, opts, func(e *wcet.Engine, _ int, size uint32) error {
-					_, err := e.Analyze(size, 0, nil, false)
+					_, err := e.Analyze(context.Background(), size, 0, nil, false)
 					return err
 				})
 			})

@@ -15,12 +15,16 @@ import (
 
 // run executes exe to completion under the given stepper and returns the
 // CPU, its final memory system and the number of distinct addresses it
-// fetched from.
+// fetched from. With a cache configuration, the system feeds a sweep over
+// it.
 func run(t *testing.T, exe *link.Executable, ccfg *cache.Config, step func(*arm.CPU) error) (*arm.CPU, *mem.System, int) {
 	t.Helper()
-	sys, err := exe.NewMemory(ccfg)
-	if err != nil {
-		t.Fatal(err)
+	sys := exe.NewMemory()
+	if ccfg != nil {
+		var err error
+		if sys.Sweep, err = cache.NewSweep([]cache.Config{*ccfg}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	fetched := map[uint32]bool{}
 	sys.OnAccess = func(a mem.Access) {
@@ -93,9 +97,14 @@ func TestProgramsMatchReference(t *testing.T) {
 					t.Errorf("%s: cycles/instrs/exit %d/%d/%d, reference %d/%d/%d", cfg.name,
 						got.Cycles, got.Instrs, got.R[0], want.Cycles, want.Instrs, want.R[0])
 				}
-				if cfg.cache != nil && (gotMem.Cache.Hits != wantMem.Cache.Hits || gotMem.Cache.Misses != wantMem.Cache.Misses) {
-					t.Errorf("%s: cache hits/misses %d/%d, reference %d/%d", cfg.name,
-						gotMem.Cache.Hits, gotMem.Cache.Misses, wantMem.Cache.Hits, wantMem.Cache.Misses)
+				var hits uint64
+				if cfg.cache != nil {
+					h, m, c := gotMem.Sweep.Counts(0)
+					wh, wm, wc := wantMem.Sweep.Counts(0)
+					if h != wh || m != wm || c != wc {
+						t.Errorf("%s: cache hits/misses/main cycles %d/%d/%d, reference %d/%d/%d", cfg.name, h, m, c, wh, wm, wc)
+					}
+					hits = h
 				}
 				segs, refSegs := append([]*mem.Segment{gotMem.SPM}, gotMem.Main...), append([]*mem.Segment{wantMem.SPM}, wantMem.Main...)
 				for i, s := range segs {
@@ -103,7 +112,7 @@ func TestProgramsMatchReference(t *testing.T) {
 						t.Errorf("%s: final %s segment differs from the reference", cfg.name, s.Name)
 					}
 				}
-				if got.Instrs == 0 || (cfg.cache != nil && gotMem.Cache.Hits == 0) {
+				if got.Instrs == 0 || (cfg.cache != nil && hits == 0) {
 					t.Errorf("%s: degenerate run: %d instructions", cfg.name, got.Instrs)
 				}
 			}

@@ -69,17 +69,24 @@ func (c Config) Validate() error {
 	if c.Assoc < 1 {
 		return fmt.Errorf("cache: associativity %d must be >= 1", c.Assoc)
 	}
-	if c.Size%(c.LineSize*uint32(c.Assoc)) != 0 {
+	if n := c.NumSets(); n == 0 || uint64(n)*uint64(c.LineSize)*uint64(c.Assoc) != uint64(c.Size) {
 		return fmt.Errorf("cache: size %d not divisible by line size %d x assoc %d",
 			c.Size, c.LineSize, c.Assoc)
 	}
 	return nil
 }
 
-// NumSets returns the number of cache sets.
+// NumSets returns the number of cache sets, or 0 when not even one set of
+// Assoc lines fits. The WCET analysis calls it per access, so it keeps to
+// one division.
 func (c Config) NumSets() uint32 {
 	c = c.WithDefaults()
-	return c.Size / (c.LineSize * uint32(c.Assoc))
+	// With Assoc bounded by Size, line size × assoc cannot wrap in 64 bits.
+	set := uint64(c.LineSize) * uint64(c.Assoc)
+	if c.Assoc < 1 || uint64(c.Assoc) > uint64(c.Size) || set > uint64(c.Size) {
+		return 0
+	}
+	return c.Size / uint32(set)
 }
 
 // Cache is a running cache model.
@@ -119,9 +126,6 @@ func New(cfg Config) (*Cache, error) {
 // Config returns the cache configuration (with defaults applied).
 func (c *Cache) Config() Config { return c.cfg }
 
-// InstructionOnly reports whether data accesses bypass the cache.
-func (c *Cache) InstructionOnly() bool { return c.cfg.InstructionOnly }
-
 // set returns addr's set, most recently used first, and addr's tag.
 func (c *Cache) set(addr uint32) ([]uint32, uint32) {
 	// & 31 lets the compiler drop its fixup for shifts of 32 or more.
@@ -147,29 +151,25 @@ func touch(set []uint32, tag uint32) bool {
 	return hit
 }
 
-// Read performs a read access and returns its cycle cost. A miss fills the
+// Read performs a read access and reports whether it hit. A miss fills the
 // line, evicting the least recently used line of the set.
-func (c *Cache) Read(addr uint32) int {
+func (c *Cache) Read(addr uint32) bool {
 	if touch(c.set(addr)) {
 		c.Hits++
-		return HitCycles
+		return true
 	}
 	c.Misses++
-	return MissCycles
+	return false
 }
 
-// Write performs a write-through access and returns its cycle cost: the
-// main-memory cost of the written width. No allocation happens on a write
+// Write performs a write-through access. No allocation happens on a write
 // miss; a write hit makes the line the set's most recently used (the line
-// stays valid — memory and cache are updated together).
-func (c *Cache) Write(addr uint32, size uint8) int {
+// stays valid — memory and cache are updated together). The write itself
+// costs what main memory charges for it.
+func (c *Cache) Write(addr uint32) {
 	if set, tag := c.set(addr); slices.Contains(set, tag) {
 		touch(set, tag)
 	}
-	if size == 4 {
-		return 4 // mem.MainCost; literals avoid an import cycle, mem's tests pin them
-	}
-	return 2
 }
 
 // Flush invalidates all lines and resets statistics.

@@ -106,7 +106,7 @@ func TestCacheContextSavesReanalysis(t *testing.T) {
 				if spmCap > 0 {
 					inSPM = greedyPlacement(base.Prog, spmCap)
 				}
-				if _, err := cctx.Analyze(size, spmCap, inSPM, false); err != nil {
+				if _, err := cctx.Analyze(context.Background(), size, spmCap, inSPM, false); err != nil {
 					t.Fatalf("pass %d cache %d spm %d: %v", pass, size, spmCap, err)
 				}
 			}

@@ -572,7 +572,7 @@ func (l *Lab) cacheSweep(ctx context.Context) func(context.Context, uint32) (Mea
 		cfgs[i] = cache.Config{Size: size, Assoc: 1}
 	}
 	sims, _ := recovered(ctx, func() ([]*sim.Result, error) {
-		return l.Pipe.SimulateCaches(ctx, cfgs)
+		return l.Pipe.SimulateCaches(ctx, nil, 0, nil, cfgs)
 	})
 	return func(ctx context.Context, size uint32) (Measurement, error) {
 		i := slices.Index(PaperSizes, size)

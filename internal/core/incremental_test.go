@@ -121,7 +121,7 @@ func TestIncrementalRepricingSavesWork(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, size := range PaperSizes {
-				if _, err := ctx.Analyze(0, size, greedyPlacement(lab.Prog, size), false); err != nil {
+				if _, err := ctx.Analyze(context.Background(), 0, size, greedyPlacement(lab.Prog, size), false); err != nil {
 					t.Fatalf("cap %d: %v", size, err)
 				}
 			}

@@ -2,9 +2,9 @@ package core
 
 import (
 	"context"
-
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 )
@@ -56,7 +56,9 @@ func TestMetricsMirrorStats(t *testing.T) {
 	if _, err := lab.SweepScratchpad(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lab.WithCache(context.Background(), 1024, 1); err != nil {
+	// Block granularity measures split partitions, which the interpreter
+	// runs.
+	if _, err := lab.WithWCETAllocationGran(context.Background(), 1024, alloc.GranBlock); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := lab.SweepCache(context.Background()); err != nil {

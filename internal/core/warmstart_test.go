@@ -66,7 +66,7 @@ func TestSolverStateRoundTrip(t *testing.T) {
 					}
 					coldRes := make([]*wcet.Result, 0, len(PaperSizes))
 					for _, size := range PaperSizes {
-						r, err := cold.Analyze(0, size, greedyPlacement(base.Prog, size), true)
+						r, err := cold.Analyze(context.Background(), 0, size, greedyPlacement(base.Prog, size), true)
 						if err != nil {
 							t.Fatalf("cap %d: cold: %v", size, err)
 						}
@@ -87,7 +87,7 @@ func TestSolverStateRoundTrip(t *testing.T) {
 						t.Fatal("no solver state imported")
 					}
 					for i, size := range PaperSizes {
-						r, err := warm.Analyze(0, size, greedyPlacement(base.Prog, size), true)
+						r, err := warm.Analyze(context.Background(), 0, size, greedyPlacement(base.Prog, size), true)
 						if err != nil {
 							t.Fatalf("cap %d: warm: %v", size, err)
 						}
@@ -138,7 +138,7 @@ func TestCacheSolverStateRoundTrip(t *testing.T) {
 			}
 			coldRes := make([]*wcet.Result, 0, len(PaperSizes))
 			for _, size := range PaperSizes {
-				r, err := cold.Analyze(size, 0, nil, true)
+				r, err := cold.Analyze(context.Background(), size, 0, nil, true)
 				if err != nil {
 					t.Fatalf("cache %d: cold: %v", size, err)
 				}
@@ -156,7 +156,7 @@ func TestCacheSolverStateRoundTrip(t *testing.T) {
 				t.Fatal("no solver state imported")
 			}
 			for i, size := range PaperSizes {
-				r, err := warm.Analyze(size, 0, nil, true)
+				r, err := warm.Analyze(context.Background(), size, 0, nil, true)
 				if err != nil {
 					t.Fatalf("cache %d: warm: %v", size, err)
 				}

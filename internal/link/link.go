@@ -15,7 +15,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/cache"
 	"repro/internal/mem"
 	"repro/internal/obj"
 )
@@ -246,12 +245,11 @@ func (e *Executable) buildSegments() {
 	}
 }
 
-// NewMemory materialises the executable into a fresh memory system,
-// optionally fronted by a unified cache (cacheCfg nil means no cache). Every
-// call returns an independent image, so repeated simulations start cold; the
-// composed segment bytes are cached on the executable, so a repeat call is
-// three memcpys rather than a placement walk.
-func (e *Executable) NewMemory(cacheCfg *cache.Config) (*mem.System, error) {
+// NewMemory materialises the executable into a fresh memory system. Every
+// call returns an independent image, so repeated simulations start fresh;
+// the composed segment bytes are cached on the executable, so a repeat call
+// is three memcpys rather than a placement walk.
+func (e *Executable) NewMemory() *mem.System {
 	e.segOnce.Do(e.buildSegments)
 	var spm *mem.Segment
 	if e.SPMSize > 0 {
@@ -260,13 +258,5 @@ func (e *Executable) NewMemory(cacheCfg *cache.Config) (*mem.System, error) {
 	code := &mem.Segment{Name: "code", Base: CodeBase, Data: append([]byte(nil), e.segCode...)}
 	data := &mem.Segment{Name: "data", Base: DataBase, Data: append([]byte(nil), e.segData...)}
 	stack := &mem.Segment{Name: "stack", Base: StackBase, Data: make([]byte, StackSize)}
-	sys := mem.NewSystem(spm, code, data, stack)
-	if cacheCfg != nil {
-		c, err := cache.New(*cacheCfg)
-		if err != nil {
-			return nil, err
-		}
-		sys.Cache = c
-	}
-	return sys, nil
+	return mem.NewSystem(spm, code, data, stack)
 }

@@ -176,10 +176,7 @@ func TestNewMemoryMaterialisation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := exe.NewMemory(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := exe.NewMemory()
 	// g's initial value must be readable at its SPM address.
 	v, err := sys.Peek(exe.Placement("g").Addr, 4)
 	if err != nil || v != 41 {
@@ -190,11 +187,8 @@ func TestNewMemoryMaterialisation(t *testing.T) {
 	if err != nil || hw == 0 {
 		t.Fatalf("main's first halfword = %#x (%v)", hw, err)
 	}
-	// Fresh memories are independent (cold caches, separate RAM).
-	sys2, err := exe.NewMemory(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Fresh memories are independent (separate RAM).
+	sys2 := exe.NewMemory()
 	if err := sys.Poke(exe.Placement("g").Addr, 4, 99); err != nil {
 		t.Fatal(err)
 	}

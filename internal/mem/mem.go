@@ -1,14 +1,14 @@
 // Package mem models the target memory system of the paper's evaluation
 // board (ATMEL AT91EB01): a slow off-chip main memory whose access time
-// depends on the access width (Table 1 of the paper), an optional on-chip
-// scratchpad with uniform single-cycle access, and an optional unified
-// cache in front of main memory.
+// depends on the access width (Table 1 of the paper) and an optional on-chip
+// scratchpad with uniform single-cycle access.
 //
-// The cache is tag-only: because writes are write-through, main memory is
-// always current and the cache contributes timing, not storage. This keeps
-// the functional simulation independent of the cache configuration — only
-// cycle counts change, which is exactly the property the paper's comparison
-// relies on.
+// The memory system contains no cache. The paper's cache is tag-only and
+// write-through, so it contributes timing, not storage: the system always
+// charges main-memory cost and feeds every main-memory access to an
+// attached cache.Sweep, from whose counts sim reprices the run. The
+// functional simulation is thus independent of the cache configuration,
+// the property the paper's comparison relies on.
 package mem
 
 import (
@@ -140,17 +140,14 @@ type System struct {
 	SPM *Segment
 	// Main holds the main-memory segments (code, data, stack, …).
 	Main []*Segment
-	// Cache, when non-nil, fronts every main-memory access (unified cache);
-	// scratchpad accesses bypass it.
-	Cache *cache.Cache
+	// Sweep, when non-nil, is fed every main-memory read, with its fetch
+	// flag and cost, and every main-memory write; scratchpad accesses
+	// bypass it.
+	Sweep *cache.Sweep
 
 	// OnAccess, when non-nil, observes every access (before cost
 	// accounting). Used by the profiler that feeds the SPM allocator.
 	OnAccess func(Access)
-
-	// Statistics.
-	SPMAccesses  uint64
-	MainAccesses uint64
 
 	// regions caches, per address region, the segment the region's last
 	// access resolved to: slot (addr >> regionShift) % regionSlots. An
@@ -265,14 +262,13 @@ func (m *System) Read(addr uint32, size uint8, fetch bool) (uint32, int, error) 
 	}
 	v := get(w.data[off:], size)
 	if w.spm {
-		m.SPMAccesses++
 		return v, SPMCycles, nil
 	}
-	m.MainAccesses++
-	if m.Cache != nil && (fetch || !m.Cache.InstructionOnly()) {
-		return v, m.Cache.Read(addr), nil
+	c := MainCost(size)
+	if m.Sweep != nil {
+		m.Sweep.Read(addr, fetch, c)
 	}
-	return v, MainCost(size), nil
+	return v, c, nil
 }
 
 // Write implements arm.Bus.
@@ -290,12 +286,10 @@ func (m *System) Write(addr uint32, size uint8, val uint32) (int, error) {
 	}
 	put(w.data[off:], size, val)
 	if w.spm {
-		m.SPMAccesses++
 		return SPMCycles, nil
 	}
-	m.MainAccesses++
-	if m.Cache != nil && !m.Cache.InstructionOnly() {
-		return m.Cache.Write(addr, size), nil
+	if m.Sweep != nil {
+		m.Sweep.Write(addr)
 	}
 	return MainCost(size), nil
 }

@@ -84,20 +84,6 @@ func TestAccessesPriceMatchesSystem(t *testing.T) {
 	}
 }
 
-// TestCacheWriteCostIsMainCost: the cache's write-through costs, written as
-// literals there to avoid an import cycle, equal MainCost at every width.
-func TestCacheWriteCostIsMainCost(t *testing.T) {
-	c, err := cache.New(cache.Config{Size: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, width := range []uint8{1, 2, 4} {
-		if got := c.Write(0x10000, width); got != MainCost(width) {
-			t.Errorf("width %d: cache write costs %d, MainCost %d", width, got, MainCost(width))
-		}
-	}
-}
-
 // TestAccessesArithmetic: Total, AddScaled and Saving agree with counting
 // and pricing the accesses one by one.
 func TestAccessesArithmetic(t *testing.T) {
@@ -173,42 +159,49 @@ func TestUnmappedAccess(t *testing.T) {
 	}
 }
 
+// TestCachedMainMemory: with a sweep attached, every main-memory access
+// still costs main-memory cost, and the sweep sees each read with its
+// fetch flag and cost: a fetch miss, a fetch hit, a data read hit.
 func TestCachedMainMemory(t *testing.T) {
 	m := sys(0)
 	var err error
-	m.Cache, err = cache.New(cache.Config{Size: 64})
+	m.Sweep, err = cache.NewSweep([]cache.Config{{Size: 64}, {Size: 64, InstructionOnly: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// First read: miss; second: hit.
-	_, cyc, _ := m.Read(0x10000, 2, true)
-	if cyc != cache.MissCycles {
-		t.Fatalf("cold fetch cost %d, want %d", cyc, cache.MissCycles)
+	for _, a := range []struct {
+		size  uint8
+		fetch bool
+	}{{2, true}, {2, true}, {4, false}} {
+		if _, cyc, _ := m.Read(0x10000, a.size, a.fetch); cyc != MainCost(a.size) {
+			t.Fatalf("%d-byte read cost %d, want %d", a.size, cyc, MainCost(a.size))
+		}
 	}
-	_, cyc, _ = m.Read(0x10000, 2, true)
-	if cyc != cache.HitCycles {
-		t.Fatalf("warm fetch cost %d, want %d", cyc, cache.HitCycles)
+	if wcyc, _ := m.Write(0x10000, 4, 1); wcyc != MainWordCycles {
+		t.Fatalf("write cost %d, want %d", wcyc, MainWordCycles)
 	}
-	// Writes are write-through at main-memory cost.
-	wcyc, _ := m.Write(0x10000, 4, 1)
-	if wcyc != MainWordCycles {
-		t.Fatalf("cached write cost %d, want %d", wcyc, MainWordCycles)
+	if h, miss, cost := m.Sweep.Counts(0); h != 2 || miss != 1 || cost != 2*MainHalfCycles+MainWordCycles {
+		t.Errorf("unified: %d hits %d misses costing %d, want 2/1 costing %d", h, miss, cost, 2*MainHalfCycles+MainWordCycles)
+	}
+	if h, miss, cost := m.Sweep.Counts(1); h != 1 || miss != 1 || cost != 2*MainHalfCycles {
+		t.Errorf("instruction-only: %d hits %d misses costing %d, want 1/1 costing %d", h, miss, cost, 2*MainHalfCycles)
 	}
 }
 
+// TestSPMBypassesCache: scratchpad accesses never reach the sweep.
 func TestSPMBypassesCache(t *testing.T) {
 	m := sys(1024)
 	var err error
-	m.Cache, err = cache.New(cache.Config{Size: 64})
+	m.Sweep, err = cache.NewSweep([]cache.Config{{Size: 64}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, cyc, _ := m.Read(0x10, 4, false)
 	if cyc != SPMCycles {
-		t.Fatalf("SPM read through cache-enabled system cost %d, want %d", cyc, SPMCycles)
+		t.Fatalf("SPM read with a sweep attached cost %d, want %d", cyc, SPMCycles)
 	}
-	if m.Cache.Hits+m.Cache.Misses != 0 {
-		t.Fatal("SPM access must not touch the cache")
+	if h, miss, cost := m.Sweep.Counts(0); h+miss+cost != 0 {
+		t.Fatal("SPM access must not reach the sweep")
 	}
 }
 
@@ -231,14 +224,18 @@ func TestOnAccessHook(t *testing.T) {
 
 func TestPeekPokeNoSideEffects(t *testing.T) {
 	m := sys(64)
+	var err error
+	if m.Sweep, err = cache.NewSweep([]cache.Config{{Size: 64}}); err != nil {
+		t.Fatal(err)
+	}
+	m.OnAccess = func(a Access) { t.Errorf("peek or poke observed as %+v", a) }
 	m.Poke(0x10000, 4, 42)
-	before := m.MainAccesses
 	v, err := m.Peek(0x10000, 4)
 	if err != nil || v != 42 {
 		t.Fatalf("peek = %d, %v", v, err)
 	}
-	if m.MainAccesses != before {
-		t.Fatal("peek must not count as an access")
+	if h, miss, cost := m.Sweep.Counts(0); h+miss+cost != 0 {
+		t.Fatal("peek or poke reached the sweep")
 	}
 }
 

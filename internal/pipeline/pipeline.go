@@ -135,9 +135,9 @@ type Allocator interface {
 // pairs with a run). AnalyzeUpgrades counts re-runs of an already-analysed
 // configuration to attach a witness — the only way a configuration is ever
 // analysed twice. SimsRetimed counts the Sims computed in closed form
-// (sim.Retime), SimsSwept the Sims priced by a cache-sweep pass shared
-// with other capacities (SimulateCaches); the rest each ran the
-// interpreter. The *Time fields
+// (sim.Retime), SimsSwept the cached Sims, each priced by a cache-sweep
+// pass (sim.RunCaches) of its batch; the rest each ran the interpreter
+// without a cache. The *Time fields
 // accumulate wall clock spent in cold stage executions; AllocTime is the
 // allocators' wall clock and includes the nested stage computations a
 // solve triggers (e.g. the WCET-directed fixpoint's analyses), so it is
@@ -226,8 +226,8 @@ type Pipeline struct {
 
 	upgrades, storeErrors counter
 	// simExecuted / simRetimed / simSwept split the simulate stage's cold
-	// runs into interpreter runs, closed-form retimes and results priced
-	// by a shared cache-sweep pass.
+	// runs into cache-less interpreter runs, closed-form retimes and
+	// results priced by a cache-sweep pass.
 	simExecuted, simRetimed, simSwept counter
 	// reuses counts cold analyses served by an existing analysis engine,
 	// cache-less [0] and cache [1]; builds are the registered engines below.
@@ -269,7 +269,7 @@ func NewNamed(prog *obj.Program, bench string) *Pipeline {
 	p.simRetimed.reg = obs.Default.Counter("wcetlab_sim_retimed_total",
 		"Cold simulate-stage runs computed in closed form from the profile.", "bench", bench)
 	p.simSwept.reg = obs.Default.Counter("wcetlab_sim_swept_total",
-		"Cold simulate-stage runs priced by a pass shared with other cache capacities.", "bench", bench)
+		"Cold simulate-stage runs priced by a cache-sweep pass.", "bench", bench)
 	return p
 }
 
@@ -426,19 +426,24 @@ func (p *Pipeline) Simulate(ctx context.Context, spmSize uint32, inSPM map[strin
 //
 // A whole-object, cache-less placement of a placement-independent program
 // is not simulated: sim.Retime computes it in closed form from the
-// memoized profile, bit-identical to a run. Every other configuration runs
-// the interpreter. Either way the placement is linked first, so link
-// errors are the same on both paths.
+// memoized profile, bit-identical to a run. Any other cache-less placement
+// runs the interpreter, and a cached one is a SimulateCaches batch of
+// one. Every path links the placement first, so
+// link errors are the same on all of them.
 func (p *Pipeline) SimulateUnits(ctx context.Context, regions []obj.Region, spmSize uint32, inSPM map[string]bool, ccfg *cache.Config) (*sim.Result, error) {
+	if ccfg != nil {
+		res, err := p.SimulateCaches(ctx, regions, spmSize, inSPM, []cache.Config{*ccfg})
+		return res[0], err
+	}
 	pk, size, in := placement(spmSize, inSPM)
 	return p.sim.get(ctx, p, request[*sim.Result]{
-		key: unitPrefix(regions) + pk + "|" + cacheKey(ccfg),
+		key: unitPrefix(regions) + pk + "|" + cacheKey(nil),
 		compute: func(ctx context.Context, timed timer[*sim.Result]) (*sim.Result, error) {
 			exe, err := p.LinkUnits(ctx, regions, size, in)
 			if err != nil {
 				return nil, err
 			}
-			if len(regions) == 0 && ccfg == nil && p.Prog.PlacementIndependent {
+			if len(regions) == 0 && p.Prog.PlacementIndependent {
 				prof, err := p.Profile(ctx)
 				if err != nil {
 					return nil, err
@@ -448,7 +453,7 @@ func (p *Pipeline) SimulateUnits(ctx context.Context, regions []obj.Region, spmS
 			}
 			p.simExecuted.inc()
 			return timed(func() (*sim.Result, error) {
-				res, err := sim.Run(exe, sim.Options{Cache: ccfg})
+				res, err := sim.Run(exe, sim.Options{})
 				if err != nil {
 					return nil, err
 				}
@@ -459,68 +464,56 @@ func (p *Pipeline) SimulateUnits(ctx context.Context, regions []obj.Region, spmS
 	})
 }
 
-// SimulateCaches simulates the whole-object, scratchpad-less layout under
-// each cache configuration in cfgs. Each configuration is served memory →
-// disk → compute under its own simulate key, exactly as Simulate serves
-// it. The direct-mapped unified configurations with the first such one's
-// line size share one interpreter pass (sim.RunCaches), which runs at most
-// once per call, only if one of them misses both tiers, and is timed as
-// the first of them to compute; every other configuration runs on its
-// own. A sweep over capacities therefore costs about one run cold and
-// none warm.
+// SimulateCaches simulates one placement, under a placement-unit
+// partition, with each cache configuration in cfgs. Each configuration is
+// served memory → disk → compute under its own simulate key, exactly as
+// Simulate serves it. One interpreter pass (sim.RunCaches) prices the
+// whole batch; it runs at most once per call, only if a configuration
+// misses both tiers, and is timed as the first of them to compute. A
+// sweep therefore costs about one run cold and none warm.
 //
 // It returns one result per configuration, nil where that configuration
-// failed, and the first failure.
-func (p *Pipeline) SimulateCaches(ctx context.Context, cfgs []cache.Config) ([]*sim.Result, error) {
-	// pos[i] is cfgs[i]'s index in swept, the configurations one pass
-	// prices, or -1.
-	var swept []cache.Config
-	pos := make([]int, len(cfgs))
-	for i, c := range cfgs {
-		pos[i] = -1
-		d := c.WithDefaults()
-		if c.Validate() == nil && d.Assoc == 1 && !d.InstructionOnly &&
-			(len(swept) == 0 || d.LineSize == swept[0].WithDefaults().LineSize) {
-			pos[i] = len(swept)
-			swept = append(swept, c)
+// failed, and the first failure. A batch holding an invalid configuration
+// fails as a whole, before any lookup.
+func (p *Pipeline) SimulateCaches(ctx context.Context, regions []obj.Region, spmSize uint32, inSPM map[string]bool, cfgs []cache.Config) ([]*sim.Result, error) {
+	out := make([]*sim.Result, len(cfgs))
+	for _, c := range cfgs {
+		if err := c.Validate(); err != nil {
+			return out, err
 		}
 	}
+	pk, size, in := placement(spmSize, inSPM)
 	// The pass, run by the first configuration that computes.
 	var (
 		ran     bool
 		pass    []*sim.Result
 		passErr error
 	)
-	out := make([]*sim.Result, len(cfgs))
 	var first error
 	for i := range cfgs {
 		var err error
-		if pos[i] < 0 {
-			out[i], err = p.Simulate(ctx, 0, nil, &cfgs[i])
-		} else {
-			out[i], err = p.sim.get(ctx, p, request[*sim.Result]{
-				key: emptyPlacement + "|" + cacheKey(&cfgs[i]),
-				compute: func(ctx context.Context, timed timer[*sim.Result]) (*sim.Result, error) {
-					var exe *link.Executable
-					if !ran {
-						ran = true
-						exe, passErr = p.Link(ctx, 0, nil)
-					}
-					if passErr != nil {
-						return nil, passErr
-					}
-					p.simSwept.inc()
-					return timed(func() (*sim.Result, error) {
-						if exe != nil {
-							if pass, passErr = sim.RunCaches(exe, swept); passErr != nil {
-								return nil, passErr
-							}
+		out[i], err = p.sim.get(ctx, p, request[*sim.Result]{
+			key: unitPrefix(regions) + pk + "|" + cacheKey(&cfgs[i]),
+			compute: func(ctx context.Context, timed timer[*sim.Result]) (*sim.Result, error) {
+				var exe *link.Executable
+				if !ran {
+					ran = true
+					exe, passErr = p.LinkUnits(ctx, regions, size, in)
+				}
+				if passErr != nil {
+					return nil, passErr
+				}
+				p.simSwept.inc()
+				return timed(func() (*sim.Result, error) {
+					if exe != nil {
+						if pass, passErr = sim.RunCaches(exe, cfgs); passErr != nil {
+							return nil, passErr
 						}
-						return pass[pos[i]], nil
-					})
-				},
-			})
-		}
+					}
+					return pass[i], nil
+				})
+			},
+		})
 		if err != nil && first == nil {
 			first = err
 		}
@@ -560,7 +553,7 @@ func (p *Pipeline) AnalyzeUnits(ctx context.Context, regions []obj.Region, spmSi
 			if opts.Cache != nil {
 				cacheSize = opts.Cache.Size
 			}
-			res, err := timed(func() (*wcet.Result, error) { return e.AnalyzeCtx(ctx, cacheSize, size, in, opts.Witness) })
+			res, err := timed(func() (*wcet.Result, error) { return e.Analyze(ctx, cacheSize, size, in, opts.Witness) })
 			if err == nil {
 				p.saveSolverState(e, key)
 			}

@@ -17,15 +17,23 @@ import (
 	"repro/internal/testgen"
 )
 
-// oracle is the full simulation the closed form must reproduce: a
-// from-scratch link of the placement, run by the interpreter.
+// oracle is the full simulation the pipeline must reproduce: a
+// from-scratch link of the placement, run by the interpreter — with a
+// cache, as a single-configuration sim.RunCaches pass.
 func oracle(t *testing.T, prog *obj.Program, size uint32, in map[string]bool, ccfg *cache.Config) *sim.Result {
 	t.Helper()
 	exe, err := link.Link(prog, size, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(exe, sim.Options{Cache: ccfg})
+	if ccfg != nil {
+		res, err := sim.RunCaches(exe, []cache.Config{*ccfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res[0]
+	}
+	res, err := sim.Run(exe, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +119,8 @@ func loopRegion(t *testing.T, prog *obj.Program, fn string) obj.Region {
 
 // TestRetimeFallbacks: a split partition, a scratchpad with a cache and a
 // hand-assembled program run the interpreter, never the closed form, and
-// still match full simulation.
+// still match full simulation; the cached one is a one-configuration
+// cache-sweep pass.
 func TestRetimeFallbacks(t *testing.T) {
 	ctx := context.Background()
 
@@ -138,8 +147,8 @@ func TestRetimeFallbacks(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkSame(t, "scratchpad and cache", got, oracle(t, p.Prog, 256, in, ccfg))
-	if s := p.Stats(); s.Sims != 2 || s.SimsRetimed != 0 {
-		t.Errorf("sims=%d retimed=%d, want 2/0", s.Sims, s.SimsRetimed)
+	if s := p.Stats(); s.Sims != 2 || s.SimsRetimed != 0 || s.SimsSwept != 1 {
+		t.Errorf("sims=%d retimed=%d swept=%d, want 2/0/1", s.Sims, s.SimsRetimed, s.SimsSwept)
 	}
 
 	prog := asmProgram(t)

@@ -12,7 +12,6 @@ import (
 	"repro/internal/benchprog"
 	"repro/internal/cache"
 	"repro/internal/cc"
-	"repro/internal/link"
 	"repro/internal/obj"
 	"repro/internal/pipeline"
 	"repro/internal/sim"
@@ -30,8 +29,8 @@ func sweepCapacities() []cache.Config {
 }
 
 // TestSimulateCachesOracleBenchmarks: on every benchmark, one batch over
-// every capacity from 16 B to 64 KB prices each exactly as a full
-// simulation with that cache, from one interpreter pass.
+// every capacity from 16 B to 64 KB prices each exactly as a
+// single-configuration pass, from one interpreter pass.
 func TestSimulateCachesOracleBenchmarks(t *testing.T) {
 	for _, b := range append(benchprog.All(), benchprog.WorstCaseSort) {
 		prog, err := cc.Compile(b.Source)
@@ -40,7 +39,7 @@ func TestSimulateCachesOracleBenchmarks(t *testing.T) {
 		}
 		p := pipeline.New(prog)
 		cfgs := sweepCapacities()
-		got, err := p.SimulateCaches(context.Background(), cfgs)
+		got, err := p.SimulateCaches(context.Background(), nil, 0, nil, cfgs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,10 +54,9 @@ func TestSimulateCachesOracleBenchmarks(t *testing.T) {
 
 // TestSimulateCachesOracleGenerated: on generated programs, a mixed batch
 // — shuffled direct-mapped capacities with a repeat, plus a 2-way, an
-// instruction-only and a 32-byte-line cache — equals full simulation.
-// Only the direct-mapped unified 16-byte configurations are swept; the
-// others run the interpreter. Under a random scratchpad placement, whose
-// accesses bypass the sweep, sim.RunCaches equals full simulation too.
+// instruction-only and a 32-byte-line cache — equals single-configuration
+// passes, all of it priced by one pass. So does the batch under a random
+// scratchpad placement, whose accesses bypass the sweep.
 func TestSimulateCachesOracleGenerated(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for trial := 0; trial < 12; trial++ {
@@ -74,7 +72,7 @@ func TestSimulateCachesOracleGenerated(t *testing.T) {
 			{Size: 256, Assoc: 2}, {Size: 512, InstructionOnly: true}, {Size: 1024, LineSize: 32},
 		}
 		cfgs := append(append(dm, dm[0]), others...)
-		got, err := p.SimulateCaches(context.Background(), cfgs)
+		got, err := p.SimulateCaches(context.Background(), nil, 0, nil, cfgs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,25 +80,21 @@ func TestSimulateCachesOracleGenerated(t *testing.T) {
 			checkSame(t, fmt.Sprintf("trial %d %+v", trial, cfgs[i]), got[i], oracle(t, prog, 0, nil, &cfgs[i]))
 		}
 		s := p.Stats()
-		if s.SimsSwept != uint64(len(dm)) || s.Sims != uint64(len(dm)+len(others)) || s.SimHits != 1 {
+		if n := uint64(len(dm) + len(others)); s.SimsSwept != n || s.Sims != n || s.SimHits != 1 {
 			t.Errorf("trial %d: sims=%d swept=%d hits=%d, want %d/%d/1",
-				trial, s.Sims, s.SimsSwept, s.SimHits, len(dm)+len(others), len(dm))
+				trial, s.Sims, s.SimsSwept, s.SimHits, n, n)
 		}
 
 		in := map[string]bool{}
 		for _, o := range prog.Objects {
 			in[o.Name] = rng.Intn(2) == 0
 		}
-		exe, err := link.Link(prog, 4096, in)
+		swept, err := p.SimulateCaches(context.Background(), nil, 4096, in, cfgs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		swept, err := sim.RunCaches(exe, dm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range dm {
-			checkSame(t, fmt.Sprintf("trial %d %v %d B", trial, in, dm[i].Size), swept[i], oracle(t, prog, 4096, in, &dm[i]))
+		for i := range cfgs {
+			checkSame(t, fmt.Sprintf("trial %d %v %+v", trial, in, cfgs[i]), swept[i], oracle(t, prog, 4096, in, &cfgs[i]))
 		}
 	}
 }
@@ -121,17 +115,17 @@ func TestSimulateCachesTiers(t *testing.T) {
 	if _, err := cold.Simulate(ctx, 0, nil, &cfgs[3]); err != nil {
 		t.Fatal(err)
 	}
-	want, err := cold.SimulateCaches(ctx, cfgs)
+	want, err := cold.SimulateCaches(ctx, nil, 0, nil, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := cold.Stats(); s.SimHits != 1 || s.SimsSwept != 7 || s.Sims != 8 {
-		t.Errorf("cold: hits=%d swept=%d sims=%d, want 1/7/8", s.SimHits, s.SimsSwept, s.Sims)
+	if s := cold.Stats(); s.SimHits != 1 || s.SimsSwept != 8 || s.Sims != 8 {
+		t.Errorf("cold: hits=%d swept=%d sims=%d, want 1/8/8", s.SimHits, s.SimsSwept, s.Sims)
 	}
 
 	warm := compile(t)
 	warm.SetStore(st)
-	got, err := warm.SimulateCaches(ctx, cfgs)
+	got, err := warm.SimulateCaches(ctx, nil, 0, nil, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,12 +160,12 @@ func TestSimulateCachesFailedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfgs := sweepCapacities()[2:10]
-	_, single := sim.Run(exe, sim.Options{Cache: &cfgs[0]})
+	_, single := sim.RunCaches(exe, cfgs[:1])
 	if single == nil {
 		t.Fatal("the faulting program ran to completion")
 	}
 	for range 2 {
-		res, err := p.SimulateCaches(context.Background(), cfgs)
+		res, err := p.SimulateCaches(context.Background(), nil, 0, nil, cfgs)
 		if err == nil || err.Error() != single.Error() {
 			t.Fatalf("batch error %v, single simulation %v", err, single)
 		}
@@ -202,7 +196,7 @@ func TestSimulateCachesConcurrent(t *testing.T) {
 					t.Error(err)
 				}
 			}
-			res, err := p.SimulateCaches(context.Background(), cfgs)
+			res, err := p.SimulateCaches(context.Background(), nil, 0, nil, cfgs)
 			if err != nil {
 				t.Error(err)
 			}
@@ -219,5 +213,35 @@ func TestSimulateCachesConcurrent(t *testing.T) {
 	}
 	if s := p.Stats(); s.Sims != uint64(len(cfgs)) {
 		t.Errorf("%d simulations for %d configurations", s.Sims, len(cfgs))
+	}
+}
+
+// TestSimulateCachesRejectsInvalid: a batch holding an invalid
+// configuration, like a cached Simulate of one, fails with its Validate
+// error before any lookup: nothing is linked, run or memoized, and the
+// valid configurations of the batch still compute afterwards.
+func TestSimulateCachesRejectsInvalid(t *testing.T) {
+	ctx := context.Background()
+	p := compile(t)
+	bad := cache.Config{Size: 1024, Assoc: 3}
+	want := bad.Validate()
+	cfgs := append(sweepCapacities()[2:4], bad)
+	res, err := p.SimulateCaches(ctx, nil, 0, nil, cfgs)
+	if err == nil || err.Error() != want.Error() {
+		t.Errorf("batch error %v, want %v", err, want)
+	}
+	for i, r := range res {
+		if r != nil {
+			t.Errorf("rejected batch served %+v", cfgs[i])
+		}
+	}
+	if _, err := p.Simulate(ctx, 0, nil, &bad); err == nil || err.Error() != want.Error() {
+		t.Errorf("single error %v, want %v", err, want)
+	}
+	if s := p.Stats(); s.Sims+s.SimHits+s.Links != 0 {
+		t.Errorf("rejected requests: sims=%d hits=%d links=%d, want none", s.Sims, s.SimHits, s.Links)
+	}
+	if _, err := p.SimulateCaches(ctx, nil, 0, nil, cfgs[:2]); err != nil {
+		t.Error(err)
 	}
 }

@@ -83,6 +83,7 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/benchprog"
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/link"
 	"repro/internal/obs"
@@ -512,22 +513,14 @@ func toDTO(m core.Measurement) measurementDTO {
 func (s *Server) handleWCET(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	q := r.URL.Query()
-	lab, ok := s.shardFor(w, q.Get("bench"))
-	if !ok {
-		return
-	}
+	// The query, cache configuration included, is checked before any shard
+	// is built or worker slot taken.
+	measure := (*core.Lab).Baseline
 	spmStr, cacheStr := q.Get("spm"), q.Get("cache")
-	if spmStr != "" && cacheStr != "" {
+	switch {
+	case spmStr != "" && cacheStr != "":
 		s.writeError(w, http.StatusBadRequest, "spm and cache are mutually exclusive")
 		return
-	}
-	if !s.acquire(w, r) {
-		return
-	}
-	defer s.release()
-	var m core.Measurement
-	var err error
-	switch {
 	case spmStr != "":
 		size, perr := parseSize(spmStr)
 		if perr != nil {
@@ -538,7 +531,9 @@ func (s *Server) handleWCET(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("spm %d exceeds maximum %d", size, link.SPMMax))
 			return
 		}
-		m, err = lab.WithScratchpad(r.Context(), size)
+		measure = func(lab *core.Lab, ctx context.Context) (core.Measurement, error) {
+			return lab.WithScratchpad(ctx, size)
+		}
 	case cacheStr != "":
 		size, perr := parseSize(cacheStr)
 		if perr != nil {
@@ -553,10 +548,23 @@ func (s *Server) handleWCET(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		m, err = lab.WithCache(r.Context(), size, assoc)
-	default:
-		m, err = lab.Baseline(r.Context())
+		if err := (cache.Config{Size: size, Assoc: assoc}).Validate(); err != nil {
+			s.writeError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		measure = func(lab *core.Lab, ctx context.Context) (core.Measurement, error) {
+			return lab.WithCache(ctx, size, assoc)
+		}
 	}
+	lab, ok := s.shardFor(w, q.Get("bench"))
+	if !ok {
+		return
+	}
+	if !s.acquire(w, r) {
+		return
+	}
+	defer s.release()
+	m, err := measure(lab, r.Context())
 	if err != nil {
 		s.serverError(w, err)
 		return

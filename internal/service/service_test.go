@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/benchprog"
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/service"
 	"repro/internal/store"
@@ -184,6 +185,57 @@ func TestServeErrors(t *testing.T) {
 	get(t, ts.URL+"/v1/wcet?bench=WorstCaseSort&spm=128", http.StatusOK, &m)
 	if m.WCET == 0 {
 		t.Error("server wedged after error responses")
+	}
+}
+
+// TestServeRejectsBadCache: /v1/wcet validates the cache configuration
+// before building a shard or taking a worker slot. With every worker held,
+// each bad configuration still answers 400 at once with Validate's
+// message, is counted as a failure and runs no stage.
+func TestServeRejectsBadCache(t *testing.T) {
+	srv := service.New(service.Config{Workers: 1})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	release := srv.HoldWorkers()
+	defer release()
+	// A request that waited for a worker would time out here, not hang.
+	client := &http.Client{Timeout: 10 * time.Second}
+	cases := []struct {
+		query string
+		cfg   cache.Config
+	}{
+		{"cache=100", cache.Config{Size: 100, Assoc: 1}},
+		{"cache=0", cache.Config{Size: 0, Assoc: 1}},
+		{"cache=1024&assoc=3", cache.Config{Size: 1024, Assoc: 3}},
+		{"cache=1024&assoc=268435456", cache.Config{Size: 1024, Assoc: 1 << 28}},
+	}
+	for i, c := range cases {
+		want := c.cfg.Validate()
+		if want == nil {
+			t.Fatalf("%s: %+v is valid", c.query, c.cfg)
+		}
+		resp, err := client.Get(ts.URL + "/v1/wcet?bench=G.721&" + c.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || e.Error != want.Error() {
+			t.Errorf("%s: status %d, error %q (%v); want 400, %q", c.query, resp.StatusCode, e.Error, err, want)
+		}
+		if _, failures := srv.RequestTotals(); failures != uint64(i+1) {
+			t.Errorf("%s: %d failures counted, want %d", c.query, failures, i+1)
+		}
+	}
+	var st struct {
+		Benchmarks map[string]json.RawMessage `json:"benchmarks"`
+	}
+	get(t, ts.URL+"/v1/stats", http.StatusOK, &st)
+	if len(st.Benchmarks) != 0 {
+		t.Errorf("rejected requests built shards %v", st.Benchmarks)
 	}
 }
 

@@ -1,0 +1,130 @@
+package sim_test
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/benchprog"
+	"repro/internal/cache"
+	"repro/internal/cc"
+	"repro/internal/core"
+	"repro/internal/link"
+	"repro/internal/sim"
+	"repro/internal/testgen"
+)
+
+// matchesReference fails unless one RunCaches pass over cfgs equals, per
+// configuration, a run on the reference bus: cycles, instructions, hits,
+// misses and exit code.
+func matchesReference(t *testing.T, what string, exe *link.Executable, cfgs []cache.Config) {
+	t.Helper()
+	got, err := sim.RunCaches(exe, cfgs)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	for i, cfg := range cfgs {
+		want, err := refRun(exe, cfg)
+		if err != nil {
+			t.Fatalf("%s: %+v: %v", what, cfg, err)
+		}
+		if *got[i] != *want {
+			t.Errorf("%s: %+v: RunCaches %+v, reference %+v", what, cfg, *got[i], *want)
+		}
+	}
+}
+
+// allShapes is every direct-mapped capacity from 16 B to 64 KB, then a
+// 2-way, a 4-way, an instruction-only and a 32-byte-line cache.
+func allShapes() []cache.Config {
+	var cfgs []cache.Config
+	for size := uint32(16); size <= 64<<10; size <<= 1 {
+		cfgs = append(cfgs, cache.Config{Size: size})
+	}
+	return append(cfgs,
+		cache.Config{Size: 1024, Assoc: 2}, cache.Config{Size: 2048, Assoc: 4},
+		cache.Config{Size: 1024, InstructionOnly: true}, cache.Config{Size: 1024, LineSize: 32})
+}
+
+// TestRunCachesMatchesReference: on every benchmark, without a scratchpad
+// and under energy allocations, one pass prices every cache shape as the
+// reference bus does; so it does on generated programs under random
+// configuration batches and placements.
+func TestRunCachesMatchesReference(t *testing.T) {
+	ctx := context.Background()
+	for _, b := range append(benchprog.All(), benchprog.WorstCaseSort) {
+		lab, err := core.NewLab(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, size := range []uint32{0, 512, 4096} {
+			var in map[string]bool
+			if size > 0 {
+				a, err := lab.Pipe.Allocate(ctx, lab.EnergyAllocator(), size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				in = a.InSPM
+			}
+			exe, err := link.Link(lab.Prog, size, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			matchesReference(t, fmt.Sprintf("%s spm=%d", b.Name, size), exe, allShapes())
+		}
+	}
+	for seed := range int64(12) {
+		if !checkGenerated(t, seed, uint64(seed)*0x9E3779B97F4A7C15, uint64(seed)*0xBF58476D1CE4E5B9) {
+			t.Errorf("seed %d: placement does not fit", seed)
+		}
+	}
+}
+
+// FuzzRunCachesMatchesReference: a generated program under a random
+// configuration batch and scratchpad placement prices every configuration
+// as the reference bus does.
+func FuzzRunCachesMatchesReference(f *testing.F) {
+	f.Add(int64(1), uint64(0), uint64(0))
+	f.Add(int64(2), uint64(0x0123_4567_89AB_CDEF), uint64(0b1010))
+	f.Fuzz(func(t *testing.T, seed int64, batch, placement uint64) {
+		checkGenerated(t, seed, batch, placement)
+	})
+}
+
+// checkGenerated compiles the generated program of seed, links it with the
+// objects picked by the bits of placement in a 4 KB scratchpad and checks
+// RunCaches against the reference under the batch batch encodes: 1 + its
+// low two bits configurations, eight bits each, with any too small for
+// their sets grown until valid. It reports false, checking nothing, when
+// the placement does not fit.
+func checkGenerated(t *testing.T, seed int64, batch, placement uint64) bool {
+	prog, err := cc.Compile(testgen.LoopProgram(rand.New(rand.NewSource(seed))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := map[string]bool{}
+	for i, o := range prog.Objects {
+		in[o.Name] = placement>>(i%64)&1 != 0
+	}
+	exe, err := link.Link(prog, 4096, in)
+	if err != nil {
+		return false
+	}
+	var cfgs []cache.Config
+	for k := range 1 + batch&3 {
+		b := batch >> (2 + 8*k)
+		cfg := cache.Config{
+			Size:            16 << (b & 15 % 13),
+			Assoc:           1 << (b >> 4 & 3 % 3),
+			InstructionOnly: b>>6&1 != 0,
+			LineSize:        16 << (b >> 7 & 1),
+		}
+		for cfg.Validate() != nil {
+			cfg.Size <<= 1
+		}
+		cfgs = append(cfgs, cfg)
+	}
+	matchesReference(t, fmt.Sprintf("seed %d placement %v", seed, in), exe, cfgs)
+	return true
+}

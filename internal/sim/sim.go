@@ -27,8 +27,6 @@ const DefaultMaxInstrs = 200_000_000
 
 // Options configures a simulation run.
 type Options struct {
-	// Cache, when non-nil, enables a unified cache in front of main memory.
-	Cache *cache.Config
 	// MaxInstrs overrides the default instruction budget when non-zero.
 	MaxInstrs uint64
 	// OnAccess observes every memory access (profiling).
@@ -37,8 +35,10 @@ type Options struct {
 
 // Result summarises a simulation run.
 type Result struct {
-	Cycles      uint64
-	Instrs      uint64
+	Cycles uint64
+	Instrs uint64
+	// CacheHits and CacheMisses count the cache's read hits and misses in
+	// a RunCaches result; a cache-less run has none.
 	CacheHits   uint64
 	CacheMisses uint64
 	// ExitCode is r0 when the program executed SWI 0 (main's return value).
@@ -49,71 +49,58 @@ type Result struct {
 	Mem *mem.System
 }
 
-// Run simulates the executable from its entry point until SWI 0.
+// Run simulates the executable, without a cache, from its entry point
+// until SWI 0.
 func Run(exe *link.Executable, opts Options) (*Result, error) {
-	sys, err := exe.NewMemory(opts.Cache)
-	if err != nil {
-		return nil, err
-	}
+	return run(exe, opts, nil)
+}
+
+// run is Run with sw, when non-nil, fed the run's main-memory accesses.
+func run(exe *link.Executable, opts Options, sw *cache.Sweep) (*Result, error) {
+	sys := exe.NewMemory()
 	sys.OnAccess = opts.OnAccess
+	sys.Sweep = sw
 	cpu := arm.NewCPU(sys, exe.EntryAddr, link.StackTop)
 	budget := opts.MaxInstrs
 	if budget == 0 {
 		budget = DefaultMaxInstrs
 	}
-	err = cpu.Run(budget)
+	err := cpu.Run(budget)
 	mInstrs.Add(cpu.Instrs)
 	mDecodeMisses.Add(cpu.DecodeMisses)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	res := &Result{
-		Cycles:   cpu.Cycles,
-		Instrs:   cpu.Instrs,
-		ExitCode: cpu.R[0],
-		Mem:      sys,
-	}
-	if sys.Cache != nil {
-		res.CacheHits = sys.Cache.Hits
-		res.CacheMisses = sys.Cache.Misses
-	}
-	return res, nil
+	return &Result{Cycles: cpu.Cycles, Instrs: cpu.Instrs, ExitCode: cpu.R[0], Mem: sys}, nil
 }
 
-// RunCaches runs exe once, without a cache, and returns what Run would
-// return under each of cfgs, which must be direct-mapped unified caches of
-// one line size (cache.NewSweep). Every main-memory read of the run feeds
-// one cache.Sweep; scratchpad accesses bypass it as they bypass a System's
-// cache, and writes, which never allocate, leave it unchanged. A cached
-// read costs HitCycles or MissCycles where the run paid its MainCost, so
-// each result's cycles are the run's minus what its main-memory reads
-// cost, plus its hits and misses priced.
+// RunCaches returns the result of running exe under each of cfgs, any
+// valid cache configurations, and is the only way a cache is simulated.
+// The cache is tag-only and write-through, so its timing is a function of
+// the main-memory access stream alone: exe runs once, without a cache,
+// feeding that stream to one cache.Sweep. A cached read costs HitCycles or
+// MissCycles where the run paid main-memory cost, so each result's cycles
+// are the run's minus what the reads its cache prices cost, plus its hits
+// and misses priced. Results carry the run's instruction count and exit
+// code, and a nil Mem.
 func RunCaches(exe *link.Executable, cfgs []cache.Config) ([]*Result, error) {
 	sw, err := cache.NewSweep(cfgs)
 	if err != nil {
 		return nil, err
 	}
-	var mainReads uint64 // cycles the run's main-memory reads cost
-	run, err := Run(exe, Options{OnAccess: func(a mem.Access) {
-		// Below the scratchpad the subtraction wraps past its end.
-		if a.Write || uint64(a.Addr-link.SPMBase)+uint64(a.Size) <= uint64(exe.SPMSize) {
-			return
-		}
-		mainReads += uint64(mem.MainCost(a.Size))
-		sw.Read(a.Addr)
-	}})
+	base, err := run(exe, Options{}, sw)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]*Result, len(cfgs))
 	for i := range cfgs {
-		hits, misses := sw.Counts(i)
+		hits, misses, replaced := sw.Counts(i)
 		out[i] = &Result{
-			Cycles:      run.Cycles - mainReads + hits*cache.HitCycles + misses*cache.MissCycles,
-			Instrs:      run.Instrs,
+			Cycles:      base.Cycles - replaced + hits*cache.HitCycles + misses*cache.MissCycles,
+			Instrs:      base.Instrs,
 			CacheHits:   hits,
 			CacheMisses: misses,
-			ExitCode:    run.ExitCode,
+			ExitCode:    base.ExitCode,
 		}
 	}
 	return out, nil

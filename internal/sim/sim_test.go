@@ -62,10 +62,11 @@ func TestRunWithCacheCountsHitsAndSpeedsUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, err := Run(exe, Options{Cache: &cache.Config{Size: 8192}})
+	res, err := RunCaches(exe, []cache.Config{{Size: 8192}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cached := res[0]
 	if cached.CacheHits == 0 || cached.CacheMisses == 0 {
 		t.Fatalf("cache stats missing: %+v", cached)
 	}
@@ -260,33 +261,6 @@ func TestRetimeMatchesRun(t *testing.T) {
 		want.Mem = nil
 		if got := Retime(prof, exe); *got != *want {
 			t.Fatalf("placement %v: retimed %+v, simulated %+v", in, got, want)
-		}
-	}
-}
-
-// TestRunCachesMatchesRun: one RunCaches pass equals a cached Run at
-// every capacity, with scratchpad residents bypassing the caches.
-func TestRunCachesMatchesRun(t *testing.T) {
-	var cfgs []cache.Config
-	for size := uint32(16); size <= 8192; size <<= 1 {
-		cfgs = append(cfgs, cache.Config{Size: size})
-	}
-	for _, in := range []map[string]bool{nil, {"hot": true}, {"work": true, "cold_scalar": true}} {
-		exe := exeFor(t, profProgram, 1024, in)
-		got, err := RunCaches(exe, cfgs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range cfgs {
-			want, err := Run(exe, Options{Cache: &cfgs[i]})
-			if err != nil {
-				t.Fatal(err)
-			}
-			g := got[i]
-			if g.Cycles != want.Cycles || g.Instrs != want.Instrs || g.ExitCode != want.ExitCode ||
-				g.CacheHits != want.CacheHits || g.CacheMisses != want.CacheMisses || g.Mem != nil {
-				t.Errorf("%v, %d B: RunCaches %+v, Run %+v", in, cfgs[i].Size, *g, *want)
-			}
 		}
 	}
 }

@@ -50,9 +50,11 @@ func artifacts(t *testing.T) (prog *obj.Program, simRes *sim.Result, prof *sim.P
 		t.Fatal(err)
 	}
 	ccfg := &cache.Config{Size: 256, Assoc: 1}
-	if simRes, err = sim.Run(exe, sim.Options{Cache: ccfg}); err != nil {
+	sims, err := sim.RunCaches(exe, []cache.Config{*ccfg})
+	if err != nil {
 		t.Fatal(err)
 	}
+	simRes = sims[0]
 	if prof, err = sim.CollectProfile(exe, sim.Options{}); err != nil {
 		t.Fatal(err)
 	}

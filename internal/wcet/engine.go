@@ -1,6 +1,7 @@
 package wcet
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -537,8 +538,20 @@ func (c *Engine) reprice(lay []link.ObjLayout) uint64 {
 //	wcet.Analyze(link.Link(prog, spmSize, inSPM), opts)
 //
 // with opts.Cache.Size = cacheSize, for the options the engine was built
-// with.
-func (c *Engine) Analyze(cacheSize, spmSize uint32, inSPM map[string]bool, witness bool) (*Result, error) {
+// with. The analysis is recorded as an "ipet" span under ctx's trace
+// (carrying its request id).
+func (c *Engine) Analyze(ctx context.Context, cacheSize, spmSize uint32, inSPM map[string]bool, witness bool) (res *Result, err error) {
+	attrs := []obs.Attr{obs.A("mode", "incremental"), obs.A("spm", spmSize)}
+	if c.shape != nil {
+		attrs = []obs.Attr{obs.A("mode", "cache-incremental"), obs.A("cache", cacheSize), obs.A("spm", spmSize)}
+	}
+	_, sp := obs.Start(ctx, "ipet", attrs...)
+	defer func() {
+		if err == nil {
+			sp.SetAttr("wcet", res.WCET)
+		}
+		sp.End()
+	}()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
@@ -587,7 +600,7 @@ func (c *Engine) Analyze(cacheSize, spmSize uint32, inSPM map[string]bool, witne
 
 	// Path analysis, callees-first so each signature sees fresh callee
 	// bounds.
-	res := &Result{PerFunction: make(map[string]uint64, len(c.order))}
+	res = &Result{PerFunction: make(map[string]uint64, len(c.order))}
 	var solved uint64
 	for _, name := range c.order {
 		cf := c.funcs[name]

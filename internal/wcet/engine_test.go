@@ -1,6 +1,7 @@
 package wcet
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -86,7 +87,7 @@ func TestCacheContextMatchesCold(t *testing.T) {
 		var firstReanalyzed uint64
 		for pass := 0; pass < 2; pass++ {
 			for i, st := range steps {
-				warm, err := ctx.Analyze(st.cacheSize, st.spmSize, st.inSPM, true)
+				warm, err := ctx.Analyze(context.Background(), st.cacheSize, st.spmSize, st.inSPM, true)
 				if err != nil {
 					t.Fatalf("assoc %d pass %d step %d: warm: %v", assoc, pass, i, err)
 				}
@@ -141,7 +142,7 @@ func TestCacheContextInstructionOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, size := range []uint32{64, 256} {
-		warm, err := ctx.Analyze(size, 0, nil, false)
+		warm, err := ctx.Analyze(context.Background(), size, 0, nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,11 +172,11 @@ func TestCacheContextStablePlacementSkipsReanalysis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctx.Analyze(128, 0, nil, false); err != nil {
+	if _, err := ctx.Analyze(context.Background(), 128, 0, nil, false); err != nil {
 		t.Fatal(err)
 	}
 	before := ctx.Stats().FuncsReanalyzed
-	if _, err := ctx.Analyze(128, 0, nil, false); err != nil {
+	if _, err := ctx.Analyze(context.Background(), 128, 0, nil, false); err != nil {
 		t.Fatal(err)
 	}
 	if after := ctx.Stats().FuncsReanalyzed; after != before {
@@ -208,14 +209,14 @@ func TestCacheContextErrorsMatchLink(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, pl := range placements {
-			_, warmErr := e.Analyze(mode.cacheSize, pl.spmSize, pl.inSPM, false)
+			_, warmErr := e.Analyze(context.Background(), mode.cacheSize, pl.spmSize, pl.inSPM, false)
 			_, coldErr := link.Link(base.Prog, pl.spmSize, pl.inSPM)
 			if warmErr == nil || coldErr == nil || warmErr.Error() != coldErr.Error() {
 				t.Fatalf("%s %s: engine %v, cold link %v", mode.name, pl.name, warmErr, coldErr)
 			}
 		}
 		// The engine still serves a valid placement after the errors.
-		if _, err := e.Analyze(mode.cacheSize, 512, map[string]bool{"table": true}, false); err != nil {
+		if _, err := e.Analyze(context.Background(), mode.cacheSize, 512, map[string]bool{"table": true}, false); err != nil {
 			t.Fatalf("%s: valid placement after errors: %v", mode.name, err)
 		}
 	}
@@ -232,7 +233,7 @@ func TestCacheContextErrorsMatchLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, warmErr := e.Analyze(100, 0, nil, false)
+	_, warmErr := e.Analyze(context.Background(), 100, 0, nil, false)
 	badCfg := cache.Config{Size: 100}
 	coldErr := badCfg.Validate()
 	if warmErr == nil || coldErr == nil || warmErr.Error() != coldErr.Error() {

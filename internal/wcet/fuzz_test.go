@@ -1,6 +1,7 @@
 package wcet
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -9,7 +10,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/cc"
 	"repro/internal/link"
-	"repro/internal/sim"
 	"repro/internal/testgen"
 )
 
@@ -56,7 +56,7 @@ func TestFuzzSoundnessAcrossConfigs(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d %s: link: %v", trial, cfg.name, err)
 			}
-			res, err := sim.Run(exe, sim.Options{Cache: cfg.cache, MaxInstrs: 20_000_000})
+			res, err := simulate(exe, cfg.cache)
 			if err != nil {
 				t.Fatalf("trial %d %s: run: %v\n%s", trial, cfg.name, err, src)
 			}
@@ -88,7 +88,7 @@ func TestFuzzSoundnessAcrossConfigs(t *testing.T) {
 				}
 				engines[shape] = e
 			}
-			inc, err := e.Analyze(cacheSize, cfg.spm, cfg.inSPM, true)
+			inc, err := e.Analyze(context.Background(), cacheSize, cfg.spm, cfg.inSPM, true)
 			if err != nil {
 				t.Fatalf("trial %d %s: engine analyse: %v", trial, cfg.name, err)
 			}

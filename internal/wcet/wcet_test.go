@@ -24,10 +24,23 @@ func prep(t *testing.T, src string, spmSize uint32, inSPM map[string]bool) *link
 	return exe
 }
 
+// simulate runs the executable, under a cache as a one-configuration
+// sim.RunCaches pass.
+func simulate(exe *link.Executable, ccfg *cache.Config) (*sim.Result, error) {
+	if ccfg == nil {
+		return sim.Run(exe, sim.Options{})
+	}
+	res, err := sim.RunCaches(exe, []cache.Config{*ccfg})
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
 // simCycles runs the executable and returns total cycles.
 func simCycles(t *testing.T, exe *link.Executable, ccfg *cache.Config) uint64 {
 	t.Helper()
-	res, err := sim.Run(exe, sim.Options{Cache: ccfg})
+	res, err := simulate(exe, ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
