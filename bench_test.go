@@ -23,7 +23,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/sim"
-	"repro/internal/store"
 	"repro/internal/wcet"
 )
 
@@ -600,40 +599,6 @@ func BenchmarkCacheSweepWarm(b *testing.B) {
 	}
 	st := cctx.Stats()
 	b.ReportMetric(float64(st.FuncsReanalyzed)/float64(st.Analyses), "funcs-rerun/analysis")
-}
-
-// BenchmarkWarmProcessPareto measures the cross-process warm start: a
-// fresh lab (a new "process") re-runs the MultiSort Pareto sweep against
-// a store whose analyses were evicted but whose solver state, profile and
-// simulations persist — every per-function solve is served from the
-// persisted solutions instead of being re-proved.
-func BenchmarkWarmProcessPareto(b *testing.B) {
-	st, err := store.Open(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	seed, err := core.NewLabByNameWithStore("MultiSort", st)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := seed.SweepPareto(context.Background()); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		if _, _, err := st.DropKinds(store.KindWCET); err != nil {
-			b.Fatal(err)
-		}
-		l, err := core.NewLabByNameWithStore("MultiSort", st)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if _, err := l.SweepPareto(context.Background()); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // simulate runs exe, under a cache as a one-configuration sim.RunCaches

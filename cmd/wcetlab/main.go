@@ -294,7 +294,7 @@ func gc(args []string) error {
 	fs := flag.NewFlagSet("gc", flag.ContinueOnError)
 	maxAge := fs.Duration("max-age", 0, "remove entries older than this (0 keeps all ages)")
 	maxBytes := fs.Int64("max-bytes", 0, "evict oldest entries beyond this store size (0 = unbounded)")
-	drop := fs.String("drop", "", "comma-separated artifact kinds to remove outright (sim,wcet,profile,alloc,solverstate)")
+	drop := fs.String("drop", "", "comma-separated artifact kinds to remove outright (sim,wcet,profile,alloc)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

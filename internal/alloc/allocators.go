@@ -56,11 +56,10 @@ func (Directed) Name() string { return "wcet" }
 // options, iteration cap, tie-break model, explicit seeds and the seed
 // policy's own ConfigKey — for solve memoization. It returns "",
 // disabling memoization, when the configuration cannot be captured: an
-// Energy tie-break without an EnergyKey, per-call PreEvaluated seeds, or
-// an unkeyable seed policy.
+// Energy tie-break without an EnergyKey, or an unkeyable seed policy.
 func (d Directed) ConfigKey() string {
 	o := d.Opts
-	if (o.Energy != nil && o.EnergyKey == "") || len(o.PreEvaluated) > 0 {
+	if o.Energy != nil && o.EnergyKey == "" {
 		return ""
 	}
 	seedKey := "none"

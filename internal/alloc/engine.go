@@ -62,20 +62,6 @@ func ParseGranularity(s string) (Granularity, error) {
 	return GranObject, fmt.Errorf("alloc: unknown granularity %q (want object or block)", s)
 }
 
-// Evaluation is a pre-evaluated allocation: a placement together with the
-// bound and witness an earlier analysis certified for it. Passing one in
-// Options.PreEvaluated seeds the fixpoint without re-running the analysis.
-type Evaluation struct {
-	// InSPM names the objects placed in the scratchpad.
-	InSPM map[string]bool
-	// WCET is the analysed bound under InSPM.
-	WCET uint64
-	// Witness is the worst-case-path witness of the same analysis; it must
-	// come from a witness-enabled run (Evaluations without a witness are
-	// treated as plain Seeds and re-analysed).
-	Witness *wcet.Witness
-}
-
 // Options configures an engine run. The objective and solver are passed to
 // Run separately — Options carries the knobs shared by every objective.
 type Options struct {
@@ -87,10 +73,6 @@ type Options struct {
 	// best seed. Seeds that do not fit the capacity are rejected. Static
 	// objectives solve exactly and ignore them.
 	Seeds []map[string]bool
-	// PreEvaluated are seeds whose bound and witness are already known
-	// (e.g. analysed by the measurement pipeline); they enter the loop
-	// without a link+analyse run. Capacity and object checks still apply.
-	PreEvaluated []Evaluation
 	// Energy, when non-nil, models the average-case energy of a placement
 	// and breaks ties among equal-WCET allocations: the lower-energy one
 	// is kept, making the reported placement canonical. When nil, the
@@ -235,7 +217,6 @@ func runBlock(ctx context.Context, p *pipeline.Pipeline, capacity uint32, object
 		return objRes, err
 	}
 	bopts := opts
-	bopts.PreEvaluated = nil
 	// The average-case energy tie-break is an object-granularity model (the
 	// profile knows nothing of fragments); the unit run stays deterministic
 	// without it.
@@ -473,27 +454,7 @@ func run(ctx context.Context, p *pipeline.Pipeline, regions []obj.Region, capaci
 
 	// Seeds (e.g. the energy-directed allocation): the result can only be
 	// at least as good as the best of them. Seeds naming unknown objects
-	// or exceeding the capacity are rejected, not errors. Pre-evaluated
-	// seeds carry their bound and witness and skip the analysis.
-	accept := func(e *evaluation) {
-		if e.wcet <= best.wcet && better(e, best) {
-			best = e
-			r.Iterations = append(r.Iterations, Iteration{InSPM: e.inSPM, Used: e.used, WCET: e.wcet})
-			mBoundImprovements.Inc()
-		}
-	}
-	for _, pre := range opts.PreEvaluated {
-		if pre.Witness == nil {
-			opts.Seeds = append(opts.Seeds, pre.InSPM)
-			continue
-		}
-		seed := fittingSeed(prog, pre.InSPM, capacity)
-		if len(seed) == 0 || seen[allocKey(seed)] {
-			continue
-		}
-		seen[allocKey(seed)] = true
-		accept(&evaluation{inSPM: seed, used: ev.usedBytes(seed), wcet: pre.WCET, witness: pre.Witness, energy: math.NaN()})
-	}
+	// or exceeding the capacity are rejected, not errors.
 	for _, seed := range opts.Seeds {
 		seed = fittingSeed(prog, seed, capacity)
 		if len(seed) == 0 || seen[allocKey(seed)] {
@@ -504,7 +465,11 @@ func run(ctx context.Context, p *pipeline.Pipeline, regions []obj.Region, capaci
 		if err != nil {
 			return nil, err
 		}
-		accept(e)
+		if e.wcet <= best.wcet && better(e, best) {
+			best = e
+			r.Iterations = append(r.Iterations, Iteration{InSPM: e.inSPM, Used: e.used, WCET: e.wcet})
+			mBoundImprovements.Inc()
+		}
 	}
 
 	for i := 0; i < opts.maxIter(); i++ {

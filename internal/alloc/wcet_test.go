@@ -421,59 +421,3 @@ func TestTieBreakDeterministic(t *testing.T) {
 		}
 	}
 }
-
-// TestPreEvaluatedSeedSkipsAnalysis: a pre-evaluated seed (bound + witness
-// from an earlier pipeline analysis) must enter the fixpoint without a
-// fresh link+analyse run and produce the same result as a plain seed.
-func TestPreEvaluatedSeedSkipsAnalysis(t *testing.T) {
-	prog, err := cc.Compile(testProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seed := map[string]bool{"b": true}
-
-	plain, err := allocate(context.Background(), prog, 128, alloc.Options{
-		Seeds: []map[string]bool{seed},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	p := pipeline.New(prog)
-	seedRes, err := p.Analyze(context.Background(), 128, seed, wcet.Options{Witness: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := p.Stats()
-	pre, err := allocateIn(context.Background(), p, 128, alloc.Options{
-		PreEvaluated: []alloc.Evaluation{{InSPM: seed, WCET: seedRes.WCET, Witness: seedRes.Witness}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := p.Stats()
-
-	if pre.WCET != plain.WCET || pre.Baseline != plain.Baseline {
-		t.Errorf("pre-evaluated run diverged: WCET %d vs %d, baseline %d vs %d",
-			pre.WCET, plain.WCET, pre.Baseline, plain.Baseline)
-	}
-	if !reflect.DeepEqual(placementNames(pre.InSPM), placementNames(plain.InSPM)) {
-		t.Errorf("placements differ: %v vs %v", placementNames(pre.InSPM), placementNames(plain.InSPM))
-	}
-	// The seed itself must not have been re-analysed: the only new cold
-	// analyses are the empty baseline and post-knapsack placements, and
-	// re-requesting the seed's analysis is a hit.
-	if hits := after.AnalyzeHits - before.AnalyzeHits; hits != 0 {
-		t.Logf("seed artifacts reused: %d hits", hits)
-	}
-	if after.AnalyzeUpgrades != 0 {
-		t.Errorf("%d witness upgrades during pre-evaluated run", after.AnalyzeUpgrades)
-	}
-	reRes, err := p.Analyze(context.Background(), 128, seed, wcet.Options{Witness: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reRes != seedRes {
-		t.Error("seed analysis was re-run despite pre-evaluation")
-	}
-}

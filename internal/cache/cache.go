@@ -171,15 +171,3 @@ func (c *Cache) Write(addr uint32) {
 		touch(set, tag)
 	}
 }
-
-// Flush invalidates all lines and resets statistics.
-func (c *Cache) Flush() {
-	clear(c.tags)
-	c.Hits, c.Misses = 0, 0
-}
-
-// Contains reports whether addr's line is currently cached (for tests).
-func (c *Cache) Contains(addr uint32) bool {
-	set, tag := c.set(addr)
-	return slices.Contains(set, tag)
-}

@@ -133,16 +133,6 @@ func TestWriteThroughNoAllocate(t *testing.T) {
 	}
 }
 
-func TestFlush(t *testing.T) {
-	c := mustNew(t, Config{Size: 64})
-	c.Read(0x0)
-	c.Read(0x0)
-	c.Flush()
-	if c.Hits != 0 || c.Misses != 0 || c.Contains(0x0) {
-		t.Fatal("flush did not reset state")
-	}
-}
-
 // TestPropertyRepeatAccessAlwaysHits: any read immediately repeated is a hit,
 // for arbitrary cache geometry and address.
 func TestPropertyRepeatAccessAlwaysHits(t *testing.T) {

@@ -164,8 +164,8 @@ type Stats struct {
 	CacheFuncsReanalyzed, CacheFuncs       uint64
 
 	// SolverStateHits / SolverStateMisses: per-function IPET solves served
-	// from recorded solver state (in-process or store-imported) vs solves
-	// that had to run, over engines of both modes.
+	// from the engines' in-process solution memo vs solves that had to
+	// run, over engines of both modes.
 	SolverStateHits, SolverStateMisses uint64
 
 	SimDiskHits, SimDiskMisses         uint64
@@ -544,8 +544,7 @@ func (p *Pipeline) AnalyzeUnits(ctx context.Context, regions []obj.Region, spmSi
 	r := request[*wcet.Result]{
 		key: analysisKey(unitPrefix(regions)+pk, opts),
 		compute: func(ctx context.Context, timed timer[*wcet.Result]) (*wcet.Result, error) {
-			key := contextKey(regions, opts)
-			e, err := p.engineFor(ctx, key, regions, opts)
+			e, err := p.engineFor(ctx, contextKey(regions, opts), regions, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -553,11 +552,7 @@ func (p *Pipeline) AnalyzeUnits(ctx context.Context, regions []obj.Region, spmSi
 			if opts.Cache != nil {
 				cacheSize = opts.Cache.Size
 			}
-			res, err := timed(func() (*wcet.Result, error) { return e.Analyze(ctx, cacheSize, size, in, opts.Witness) })
-			if err == nil {
-				p.saveSolverState(e, key)
-			}
-			return res, err
+			return timed(func() (*wcet.Result, error) { return e.Analyze(ctx, cacheSize, size, in, opts.Witness) })
 		},
 	}
 	if opts.Witness {
@@ -585,15 +580,6 @@ func (p *Pipeline) engineFor(ctx context.Context, key string, regions []obj.Regi
 		if err != nil {
 			return nil, err
 		}
-		// Cross-process warm start: seed the fresh engine with the solver
-		// state a previous process persisted for this exact configuration.
-		// Deliberately outside the stage disk-hit/miss counters — it is a
-		// solver seed, not a served artifact.
-		if disk := p.Store(); disk != nil {
-			if st, ok := disk.LoadSolverState(p.programKey(), solverStateKey(key)); ok {
-				e.ImportState(st)
-			}
-		}
 		p.mu.Lock()
 		p.engineList = append(p.engineList, e)
 		p.mu.Unlock()
@@ -609,18 +595,6 @@ func (p *Pipeline) engineFor(ctx context.Context, key string, regions []obj.Regi
 	return e, err
 }
 
-// saveSolverState persists an engine's newly recorded solver state, so the
-// next cold process inherits a warm solver, not just memoized results.
-func (p *Pipeline) saveSolverState(e *wcet.Engine, key string) {
-	disk := p.Store()
-	if disk == nil {
-		return
-	}
-	if st, dirty := e.ExportStateIfDirty(); dirty {
-		p.saved(disk.SaveSolverState(p.programKey(), solverStateKey(key), st))
-	}
-}
-
 // contextKey is the analysis-engine cache key: the partition, the cache
 // *shape* (capacity varies per Analyze, so it is deliberately absent — one
 // engine serves a whole capacity sweep) and the Options fields the engine
@@ -633,12 +607,6 @@ func contextKey(regions []obj.Region, opts wcet.Options) string {
 	}
 	return fmt.Sprintf("%s%sstack=%d|root=%s", unitPrefix(regions), shape, opts.StackBound, opts.Root)
 }
-
-// solverStateKey is the store stage key persisting an engine's solver
-// state. The "/v2" marks the solve-input signature encoding (block costs
-// plus callee bounds), so state recorded under another encoding is never
-// adopted.
-func solverStateKey(ctxKey string) string { return "solverstate/v2|" + ctxKey }
 
 // Profile collects (memoized) the typical-input access profile on the
 // baseline system (no scratchpad, no cache), consulting the disk tier

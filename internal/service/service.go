@@ -631,36 +631,25 @@ func toParetoDTO(f core.ParetoFrontAt) paretoFrontDTO {
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	q := r.URL.Query()
-	lab, ok := s.shardFor(w, q.Get("bench"))
-	if !ok {
-		return
-	}
-	branch := q.Get("branch")
-	if branch == "" {
-		branch = "spm"
-	}
+	// Every parameter is checked before any shard is built or worker slot
+	// taken.
 	gran, err := alloc.ParseGranularity(q.Get("granularity"))
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "granularity must be object or block")
 		return
 	}
-	stream := q.Get("stream") == "1"
-	traced := q.Get("trace") == "1"
-	if !s.acquire(w, r) {
-		return
-	}
-	defer s.release()
-	switch branch {
-	case "spm":
-		s.sweepResponse(r.Context(), w, stream, traced, func(ctx context.Context, emit func(any) error) error {
+	var sweep func(ctx context.Context, lab *core.Lab, emit func(any) error) error
+	switch q.Get("branch") {
+	case "", "spm":
+		sweep = func(ctx context.Context, lab *core.Lab, emit func(any) error) error {
 			return lab.SweepScratchpadStream(ctx, func(m core.Measurement) error { return emit(toDTO(m)) })
-		})
+		}
 	case "cache":
-		s.sweepResponse(r.Context(), w, stream, traced, func(ctx context.Context, emit func(any) error) error {
+		sweep = func(ctx context.Context, lab *core.Lab, emit func(any) error) error {
 			return lab.SweepCacheStream(ctx, func(m core.Measurement) error { return emit(toDTO(m)) })
-		})
+		}
 	case "wcetalloc":
-		s.sweepResponse(r.Context(), w, stream, traced, func(ctx context.Context, emit func(any) error) error {
+		sweep = func(ctx context.Context, lab *core.Lab, emit func(any) error) error {
 			return lab.SweepWCETAllocationGranStream(ctx, gran, func(c core.AllocComparison) error {
 				return emit(allocComparisonDTO{
 					SPMSize:     c.SPMSize,
@@ -672,27 +661,47 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 					Converged:   c.Converged,
 				})
 			})
-		})
+		}
 	case "pareto":
-		// Adaptive scan options apply to this request only: the shard's lab
-		// is shared, so the overrides go on a shallow per-request copy (the
-		// pipeline behind it — and with it all memoization — stays shared).
-		pl := *lab
-		pl.ParetoAdaptive = q.Get("adaptive") == "1"
+		adaptive := q.Get("adaptive") == "1"
+		maxPoints := 0
 		if mp := q.Get("maxpoints"); mp != "" {
 			n, perr := strconv.Atoi(mp)
 			if perr != nil || n < 2 {
 				s.writeError(w, http.StatusBadRequest, "maxpoints must be an integer ≥ 2")
 				return
 			}
-			pl.ParetoMaxPoints = n
+			maxPoints = n
 		}
-		s.sweepResponse(r.Context(), w, stream, traced, func(ctx context.Context, emit func(any) error) error {
+		sweep = func(ctx context.Context, lab *core.Lab, emit func(any) error) error {
+			// Adaptive scan options apply to this request only: the shard's
+			// lab is shared, so the overrides go on a shallow per-request
+			// copy (the pipeline behind it — and with it all memoization —
+			// stays shared).
+			pl := *lab
+			pl.ParetoAdaptive = adaptive
+			if maxPoints > 0 {
+				pl.ParetoMaxPoints = maxPoints
+			}
 			return pl.SweepParetoStream(ctx, func(f core.ParetoFrontAt) error { return emit(toParetoDTO(f)) })
-		})
+		}
 	default:
 		s.writeError(w, http.StatusBadRequest, "branch must be spm, cache, wcetalloc or pareto")
+		return
 	}
+	stream := q.Get("stream") == "1"
+	traced := q.Get("trace") == "1"
+	lab, ok := s.shardFor(w, q.Get("bench"))
+	if !ok {
+		return
+	}
+	if !s.acquire(w, r) {
+		return
+	}
+	defer s.release()
+	s.sweepResponse(r.Context(), w, stream, traced, func(ctx context.Context, emit func(any) error) error {
+		return sweep(ctx, lab, emit)
+	})
 }
 
 // traceSummaryDTO is the final row of a trace=1 sweep response.
@@ -789,10 +798,6 @@ type witnessDTO struct {
 func (s *Server) handleWitness(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	q := r.URL.Query()
-	lab, ok := s.shardFor(w, q.Get("bench"))
-	if !ok {
-		return
-	}
 	top := 10
 	if t := q.Get("top"); t != "" {
 		var err error
@@ -801,6 +806,10 @@ func (s *Server) handleWitness(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, http.StatusBadRequest, "top must be a positive integer")
 			return
 		}
+	}
+	lab, ok := s.shardFor(w, q.Get("bench"))
+	if !ok {
+		return
 	}
 	if !s.acquire(w, r) {
 		return

@@ -239,6 +239,49 @@ func TestServeRejectsBadCache(t *testing.T) {
 	}
 }
 
+// TestServeRejectsBadQueryAtOnce: /v1/sweep and /v1/witness check every
+// query parameter before building a shard or taking a worker slot. With
+// every worker held, each bad query still answers 400 at once and builds
+// no shard.
+func TestServeRejectsBadQueryAtOnce(t *testing.T) {
+	srv := service.New(service.Config{Workers: 1})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	release := srv.HoldWorkers()
+	defer release()
+	// A request that waited for a worker would time out here, not hang.
+	client := &http.Client{Timeout: 10 * time.Second}
+	for _, path := range []string{
+		"/v1/sweep?bench=G.721&branch=bogus",
+		"/v1/sweep?bench=G.721&branch=pareto&maxpoints=1",
+		"/v1/sweep?bench=G.721&branch=wcetalloc&granularity=bogus",
+		"/v1/witness?bench=G.721&top=0",
+	} {
+		resp, err := client.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || e.Error == "" {
+			t.Errorf("%s: status %d, error %q (%v); want 400 with a message", path, resp.StatusCode, e.Error, err)
+		}
+	}
+	if q := srv.Queued(); q != 0 {
+		t.Errorf("%d rejected requests still wait for a worker", q)
+	}
+	var st struct {
+		Benchmarks map[string]json.RawMessage `json:"benchmarks"`
+	}
+	get(t, ts.URL+"/v1/stats", http.StatusOK, &st)
+	if len(st.Benchmarks) != 0 {
+		t.Errorf("rejected requests built shards %v", st.Benchmarks)
+	}
+}
+
 // TestServeSweepStream: ?stream=1 serves the sweep as chunked JSON lines
 // whose rows are exactly the buffered response's array elements, for every
 // branch including the Pareto front.

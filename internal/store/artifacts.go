@@ -395,71 +395,3 @@ func readWitness(d *decoder) *wcet.Witness {
 	}
 	return w
 }
-
-// EncodeSolverState serialises a context's recorded solver state: function
-// name → input signature → (bound, block counts, edge counts). Maps are
-// written in sorted key order, so two processes persist bit-identical
-// payloads for the same state.
-func EncodeSolverState(st *wcet.SolverState) []byte {
-	var e encoder
-	e.u32(uint32(len(st.Funcs)))
-	for _, name := range sortedKeys(st.Funcs) {
-		e.str(name)
-		sols := st.Funcs[name]
-		e.u32(uint32(len(sols)))
-		for _, sig := range sortedKeys(sols) {
-			fs := sols[sig]
-			e.str(sig)
-			e.u64(fs.WCET)
-			e.u32(uint32(len(fs.Blocks)))
-			for _, v := range fs.Blocks {
-				e.u64(v)
-			}
-			e.u32(uint32(len(fs.Edges)))
-			for _, v := range fs.Edges {
-				e.u64(v)
-			}
-		}
-	}
-	return e.b
-}
-
-// DecodeSolverState is the inverse of EncodeSolverState.
-func DecodeSolverState(b []byte) (*wcet.SolverState, error) {
-	d := &decoder{b: b}
-	st := &wcet.SolverState{Funcs: make(map[string]map[string]wcet.FuncSolution)}
-	n := d.count()
-	for i := 0; i < n; i++ {
-		name := d.str()
-		m := d.count()
-		sols := make(map[string]wcet.FuncSolution, m)
-		for j := 0; j < m; j++ {
-			sig := d.str()
-			fs := wcet.FuncSolution{WCET: d.u64()}
-			nb := d.count()
-			if nb > 0 {
-				fs.Blocks = make([]uint64, nb)
-			}
-			for k := 0; k < nb; k++ {
-				fs.Blocks[k] = d.u64()
-			}
-			ne := d.count()
-			if ne > 0 {
-				fs.Edges = make([]uint64, ne)
-			}
-			for k := 0; k < ne; k++ {
-				fs.Edges[k] = d.u64()
-			}
-			if d.err == nil {
-				sols[sig] = fs
-			}
-		}
-		if d.err == nil {
-			st.Funcs[name] = sols
-		}
-	}
-	if err := d.finish(); err != nil {
-		return nil, err
-	}
-	return st, nil
-}

@@ -14,15 +14,14 @@ import (
 // value or an error, never both and never a panic, and a decoded value
 // re-encodes to a payload that decodes again. The seed corpus in
 // testdata/fuzz/FuzzStoreDecode holds ADPCM's encoded profile,
-// witness-bearing analysis, simulation result, allocation and solver
-// state, each whole, cut in half and one byte short.
+// witness-bearing analysis, simulation result and allocation, each whole,
+// cut in half and one byte short.
 func FuzzStoreDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		decodes(t, "profile", b, store.DecodeProfile, store.EncodeProfile)
 		decodes(t, "wcet", b, store.DecodeWCET, store.EncodeWCET)
 		decodes(t, "sim", b, store.DecodeSim, store.EncodeSim)
 		decodes(t, "alloc", b, store.DecodeAlloc, store.EncodeAlloc)
-		decodes(t, "solver state", b, store.DecodeSolverState, store.EncodeSolverState)
 	})
 }
 

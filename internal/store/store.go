@@ -19,8 +19,8 @@
 // temporary file in the store root and are renamed into place, so readers
 // never observe a partial entry and concurrent writers of the same key
 // last-write-win with either file being valid. Loads verify the header and
-// checksum; a truncated, corrupt or version-skewed entry is deleted and
-// reported as a miss (the pipeline recomputes and rewrites it).
+// checksum; a truncated, corrupt, version-skewed or unknown-kind entry is
+// deleted and reported as a miss (the pipeline recomputes and rewrites it).
 //
 // Store methods are safe for concurrent use by any number of goroutines
 // and processes sharing one directory.
@@ -35,6 +35,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -81,11 +82,14 @@ const (
 	// KindAlloc is a scratchpad allocation solve (pipeline.Allocation
 	// fields), keyed by the allocator's ConfigKey and the capacity.
 	KindAlloc Kind = 4
-	// KindSolverState is an analysis engine's recorded per-function IPET
-	// solutions (wcet.SolverState), keyed by the context configuration; a
-	// cold process imports it to skip re-proving unchanged functions.
-	KindSolverState Kind = 5
+	// Kind 5 held persisted solver state in earlier builds. It is reserved
+	// and never reused: such entries now read as corrupt, so Sweep and GC
+	// reclaim them.
 )
+
+// kinds lists every artifact kind this build reads and writes; an entry of
+// any other kind is corrupt.
+var kinds = []Kind{KindSim, KindWCET, KindProfile, KindAlloc}
 
 func (k Kind) String() string {
 	switch k {
@@ -97,15 +101,13 @@ func (k Kind) String() string {
 		return "profile"
 	case KindAlloc:
 		return "alloc"
-	case KindSolverState:
-		return "solverstate"
 	}
 	return fmt.Sprintf("kind(%d)", uint16(k))
 }
 
 // ParseKind maps a kind's String() name back to the Kind.
 func ParseKind(s string) (Kind, error) {
-	for _, k := range []Kind{KindSim, KindWCET, KindProfile, KindAlloc, KindSolverState} {
+	for _, k := range kinds {
 		if k.String() == s {
 			return k, nil
 		}
@@ -200,6 +202,9 @@ func parseEntry(raw []byte) (payload []byte, kind Kind, ok bool) {
 		return nil, 0, false
 	}
 	kind = Kind(binary.LittleEndian.Uint16(raw[6:8]))
+	if !slices.Contains(kinds, kind) {
+		return nil, 0, false // unknown or retired kind
+	}
 	n := binary.LittleEndian.Uint64(raw[8:16])
 	payload = raw[headerSize:]
 	if n != uint64(len(payload)) {
@@ -324,28 +329,10 @@ func (s *Store) SaveAlloc(progKey, stageKey string, a *AllocArtifact) error {
 	return s.write(KindAlloc, progKey, stageKey, EncodeAlloc(a))
 }
 
-// LoadSolverState returns the persisted solver state for a context key, or
-// (nil, false) on a miss.
-func (s *Store) LoadSolverState(progKey, stageKey string) (*wcet.SolverState, bool) {
-	payload := s.read(KindSolverState, progKey, stageKey)
-	if payload == nil {
-		return nil, false
-	}
-	st, err := DecodeSolverState(payload)
-	if err != nil {
-		return nil, false
-	}
-	return st, true
-}
-
-// SaveSolverState persists an analysis engine's recorded solver state.
-func (s *Store) SaveSolverState(progKey, stageKey string, st *wcet.SolverState) error {
-	return s.write(KindSolverState, progKey, stageKey, EncodeSolverState(st))
-}
-
 // DropKinds removes every (non-corrupt) entry of the given kinds, returning
 // the number of files removed and bytes freed. Used to evict one artifact
-// tier — e.g. dropping analyses while keeping solver state warm.
+// tier — e.g. dropping analyses and allocations while keeping simulations
+// and profiles warm.
 func (s *Store) DropKinds(kinds ...Kind) (removed int, freed int64, err error) {
 	want := make(map[Kind]bool, len(kinds))
 	for _, k := range kinds {

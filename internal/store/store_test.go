@@ -422,6 +422,58 @@ func TestIndexSweepGC(t *testing.T) {
 	}
 }
 
+// TestRetiredKindIsCorrupt: an entry of kind 5, which earlier builds wrote
+// for persisted solver state, carries a valid header and checksum yet reads
+// as corrupt, so Sweep reclaims it and leaves current kinds alone.
+func TestRetiredKindIsCorrupt(t *testing.T) {
+	prog, simRes, prof, _, _ := artifacts(t)
+	s := open(t)
+	pk := store.ProgramKey(prog)
+	if err := s.SaveSim(pk, "sim", simRes); err != nil {
+		t.Fatal(err)
+	}
+	path := entryFile(t, s)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The header's kind field follows the magic and the format version;
+	// the checksum covers the payload only, so it stays valid.
+	binary.LittleEndian.PutUint16(raw[6:8], 5)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveProfile(pk, "profile", prof); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := s.Index()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		retired := filepath.Join(s.Dir(), e.Name[:2], e.Name+".art") == path
+		if e.Corrupt != retired {
+			t.Errorf("entry %s: corrupt %v, want %v", e.Name, e.Corrupt, retired)
+		}
+	}
+	if _, err := store.ParseKind("solverstate"); err == nil {
+		t.Error("retired kind name still parses")
+	}
+	removed, err := s.Sweep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if removed != 1 {
+		t.Errorf("sweep removed %d files, want 1", removed)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Error("kind-5 entry survived the sweep")
+	}
+	if _, ok := s.LoadProfile(pk, "profile"); !ok {
+		t.Error("sweep removed the profile entry")
+	}
+}
+
 // TestProgramKeySensitivity: the program hash must be reproducible across
 // compilations and must change when any content influencing placement or
 // analysis changes.

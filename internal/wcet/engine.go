@@ -227,8 +227,7 @@ func putCapped[V any](m map[string]V, k string, v V) {
 // and callee bounds match its current solution keeps it, one matching a
 // recorded solution adopts it, and any other re-solves warm-started from
 // the prepared tableau and the previous solution. The solver is
-// deterministic and exact, so adoption is bit-identical to a fresh solve;
-// ExportState/ImportState carry the recorded solutions across processes.
+// deterministic and exact, so adoption is bit-identical to a fresh solve.
 //
 // All methods are safe for concurrent use; analyses on one engine
 // serialise.
@@ -264,8 +263,6 @@ type Engine struct {
 	pools    map[uint32]*statePool // per cache size (geometry)
 	keyBuf   []byte
 
-	// stateDirty marks solutions recorded since the last export.
-	stateDirty bool
 	// Counters are atomics so Stats never blocks on an in-flight analysis.
 	analyses, blocksRepriced, blocksTotal, funcsReanalyzed atomic.Uint64
 	funcsTotal, funcsSolved, stateHits                     atomic.Uint64
@@ -682,7 +679,6 @@ func (c *Engine) solveOrAdopt(cf *engineFunc) (bool, error) {
 	}
 	cf.sol, cf.sig = sol, string(sig)
 	putCapped(cf.sols, cf.sig, sol)
-	c.stateDirty = true
 	c.funcsSolved.Add(1)
 	mSolverMisses.Inc()
 	return true, nil
