@@ -6,8 +6,8 @@ GO ?= go
 check: fmt vet build test
 
 # What .github/workflows/ci.yml runs: check with the race detector on,
-# plus short fuzzing runs of the simplex kernel, the cache-sweep pricing
-# and the store decoders, the single-iteration benchmark smoke (validated
+# plus short fuzzing runs of the simplex kernel, the cache-sweep pricing,
+# the MUST cache domain and the store decoders, the single-iteration benchmark smoke (validated
 # JSON), the benchmark module's build and tests, the warm-store
 # determinism check and the serve smoke test.
 ci: fmt vet build test-race fuzz-smoke bench-smoke perfbench-smoke warmstore smoke
@@ -17,15 +17,21 @@ ci: fmt vet build test-race fuzz-smoke bench-smoke perfbench-smoke warmstore smo
 # programs, its dual re-optimisation of a branch & bound child must match
 # a cold solve of the child's program, sim.RunCaches must price generated
 # programs under random cache batches and scratchpad placements as the
-# reference bus does (internal/sim/ref_test.go), and the store's artifact
-# decoders must return a value or an error, never panic, on arbitrary
-# bytes. The checked-in seed corpora (testdata/fuzz under each package)
-# replay in every plain `go test`; this target searches beyond them.
+# reference bus does (internal/sim/ref_test.go), the MUST cache domain
+# must match its plain reference (internal/wcet/refdom_test.go) step by
+# step under random reads, range clobbers, clones and joins, and the
+# store's artifact decoders must return a value or an error, never panic,
+# on arbitrary bytes. The store decoders' inputs are cheap to run but
+# slow to minimise, so their target minimises each new input once
+# (-fuzzminimizetime=1x) and spends its time fuzzing. The checked-in seed
+# corpora (testdata/fuzz under each package) replay in every plain
+# `go test`; this target searches beyond them.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSolveMatchesReference -fuzztime=10s ./internal/lp
 	$(GO) test -run='^$$' -fuzz=FuzzBranchMatchesSolve -fuzztime=10s ./internal/lp
 	$(GO) test -run='^$$' -fuzz=FuzzRunCachesMatchesReference -fuzztime=10s ./internal/sim
-	$(GO) test -run='^$$' -fuzz=FuzzStoreDecode -fuzztime=10s ./internal/store
+	$(GO) test -run='^$$' -fuzz=FuzzMustDomainMatchesReference -fuzztime=10s ./internal/wcet
+	$(GO) test -run='^$$' -fuzz=FuzzStoreDecode -fuzztime=10s -fuzzminimizetime=1x ./internal/store
 
 # The CI benchmark gate: one pass over every benchmark, output validated
 # by cmd/jsoncheck against the BENCH_local.json schema.

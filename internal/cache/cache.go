@@ -77,8 +77,7 @@ func (c Config) Validate() error {
 }
 
 // NumSets returns the number of cache sets, or 0 when not even one set of
-// Assoc lines fits. The WCET analysis calls it per access, so it keeps to
-// one division.
+// Assoc lines fits.
 func (c Config) NumSets() uint32 {
 	c = c.WithDefaults()
 	// With Assoc bounded by Size, line size × assoc cannot wrap in 64 bits.

@@ -80,11 +80,12 @@ func TestCacheIncrementalMatchesFromScratch(t *testing.T) {
 	}
 }
 
-// TestCacheContextSavesReanalysis counter-asserts the perf claim on G.721:
-// over three passes of a capacity × placement sweep, the cache context re-runs at most half the
-// function-level MUST solves a from-scratch run would (every function,
-// every analysis) — repeated configurations replay entirely from the
-// layout-keyed memo.
+// TestCacheContextSavesReanalysis counter-asserts what the cache engine
+// saves on G.721 over a capacity × placement sweep in which every
+// configuration is analysed twice in a row: the immediate repeat re-runs
+// no function (the layout-stable fast path), and within each MUST pass
+// some function visits keep the function's current record because its
+// entry and callee exit states are unchanged (within-pass reuse).
 func TestCacheContextSavesReanalysis(t *testing.T) {
 	lab, err := NewLabByName("G.721")
 	if err != nil {
@@ -99,16 +100,22 @@ func TestCacheContextSavesReanalysis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for pass := 0; pass < 3; pass++ {
-		for _, size := range PaperSizes {
-			for _, spmCap := range []uint32{0, 512} {
-				var inSPM map[string]bool
-				if spmCap > 0 {
-					inSPM = greedyPlacement(base.Prog, spmCap)
-				}
+	for _, size := range PaperSizes {
+		for _, spmCap := range []uint32{0, 512} {
+			var inSPM map[string]bool
+			if spmCap > 0 {
+				inSPM = greedyPlacement(base.Prog, spmCap)
+			}
+			var ran uint64
+			for repeat := 0; repeat < 2; repeat++ {
+				before := cctx.Stats().FuncsReanalyzed
 				if _, err := cctx.Analyze(context.Background(), size, spmCap, inSPM, false); err != nil {
-					t.Fatalf("pass %d cache %d spm %d: %v", pass, size, spmCap, err)
+					t.Fatalf("cache %d spm %d: %v", size, spmCap, err)
 				}
+				ran = cctx.Stats().FuncsReanalyzed - before
+			}
+			if ran != 0 {
+				t.Errorf("cache %d spm %d: immediate repeat re-ran %d functions, want 0", size, spmCap, ran)
 			}
 		}
 	}
@@ -116,10 +123,9 @@ func TestCacheContextSavesReanalysis(t *testing.T) {
 	if st.FuncsReanalyzed == 0 || st.FuncsTotal == 0 {
 		t.Fatalf("degenerate counters: %+v", st)
 	}
-	if 2*st.FuncsReanalyzed > st.FuncsTotal {
-		t.Errorf("re-ran %d of %d function solves; want at least a 2x reduction",
-			st.FuncsReanalyzed, st.FuncsTotal)
+	if st.MustReused == 0 {
+		t.Errorf("no function visit reused its current MUST record: %+v", st)
 	}
-	t.Logf("G.721: %d/%d function MUST solves re-ran over %d analyses",
-		st.FuncsReanalyzed, st.FuncsTotal, st.Analyses)
+	t.Logf("G.721: %d/%d function MUST solves re-ran, %d visits reused over %d analyses",
+		st.FuncsReanalyzed, st.FuncsTotal, st.MustReused, st.Analyses)
 }

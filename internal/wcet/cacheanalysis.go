@@ -60,9 +60,9 @@ func (a *cacheAnalysis) transfer(f *cfg.Function, b *cfg.Block, s *mustState) (*
 		// Instruction fetches: one per halfword; scratchpad fetches bypass
 		// the cache entirely.
 		if !fnInSPM {
-			s.classifyRead(a.cc, ci.Addr)
+			s.classifyRead(ci.Addr)
 			if ci.Size == 4 {
-				s.classifyRead(a.cc, ci.Addr+2)
+				s.classifyRead(ci.Addr + 2)
 			}
 		}
 		das, err := instrAccesses(a.exe, ci, a.stackLo)
@@ -77,9 +77,9 @@ func (a *cacheAnalysis) transfer(f *cfg.Function, b *cfg.Block, s *mustState) (*
 				continue
 			}
 			if da.kind == accExact {
-				s.classifyRead(a.cc, da.addr)
+				s.classifyRead(da.addr)
 			} else {
-				s.clobberRange(a.cc, da.lo, da.hi)
+				s.clobberRange(da.lo, da.hi)
 			}
 		}
 	}

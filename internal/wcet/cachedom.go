@@ -1,6 +1,10 @@
 package wcet
 
-import "repro/internal/cache"
+import (
+	"math/bits"
+
+	"repro/internal/cache"
+)
 
 // mustState is the abstract cache state of the MUST analysis (Ferdinand's
 // aging domain): for every cache set it tracks an ordered list of tags with
@@ -14,54 +18,79 @@ import "repro/internal/cache"
 // persistence, no MAY), which this reproduces.
 //
 // The backing is one flat array (set s's ways are data[s*assoc:(s+1)*assoc])
-// so cloning a state is a single allocation and copy — the fixed-point loop
-// and the cost walks clone per step, which made the per-set representation
-// the dominant allocator of the whole cache path.
+// so cloning a state is a single allocation and copy. A way holds a 32-bit
+// tag and the geometry is fixed at construction as shifts and a mask, so an
+// access costs what it touches — one set, or one contiguous run of sets for
+// a range — never a walk over the whole capacity or a division.
 type mustState struct {
 	assoc int
 	nsets int
+	// An address splits into tag | set | line offset: Validate guarantees
+	// power-of-two sizes and line sizes, so the set count is one too.
+	lineShift, setShift, setMask uint32
 	// data[s*assoc+age] is the tag guaranteed to be cached in set s with at
 	// most that age, or tagUnknown.
-	data []int64
+	data []uint32
 }
 
-// tagUnknown marks a way with no guaranteed content.
-const tagUnknown int64 = -1
+// tagUnknown marks a way with no guaranteed content. Real tags are an
+// address shifted right by at least two bits, so they never reach it.
+const tagUnknown = ^uint32(0)
 
 // newMustTop returns the analysis entry state: a cold cache guarantees
 // nothing.
 func newMustTop(cfg cache.Config) *mustState {
-	cfg = cfg.WithDefaults()
-	n := int(cfg.NumSets())
-	s := &mustState{assoc: cfg.Assoc, nsets: n, data: make([]int64, n*cfg.Assoc)}
-	for i := range s.data {
-		s.data[i] = tagUnknown
-	}
+	s := newMustState(cfg)
+	fillUnknown(s.data)
 	return s
 }
 
+// newMustState returns a state of cfg's geometry whose ways are still to be
+// filled.
+func newMustState(cfg cache.Config) *mustState {
+	cfg = cfg.WithDefaults()
+	n := cfg.NumSets()
+	return &mustState{
+		assoc:     cfg.Assoc,
+		nsets:     int(n),
+		lineShift: uint32(bits.TrailingZeros32(cfg.LineSize)),
+		setShift:  uint32(bits.TrailingZeros32(n)),
+		setMask:   n - 1,
+		data:      make([]uint32, int(n)*cfg.Assoc),
+	}
+}
+
+// fillUnknown sets every way of ws to tagUnknown.
+func fillUnknown(ws []uint32) {
+	for i := range ws {
+		ws[i] = tagUnknown
+	}
+}
+
 // set returns the ways of set i (a view into the flat backing).
-func (s *mustState) set(i int) []int64 {
+func (s *mustState) set(i int) []uint32 {
 	return s.data[i*s.assoc : (i+1)*s.assoc]
 }
 
 func (s *mustState) clone() *mustState {
-	t := &mustState{assoc: s.assoc, nsets: s.nsets, data: make([]int64, len(s.data))}
+	t := *s
+	t.data = make([]uint32, len(s.data))
 	copy(t.data, s.data)
-	return t
-}
-
-// setAndTag splits an address per the cache geometry.
-func setAndTag(cfg cache.Config, addr uint32) (int, int64) {
-	block := addr / cfg.LineSize
-	return int(block % cfg.NumSets()), int64(block / cfg.NumSets())
+	return &t
 }
 
 // classifyRead reports whether a read of addr is guaranteed to hit, and
 // applies the LRU MUST update: the accessed block moves to age 0; blocks
 // younger than its previous age grow older by one.
-func (s *mustState) classifyRead(cfg cache.Config, addr uint32) bool {
-	set, tag := setAndTag(cfg, addr)
+func (s *mustState) classifyRead(addr uint32) bool {
+	// & 31 lets the compiler drop its fixup for shifts of 32 or more.
+	line := addr >> (s.lineShift & 31)
+	set, tag := int(line&s.setMask), line>>(s.setShift&31)
+	if s.assoc == 1 {
+		hit := s.data[set] == tag
+		s.data[set] = tag
+		return hit
+	}
 	ways := s.set(set)
 	hit := false
 	pos := len(ways) - 1 // miss: everything ages, the oldest guarantee dies
@@ -76,30 +105,40 @@ func (s *mustState) classifyRead(cfg cache.Config, addr uint32) bool {
 	return hit
 }
 
-// clobberSet ages every guarantee in one set by a single unknown access.
-func (s *mustState) clobberSet(set int) {
-	ways := s.set(set)
-	copy(ways[1:], ways[:len(ways)-1])
-	ways[0] = tagUnknown
-}
-
 // clobberRange applies one read at an unknown address within [lo, hi):
 // every set the range can touch ages by one access.
-func (s *mustState) clobberRange(cfg cache.Config, lo, hi uint32) {
+func (s *mustState) clobberRange(lo, hi uint32) {
 	if hi <= lo {
 		return
 	}
-	nSets := uint32(s.nsets)
-	firstBlock := lo / cfg.LineSize
-	lastBlock := (hi - 1) / cfg.LineSize
-	if lastBlock-firstBlock+1 >= nSets {
-		for i := 0; i < s.nsets; i++ {
-			s.clobberSet(i)
-		}
+	first, last := lo>>(s.lineShift&31), (hi-1)>>(s.lineShift&31)
+	if last-first+1 >= uint32(s.nsets) {
+		s.ageSets(0, s.nsets)
 		return
 	}
-	for b := firstBlock; b <= lastBlock; b++ {
-		s.clobberSet(int(b % nSets))
+	from, to := int(first&s.setMask), int(last&s.setMask)
+	if from <= to {
+		s.ageSets(from, to+1)
+		return
+	}
+	s.ageSets(from, s.nsets) // the run wraps past the last set
+	s.ageSets(0, to+1)
+}
+
+// ageSets ages every guarantee in sets [from, to) by one unknown access.
+// The sets are contiguous in the backing, so one copy shifts every way one
+// place older; each set's age-0 way, which the copy filled with the
+// previous set's oldest way, then becomes unknown.
+func (s *mustState) ageSets(from, to int) {
+	a := s.assoc
+	if a == 1 {
+		fillUnknown(s.data[from:to])
+		return
+	}
+	run := s.data[from*a : to*a]
+	copy(run[1:], run[:len(run)-1])
+	for i := 0; i < len(run); i += a {
+		run[i] = tagUnknown
 	}
 }
 
@@ -109,21 +148,39 @@ func (s *mustState) clobberRange(cfg cache.Config, lo, hi uint32) {
 // merge scratch lives on the stack for every realistic associativity, so a
 // join allocates nothing.
 func (s *mustState) join(o *mustState) bool {
-	var buf [16]int64
-	var merged []int64
+	changed := false
+	if s.assoc == 1 {
+		// One way per set: a guarantee survives only if both states hold it.
+		b := o.data[:len(s.data)]
+		for i, t := range s.data {
+			if t != b[i] && t != tagUnknown {
+				s.data[i] = tagUnknown
+				changed = true
+			}
+		}
+		return changed
+	}
+	var buf [16]uint32
+	var merged []uint32
 	if s.assoc <= len(buf) {
 		merged = buf[:s.assoc]
 	} else {
-		merged = make([]int64, s.assoc)
+		merged = make([]uint32, s.assoc)
 	}
-	changed := false
-	for si := 0; si < s.nsets; si++ {
-		a, b := s.set(si), o.set(si)
-		for i := range merged {
-			merged[i] = tagUnknown
+	// One elementwise pass finds the sets that differ; the meet of a set
+	// with itself is the set, so only those run the merge.
+	sd, od := s.data, o.data[:len(s.data)]
+	for i := 0; i < len(sd); i++ {
+		if sd[i] == od[i] {
+			continue
 		}
+		lo := i - i%s.assoc
+		i = lo + s.assoc - 1
+		a, b := sd[lo:i+1], od[lo:i+1]
+		fillUnknown(merged)
 		// Collect survivors with max age, in a-age order (younger first),
-		// placing each at the first free slot at or after its max age.
+		// placing each at the first free slot at or after its max age; a
+		// block pushed past the last way loses its guarantee.
 		for ai, tag := range a {
 			if tag == tagUnknown {
 				continue
@@ -138,38 +195,37 @@ func (s *mustState) join(o *mustState) bool {
 			if bi < 0 {
 				continue // not guaranteed in both
 			}
-			age := ai
-			if bi > age {
-				age = bi
-			}
-			placed := false
-			for j := age; j < len(merged); j++ {
+			for j := max(ai, bi); j < len(merged); j++ {
 				if merged[j] == tagUnknown {
 					merged[j] = tag
-					placed = true
 					break
 				}
 			}
-			_ = placed // a block pushed past the last way loses its guarantee
 		}
-		for i := range a {
-			if a[i] != merged[i] {
+		for j := range a {
+			if a[j] != merged[j] {
 				changed = true
 			}
-			a[i] = merged[i]
+			a[j] = merged[j]
 		}
 	}
 	return changed
 }
 
-// equal reports deep equality (used in tests).
-func (s *mustState) equal(o *mustState) bool {
-	for i := range s.data {
-		if s.data[i] != o.data[i] {
+// equalWays reports whether two equally long way lists are identical.
+func equalWays(a, b []uint32) bool {
+	b = b[:len(a)]
+	for i := range a {
+		if a[i] != b[i] {
 			return false
 		}
 	}
 	return true
+}
+
+// equal reports deep equality.
+func (s *mustState) equal(o *mustState) bool {
+	return equalWays(s.data, o.data)
 }
 
 // statePool recycles mustState values of one cache geometry. The MUST
@@ -190,15 +246,13 @@ func (p *statePool) take() *mustState {
 		p.free = p.free[:n-1]
 		return s
 	}
-	return newMustTop(p.cfg)
+	return newMustState(p.cfg)
 }
 
 // top returns a pooled cold state (no guarantees).
 func (p *statePool) top() *mustState {
 	s := p.take()
-	for i := range s.data {
-		s.data[i] = tagUnknown
-	}
+	fillUnknown(s.data)
 	return s
 }
 

@@ -41,7 +41,7 @@ func (m *costModel) fetchCost(inSPM bool, addr uint32, s *mustState) int64 {
 	if m.cc == nil {
 		return mem.MainHalfCycles
 	}
-	if s.classifyRead(*m.cc, addr) {
+	if s.classifyRead(addr) {
 		m.FetchHit++
 		return cache.HitCycles
 	}
@@ -62,14 +62,14 @@ func (m *costModel) dataCost(da dataAccess, s *mustState) int64 {
 		return int64(mem.MainCost(da.width))
 	}
 	if da.kind == accExact {
-		if s.classifyRead(*m.cc, da.addr) {
+		if s.classifyRead(da.addr) {
 			m.DataHit++
 			return cache.HitCycles
 		}
 		m.DataMiss++
 		return cache.MissCycles
 	}
-	s.clobberRange(*m.cc, da.lo, da.hi)
+	s.clobberRange(da.lo, da.hi)
 	m.DataMiss++
 	return cache.MissCycles
 }

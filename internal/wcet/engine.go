@@ -45,6 +45,8 @@ var (
 		"Functions whose MUST fixed point actually re-ran across cache-context analyses.")
 	mCCtxFuncsTotal = obs.Default.Counter("wcetlab_cache_context_funcs_total",
 		"Functions in scope across cache-context analyses (re-analyzed + reused).")
+	mCCtxMustReused = obs.Default.Counter("wcetlab_cache_context_must_reused_total",
+		"Function visits of a MUST pass served by the function's current record because its entry and callee exit states were unchanged.")
 
 	mSolverHits = obs.Default.Counter("wcetlab_solver_state_hits_total",
 		"Per-function IPET solves served from recorded solver state.")
@@ -62,8 +64,10 @@ type Stats struct {
 	BlocksRepriced, BlocksTotal uint64
 	// FuncsReanalyzed (cache engines): distinct functions whose
 	// intra-procedural MUST solve ran at least once during an analysis
-	// (re-entries of the interprocedural fixed point are one).
-	FuncsReanalyzed uint64
+	// (re-entries of the interprocedural fixed point are one). MustReused
+	// counts the re-entries that kept the function's current record
+	// because its entry and callee exit states had not changed.
+	FuncsReanalyzed, MustReused uint64
 	// FuncsTotal is the functions in scope. Of them, FuncsSolved ran an IPET
 	// solve and StateHits adopted a recorded solution; the rest kept their
 	// unchanged one.
@@ -146,16 +150,29 @@ type classCounts struct {
 	fetchHit, fetchMiss, dataHit, dataMiss int
 }
 
+func (c *classCounts) add(o classCounts) {
+	c.fetchHit += o.fetchHit
+	c.fetchMiss += o.fetchMiss
+	c.dataHit += o.dataHit
+	c.dataMiss += o.dataMiss
+}
+
 // mustRecord is one converged intra-procedural MUST solve of a function
-// under an exact input signature: its exit state, the entry state its call
-// blocks feed each callee, its per-block cycle costs and its classification
-// counts. Records are immutable once built; reusing one is bit-identical to
+// within one pass (fixed layout and capacities): the entry state and callee
+// exit states it was computed from, its exit state, the entry state its
+// call blocks feed each callee, its per-block cycle costs and its
+// classification counts. Records and their states are immutable once
+// built; a record's states return to the pool only once it is replaced
+// (release). Reusing one for the same inputs is bit-identical to
 // re-running the solve.
 type mustRecord struct {
-	exit     *mustState            // nil: no return block reached
-	calleeIn map[string]*mustState // per callee: join over reached call blocks
-	cost     []int64               // per block, by cfg Index
-	counts   classCounts
+	size       uint32                // cache capacity: the states' geometry
+	entry      *mustState            // nil: not reached
+	calleeExit []*mustState          // per cf.callees entry, as read
+	exit       *mustState            // nil: no return block reached
+	calleeIn   map[string]*mustState // per callee: join over reached call blocks
+	cost       []int64               // per block, by cfg Index
+	counts     classCounts
 }
 
 // engineFunc is one function's reusable analysis machinery.
@@ -171,11 +188,8 @@ type engineFunc struct {
 	callees   []string
 	callers   []string
 	// cost is the block costs the next IPET solve prices: re-priced in
-	// place without a cache, the adopted MUST record's with one.
+	// place without a cache, the latest MUST record's with one (rec).
 	cost []int64
-	// must records converged MUST solves by exact input signature (cache
-	// engines); rec is the record the latest analysis adopted.
-	must map[string]*mustRecord
 	rec  *mustRecord
 	// sols records IPET solutions by solve-input signature; sol is the
 	// current one and sig its signature.
@@ -184,7 +198,7 @@ type engineFunc struct {
 	sig  string
 }
 
-// memoCap bounds the per-function memo maps. Serving processes see a
+// memoCap bounds the per-function solution memo. Serving processes see a
 // bounded set of layouts × capacities, so the cap only guards pathological
 // drift; eviction is arbitrary because the memo affects work done, never
 // results.
@@ -213,15 +227,16 @@ func putCapped[V any](m map[string]V, k string, v V) {
 // an object whose side changed.
 //
 // With a cache the engine serves one cache *shape* (line size,
-// associativity, instruction-only) at every capacity. MUST facts are made
-// layout-stable by keying every function's converged intra-procedural
-// solve on exactly the inputs it reads: the capacities, the (address,
-// side) layout of its footprint, its entry state and its callees' exit
-// states. Between two placements only functions touching moved objects,
-// plus transitive callers and callees through changed states, re-enter the
-// fixed point. The fixed point is the unique MFP of a monotone equation
-// system, so recomputing affected functions from their current inputs is
-// bit-identical to a cold whole-program run.
+// associativity, instruction-only) at every capacity. An analysis under
+// the layout and capacities of the previous one reuses every function's
+// MUST record as is. Any other runs one MUST pass: an interprocedural
+// iteration at function granularity in which a function re-runs its
+// intra-procedural solve only when its entry state or a callee's exit
+// state differs from those its current record was computed from. The
+// abstract state is a flat array of 32-bit tags with the geometry reduced
+// to shifts and a mask, so a step costs the sets the block touches. The
+// fixed point is the unique MFP of a monotone equation system, so the pass
+// is bit-identical to a cold whole-program run.
 //
 // Both modes then share the path analysis: a function whose block costs
 // and callee bounds match its current solution keeps it, one matching a
@@ -256,16 +271,12 @@ type Engine struct {
 	// depends on its side.
 	deps [][]*engineBlock
 
-	// stateIDs interns abstract states: identical contents share one id.
-	// Ids are never recycled — signatures built from them stay valid for
-	// the engine's lifetime.
-	stateIDs map[string]int32
-	pools    map[uint32]*statePool // per cache size (geometry)
-	keyBuf   []byte
+	pool   *statePool // scratch states of the latest analysis's cache size
+	keyBuf []byte
 
 	// Counters are atomics so Stats never blocks on an in-flight analysis.
-	analyses, blocksRepriced, blocksTotal, funcsReanalyzed atomic.Uint64
-	funcsTotal, funcsSolved, stateHits                     atomic.Uint64
+	analyses, blocksRepriced, blocksTotal, funcsReanalyzed, mustReused atomic.Uint64
+	funcsTotal, funcsSolved, stateHits                                 atomic.Uint64
 }
 
 // NewEngine builds the incremental analysis engine from the program's
@@ -308,8 +319,6 @@ func NewEngine(base *link.Executable, opts Options) (*Engine, error) {
 		shape := opts.Cache.WithDefaults()
 		shape.Size = 0
 		c.shape = &shape
-		c.stateIDs = make(map[string]int32)
-		c.pools = make(map[uint32]*statePool)
 	} else {
 		c.lay = make([]link.ObjLayout, len(base.Placements))
 		c.deps = make([][]*engineBlock, len(base.Placements))
@@ -331,9 +340,6 @@ func NewEngine(base *link.Executable, opts Options) (*Engine, error) {
 			blocks: make([]*engineBlock, len(f.Blocks)),
 			cost:   make([]int64, len(f.Blocks)),
 			sols:   make(map[string]*FuncSolution),
-		}
-		if c.shape != nil {
-			cf.must = make(map[string]*mustRecord)
 		}
 		foot := make(map[int32]bool)
 		for _, b := range f.Blocks {
@@ -582,15 +588,17 @@ func (c *Engine) Analyze(ctx context.Context, cacheSize, spmSize uint32, inSPM m
 		}
 		// Layout-stable fast path: no object moved and the capacities are
 		// unchanged, so every function's record is verbatim valid.
-		var reran uint64
+		var reran, reused uint64
 		if c.lay == nil || cacheSize != c.laySize || spmSize != c.laySpm || !slices.Equal(c.lay, lay) {
-			if reran, err = c.mustPass(cc, lay, spmSize); err != nil {
+			if reran, reused, err = c.mustPass(cc, lay, spmSize); err != nil {
 				return nil, err
 			}
 			c.lay, c.laySize, c.laySpm = lay, cacheSize, spmSize
 		}
 		c.funcsReanalyzed.Add(reran)
+		c.mustReused.Add(reused)
 		mCCtxFuncsReanalyzed.Add(reran)
+		mCCtxMustReused.Add(reused)
 		mCCtxFuncsTotal.Add(nf)
 	}
 	c.funcsTotal.Add(nf)
@@ -721,6 +729,7 @@ func (c *Engine) Stats() Stats {
 		BlocksRepriced:  c.blocksRepriced.Load(),
 		BlocksTotal:     c.blocksTotal.Load(),
 		FuncsReanalyzed: c.funcsReanalyzed.Load(),
+		MustReused:      c.mustReused.Load(),
 		FuncsTotal:      c.funcsTotal.Load(),
 		FuncsSolved:     c.funcsSolved.Load(),
 		StateHits:       c.stateHits.Load(),

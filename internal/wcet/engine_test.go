@@ -47,11 +47,13 @@ func baseProg(t *testing.T, src string) *link.Executable {
 }
 
 // TestCacheContextMatchesCold drives one cache engine through a sweep of
-// capacities, associativities and placements — including revisits that hit
-// the memo and the layout-stable fast path, and a data-only move that
-// leaves every code address in place — and checks every Result
-// (bound, per-function bounds, classification counts, witness) is
-// bit-identical to a from-scratch link + Analyze.
+// capacities, associativities and placements — including revisits, the
+// layout-stable fast path, and a data-only move that leaves every code
+// address in place — and checks every Result (bound, per-function bounds,
+// classification counts, witness) is bit-identical to a from-scratch link
+// + Analyze. A second pass over the same sweep must reproduce the first
+// pass's results exactly, and the immediate repeat that ends each pass
+// must re-run no function.
 func TestCacheContextMatchesCold(t *testing.T) {
 	base := baseProg(t, cacheCtxSrc)
 
@@ -68,7 +70,7 @@ func TestCacheContextMatchesCold(t *testing.T) {
 			{spmSize: 512, inSPM: map[string]bool{"scale": true, "weight": true}},
 			{spmSize: 512, inSPM: map[string]bool{"table": true}},
 			{spmSize: 512, inSPM: map[string]bool{"weight": true}}, // only data moves
-			{spmSize: 0}, // revisit: memo hit territory
+			{spmSize: 0}, // revisit
 		} {
 			steps = append(steps, step{cacheSize: size, spmSize: pl.spmSize, inSPM: pl.inSPM})
 		}
@@ -82,18 +84,24 @@ func TestCacheContextMatchesCold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Two passes over the sweep: the first populates the memo, the
-		// second must replay entirely from it.
-		var firstReanalyzed uint64
+		first := make([]*Result, len(steps))
 		for pass := 0; pass < 2; pass++ {
+			var beforeRepeat uint64
 			for i, st := range steps {
+				if i == len(steps)-1 {
+					beforeRepeat = ctx.Stats().FuncsReanalyzed
+				}
 				warm, err := ctx.Analyze(context.Background(), st.cacheSize, st.spmSize, st.inSPM, true)
 				if err != nil {
 					t.Fatalf("assoc %d pass %d step %d: warm: %v", assoc, pass, i, err)
 				}
 				if pass > 0 {
-					continue // identical inputs: pass 0 already verified
+					if !reflect.DeepEqual(warm, first[i]) {
+						t.Fatalf("assoc %d step %d: second pass %+v != first pass %+v", assoc, i, warm, first[i])
+					}
+					continue
 				}
+				first[i] = warm
 				exe, err := link.Link(base.Prog, st.spmSize, st.inSPM)
 				if err != nil {
 					t.Fatalf("assoc %d step %d: link: %v", assoc, i, err)
@@ -111,23 +119,16 @@ func TestCacheContextMatchesCold(t *testing.T) {
 						assoc, i, st.cacheSize, st.spmSize, st.inSPM, warm, cold)
 				}
 			}
-			if pass == 0 {
-				firstReanalyzed = ctx.Stats().FuncsReanalyzed
-				if firstReanalyzed == 0 {
-					t.Fatalf("assoc %d: first pass re-analyzed nothing", assoc)
-				}
-				continue
-			}
-			// An identical second pass is pure reuse: every function solve
-			// comes from the memo (or the layout-stable fast path).
 			cs := ctx.Stats()
-			if cs.Analyses != uint64(2*len(steps)) {
-				t.Fatalf("assoc %d: analyses = %d, want %d", assoc, cs.Analyses, 2*len(steps))
+			if cs.FuncsReanalyzed == 0 {
+				t.Fatalf("assoc %d pass %d: nothing re-analyzed", assoc, pass)
 			}
-			if cs.FuncsReanalyzed != firstReanalyzed {
-				t.Fatalf("assoc %d: second pass re-analyzed %d functions, want 0",
-					assoc, cs.FuncsReanalyzed-firstReanalyzed)
+			if n := cs.FuncsReanalyzed - beforeRepeat; n != 0 {
+				t.Fatalf("assoc %d pass %d: immediate repeat re-analyzed %d functions, want 0", assoc, pass, n)
 			}
+		}
+		if cs := ctx.Stats(); cs.Analyses != uint64(2*len(steps)) {
+			t.Fatalf("assoc %d: analyses = %d, want %d", assoc, cs.Analyses, 2*len(steps))
 		}
 	}
 }

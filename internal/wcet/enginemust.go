@@ -1,7 +1,6 @@
 package wcet
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/cache"
@@ -12,7 +11,8 @@ import (
 
 // The cache mode of Engine: the MUST analysis and the cost walk replayed
 // from each block's symbolic access stream against a concrete layout, one
-// function at a time, under a memo keyed by each function's exact inputs.
+// function at a time, re-running a function within a pass only when its
+// entry state or a callee's exit state changed.
 
 // resolve materialises one symbolic access against a layout, reproducing
 // instrAccesses exactly. instrAddr is the access's instruction address
@@ -35,39 +35,17 @@ func (c *Engine) resolve(a symAcc, lay []link.ObjLayout, instrAddr, spmSize uint
 	}
 }
 
-// transferSym is cacheAnalysis.transfer replayed from the symbolic stream.
-func (c *Engine) transferSym(cb *engineBlock, cc cache.Config, lay []link.ObjLayout, spmSize uint32, s *mustState) {
-	ownerL := lay[cb.ownerIdx]
-	for _, si := range cb.instrs {
-		addr := ownerL.Addr + si.off
-		if !ownerL.InSPM {
-			s.classifyRead(cc, addr)
-			if si.size == 4 {
-				s.classifyRead(cc, addr+2)
-			}
-		}
-		for _, a := range si.accs {
-			da := c.resolve(a, lay, addr, spmSize)
-			if da.inSPM || da.write || cc.InstructionOnly {
-				continue
-			}
-			if da.kind == accExact {
-				s.classifyRead(cc, da.addr)
-			} else {
-				s.clobberRange(cc, da.lo, da.hi)
-			}
-		}
-	}
-}
-
-// costWalkSym is costModel.blockCost replayed from the symbolic stream,
-// with the constant part pre-folded (it never touches the MUST state, so
-// folding preserves the walk's state evolution exactly).
-func (c *Engine) costWalkSym(cb *engineBlock, cc cache.Config, lay []link.ObjLayout, spmSize uint32, s *mustState, counts *classCounts) int64 {
+// walkSym is cacheAnalysis.transfer and costModel.blockCost in one walk,
+// replayed from the symbolic stream: it applies the block's MUST transfer
+// to s, adds its classifications to counts and returns its cycle cost
+// priced from s. Both walks change s identically, and the constant part of
+// the cost is pre-folded (it never touches the MUST state, so folding
+// preserves the walk's state evolution exactly).
+func (c *Engine) walkSym(cb *engineBlock, cc cache.Config, lay []link.ObjLayout, spmSize uint32, s *mustState, counts *classCounts) int64 {
 	total := cb.constCycles
 	ownerL := lay[cb.ownerIdx]
 	fetch := func(addr uint32) {
-		if s.classifyRead(cc, addr) {
+		if s.classifyRead(addr) {
 			counts.fetchHit++
 			total += cache.HitCycles
 		} else {
@@ -95,7 +73,7 @@ func (c *Engine) costWalkSym(cb *engineBlock, cc cache.Config, lay []link.ObjLay
 			case da.write:
 				total += int64(mem.MainCost(da.width))
 			case da.kind == accExact:
-				if s.classifyRead(cc, da.addr) {
+				if s.classifyRead(da.addr) {
 					counts.dataHit++
 					total += cache.HitCycles
 				} else {
@@ -103,7 +81,7 @@ func (c *Engine) costWalkSym(cb *engineBlock, cc cache.Config, lay []link.ObjLay
 					total += cache.MissCycles
 				}
 			default:
-				s.clobberRange(cc, da.lo, da.hi)
+				s.clobberRange(da.lo, da.hi)
 				counts.dataMiss++
 				total += cache.MissCycles
 			}
@@ -112,66 +90,24 @@ func (c *Engine) costWalkSym(cb *engineBlock, cc cache.Config, lay []link.ObjLay
 	return total
 }
 
-// stateID interns a state's exact contents and returns its id (-1 for
-// nil). Distinct cache sizes yield distinct backing lengths under a fixed
-// shape, so ids never alias across capacities.
-func (c *Engine) stateID(s *mustState) int32 {
-	if s == nil {
-		return -1
-	}
-	buf := c.keyBuf[:0]
-	for _, v := range s.data {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-	}
-	c.keyBuf = buf
-	if id, ok := c.stateIDs[string(buf)]; ok {
-		return id
-	}
-	id := int32(len(c.stateIDs))
-	c.stateIDs[string(buf)] = id
-	return id
-}
-
-// mustKey is the exact input signature of one function's intra-procedural
-// MUST solve: cache size, scratchpad size, the (address, side) layout of
-// the function's footprint, its entry state and its callees' exit states.
-// Raw values, no hashing — a collision would silently break bit-identity.
-func (c *Engine) mustKey(cf *engineFunc, size, spmSize uint32, lay []link.ObjLayout, entryID int32, recs map[string]*mustRecord) string {
-	buf := make([]byte, 0, 12+5*len(cf.footprint)+4*len(cf.callees))
-	buf = binary.LittleEndian.AppendUint32(buf, size)
-	buf = binary.LittleEndian.AppendUint32(buf, spmSize)
-	for _, oi := range cf.footprint {
-		l := lay[oi]
-		buf = binary.LittleEndian.AppendUint32(buf, l.Addr)
-		if l.InSPM {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(entryID))
-	for _, callee := range cf.callees {
-		var exit *mustState
-		if cr := recs[callee]; cr != nil {
-			exit = cr.exit
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(c.stateID(exit)))
-	}
-	return string(buf)
-}
-
 // runMust computes one function's intra-procedural MUST fixed point given
-// its entry state and its callees' current exit states, then walks every
-// block's cost — the per-function slice of what cacheAnalysis.run and the
-// cost model do globally. A nil entry means the interprocedural iteration
-// never reached the function: every block is costed from the cold state,
-// exactly as the cold path treats unreached blocks.
+// its entry state and its callees' current exit states, with every block's
+// cost — the per-function slice of what cacheAnalysis.run and the cost
+// model do globally. A nil entry means the interprocedural iteration never
+// reached the function: every block is costed from the cold state, exactly
+// as the cold path treats unreached blocks. The record takes ownership of
+// entry and keeps the callee exits it read.
 func (c *Engine) runMust(cf *engineFunc, cc cache.Config, lay []link.ObjLayout, spmSize uint32, entry *mustState, recs map[string]*mustRecord, pool *statePool) (*mustRecord, error) {
 	f := cf.f
 	nb := len(f.Blocks)
+	rec := &mustRecord{size: cc.Size, entry: entry, calleeExit: make([]*mustState, len(cf.callees)), cost: make([]int64, nb)}
+	for i, callee := range cf.callees {
+		if cr := recs[callee]; cr != nil {
+			rec.calleeExit[i] = cr.exit
+		}
+	}
 	in := make([]*mustState, nb)
-	var calleeIn map[string]*mustState
-	var exit *mustState
+	counts := make([]classCounts, nb)
 	if entry != nil {
 		in[f.Entry.Index] = pool.cloneOf(entry)
 		work := []*cfg.Block{f.Entry}
@@ -192,27 +128,32 @@ func (c *Engine) runMust(cf *engineFunc, cc cache.Config, lay []link.ObjLayout, 
 			b := work[0]
 			work = work[1:]
 			queued[b.Index] = false
+			// A block's last walk starts from its final in-state (any later
+			// change re-queues it), so its last cost and counts are the
+			// fixed point's.
 			out := pool.cloneOf(in[b.Index])
-			c.transferSym(cf.blocks[b.Index], cc, lay, spmSize, out)
+			counts[b.Index] = classCounts{}
+			rec.cost[b.Index] = c.walkSym(cf.blocks[b.Index], cc, lay, spmSize, out, &counts[b.Index])
 
 			// Call at block end: record the state flowing into the callee and
 			// splice the callee's current exit in (none yet: stop propagating
 			// here; the interprocedural loop re-runs us once it appears).
+			// A state stored in the record is handed over, never cloned.
 			if len(b.Instrs) > 0 {
 				if callee := b.Instrs[len(b.Instrs)-1].CallTarget; callee != "" {
-					if calleeIn == nil {
-						calleeIn = make(map[string]*mustState)
+					if rec.calleeIn == nil {
+						rec.calleeIn = make(map[string]*mustState)
 					}
-					if prev := calleeIn[callee]; prev == nil {
-						calleeIn[callee] = out.clone()
+					if prev := rec.calleeIn[callee]; prev == nil {
+						rec.calleeIn[callee] = out
 					} else {
 						prev.join(out)
+						pool.put(out)
 					}
 					var ex *mustState
 					if cr := recs[callee]; cr != nil {
 						ex = cr.exit
 					}
-					pool.put(out)
 					if ex == nil {
 						continue
 					}
@@ -221,17 +162,21 @@ func (c *Engine) runMust(cf *engineFunc, cc cache.Config, lay []link.ObjLayout, 
 			}
 
 			if len(b.Succs) == 0 {
-				if exit == nil {
-					exit = out.clone()
+				if rec.exit == nil {
+					rec.exit = out
 				} else {
-					exit.join(out)
+					rec.exit.join(out)
+					pool.put(out)
 				}
-				pool.put(out)
 				continue
 			}
-			for _, e := range b.Succs {
+			for i, e := range b.Succs {
 				if prev := in[e.To.Index]; prev == nil {
-					in[e.To.Index] = pool.cloneOf(out)
+					if i == len(b.Succs)-1 {
+						in[e.To.Index], out = out, nil
+					} else {
+						in[e.To.Index] = pool.cloneOf(out)
+					}
 					push(e.To)
 				} else if prev.join(out) {
 					push(e.To)
@@ -241,37 +186,62 @@ func (c *Engine) runMust(cf *engineFunc, cc cache.Config, lay []link.ObjLayout, 
 		}
 	}
 
-	rec := &mustRecord{exit: exit, calleeIn: calleeIn, cost: make([]int64, nb)}
+	// Blocks the iteration never reached are costed from the cold state.
 	for _, b := range f.Blocks {
-		var s *mustState
-		if st := in[b.Index]; st != nil {
-			s = pool.cloneOf(st)
+		if s := in[b.Index]; s != nil {
+			pool.put(s)
 		} else {
 			s = pool.top()
+			rec.cost[b.Index] = c.walkSym(cf.blocks[b.Index], cc, lay, spmSize, s, &counts[b.Index])
+			pool.put(s)
 		}
-		rec.cost[b.Index] = c.costWalkSym(cf.blocks[b.Index], cc, lay, spmSize, s, &rec.counts)
-		pool.put(s)
-	}
-	for _, st := range in {
-		pool.put(st)
+		rec.counts.add(counts[b.Index])
 	}
 	return rec, nil
+}
+
+// sameInputs reports whether a function whose entry state is now entry,
+// under recs' current callee exits, would recompute exactly rec: the
+// layout and capacities are fixed within a pass, so these are the solve's
+// only other inputs. States compare by pointer, then by content.
+func (rec *mustRecord) sameInputs(cf *engineFunc, entry *mustState, recs map[string]*mustRecord) bool {
+	if !sameState(rec.entry, entry) {
+		return false
+	}
+	for i, callee := range cf.callees {
+		var exit *mustState
+		if cr := recs[callee]; cr != nil {
+			exit = cr.exit
+		}
+		if !sameState(rec.calleeExit[i], exit) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameState reports whether two possibly-nil states are identical.
+func sameState(a, b *mustState) bool {
+	return a == b || a != nil && b != nil && a.equal(b)
 }
 
 // mustPass brings every function's MUST record up to date with the layout:
 // an interprocedural chaotic iteration at function granularity,
 // callers-first so entry states propagate downward early. Entry states are
 // the join over callers' recorded contributions; exit changes wake callers,
-// record changes wake callees. It converges to the same unique MFP as the
-// cold block-level iteration, and returns the number of distinct functions
-// whose solve actually ran.
-func (c *Engine) mustPass(cc cache.Config, lay []link.ObjLayout, spmSize uint32) (uint64, error) {
-	pool := c.pools[cc.Size]
-	if pool == nil {
-		pool = newStatePool(cc)
-		c.pools[cc.Size] = pool
+// record changes wake callees. A popped function whose entry and callee
+// exits match those its current record was computed from keeps the record:
+// the iteration is monotone, so within a pass a function's inputs never
+// return to an earlier value and the current record is the only one worth
+// checking. It converges to the same unique MFP as the cold block-level
+// iteration, and returns the number of distinct functions whose solve
+// actually ran and the number of pops served by the current record.
+func (c *Engine) mustPass(cc cache.Config, lay []link.ObjLayout, spmSize uint32) (reran, reused uint64, err error) {
+	if c.pool == nil || c.pool.cfg.Size != cc.Size {
+		c.pool = newStatePool(cc)
 	}
-	reran := make(map[string]bool)
+	pool := c.pool
+	ran := make(map[string]bool)
 	recs := make(map[string]*mustRecord, len(c.order))
 	work := make([]string, 0, len(c.order))
 	queued := make(map[string]bool, len(c.order))
@@ -288,7 +258,7 @@ func (c *Engine) mustPass(cc cache.Config, lay []link.ObjLayout, spmSize uint32)
 	for len(work) > 0 {
 		steps++
 		if steps > 1_000_000 {
-			return 0, fmt.Errorf("wcet: cache analysis did not converge")
+			return 0, 0, fmt.Errorf("wcet: cache analysis did not converge")
 		}
 		name := work[0]
 		work = work[1:]
@@ -311,38 +281,51 @@ func (c *Engine) mustPass(cc cache.Config, lay []link.ObjLayout, spmSize uint32)
 			}
 		}
 
-		key := c.mustKey(cf, cc.Size, spmSize, lay, c.stateID(entry), recs)
-		rec := cf.must[key]
-		if rec == nil {
-			var err error
-			rec, err = c.runMust(cf, cc, lay, spmSize, entry, recs, pool)
-			if err != nil {
-				pool.put(entry)
-				return 0, err
-			}
-			putCapped(cf.must, key, rec)
-			reran[name] = true
+		old := recs[name]
+		if old != nil && old.sameInputs(cf, entry, recs) {
+			pool.put(entry)
+			reused++
+			continue
 		}
-		pool.put(entry)
-
-		if old := recs[name]; old != rec {
-			recs[name] = rec
-			for _, callee := range cf.callees {
-				push(callee)
+		rec, err := c.runMust(cf, cc, lay, spmSize, entry, recs, pool)
+		if err != nil {
+			return 0, 0, err
+		}
+		ran[name] = true
+		recs[name] = rec
+		for _, callee := range cf.callees {
+			push(callee)
+		}
+		if old == nil || !sameState(old.exit, rec.exit) {
+			for _, caller := range cf.callers {
+				push(caller)
 			}
-			exitChanged := old == nil ||
-				(old.exit == nil) != (rec.exit == nil) ||
-				(old.exit != nil && !old.exit.equal(rec.exit))
-			if exitChanged {
-				for _, caller := range cf.callers {
-					push(caller)
-				}
-			}
+		}
+		if old != nil {
+			// Callers' records may still point at old.exit.
+			old.release(pool, false)
 		}
 	}
 	for _, name := range c.order {
 		cf := c.funcs[name]
+		if cf.rec != nil && cf.rec.size == cc.Size {
+			cf.rec.release(pool, true)
+		}
 		cf.rec, cf.cost = recs[name], recs[name].cost
 	}
-	return uint64(len(reran)), nil
+	return uint64(len(ran)), reused, nil
+}
+
+// release returns the states a record owns to pool, its exit only when
+// withExit: a later record of the same pass may compare its callee exits
+// with this record's by pointer. The record must not be used afterwards.
+func (rec *mustRecord) release(pool *statePool, withExit bool) {
+	pool.put(rec.entry)
+	for _, st := range rec.calleeIn {
+		pool.put(st)
+	}
+	if withExit {
+		pool.put(rec.exit)
+	}
+	rec.entry, rec.calleeIn, rec.exit = nil, nil, nil
 }
