@@ -204,7 +204,7 @@ type engineFunc struct {
 // results.
 const memoCap = 512
 
-func putCapped[V any](m map[string]V, k string, v V) {
+func putCapped(m map[string]*FuncSolution, k string, v *FuncSolution) {
 	if len(m) >= memoCap {
 		for old := range m {
 			delete(m, old)
