@@ -7,9 +7,10 @@ check: fmt vet build test
 
 # What .github/workflows/ci.yml runs: check with the race detector on,
 # plus short fuzzing runs of the simplex kernel, the cache-sweep pricing,
-# the MUST cache domain and the store decoders, the single-iteration benchmark smoke (validated
-# JSON), the benchmark module's build and tests, the warm-store
-# determinism check and the serve smoke test.
+# the counted profile, the MUST cache domain and the store decoders, the
+# single-iteration benchmark smoke (validated JSON), the benchmark
+# module's build and tests, the warm-store determinism check and the serve
+# smoke test.
 ci: fmt vet build test-race fuzz-smoke bench-smoke perfbench-smoke warmstore smoke
 
 # Ten seconds of native fuzzing per target: the simplex kernel must match
@@ -17,8 +18,10 @@ ci: fmt vet build test-race fuzz-smoke bench-smoke perfbench-smoke warmstore smo
 # programs, its dual re-optimisation of a branch & bound child must match
 # a cold solve of the child's program, sim.RunCaches must price generated
 # programs under random cache batches and scratchpad placements as the
-# reference bus does (internal/sim/ref_test.go), the MUST cache domain
-# must match its plain reference (internal/wcet/refdom_test.go) step by
+# reference bus does (internal/sim/ref_test.go), sim.CollectProfile must
+# count generated programs under random scratchpad placements as the
+# reference profiler does (internal/sim/refprof_test.go), the MUST cache
+# domain must match its plain reference (internal/wcet/refdom_test.go) step by
 # step under random reads, range clobbers, clones and joins, and the
 # store's artifact decoders must return a value or an error, never panic,
 # on arbitrary bytes. The store decoders' inputs are cheap to run but
@@ -30,6 +33,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSolveMatchesReference -fuzztime=10s ./internal/lp
 	$(GO) test -run='^$$' -fuzz=FuzzBranchMatchesSolve -fuzztime=10s ./internal/lp
 	$(GO) test -run='^$$' -fuzz=FuzzRunCachesMatchesReference -fuzztime=10s ./internal/sim
+	$(GO) test -run='^$$' -fuzz=FuzzProfileMatchesReference -fuzztime=10s ./internal/sim
 	$(GO) test -run='^$$' -fuzz=FuzzMustDomainMatchesReference -fuzztime=10s ./internal/wcet
 	$(GO) test -run='^$$' -fuzz=FuzzStoreDecode -fuzztime=10s -fuzzminimizetime=1x ./internal/store
 

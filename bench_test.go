@@ -601,9 +601,16 @@ func BenchmarkCacheSweepWarm(b *testing.B) {
 	b.ReportMetric(float64(st.FuncsReanalyzed)/float64(st.Analyses), "funcs-rerun/analysis")
 }
 
-// simulate runs exe, under a cache as a one-configuration sim.RunCaches
-// pass.
-func simulate(exe *link.Executable, ccfg *cache.Config) (*sim.Result, error) {
+// simulate runs exe: as a profile, under a cache as a one-configuration
+// sim.RunCaches pass, or plain.
+func simulate(exe *link.Executable, ccfg *cache.Config, profile bool) (*sim.Result, error) {
+	if profile {
+		prof, err := sim.CollectProfile(exe, sim.Options{})
+		if err != nil {
+			return nil, err
+		}
+		return prof.Result, nil
+	}
 	if ccfg == nil {
 		return sim.Run(exe, sim.Options{})
 	}
@@ -617,7 +624,9 @@ func simulate(exe *link.Executable, ccfg *cache.Config) (*sim.Result, error) {
 // BenchmarkSimulate is the interpreter's layer gate: one full simulation of
 // each benchmark per iteration under the three memory systems the paper
 // compares — main memory only, a 1 KB energy-allocated scratchpad and a
-// 1 KB direct-mapped cache — reporting simulated instructions per second.
+// 1 KB direct-mapped cache — and one profile (sim.CollectProfile on the
+// main-memory-only placement), reporting simulated instructions per second.
+// profile against nospm is what counting the profile costs over a plain run.
 func BenchmarkSimulate(b *testing.B) {
 	for _, name := range []string{"G.721", "ADPCM", "MultiSort"} {
 		l := labFor(b, name)
@@ -629,14 +638,16 @@ func BenchmarkSimulate(b *testing.B) {
 			b.Fatalf("%s: energy allocation split functions", name)
 		}
 		configs := []struct {
-			name  string
-			spm   uint32
-			inSPM map[string]bool
-			cache *cache.Config
+			name    string
+			spm     uint32
+			inSPM   map[string]bool
+			cache   *cache.Config
+			profile bool
 		}{
-			{"nospm", 0, nil, nil},
-			{"spm1k", 1024, a.InSPM, nil},
-			{"cache1k", 0, nil, &cache.Config{Size: 1024}},
+			{"nospm", 0, nil, nil, false},
+			{"spm1k", 1024, a.InSPM, nil, false},
+			{"cache1k", 0, nil, &cache.Config{Size: 1024}, false},
+			{"profile", 0, nil, nil, true},
 		}
 		for _, cfg := range configs {
 			exe, err := link.Link(l.Pipe.Prog, cfg.spm, cfg.inSPM)
@@ -646,7 +657,7 @@ func BenchmarkSimulate(b *testing.B) {
 			b.Run(name+"/"+cfg.name, func(b *testing.B) {
 				var instrs uint64
 				for i := 0; i < b.N; i++ {
-					res, err := simulate(exe, cfg.cache)
+					res, err := simulate(exe, cfg.cache, cfg.profile)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -13,6 +13,19 @@ import (
 	"repro/internal/mem"
 )
 
+// fetchBus is a memory system that records the addresses fetched from.
+type fetchBus struct {
+	*mem.System
+	fetched map[uint32]bool
+}
+
+func (b *fetchBus) Read(addr uint32, size uint8, fetch bool) (uint32, int, error) {
+	if fetch {
+		b.fetched[addr] = true
+	}
+	return b.System.Read(addr, size, fetch)
+}
+
 // run executes exe to completion under the given stepper and returns the
 // CPU, its final memory system and the number of distinct addresses it
 // fetched from. With a cache configuration, the system feeds a sweep over
@@ -26,13 +39,8 @@ func run(t *testing.T, exe *link.Executable, ccfg *cache.Config, step func(*arm.
 			t.Fatal(err)
 		}
 	}
-	fetched := map[uint32]bool{}
-	sys.OnAccess = func(a mem.Access) {
-		if a.Fetch {
-			fetched[a.Addr] = true
-		}
-	}
-	cpu := arm.NewCPU(sys, exe.EntryAddr, link.StackTop)
+	bus := &fetchBus{sys, map[uint32]bool{}}
+	cpu := arm.NewCPU(bus, exe.EntryAddr, link.StackTop)
 	for !cpu.Halted {
 		if cpu.Instrs >= 50_000_000 {
 			t.Fatal("instruction budget exhausted")
@@ -41,7 +49,7 @@ func run(t *testing.T, exe *link.Executable, ccfg *cache.Config, step func(*arm.
 			t.Fatal(err)
 		}
 	}
-	return cpu, sys, len(fetched)
+	return cpu, sys, len(bus.fetched)
 }
 
 // TestProgramsMatchReference runs every benchmark to completion with both

@@ -3,12 +3,13 @@
 // depends on the access width (Table 1 of the paper) and an optional on-chip
 // scratchpad with uniform single-cycle access.
 //
-// The memory system contains no cache. The paper's cache is tag-only and
-// write-through, so it contributes timing, not storage: the system always
-// charges main-memory cost and feeds every main-memory access to an
-// attached cache.Sweep, from whose counts sim reprices the run. The
+// The memory system contains no cache and no hooks. The paper's cache is
+// tag-only and write-through, so it contributes timing, not storage: the
+// system always charges main-memory cost and feeds every main-memory access
+// to an attached cache.Sweep, from whose counts sim reprices the run. The
 // functional simulation is thus independent of the cache configuration,
-// the property the paper's comparison relies on.
+// the property the paper's comparison relies on. For a profile the system
+// counts every access per address itself.
 package mem
 
 import (
@@ -93,6 +94,8 @@ type Segment struct {
 	Name string
 	Base uint32
 	Data []byte
+	// counts holds one access vector per byte of Data once counting is on.
+	counts []Accesses
 }
 
 // Contains reports whether the address range [addr, addr+size) lies in the
@@ -126,15 +129,8 @@ func put(b []byte, size uint8, val uint32) {
 	}
 }
 
-// Access describes one memory access, as observed by profiling hooks.
-type Access struct {
-	Addr  uint32
-	Size  uint8
-	Fetch bool
-	Write bool
-}
-
-// System is the complete memory system; it implements arm.Bus.
+// System is the complete memory system; it implements arm.Bus. After
+// CountAccesses it also counts the accesses it serves.
 type System struct {
 	// SPM is the scratchpad segment; nil when the system has no scratchpad.
 	SPM *Segment
@@ -145,10 +141,8 @@ type System struct {
 	// bypass it.
 	Sweep *cache.Sweep
 
-	// OnAccess, when non-nil, observes every access (before cost
-	// accounting). Used by the profiler that feeds the SPM allocator.
-	OnAccess func(Access)
-
+	// segs is every segment, the scratchpad first.
+	segs []*Segment
 	// regions caches, per address region, the segment the region's last
 	// access resolved to: slot (addr >> regionShift) % regionSlots. An
 	// access inside its slot's segment needs no search; any other access
@@ -164,15 +158,19 @@ const regionSlots = 8
 // window is one region-cache slot: a segment's bounds copied into the
 // System, so that a hit is a single compare with no pointer to chase.
 type window struct {
-	base uint32
-	data []byte
-	spm  bool
+	base   uint32
+	data   []byte
+	counts []Accesses
+	spm    bool
 }
 
 // NewSystem builds a memory system from segments. spm may be nil. The
 // segments must not overlap and must stay fixed while the system is used.
 func NewSystem(spm *Segment, main ...*Segment) *System {
-	m := &System{SPM: spm, Main: main}
+	m := &System{SPM: spm, Main: main, segs: main}
+	if spm != nil {
+		m.segs = append([]*Segment{spm}, main...)
+	}
 	m.regionShift = m.separatingShift()
 	return m
 }
@@ -182,14 +180,10 @@ func NewSystem(spm *Segment, main ...*Segment) *System {
 // region-cache slot, so that after one miss per segment every access hits.
 // When there is none, 0 still resolves correctly, just with more misses.
 func (m *System) separatingShift() uint8 {
-	segs := m.Main
-	if m.SPM != nil {
-		segs = append([]*Segment{m.SPM}, segs...)
-	}
 shifts:
 	for shift := uint8(31); shift > 0; shift-- {
 		var used [regionSlots]bool
-		for _, s := range segs {
+		for _, s := range m.segs {
 			if len(s.Data) == 0 {
 				continue
 			}
@@ -203,6 +197,25 @@ shifts:
 		return shift
 	}
 	return 0
+}
+
+// CountAccesses turns counting on: from then on Read and Write count each
+// access they serve, scratchpad included, at its start address.
+func (m *System) CountAccesses() {
+	for _, s := range m.segs {
+		s.counts = make([]Accesses, len(s.Data))
+	}
+	m.regions = [regionSlots]window{}
+}
+
+// Counts returns the counts of the n bytes from addr, fetches and data by
+// width, or nil when counting is off or no segment holds them all.
+func (m *System) Counts(addr, n uint32) []Accesses {
+	s := m.segment(addr, 1)
+	if s == nil || uint64(addr-s.Base)+uint64(n) > uint64(len(s.counts)) {
+		return nil
+	}
+	return s.counts[addr-s.Base:][:n]
 }
 
 // region returns the region-cache slot for addr.
@@ -220,10 +233,7 @@ func (w *window) offset(addr uint32, size uint8) (uint32, bool) {
 // segment returns the segment holding [addr, addr+size): the scratchpad
 // when it covers the range, else the first main segment that does.
 func (m *System) segment(addr uint32, size uint8) *Segment {
-	if m.SPM != nil && m.SPM.Contains(addr, size) {
-		return m.SPM
-	}
-	for _, s := range m.Main {
+	for _, s := range m.segs {
 		if s.Contains(addr, size) {
 			return s
 		}
@@ -238,7 +248,7 @@ func (m *System) fill(w *window, addr uint32, size uint8) bool {
 	if s == nil {
 		return false
 	}
-	*w = window{base: s.Base, data: s.Data, spm: s == m.SPM}
+	*w = window{base: s.Base, data: s.Data, counts: s.counts, spm: s == m.SPM}
 	return true
 }
 
@@ -249,9 +259,6 @@ func unmapped(what string, addr uint32, size uint8) error {
 
 // Read implements arm.Bus.
 func (m *System) Read(addr uint32, size uint8, fetch bool) (uint32, int, error) {
-	if m.OnAccess != nil {
-		m.OnAccess(Access{Addr: addr, Size: size, Fetch: fetch})
-	}
 	w := m.region(addr)
 	off, ok := w.offset(addr, size)
 	if !ok {
@@ -259,6 +266,13 @@ func (m *System) Read(addr uint32, size uint8, fetch bool) (uint32, int, error) 
 			return 0, 0, unmapped("read", addr, size)
 		}
 		off = addr - w.base
+	}
+	if w.counts != nil {
+		if fetch {
+			w.counts[off].Fetches++
+		} else {
+			w.counts[off].Add(size, 1)
+		}
 	}
 	v := get(w.data[off:], size)
 	if w.spm {
@@ -273,9 +287,6 @@ func (m *System) Read(addr uint32, size uint8, fetch bool) (uint32, int, error) 
 
 // Write implements arm.Bus.
 func (m *System) Write(addr uint32, size uint8, val uint32) (int, error) {
-	if m.OnAccess != nil {
-		m.OnAccess(Access{Addr: addr, Size: size, Write: true})
-	}
 	w := m.region(addr)
 	off, ok := w.offset(addr, size)
 	if !ok {
@@ -283,6 +294,9 @@ func (m *System) Write(addr uint32, size uint8, val uint32) (int, error) {
 			return 0, unmapped("write", addr, size)
 		}
 		off = addr - w.base
+	}
+	if w.counts != nil {
+		w.counts[off].Add(size, 1)
 	}
 	put(w.data[off:], size, val)
 	if w.spm {
@@ -294,7 +308,7 @@ func (m *System) Write(addr uint32, size uint8, val uint32) (int, error) {
 	return MainCost(size), nil
 }
 
-// Peek reads memory without timing, statistics or profiling side effects.
+// Peek reads memory without timing, cache or counter side effects.
 // It is used to inspect results after simulation.
 func (m *System) Peek(addr uint32, size uint8) (uint32, error) {
 	seg := m.segment(addr, size)
@@ -304,7 +318,8 @@ func (m *System) Peek(addr uint32, size uint8) (uint32, error) {
 	return get(seg.Data[addr-seg.Base:], size), nil
 }
 
-// Poke writes memory without timing side effects (test/input injection).
+// Poke writes memory without timing, cache or counter side effects, for
+// test and input injection.
 func (m *System) Poke(addr uint32, size uint8, val uint32) error {
 	seg := m.segment(addr, size)
 	if seg == nil {

@@ -205,20 +205,54 @@ func TestSPMBypassesCache(t *testing.T) {
 	}
 }
 
-func TestOnAccessHook(t *testing.T) {
+// TestCountAccesses: with counting on, a read or write counts once at its
+// start address, a fetch apart from data and data by width, on the
+// scratchpad as in main memory; an unmapped access, even one that starts
+// inside a segment, counts nowhere.
+func TestCountAccesses(t *testing.T) {
 	m := sys(64)
-	var got []Access
-	m.OnAccess = func(a Access) { got = append(got, a) }
-	m.Read(0x10, 4, true)
-	m.Write(0x10000, 2, 7)
-	if len(got) != 2 {
-		t.Fatalf("hook saw %d accesses, want 2", len(got))
+	if m.Counts(0x10000, 4) != nil {
+		t.Fatal("counts before counting is on")
 	}
-	if !got[0].Fetch || got[0].Write {
-		t.Errorf("first access should be a fetch: %+v", got[0])
+	m.CountAccesses()
+	m.Read(0x10000, 2, true)
+	m.Read(0x10000, 2, true)
+	m.Read(0x10000, 4, false)
+	m.Write(0x20002, 2, 7)
+	m.Read(0x20003, 1, false)
+	m.Write(0x10, 4, 1)
+	if _, _, err := m.Read(0x40000, 4, false); err == nil {
+		t.Fatal("unmapped read succeeded")
 	}
-	if !got[1].Write || got[1].Size != 2 {
-		t.Errorf("second access should be a 2-byte write: %+v", got[1])
+	if _, err := m.Write(0x8000, 2, 0); err == nil {
+		t.Fatal("unmapped write succeeded")
+	}
+	if _, _, err := m.Read(0x17ffe, 4, false); err == nil {
+		t.Fatal("read across the code segment's end succeeded")
+	}
+	want := map[uint32]Accesses{
+		0x10000: {Fetches: 2, Data: [3]uint64{2: 1}},
+		0x20002: {Data: [3]uint64{1: 1}},
+		0x20003: {Data: [3]uint64{0: 1}},
+		0x10:    {Data: [3]uint64{2: 1}},
+	}
+	var total uint64
+	for _, s := range append([]*Segment{m.SPM}, m.Main...) {
+		for off, c := range m.Counts(s.Base, uint32(len(s.Data))) {
+			total += c.Total()
+			if addr := s.Base + uint32(off); c != want[addr] {
+				t.Errorf("%#x counted %+v, want %+v", addr, c, want[addr])
+			}
+		}
+	}
+	if total != 6 {
+		t.Errorf("%d accesses counted, want 6", total)
+	}
+	if got := m.Counts(0x20000, 4); len(got) != 4 || got[2] != want[0x20002] {
+		t.Errorf("Counts(0x20000, 4) = %+v", got)
+	}
+	if m.Counts(0x27ffe, 4) != nil || m.Counts(0x40000, 1) != nil {
+		t.Error("counts for a range no segment holds")
 	}
 }
 
@@ -228,14 +262,25 @@ func TestPeekPokeNoSideEffects(t *testing.T) {
 	if m.Sweep, err = cache.NewSweep([]cache.Config{{Size: 64}}); err != nil {
 		t.Fatal(err)
 	}
-	m.OnAccess = func(a Access) { t.Errorf("peek or poke observed as %+v", a) }
+	m.CountAccesses()
 	m.Poke(0x10000, 4, 42)
+	m.Poke(0x10, 2, 7)
 	v, err := m.Peek(0x10000, 4)
 	if err != nil || v != 42 {
 		t.Fatalf("peek = %d, %v", v, err)
 	}
+	if v, err := m.Peek(0x10, 2); err != nil || v != 7 {
+		t.Fatalf("peek spm = %d, %v", v, err)
+	}
 	if h, miss, cost := m.Sweep.Counts(0); h+miss+cost != 0 {
 		t.Fatal("peek or poke reached the sweep")
+	}
+	for _, s := range append([]*Segment{m.SPM}, m.Main...) {
+		for off, c := range m.Counts(s.Base, uint32(len(s.Data))) {
+			if c.Total() != 0 {
+				t.Errorf("peek or poke counted at %#x: %+v", s.Base+uint32(off), c)
+			}
+		}
 	}
 }
 

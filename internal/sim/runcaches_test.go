@@ -52,31 +52,49 @@ func allShapes() []cache.Config {
 // reference bus does; so it does on generated programs under random
 // configuration batches and placements.
 func TestRunCachesMatchesReference(t *testing.T) {
-	ctx := context.Background()
-	for _, b := range append(benchprog.All(), benchprog.WorstCaseSort) {
-		lab, err := core.NewLab(b)
-		if err != nil {
-			t.Fatal(err)
+	forBenchmarks(t, []uint32{0, 512, 4096}, func(t *testing.T, what string, exe *link.Executable) {
+		matchesReference(t, what, exe, allShapes())
+	})
+	t.Run("generated", func(t *testing.T) {
+		t.Parallel()
+		for seed := range int64(12) {
+			exe := generated(t, seed, uint64(seed)*0xBF58476D1CE4E5B9)
+			if exe == nil {
+				t.Errorf("seed %d: placement does not fit", seed)
+				continue
+			}
+			matchesReference(t, fmt.Sprintf("seed %d", seed), exe, batch(uint64(seed)*0x9E3779B97F4A7C15))
 		}
-		for _, size := range []uint32{0, 512, 4096} {
-			var in map[string]bool
-			if size > 0 {
-				a, err := lab.Pipe.Allocate(ctx, lab.EnergyAllocator(), size)
+	})
+}
+
+// forBenchmarks calls check on every benchmark linked under an energy
+// allocation at each scratchpad size of sizes (0: no scratchpad), in one
+// parallel subtest per benchmark and size with a lab of its own.
+func forBenchmarks(t *testing.T, sizes []uint32, check func(t *testing.T, what string, exe *link.Executable)) {
+	for _, b := range append(benchprog.All(), benchprog.WorstCaseSort) {
+		for _, size := range sizes {
+			what := fmt.Sprintf("%s spm=%d", b.Name, size)
+			t.Run(what, func(t *testing.T) {
+				t.Parallel()
+				lab, err := core.NewLab(b)
 				if err != nil {
 					t.Fatal(err)
 				}
-				in = a.InSPM
-			}
-			exe, err := link.Link(lab.Prog, size, in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			matchesReference(t, fmt.Sprintf("%s spm=%d", b.Name, size), exe, allShapes())
-		}
-	}
-	for seed := range int64(12) {
-		if !checkGenerated(t, seed, uint64(seed)*0x9E3779B97F4A7C15, uint64(seed)*0xBF58476D1CE4E5B9) {
-			t.Errorf("seed %d: placement does not fit", seed)
+				var in map[string]bool
+				if size > 0 {
+					a, err := lab.Pipe.Allocate(context.Background(), lab.EnergyAllocator(), size)
+					if err != nil {
+						t.Fatal(err)
+					}
+					in = a.InSPM
+				}
+				exe, err := link.Link(lab.Prog, size, in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(t, what, exe)
+			})
 		}
 	}
 }
@@ -87,18 +105,18 @@ func TestRunCachesMatchesReference(t *testing.T) {
 func FuzzRunCachesMatchesReference(f *testing.F) {
 	f.Add(int64(1), uint64(0), uint64(0))
 	f.Add(int64(2), uint64(0x0123_4567_89AB_CDEF), uint64(0b1010))
-	f.Fuzz(func(t *testing.T, seed int64, batch, placement uint64) {
-		checkGenerated(t, seed, batch, placement)
+	f.Fuzz(func(t *testing.T, seed int64, bits, placement uint64) {
+		if exe := generated(t, seed, placement); exe != nil {
+			matchesReference(t, fmt.Sprintf("seed %d placement %#x", seed, placement), exe, batch(bits))
+		}
 	})
 }
 
-// checkGenerated compiles the generated program of seed, links it with the
-// objects picked by the bits of placement in a 4 KB scratchpad and checks
-// RunCaches against the reference under the batch batch encodes: 1 + its
-// low two bits configurations, eight bits each, with any too small for
-// their sets grown until valid. It reports false, checking nothing, when
-// the placement does not fit.
-func checkGenerated(t *testing.T, seed int64, batch, placement uint64) bool {
+// generated compiles the generated program of seed and links it with the
+// objects picked by the bits of placement in a 4 KB scratchpad. It returns
+// nil when the placement does not fit.
+func generated(t *testing.T, seed int64, placement uint64) *link.Executable {
+	t.Helper()
 	prog, err := cc.Compile(testgen.LoopProgram(rand.New(rand.NewSource(seed))))
 	if err != nil {
 		t.Fatal(err)
@@ -109,11 +127,18 @@ func checkGenerated(t *testing.T, seed int64, batch, placement uint64) bool {
 	}
 	exe, err := link.Link(prog, 4096, in)
 	if err != nil {
-		return false
+		return nil
 	}
+	return exe
+}
+
+// batch returns the cache configurations bits encodes: 1 + its low two
+// bits configurations, eight bits each, with any too small for their sets
+// grown until valid.
+func batch(bits uint64) []cache.Config {
 	var cfgs []cache.Config
-	for k := range 1 + batch&3 {
-		b := batch >> (2 + 8*k)
+	for k := range 1 + bits&3 {
+		b := bits >> (2 + 8*k)
 		cfg := cache.Config{
 			Size:            16 << (b & 15 % 13),
 			Assoc:           1 << (b >> 4 & 3 % 3),
@@ -125,6 +150,5 @@ func checkGenerated(t *testing.T, seed int64, batch, placement uint64) bool {
 		}
 		cfgs = append(cfgs, cfg)
 	}
-	matchesReference(t, fmt.Sprintf("seed %d placement %v", seed, in), exe, cfgs)
-	return true
+	return cfgs
 }

@@ -29,8 +29,6 @@ const DefaultMaxInstrs = 200_000_000
 type Options struct {
 	// MaxInstrs overrides the default instruction budget when non-zero.
 	MaxInstrs uint64
-	// OnAccess observes every memory access (profiling).
-	OnAccess func(mem.Access)
 }
 
 // Result summarises a simulation run.
@@ -52,14 +50,11 @@ type Result struct {
 // Run simulates the executable, without a cache, from its entry point
 // until SWI 0.
 func Run(exe *link.Executable, opts Options) (*Result, error) {
-	return run(exe, opts, nil)
+	return run(exe, exe.NewMemory(), opts)
 }
 
-// run is Run with sw, when non-nil, fed the run's main-memory accesses.
-func run(exe *link.Executable, opts Options, sw *cache.Sweep) (*Result, error) {
-	sys := exe.NewMemory()
-	sys.OnAccess = opts.OnAccess
-	sys.Sweep = sw
+// run is Run on sys, a fresh memory system of exe.
+func run(exe *link.Executable, sys *mem.System, opts Options) (*Result, error) {
 	cpu := arm.NewCPU(sys, exe.EntryAddr, link.StackTop)
 	budget := opts.MaxInstrs
 	if budget == 0 {
@@ -88,7 +83,9 @@ func RunCaches(exe *link.Executable, cfgs []cache.Config) ([]*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	base, err := run(exe, Options{}, sw)
+	sys := exe.NewMemory()
+	sys.Sweep = sw
+	base, err := run(exe, sys, Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -129,50 +126,35 @@ func (p *Profile) ObservedStackDepth() uint32 { return link.StackTop - p.MinStac
 // CollectProfile simulates the baseline executable (typically linked with
 // no scratchpad) and attributes every access to its memory object. The
 // paper's compiler uses exactly this knowledge of "execution and access
-// frequencies" to drive the knapsack allocation.
+// frequencies" to drive the knapsack allocation. The memory system counts
+// the run's accesses per address; an object's counts are the sum over its
+// bytes, and the stack's give StackAccesses and MinStackAddr.
 func CollectProfile(exe *link.Executable, opts Options) (*Profile, error) {
-	prof := &Profile{
-		ByObject:     make(map[string]*mem.Accesses, len(exe.Placements)),
-		MinStackAddr: link.StackTop,
-	}
-	for _, pl := range exe.Placements {
-		prof.ByObject[pl.Obj.Name] = &mem.Accesses{}
-	}
-	prev := opts.OnAccess
-	// Consecutive accesses mostly hit the same object, so the last
-	// placement and its counters are checked before the address search.
-	var lastPl *link.Placement
-	var lastOp *mem.Accesses
-	opts.OnAccess = func(a mem.Access) {
-		if prev != nil {
-			prev(a)
-		}
-		if a.Addr >= link.StackBase && a.Addr < link.StackTop {
-			prof.StackAccesses++
-			if a.Addr < prof.MinStackAddr {
-				prof.MinStackAddr = a.Addr
-			}
-			return
-		}
-		pl, op := lastPl, lastOp
-		if pl == nil || !pl.Contains(a.Addr) {
-			if pl = exe.FindAddr(a.Addr); pl == nil {
-				return
-			}
-			op = prof.ByObject[pl.Obj.Name]
-			lastPl, lastOp = pl, op
-		}
-		if a.Fetch {
-			op.Fetches++
-		} else {
-			op.Add(a.Size, 1)
-		}
-	}
-	res, err := Run(exe, opts)
+	sys := exe.NewMemory()
+	sys.CountAccesses()
+	res, err := run(exe, sys, opts)
 	if err != nil {
 		return nil, err
 	}
-	prof.Result = res
+	prof := &Profile{
+		ByObject:     make(map[string]*mem.Accesses, len(exe.Placements)),
+		MinStackAddr: link.StackTop,
+		Result:       res,
+	}
+	for _, pl := range exe.Placements {
+		op := &mem.Accesses{}
+		for _, c := range sys.Counts(pl.Addr, pl.Obj.Size()) {
+			op.AddScaled(&c, 1)
+		}
+		prof.ByObject[pl.Obj.Name] = op
+	}
+	stack := sys.Counts(link.StackBase, link.StackSize)
+	for off := len(stack) - 1; off >= 0; off-- {
+		if n := stack[off].Total(); n > 0 {
+			prof.StackAccesses += n
+			prof.MinStackAddr = link.StackBase + uint32(off)
+		}
+	}
 	return prof, nil
 }
 

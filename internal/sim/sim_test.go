@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"repro/internal/arm"
 	"repro/internal/cache"
 	"repro/internal/cc"
 	"repro/internal/link"
@@ -168,19 +169,46 @@ func TestProfileTotalsConsistent(t *testing.T) {
 	}
 }
 
+// recBus is a memory system that records the accesses made through it:
+// how many, and the distinct addresses fetched from.
+type recBus struct {
+	*mem.System
+	accesses uint64
+	fetched  map[uint32]bool
+}
+
+func (b *recBus) Read(addr uint32, size uint8, fetch bool) (uint32, int, error) {
+	b.accesses++
+	if fetch {
+		b.fetched[addr] = true
+	}
+	return b.System.Read(addr, size, fetch)
+}
+
+func (b *recBus) Write(addr uint32, size uint8, val uint32) (int, error) {
+	b.accesses++
+	return b.System.Write(addr, size, val)
+}
+
+// record runs exe to completion on a recording bus.
+func record(t *testing.T, exe *link.Executable) *recBus {
+	t.Helper()
+	b := &recBus{System: exe.NewMemory(), fetched: map[uint32]bool{}}
+	if err := arm.NewCPU(b, exe.EntryAddr, link.StackTop).Run(DefaultMaxInstrs); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestInterpreterCounters checks the per-run counters: the instruction
 // counter advances by exactly the run's instructions, and the decode memo
 // misses at least once but never more often than there are distinct code
 // halfwords executed (each is decoded once; nothing evicts it).
 func TestInterpreterCounters(t *testing.T) {
 	exe := exeFor(t, profProgram, 0, nil)
-	fetched := map[uint32]bool{}
+	fetched := record(t, exe).fetched
 	instrs0, misses0 := mInstrs.Value(), mDecodeMisses.Value()
-	res, err := Run(exe, Options{OnAccess: func(a mem.Access) {
-		if a.Fetch {
-			fetched[a.Addr] = true
-		}
-	}})
+	res, err := Run(exe, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,8 +241,9 @@ int main() {
 // TestProfileDataByWidth: data accesses are counted by the width they were
 // made at, and every access is attributed to an object or the stack.
 func TestProfileDataByWidth(t *testing.T) {
-	var accesses uint64
-	prof, err := CollectProfile(exeFor(t, widthProgram, 0, nil), Options{OnAccess: func(mem.Access) { accesses++ }})
+	exe := exeFor(t, widthProgram, 0, nil)
+	accesses := record(t, exe).accesses
+	prof, err := CollectProfile(exe, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
