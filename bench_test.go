@@ -567,10 +567,10 @@ func BenchmarkCacheSweepCold(b *testing.B) {
 }
 
 // BenchmarkCacheSweepWarm runs the same sweep through a warm cache
-// context: the CFG, IPET skeletons and symbolic access streams are built
-// once, and each capacity's MUST records replay from the layout-keyed
-// memo. Compare ns/op against BenchmarkCacheSweepCold for the
-// incremental-analysis win; results are bit-identical.
+// engine: its skeleton (CFG, IPET skeletons, symbolic access streams) is
+// built once, and each capacity runs one MUST pass and adopts its
+// recorded IPET solutions. Compare ns/op against BenchmarkCacheSweepCold
+// for the incremental-analysis win; results are bit-identical.
 func BenchmarkCacheSweepWarm(b *testing.B) {
 	l := labFor(b, "ADPCM")
 	base, err := link.Link(l.Pipe.Prog, 0, nil)
@@ -578,7 +578,11 @@ func BenchmarkCacheSweepWarm(b *testing.B) {
 		b.Fatal(err)
 	}
 	ccfg := cache.Config{}
-	cctx, err := wcet.NewEngine(base, wcet.Options{Cache: &ccfg, StackBound: l.StackBound})
+	sk, err := wcet.NewSkeleton(base, "")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cctx, err := sk.Engine(wcet.Options{Cache: &ccfg, StackBound: l.StackBound})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -670,11 +674,12 @@ func BenchmarkSimulate(b *testing.B) {
 }
 
 // BenchmarkAnalyze is the WCET analysis layer gate: per benchmark and per
-// iteration, a fresh wcet.Engine analyses one sweep — spm: the 8
-// energy-allocated paper placements without a cache; cache-dm and
-// cache-4way: the 8 paper capacities of a direct-mapped and a 4-way cache
-// with no scratchpad. Each iteration pays the engine build plus the
-// sweep's incremental analyses, as a cold pipeline does.
+// iteration, a fresh wcet.Engine on a fresh wcet.Skeleton analyses one
+// sweep — spm: the 8 energy-allocated paper placements without a cache;
+// cache-dm and cache-4way: the 8 paper capacities of a direct-mapped and
+// a 4-way cache with no scratchpad. Each iteration stays cold: it pays the
+// skeleton and engine builds plus the sweep's incremental analyses, as a
+// pipeline's first analysis of a partition does.
 func BenchmarkAnalyze(b *testing.B) {
 	for _, name := range []string{"G.721", "ADPCM", "MultiSort"} {
 		l := labFor(b, name)
@@ -695,7 +700,11 @@ func BenchmarkAnalyze(b *testing.B) {
 		}
 		sweep := func(b *testing.B, opts wcet.Options, analyze func(e *wcet.Engine, i int, size uint32) error) {
 			for i := 0; i < b.N; i++ {
-				e, err := wcet.NewEngine(base, opts)
+				sk, err := wcet.NewSkeleton(base, "")
+				if err != nil {
+					b.Fatal(err)
+				}
+				e, err := sk.Engine(opts)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -9,7 +9,9 @@
 //
 // A benchmark regresses when ns/op, B/op or allocs/op grows by more than
 // the noise threshold (-threshold, percent, default 25). Any regression
-// makes the exit status 1, so CI can gate on it; bad input exits 2.
+// makes the exit status 1, so CI can gate on it; bad input exits 2. Every
+// metric cell is filled and the verdict names each regressing metric; the
+// summary counts regressing benchmarks, one per row.
 // Benchmarks present in only one snapshot are listed but never fatal —
 // new and deleted benchmarks are normal PR traffic.
 package main
@@ -21,6 +23,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 )
 
 type result struct {
@@ -118,6 +121,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		verdict := "ok"
 		cells := make([]string, len(metrics))
+		var regressed []string
 		for i, m := range metrics {
 			if !m.have {
 				cells[i] = "n/a"
@@ -125,10 +129,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			cells[i] = cell(m.old, m.new)
 			if pct(m.old, m.new) > *threshold {
-				verdict = fmt.Sprintf("**regression** (%s %+.1f%% > %.0f%%)", m.label, pct(m.old, m.new), *threshold)
-				regressions++
-				break
+				regressed = append(regressed, fmt.Sprintf("%s %+.1f%%", m.label, pct(m.old, m.new)))
 			}
+		}
+		if len(regressed) > 0 {
+			verdict = fmt.Sprintf("**regression** (%s > %.0f%%)", strings.Join(regressed, ", "), *threshold)
+			regressions++
 		}
 		fmt.Fprintf(stdout, "| %s | %s | %s | %s | %s |\n", name, cells[0], cells[1], cells[2], verdict)
 	}

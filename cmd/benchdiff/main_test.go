@@ -113,6 +113,29 @@ func TestAllocRegression(t *testing.T) {
 	}
 }
 
+// TestEveryRegressingMetricNamed: a row regressing on B/op and allocs/op
+// at once fills all three cells, names both metrics in its verdict and
+// counts as one regression.
+func TestEveryRegressingMetricNamed(t *testing.T) {
+	old := write(t, "old.json", `{"benchmarks": [
+	  {"name": "BenchmarkZ", "iterations": 1, "ns_per_op": 100, "bytes_per_op": 1000, "allocs_per_op": 10}]}`)
+	new := write(t, "new.json", `{"benchmarks": [
+	  {"name": "BenchmarkZ", "iterations": 1, "ns_per_op": 100, "bytes_per_op": 2000, "allocs_per_op": 30}]}`)
+	var out bytes.Buffer
+	if code := run([]string{old, new}, &out, &out); code != 1 {
+		t.Fatalf("B/op and allocs/op growth passed: exit %d\n%s", code, out.String())
+	}
+	s := out.String()
+	want := "| BenchmarkZ | 100 → 100 (+0.0%) | 1000 → 2000 (+100.0%) | 10 → 30 (+200.0%) | " +
+		"**regression** (B/op +100.0%, allocs/op +200.0% > 25%) |"
+	if !strings.Contains(s, want) {
+		t.Errorf("row is not\n%s\nin:\n%s", want, s)
+	}
+	if !strings.Contains(s, "\n1 regression(s)") {
+		t.Errorf("row not counted exactly once:\n%s", s)
+	}
+}
+
 // TestBadInput: missing files and malformed JSON exit 2.
 func TestBadInput(t *testing.T) {
 	var out bytes.Buffer

@@ -576,25 +576,27 @@ func all() error {
 	return nil
 }
 
-// printIncrementalStats renders the incremental-analysis counters: how
-// often an analysis context was reused instead of rebuilt per benchmark,
-// and process-wide how much repricing and LP warm-starting saved over a
-// from-scratch run (repriced vs total blocks, re-solved vs total
-// functions, warm vs dual vs cold simplex pivots).
+// printIncrementalStats renders the incremental-analysis counters: per
+// benchmark, the analysis skeletons built (one per partition, shared by
+// every mode's engine) and how often a cache-less or cache engine was
+// reused instead of rebuilt; and process-wide how much repricing and LP
+// warm-starting saved over a from-scratch run (repriced vs total blocks,
+// re-solved vs total functions, warm vs dual vs cold simplex pivots).
 func printIncrementalStats(labs []*core.Lab) {
 	header("Incremental analysis")
-	fmt.Printf("%-14s %12s %12s %12s %12s\n", "benchmark", "ctx builds", "ctx reuses", "cctx builds", "cctx reuses")
-	var builds, reuses, cbuilds, creuses uint64
+	fmt.Printf("%-14s %12s %12s %12s %12s %12s\n", "benchmark", "skeletons", "ctx builds", "ctx reuses", "cctx builds", "cctx reuses")
+	var skels, builds, reuses, cbuilds, creuses uint64
 	for _, l := range labs {
 		s := l.Pipe.Stats()
+		skels += s.SkeletonBuilds
 		builds += s.ContextBuilds
 		reuses += s.ContextReuses
 		cbuilds += s.CacheContextBuilds
 		creuses += s.CacheContextReuses
-		fmt.Printf("%-14s %12d %12d %12d %12d\n", l.Bench.Name,
-			s.ContextBuilds, s.ContextReuses, s.CacheContextBuilds, s.CacheContextReuses)
+		fmt.Printf("%-14s %12d %12d %12d %12d %12d\n", l.Bench.Name,
+			s.SkeletonBuilds, s.ContextBuilds, s.ContextReuses, s.CacheContextBuilds, s.CacheContextReuses)
 	}
-	fmt.Printf("%-14s %12d %12d %12d %12d\n", "total", builds, reuses, cbuilds, creuses)
+	fmt.Printf("%-14s %12d %12d %12d %12d %12d\n", "total", skels, builds, reuses, cbuilds, creuses)
 	val := func(name, help string, kv ...string) uint64 {
 		return obs.Default.Counter(name, help, kv...).Value()
 	}

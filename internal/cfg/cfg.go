@@ -49,7 +49,9 @@ type Block struct {
 	// unsplit function this is the function itself; for a function split at
 	// basic-block granularity, fragment blocks name their fragment object —
 	// the unit whose placement decides the block's fetch cost.
-	Obj    string
+	Obj string
+	// Instrs shares its backing array with the other blocks of the same
+	// object: treat it as read-only.
 	Instrs []Instr
 	Succs  []*Edge
 	Preds  []*Edge
@@ -275,8 +277,9 @@ func buildPieceBlocks(exe *link.Executable, f *Function, pl *link.Placement) ([]
 		cross[cj.InstrOffset] = cj
 	}
 
-	// Decode; fold BL pairs.
-	var instrs []Instr
+	// Decode; fold BL pairs. A piece holds at most one instruction per
+	// halfword, so the slice never grows.
+	instrs := make([]Instr, 0, o.CodeSize/2)
 	byAddr := map[uint32]int{}
 	for off := uint32(0); off < o.CodeSize; {
 		addr := pl.Addr + off
@@ -357,17 +360,20 @@ func buildPieceBlocks(exe *link.Executable, f *Function, pl *link.Placement) ([]
 		}
 	}
 
-	// Split into blocks.
+	// Split into blocks. Each block's Instrs is a capacity-capped window of
+	// the piece's instruction slice, never a copy.
 	var blocks []*Block
-	var cur *Block
-	for _, ci := range instrs {
-		if leader[ci.Addr] || cur == nil {
-			cur = &Block{Index: len(f.Blocks), Start: ci.Addr, Obj: name}
-			f.Blocks = append(f.Blocks, cur)
-			blocks = append(blocks, cur)
+	lo := 0
+	for hi := 1; hi <= len(instrs); hi++ {
+		if hi < len(instrs) && !leader[instrs[hi].Addr] {
+			continue
 		}
-		cur.Instrs = append(cur.Instrs, ci)
-		cur.End = ci.Addr + ci.Size
+		last := instrs[hi-1]
+		b := &Block{Index: len(f.Blocks), Start: instrs[lo].Addr, End: last.Addr + last.Size,
+			Obj: name, Instrs: instrs[lo:hi:hi]}
+		f.Blocks = append(f.Blocks, b)
+		blocks = append(blocks, b)
+		lo = hi
 	}
 	return blocks, nil
 }

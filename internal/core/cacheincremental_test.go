@@ -96,7 +96,11 @@ func TestCacheContextSavesReanalysis(t *testing.T) {
 		t.Fatal(err)
 	}
 	ccfg := cache.Config{}
-	cctx, err := wcet.NewEngine(base, wcet.Options{Cache: &ccfg})
+	sk, err := wcet.NewSkeleton(base, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cctx, err := sk.Engine(wcet.Options{Cache: &ccfg})
 	if err != nil {
 		t.Fatal(err)
 	}

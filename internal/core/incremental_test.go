@@ -116,7 +116,11 @@ func TestIncrementalRepricingSavesWork(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ctx, err := wcet.NewEngine(base, wcet.Options{})
+			sk, err := wcet.NewSkeleton(base, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, err := sk.Engine(wcet.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

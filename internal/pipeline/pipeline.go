@@ -153,12 +153,16 @@ type Stats struct {
 	Profiles, ProfileHits  uint64
 	Allocs, AllocHits      uint64
 
-	// ContextBuilds / ContextReuses count cache-less analysis engines
-	// built cold (CFG + IPET skeletons + decomposition) vs cold analyses
-	// served by an existing one; CacheContextBuilds / CacheContextReuses
-	// are the same for cache engines. CacheFuncsReanalyzed / CacheFuncs
-	// split the function-level MUST fixed point: solves that actually
-	// re-ran vs functions in scope across all cache analyses.
+	// SkeletonBuilds counts analysis skeletons (CFG + IPET skeletons +
+	// phase-1 tableaux + block decomposition), one per partition and root;
+	// SkeletonReuses the engines built on a skeleton another engine
+	// already used. ContextBuilds / ContextReuses count cache-less
+	// analysis engines built vs cold analyses served by an existing one;
+	// CacheContextBuilds / CacheContextReuses are the same for cache
+	// engines. CacheFuncsReanalyzed / CacheFuncs split the function-level
+	// MUST fixed point: solves that actually re-ran vs functions in scope
+	// across all cache analyses.
+	SkeletonBuilds, SkeletonReuses         uint64
 	ContextBuilds, ContextReuses           uint64
 	CacheContextBuilds, CacheContextReuses uint64
 	CacheFuncsReanalyzed, CacheFuncs       uint64
@@ -221,8 +225,9 @@ type Pipeline struct {
 	profile stage[*sim.Profile]
 	alloc   stage[*Allocation]
 
-	splits  memo[*obj.Program]
-	engines memo[*wcet.Engine]
+	splits    memo[*obj.Program]
+	skeletons memo[*wcet.Skeleton]
+	engines   memo[*wcet.Engine]
 
 	upgrades, storeErrors counter
 	// simExecuted / simRetimed / simSwept split the simulate stage's cold
@@ -233,11 +238,12 @@ type Pipeline struct {
 	// cache-less [0] and cache [1]; builds are the registered engines below.
 	reuses [2]atomic.Uint64
 
-	// engineList registers successfully built analysis engines; Stats
-	// folds in their atomic counters without touching entry locks (which
-	// an in-flight compute may hold).
-	mu         sync.Mutex
-	engineList []*wcet.Engine
+	// skeletonList and engineList register successfully built analysis
+	// skeletons and engines; Stats folds in their atomic counters without
+	// touching entry locks (which an in-flight compute may hold).
+	mu           sync.Mutex
+	skeletonList []*wcet.Skeleton
+	engineList   []*wcet.Engine
 
 	bench    string
 	progOnce sync.Once
@@ -535,9 +541,10 @@ func (p *Pipeline) Analyze(ctx context.Context, spmSize uint32, inSPM map[string
 // is part of the memo and disk keys, so warm runs at a fixed granularity
 // recompute nothing.
 //
-// Analyses share a reusable wcet.Engine per partition (and, with a cache,
-// per cache shape): the CFG, IPET skeletons and symbolic access streams
-// are built once, and each placement redoes only its delta. Results are
+// Analyses share one wcet.Skeleton per partition — the CFG, IPET
+// skeletons, phase-1 tableaux and block decomposition, built once — and
+// a reusable wcet.Engine on it per analysis mode (cache-less, or one per
+// cache shape), so each placement redoes only its delta. Results are
 // bit-identical to a from-scratch link + wcet.Analyze.
 func (p *Pipeline) AnalyzeUnits(ctx context.Context, regions []obj.Region, spmSize uint32, inSPM map[string]bool, opts wcet.Options) (*wcet.Result, error) {
 	pk, size, in := placement(spmSize, inSPM)
@@ -565,18 +572,14 @@ func (p *Pipeline) AnalyzeUnits(ctx context.Context, regions []obj.Region, spmSi
 func lacksWitness(r *wcet.Result) bool { return r.Witness == nil }
 
 // engineFor returns (memoized, singleflight) the analysis engine for one
-// partition and analysis configuration, built from the partition's
-// scratchpad-less base executable.
+// partition and analysis configuration, built on the partition's skeleton.
 func (p *Pipeline) engineFor(ctx context.Context, key string, regions []obj.Region, opts wcet.Options) (*wcet.Engine, error) {
 	e, built, err := p.engines.get(key, func() (*wcet.Engine, error) {
-		// The base is the executable the link stage serves for the empty
-		// placement. Requesting it through the stage memoizes it for later
-		// empty-placement requests and counts it in the link statistics.
-		base, err := p.LinkUnits(ctx, regions, 0, nil)
+		sk, err := p.skeletonFor(ctx, regions, opts.Root)
 		if err != nil {
 			return nil, err
 		}
-		e, err := wcet.NewEngine(base, opts)
+		e, err := sk.Engine(opts)
 		if err != nil {
 			return nil, err
 		}
@@ -593,6 +596,30 @@ func (p *Pipeline) engineFor(ctx context.Context, key string, regions []obj.Regi
 		p.reuses[mode].Add(1)
 	}
 	return e, err
+}
+
+// skeletonFor returns (memoized, singleflight) the analysis skeleton of one
+// partition and root, which every analysis mode's engine shares, built
+// from the partition's scratchpad-less base executable.
+func (p *Pipeline) skeletonFor(ctx context.Context, regions []obj.Region, root string) (*wcet.Skeleton, error) {
+	sk, _, err := p.skeletons.get(unitPrefix(regions)+"root="+root, func() (*wcet.Skeleton, error) {
+		// The base is the executable the link stage serves for the empty
+		// placement. Requesting it through the stage memoizes it for later
+		// empty-placement requests and counts it in the link statistics.
+		base, err := p.LinkUnits(ctx, regions, 0, nil)
+		if err != nil {
+			return nil, err
+		}
+		sk, err := wcet.NewSkeleton(base, root)
+		if err != nil {
+			return nil, err
+		}
+		p.mu.Lock()
+		p.skeletonList = append(p.skeletonList, sk)
+		p.mu.Unlock()
+		return sk, nil
+	})
+	return sk, err
 }
 
 // contextKey is the analysis-engine cache key: the partition, the cache
@@ -735,7 +762,7 @@ func StageLatency(bench string) map[string]obs.HistogramSnapshot {
 }
 
 // Stats returns a snapshot of the stage counters: a view over the stage
-// runners' counter sets and the registered analysis engines.
+// runners' counter sets and the registered analysis skeletons and engines.
 func (p *Pipeline) Stats() Stats {
 	var s Stats
 	s.Links, s.LinkHits, _, _, s.LinkTime = p.link.counts()
@@ -751,8 +778,15 @@ func (p *Pipeline) Stats() Stats {
 	s.CacheContextReuses = p.reuses[1].Load()
 
 	p.mu.Lock()
+	skeletons := slices.Clone(p.skeletonList)
 	engines := slices.Clone(p.engineList)
 	p.mu.Unlock()
+	s.SkeletonBuilds = uint64(len(skeletons))
+	for _, sk := range skeletons {
+		if n := sk.Engines(); n > 1 {
+			s.SkeletonReuses += n - 1
+		}
+	}
 	// Fold in the engine counters from the registered engines' atomics —
 	// never their locks, which an in-flight compute may hold for the
 	// length of a solve.

@@ -2,6 +2,7 @@ package pipeline_test
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -113,6 +114,43 @@ func TestEmptyPlacementSharedAcrossCapacities(t *testing.T) {
 	}
 	if s := p.Stats(); s.Analyses != 1 || s.AnalyzeHits != 3 {
 		t.Errorf("analyses=%d hits=%d, want 1 run and 3 hits", s.Analyses, s.AnalyzeHits)
+	}
+}
+
+// TestOneSkeletonPerPartition: analysing one partition cache-less and
+// under direct-mapped, 2-way and 4-way caches builds four engines on one
+// analysis skeleton, and the results equal a fresh pipeline's per mode.
+func TestOneSkeletonPerPartition(t *testing.T) {
+	p := compile(t)
+	modes := []*cache.Config{nil, {Size: 256, Assoc: 1}, {Size: 256, Assoc: 2}, {Size: 256, Assoc: 4}}
+	in := map[string]bool{"a": true}
+	for _, mode := range modes {
+		got, err := p.Analyze(context.Background(), 512, in, wcet.Options{Cache: mode, Witness: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone := pipeline.New(p.Prog)
+		want, err := alone.Analyze(context.Background(), 512, in, wcet.Options{Cache: mode, Witness: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("mode %+v: shared-skeleton result %+v != fresh pipeline's %+v", mode, got, want)
+		}
+	}
+	s := p.Stats()
+	if s.SkeletonBuilds != 1 || s.SkeletonReuses != 3 {
+		t.Errorf("skeletons: %d built, %d reused, want 1/3", s.SkeletonBuilds, s.SkeletonReuses)
+	}
+	if s.ContextBuilds != 1 || s.CacheContextBuilds != 3 {
+		t.Errorf("engines: %d cache-less, %d cache, want 1/3", s.ContextBuilds, s.CacheContextBuilds)
+	}
+	// Another root is another skeleton.
+	if _, err := p.Analyze(context.Background(), 0, nil, wcet.Options{Root: "suma"}); err != nil {
+		t.Fatal(err)
+	}
+	if s := p.Stats(); s.SkeletonBuilds != 2 {
+		t.Errorf("skeletons after a second root: %d, want 2", s.SkeletonBuilds)
 	}
 }
 

@@ -843,6 +843,8 @@ type stageStatsDTO struct {
 	ProfileHits     uint64  `json:"profile_hits"`
 	Allocs          uint64  `json:"allocs"`
 	AllocHits       uint64  `json:"alloc_hits"`
+	SkeletonBuilds  uint64  `json:"skeleton_builds"`
+	SkeletonReuses  uint64  `json:"skeleton_reuses"`
 	ContextBuilds   uint64  `json:"context_builds"`
 	ContextReuses   uint64  `json:"context_reuses"`
 	CacheCtxBuilds  uint64  `json:"cache_context_builds"`
@@ -911,6 +913,8 @@ func toStatsDTO(st pipeline.Stats) stageStatsDTO {
 		ProfileHits:     st.ProfileHits,
 		Allocs:          st.Allocs,
 		AllocHits:       st.AllocHits,
+		SkeletonBuilds:  st.SkeletonBuilds,
+		SkeletonReuses:  st.SkeletonReuses,
 		ContextBuilds:   st.ContextBuilds,
 		ContextReuses:   st.ContextReuses,
 		CacheCtxBuilds:  st.CacheContextBuilds,

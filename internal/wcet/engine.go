@@ -5,18 +5,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/arm"
 	"repro/internal/cache"
-	"repro/internal/cfg"
 	"repro/internal/ilp"
 	"repro/internal/link"
-	"repro/internal/lp"
-	"repro/internal/mem"
-	"repro/internal/obj"
 	"repro/internal/obs"
 )
 
@@ -25,7 +19,7 @@ import (
 // state counters cover both.
 var (
 	mCtxBuilds = obs.Default.Counter("wcetlab_context_builds_total",
-		"Analysis contexts built from scratch (CFG + IPET skeleton + cost decomposition).")
+		"Cache-less analysis engines built, each on a shared skeleton (see wcetlab_wcet_skeleton_builds_total).")
 	mCtxReuses = obs.Default.Counter("wcetlab_context_reuses_total",
 		"Analyses served by re-pricing an existing context instead of a cold build.")
 	mCtxBlocksRepriced = obs.Default.Counter("wcetlab_context_blocks_repriced_total",
@@ -38,7 +32,7 @@ var (
 		"Functions in scope across all context analyses (solved + reused).")
 
 	mCCtxBuilds = obs.Default.Counter("wcetlab_cache_context_builds_total",
-		"Cache analysis contexts built from scratch (CFG + IPET skeletons + symbolic access streams).")
+		"Cache analysis engines built, one per cache shape, each on a shared skeleton.")
 	mCCtxReuses = obs.Default.Counter("wcetlab_cache_context_reuses_total",
 		"Cache analyses served by an existing cache context instead of a cold build.")
 	mCCtxFuncsReanalyzed = obs.Default.Counter("wcetlab_cache_context_funcs_reanalyzed_total",
@@ -74,76 +68,6 @@ type Stats struct {
 	FuncsTotal, FuncsSolved, StateHits uint64
 }
 
-// symAccKind distinguishes how a data access's address resolves against a
-// layout.
-type symAccKind uint8
-
-const (
-	symStack symAccKind = iota // stack range [stackLo, StackTop)
-	symLit                     // literal-pool load: PC-relative within the owner
-	symExact                   // hinted scalar: the target object's address
-	symRange                   // hinted range: the target object's extent
-)
-
-// symAcc is one data access of an instruction in layout-independent form:
-// the access's identity is an (object, offset) pair rather than an absolute
-// address, so resolving it against any layout reproduces instrAccesses
-// byte-for-byte without re-deriving the classification.
-type symAcc struct {
-	kind  symAccKind
-	tgt   int32 // symExact/symRange: target placement index
-	imm   int32 // symLit: PC-relative literal offset
-	width uint8
-	write bool
-}
-
-// symInstr is one instruction of a block in layout-independent form.
-type symInstr struct {
-	off  uint32 // fetch offset within the owning object
-	size uint32 // 2 or 4
-	accs []symAcc
-}
-
-// accRef is the accesses one block execution makes to one object: the
-// owner's fetches and literal-pool reads, or the data accesses to a hinted
-// target. They price the cache-less cost and attribute the witness.
-type accRef struct {
-	obj int32
-	acc mem.Accesses
-}
-
-// engineBlock is one basic block's layout-independent decomposition:
-//
-//	cost(b) = constCycles + stack accesses + Σ refs
-//
-// where, without a cache, every reference is priced by the memory side its
-// object sits on, and with one the symbolic stream is replayed through the
-// MUST transfer and cost walk. All terms are integers, so recomputing from
-// the decomposition is bit-identical to the cost model's instruction walk.
-type engineBlock struct {
-	b        *cfg.Block
-	fn       *engineFunc
-	ownerIdx int32
-	// constCycles is the placement- and state-independent part: internal
-	// cycles and unconditional-transfer penalties.
-	constCycles int64
-	stack       mem.Accesses // in main memory: the stack is never allocated
-	// refs holds one vector per object the block touches, the owner's
-	// first.
-	refs   []accRef
-	instrs []symInstr // cache engines only
-}
-
-// price is the block's cache-less cost under a layout.
-func (cb *engineBlock) price(lay []link.ObjLayout) int64 {
-	total := cb.constCycles + int64(cb.stack.Cycles(false))
-	for i := range cb.refs {
-		r := &cb.refs[i]
-		total += int64(r.acc.Cycles(lay[r.obj].InSPM))
-	}
-	return total
-}
-
 // classCounts are the classification counter deltas of one function's cost
 // walk (the statistics Result surfaces).
 type classCounts struct {
@@ -166,27 +90,17 @@ func (c *classCounts) add(o classCounts) {
 // (release). Reusing one for the same inputs is bit-identical to
 // re-running the solve.
 type mustRecord struct {
-	size       uint32                // cache capacity: the states' geometry
-	entry      *mustState            // nil: not reached
-	calleeExit []*mustState          // per cf.callees entry, as read
-	exit       *mustState            // nil: no return block reached
-	calleeIn   map[string]*mustState // per callee: join over reached call blocks
-	cost       []int64               // per block, by cfg Index
+	size       uint32               // cache capacity: the states' geometry
+	entry      *mustState           // nil: not reached
+	calleeExit []*mustState         // per skelFunc.callees entry, as read
+	exit       *mustState           // nil: no return block reached
+	calleeIn   map[int32]*mustState // per callee index: join over reached call blocks
+	cost       []int64              // per block, by cfg Index
 	counts     classCounts
 }
 
-// engineFunc is one function's reusable analysis machinery.
+// engineFunc is one function's per-engine analysis state.
 type engineFunc struct {
-	f      *cfg.Function
-	ip     *ipetProgram
-	prep   *lp.Prepared   // phase-1-solved constraint skeleton
-	blocks []*engineBlock // by cfg block Index
-	// footprint lists the placement indices whose layout the function's
-	// walks read (block owners and hinted access targets), sorted;
-	// callees/callers its sorted distinct call-graph neighbours.
-	footprint []int32
-	callees   []string
-	callers   []string
 	// cost is the block costs the next IPET solve prices: re-priced in
 	// place without a cache, the latest MUST record's with one (rec).
 	cost []int64
@@ -214,11 +128,11 @@ func putCapped(m map[string]*FuncSolution, k string, v *FuncSolution) {
 	m[k] = v
 }
 
-// Engine is the incremental WCET analyser: everything about analysing one
-// program that does not depend on the placement (or the cache capacity) —
-// CFG, topological order, per-function IPET skeletons (phase-1 solved) and
-// one layout-independent symbolic decomposition per block — built once
-// from the program's base executable and re-used per analysis. Results are
+// Engine is the incremental WCET analyser of one analysis mode — cache-less,
+// or one cache shape — built on a shared Skeleton. It holds only what
+// depends on the mode and the placement: the stack bound, the layout the
+// current costs reflect, per-function block costs, MUST records and IPET
+// solutions, the MUST state pool and the work counters. Results are
 // bit-identical to a from-scratch link + Analyze of the same configuration.
 //
 // Without a cache (nil Options.Cache) every access is priced by the memory
@@ -241,25 +155,17 @@ func putCapped(m map[string]*FuncSolution, k string, v *FuncSolution) {
 // Both modes then share the path analysis: a function whose block costs
 // and callee bounds match its current solution keeps it, one matching a
 // recorded solution adopts it, and any other re-solves warm-started from
-// the prepared tableau and the previous solution. The solver is
+// the skeleton's prepared tableau and the previous solution. The solver is
 // deterministic and exact, so adoption is bit-identical to a fresh solve.
 //
 // All methods are safe for concurrent use; analyses on one engine
-// serialise.
+// serialise, while engines on one skeleton analyse in parallel.
 type Engine struct {
 	mu      sync.Mutex
-	base    *link.Executable // capacity-0 link: CFG source and object order
-	g       *cfg.Graph
-	order   []string // callees-first
-	root    string
+	sk      *Skeleton
 	stackLo uint32
 	shape   *cache.Config // nil: cache-less; else Size zeroed, set per Analyze
-
-	objIdx  map[string]int32
-	objName []string
-	objSize []uint32
-	funcs   map[string]*engineFunc
-	nblocks uint64
+	funcs   []engineFunc  // by skeleton index
 
 	// lay is the layout the current block costs reflect: all of main
 	// memory at construction without a cache, nil until the first analysis
@@ -267,9 +173,6 @@ type Engine struct {
 	// layout-stable fast path.
 	lay             []link.ObjLayout
 	laySize, laySpm uint32
-	// deps maps an object (cache-less engines) to the blocks whose price
-	// depends on its side.
-	deps [][]*engineBlock
 
 	pool   *statePool // scratch states of the latest analysis's cache size
 	keyBuf []byte
@@ -279,105 +182,39 @@ type Engine struct {
 	funcsTotal, funcsSolved, stateHits                                 atomic.Uint64
 }
 
-// NewEngine builds the incremental analysis engine from the program's
-// scratchpad-less base executable, link.Link(prog, 0, nil).
+// Engine builds an incremental analysis engine on the skeleton.
 // opts.Cache, when set, supplies the cache shape — its Size is ignored and
 // chosen per Analyze, so one engine serves a whole capacity sweep.
-// opts.Witness is ignored: witnesses are requested per Analyze.
-func NewEngine(base *link.Executable, opts Options) (*Engine, error) {
-	if base.SPMSize != 0 {
-		return nil, fmt.Errorf("wcet: engine base linked with a %d-byte scratchpad, want none", base.SPMSize)
+// opts.Root must be empty or the skeleton's root; opts.Witness is ignored:
+// witnesses are requested per Analyze.
+func (sk *Skeleton) Engine(opts Options) (*Engine, error) {
+	if opts.Root != "" && opts.Root != sk.order[sk.root] {
+		return nil, fmt.Errorf("wcet: engine root %q on a skeleton rooted at %q", opts.Root, sk.order[sk.root])
 	}
-	root := opts.Root
-	if root == "" {
-		root = base.Prog.Entry
-	}
-	if root == "" {
-		return nil, fmt.Errorf("wcet: no analysis root")
-	}
-	g, err := cfg.Build(base, root)
-	if err != nil {
-		return nil, err
-	}
-	order, err := g.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	stackLo := link.StackBase
+	c := &Engine{sk: sk, stackLo: link.StackBase, funcs: make([]engineFunc, len(sk.funcs))}
 	if opts.StackBound > 0 && opts.StackBound < link.StackSize {
-		stackLo = link.StackTop - opts.StackBound
-	}
-
-	c := &Engine{
-		base: base, g: g, order: order, root: root, stackLo: stackLo,
-		objIdx:  make(map[string]int32, len(base.Placements)),
-		objName: make([]string, len(base.Placements)),
-		objSize: make([]uint32, len(base.Placements)),
-		funcs:   make(map[string]*engineFunc, len(order)),
+		c.stackLo = link.StackTop - opts.StackBound
 	}
 	if opts.Cache != nil {
 		shape := opts.Cache.WithDefaults()
 		shape.Size = 0
 		c.shape = &shape
 	} else {
-		c.lay = make([]link.ObjLayout, len(base.Placements))
-		c.deps = make([][]*engineBlock, len(base.Placements))
+		c.lay = make([]link.ObjLayout, len(sk.objName))
 	}
-	for i, pl := range base.Placements {
-		c.objIdx[pl.Obj.Name] = int32(i)
-		c.objName[i] = pl.Obj.Name
-		c.objSize[i] = pl.Obj.Size()
-	}
-	for _, name := range order {
-		f := g.Funcs[name]
-		ip, err := newIPETProgram(f)
-		if err != nil {
-			return nil, err
-		}
-		cf := &engineFunc{
-			f: f, ip: ip,
-			prep:   lp.Prepare(&lp.Problem{NumVars: ip.n, Cons: ip.cons}),
-			blocks: make([]*engineBlock, len(f.Blocks)),
-			cost:   make([]int64, len(f.Blocks)),
-			sols:   make(map[string]*FuncSolution),
-		}
-		foot := make(map[int32]bool)
-		for _, b := range f.Blocks {
-			cb, err := c.decompose(f, b, foot)
-			if err != nil {
-				return nil, err
-			}
-			cb.fn = cf
-			cf.blocks[b.Index] = cb
-			c.nblocks++
-			if c.shape == nil {
-				cf.cost[b.Index] = cb.price(c.lay)
-				c.addDeps(cb)
+	for i := range sk.funcs {
+		ef := &c.funcs[i]
+		ef.sols = make(map[string]*FuncSolution)
+		if c.shape == nil {
+			blocks := sk.funcs[i].blocks
+			ef.cost = make([]int64, len(blocks))
+			for j := range blocks {
+				ef.cost[j] = blocks[j].price(c.lay)
 			}
 		}
-		cf.footprint = make([]int32, 0, len(foot))
-		for oi := range foot {
-			cf.footprint = append(cf.footprint, oi)
-		}
-		slices.Sort(cf.footprint)
-		calleeSet := make(map[string]bool)
-		for _, cs := range f.Calls {
-			calleeSet[cs.Callee] = true
-		}
-		cf.callees = sortedNames(calleeSet)
-		c.funcs[name] = cf
 	}
-	callerSets := make(map[string]map[string]bool, len(order))
-	for _, name := range order {
-		for _, callee := range c.funcs[name].callees {
-			if callerSets[callee] == nil {
-				callerSets[callee] = make(map[string]bool)
-			}
-			callerSets[callee][name] = true
-		}
-	}
-	for _, name := range order {
-		c.funcs[name].callers = sortedNames(callerSets[name])
+	if sk.engines.Add(1) > 1 {
+		mSkelReuses.Inc()
 	}
 	if c.shape == nil {
 		mCtxBuilds.Inc()
@@ -385,133 +222,6 @@ func NewEngine(base *link.Executable, opts Options) (*Engine, error) {
 		mCCtxBuilds.Inc()
 	}
 	return c, nil
-}
-
-// decompose walks one block's instructions once against the base layout,
-// splitting its cost into the layout-independent constant, the stack
-// accesses and one access vector per object (plus, for a cache engine,
-// the symbolic stream) — mirroring costModel.blockCost,
-// instrAccesses and Witness.addAccesses. It adds the objects the block
-// reads to foot. Access-metadata violations surface here, once, instead of
-// per analysis.
-func (c *Engine) decompose(f *cfg.Function, b *cfg.Block, foot map[int32]bool) (*engineBlock, error) {
-	ownerIdx, ok := c.objIdx[b.Obj]
-	if !ok {
-		return nil, fmt.Errorf("wcet: %s: block object %q not placed", f.Name, b.Obj)
-	}
-	cb := &engineBlock{b: b, ownerIdx: ownerIdx, refs: []accRef{{obj: ownerIdx}}}
-	foot[ownerIdx] = true
-	ownerBase := c.base.Placements[ownerIdx].Addr
-	refIdx := map[int32]int{ownerIdx: 0} // an object's index in cb.refs
-	for _, ci := range b.Instrs {
-		cb.refs[0].acc.Fetches += uint64(ci.Size / 2)
-		switch {
-		case ci.In.IsLoad():
-			cb.constCycles += arm.CyclesLoadInternal
-		case ci.In.Op == arm.OpMul:
-			cb.constCycles += arm.CyclesMul
-		case ci.In.Op == arm.OpSwi:
-			cb.constCycles += arm.CyclesSwi
-		}
-		switch {
-		case ci.In.Op == arm.OpB, ci.In.Op == arm.OpBlLo, ci.CallTarget != "", ci.CrossTarget != "":
-			cb.constCycles += arm.CyclesBranchTaken
-		case ci.In.IsReturn():
-			cb.constCycles += arm.CyclesBranchTaken
-		}
-		accs, err := c.symAccesses(ci)
-		if err != nil {
-			return nil, fmt.Errorf("wcet: %s: %w", f.Name, err)
-		}
-		for _, a := range accs {
-			oi := a.tgt
-			switch a.kind {
-			case symStack:
-				cb.stack.Add(a.width, 1)
-				continue
-			case symLit:
-				// The literal pool travels with the owning object.
-				oi = ownerIdx
-			}
-			foot[oi] = true
-			i, seen := refIdx[oi]
-			if !seen {
-				i = len(cb.refs)
-				refIdx[oi] = i
-				cb.refs = append(cb.refs, accRef{obj: oi})
-			}
-			cb.refs[i].acc.Add(a.width, 1)
-		}
-		if c.shape != nil {
-			cb.instrs = append(cb.instrs, symInstr{off: ci.Addr - ownerBase, size: ci.Size, accs: accs})
-		}
-	}
-	return cb, nil
-}
-
-// addDeps registers a cache-less engine's block in the object → blocks
-// dependence index, under every object its price reads.
-func (c *Engine) addDeps(cb *engineBlock) {
-	for _, r := range cb.refs {
-		c.deps[r.obj] = append(c.deps[r.obj], cb)
-	}
-}
-
-// symAccesses is instrAccesses in symbolic form: the same case analysis,
-// but classifying each access as (kind, object) rather than materialising
-// addresses, which resolve() re-derives per layout.
-func (c *Engine) symAccesses(ci cfg.Instr) ([]symAcc, error) {
-	in := ci.In
-	if !in.IsLoad() && !in.IsStore() {
-		return nil, nil
-	}
-	stackAccesses := func(n int, write bool) []symAcc {
-		out := make([]symAcc, n)
-		for i := range out {
-			out[i] = symAcc{kind: symStack, width: 4, write: write}
-		}
-		return out
-	}
-	switch in.Op {
-	case arm.OpLdrPC:
-		return []symAcc{{kind: symLit, imm: in.Imm, width: 4}}, nil
-	case arm.OpPush:
-		return stackAccesses(in.RegCount(), true), nil
-	case arm.OpPop:
-		return stackAccesses(in.RegCount(), false), nil
-	case arm.OpStmia:
-		return stackAccesses(in.RegCount(), true), nil
-	case arm.OpLdmia:
-		return stackAccesses(in.RegCount(), false), nil
-	case arm.OpLdrSP:
-		return stackAccesses(1, false), nil
-	case arm.OpStrSP:
-		return stackAccesses(1, true), nil
-	}
-	if ci.Hint != "" {
-		pl := c.base.Placement(ci.Hint)
-		if pl == nil {
-			return nil, fmt.Errorf("wcet: %#x: access hint %q not placed", ci.Addr, ci.Hint)
-		}
-		a := symAcc{tgt: c.objIdx[ci.Hint], width: in.AccessWidth(), write: in.IsStore()}
-		if pl.Obj.Kind == obj.Data && pl.Obj.Size() == uint32(pl.Obj.ElemWidth) {
-			a.kind = symExact
-		} else {
-			a.kind = symRange
-		}
-		return []symAcc{a}, nil
-	}
-	// Frame-pointer relative (the code generator reserves r7 as FP).
-	if in.Rs == 7 {
-		switch in.Op {
-		case arm.OpLdrImm, arm.OpLdrReg:
-			return stackAccesses(1, false), nil
-		case arm.OpStrImm, arm.OpStrReg:
-			return stackAccesses(1, true), nil
-		}
-	}
-	return nil, fmt.Errorf("wcet: %#x: %s has no address information (missing access hint)",
-		ci.Addr, in.Disasm(ci.Addr))
 }
 
 // reprice re-prices a cache-less engine's blocks that depend on an object
@@ -523,8 +233,8 @@ func (c *Engine) reprice(lay []link.ObjLayout) uint64 {
 		if l.InSPM == c.lay[oi].InSPM {
 			continue
 		}
-		for _, cb := range c.deps[oi] {
-			cb.fn.cost[cb.b.Index] = cb.price(lay)
+		for _, cb := range c.sk.deps[oi] {
+			c.funcs[cb.fn].cost[cb.b.Index] = cb.price(lay)
 			n++
 		}
 	}
@@ -560,11 +270,12 @@ func (c *Engine) Analyze(ctx context.Context, cacheSize, spmSize uint32, inSPM m
 
 	// Link-identical error precedence: the layout walk first (the cold path
 	// links before analysing), then the cache validation.
-	lay, err := link.Layout(c.base.Prog, spmSize, inSPM)
+	sk := c.sk
+	lay, err := link.Layout(sk.base.Prog, spmSize, inSPM)
 	if err != nil {
 		return nil, err
 	}
-	nf := uint64(len(c.order))
+	nf := uint64(len(sk.order))
 	if c.shape == nil {
 		if cacheSize != 0 {
 			return nil, fmt.Errorf("wcet: cache size %d given to a cache-less engine", cacheSize)
@@ -574,9 +285,9 @@ func (c *Engine) Analyze(ctx context.Context, cacheSize, spmSize uint32, inSPM m
 		}
 		n := c.reprice(lay)
 		c.blocksRepriced.Add(n)
-		c.blocksTotal.Add(c.nblocks)
+		c.blocksTotal.Add(sk.nblocks)
 		mCtxBlocksRepriced.Add(n)
-		mCtxBlocksTotal.Add(c.nblocks)
+		mCtxBlocksTotal.Add(sk.nblocks)
 	} else {
 		cc := *c.shape
 		cc.Size = cacheSize
@@ -605,30 +316,30 @@ func (c *Engine) Analyze(ctx context.Context, cacheSize, spmSize uint32, inSPM m
 
 	// Path analysis, callees-first so each signature sees fresh callee
 	// bounds.
-	res = &Result{PerFunction: make(map[string]uint64, len(c.order))}
+	res = &Result{PerFunction: make(map[string]uint64, len(sk.order))}
 	var solved uint64
-	for _, name := range c.order {
-		cf := c.funcs[name]
-		if cf.rec != nil {
-			res.FetchAlwaysHit += cf.rec.counts.fetchHit
-			res.FetchUnclassified += cf.rec.counts.fetchMiss
-			res.DataAlwaysHit += cf.rec.counts.dataHit
-			res.DataUnclassified += cf.rec.counts.dataMiss
+	for i, name := range sk.order {
+		ef := &c.funcs[i]
+		if ef.rec != nil {
+			res.FetchAlwaysHit += ef.rec.counts.fetchHit
+			res.FetchUnclassified += ef.rec.counts.fetchMiss
+			res.DataAlwaysHit += ef.rec.counts.dataHit
+			res.DataUnclassified += ef.rec.counts.dataMiss
 		}
-		ran, err := c.solveOrAdopt(cf)
+		ran, err := c.solveOrAdopt(i)
 		if err != nil {
 			return nil, err
 		}
 		if ran {
 			solved++
 		}
-		res.PerFunction[name] = cf.sol.WCET
+		res.PerFunction[name] = ef.sol.WCET
 	}
 	if c.shape == nil {
 		mCtxFuncsSolved.Add(solved)
 		mCtxFuncsTotal.Add(nf)
 	}
-	res.WCET = res.PerFunction[c.root]
+	res.WCET = c.funcs[sk.root].sol.WCET
 	if witness {
 		res.Witness = c.witness()
 	}
@@ -643,12 +354,13 @@ func (c *Engine) Analyze(ctx context.Context, cacheSize, spmSize uint32, inSPM m
 // under the new objective (the old worst-case path stays feasible, so its
 // re-priced cost is achievable and prunes strictly-worse subtrees without
 // affecting the result). Reports whether a solve ran.
-func (c *Engine) solveOrAdopt(cf *engineFunc) (bool, error) {
+func (c *Engine) solveOrAdopt(fi int) (bool, error) {
+	sf, cf := &c.sk.funcs[fi], &c.funcs[fi]
 	sig := c.keyBuf[:0]
 	for _, v := range cf.cost {
 		sig = binary.AppendUvarint(sig, uint64(v))
 	}
-	for _, callee := range cf.callees {
+	for _, callee := range sf.callees {
 		sig = binary.AppendUvarint(sig, c.funcs[callee].sol.WCET)
 	}
 	c.keyBuf = sig
@@ -662,26 +374,26 @@ func (c *Engine) solveOrAdopt(cf *engineFunc) (bool, error) {
 		return false, nil
 	}
 
-	w := slices.Clone(cf.cost)
-	for _, cs := range cf.f.Calls {
-		w[cs.Block.Index] += int64(c.funcs[cs.Callee].sol.WCET)
+	objv := append([]float64(nil), sf.ip.template...)
+	for j := range sf.blocks {
+		w := cf.cost[j]
+		if callee := sf.blocks[j].callee; callee >= 0 {
+			w += int64(c.funcs[callee].sol.WCET)
+		}
+		objv[j] = float64(w)
 	}
-	objv := append([]float64(nil), cf.ip.template...)
-	for _, b := range cf.f.Blocks {
-		objv[b.Index] = float64(w[b.Index])
-	}
-	opt := ilp.Options{Root: cf.prep}
+	opt := ilp.Options{Root: sf.prep}
 	if cf.sol != nil {
 		seed := 0.0
-		for _, b := range cf.f.Blocks {
-			seed += objv[b.Index] * float64(cf.sol.Blocks[b.Index])
+		for j := range sf.blocks {
+			seed += objv[j] * float64(cf.sol.Blocks[j])
 		}
-		for i, ev := range cf.ip.edges {
+		for i, ev := range sf.ip.edges {
 			seed += objv[ev.idx] * float64(cf.sol.Edges[i])
 		}
 		opt.Incumbent, opt.HasIncumbent = seed, true
 	}
-	sol, err := cf.ip.solve(objv, opt)
+	sol, err := sf.ip.solve(objv, opt)
 	if err != nil {
 		return false, err
 	}
@@ -696,21 +408,23 @@ func (c *Engine) solveOrAdopt(cf *engineFunc) (bool, error) {
 // decomposition's access attribution into the whole-program witness,
 // mirroring buildWitness.
 func (c *Engine) witness() *Witness {
-	sols := make(map[string]*FuncSolution, len(c.order))
-	for _, name := range c.order {
-		sols[name] = c.funcs[name].sol
+	sk := c.sk
+	sols := make(map[string]*FuncSolution, len(sk.order))
+	for i, name := range sk.order {
+		sols[name] = c.funcs[i].sol
 	}
-	w := composeWitness(c.g, c.order, c.root, sols)
-	for _, name := range c.order {
+	w := composeWitness(sk.g, sk.order, sk.order[sk.root], sols)
+	for i, name := range sk.order {
 		counts := w.BlockCounts[name]
-		for _, cb := range c.funcs[name].blocks {
-			n := counts[cb.b.Index]
+		for j := range sk.funcs[i].blocks {
+			cb := &sk.funcs[i].blocks[j]
+			n := counts[j]
 			if n == 0 {
 				continue
 			}
-			for i := range cb.refs {
-				r := &cb.refs[i]
-				w.accesses(c.objName[r.obj]).AddScaled(&r.acc, n)
+			for k := range cb.refs {
+				r := &cb.refs[k]
+				w.accesses(sk.objName[r.obj]).AddScaled(&r.acc, n)
 			}
 		}
 	}
@@ -734,14 +448,4 @@ func (c *Engine) Stats() Stats {
 		FuncsSolved:     c.funcsSolved.Load(),
 		StateHits:       c.stateHits.Load(),
 	}
-}
-
-// sortedNames returns the set's keys in sorted order.
-func sortedNames(set map[string]bool) []string {
-	names := make([]string, 0, len(set))
-	for n := range set {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -46,6 +46,26 @@ func baseProg(t *testing.T, src string) *link.Executable {
 	return base
 }
 
+// skeletonOf builds the analysis skeleton of base from the program entry.
+func skeletonOf(t testing.TB, base *link.Executable) *Skeleton {
+	t.Helper()
+	sk, err := NewSkeleton(base, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sk
+}
+
+// engineOn builds one engine on sk.
+func engineOn(t testing.TB, sk *Skeleton, opts Options) *Engine {
+	t.Helper()
+	e, err := sk.Engine(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 // TestCacheContextMatchesCold drives one cache engine through a sweep of
 // capacities, associativities and placements — including revisits, the
 // layout-stable fast path, and a data-only move that leaves every code
@@ -78,12 +98,10 @@ func TestCacheContextMatchesCold(t *testing.T) {
 	// Immediate repeat of the last step: the layout-stable fast path.
 	steps = append(steps, steps[len(steps)-1])
 
+	sk := skeletonOf(t, base)
 	for _, assoc := range []int{1, 2, 4} {
 		ccfg := cache.Config{Assoc: assoc}
-		ctx, err := NewEngine(base, Options{Cache: &ccfg, StackBound: 256, Witness: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		ctx := engineOn(t, sk, Options{Cache: &ccfg, StackBound: 256, Witness: true})
 		first := make([]*Result, len(steps))
 		for pass := 0; pass < 2; pass++ {
 			var beforeRepeat uint64
@@ -138,10 +156,7 @@ func TestCacheContextMatchesCold(t *testing.T) {
 func TestCacheContextInstructionOnly(t *testing.T) {
 	base := baseProg(t, cacheCtxSrc)
 	ccfg := cache.Config{InstructionOnly: true}
-	ctx, err := NewEngine(base, Options{Cache: &ccfg, StackBound: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctx := engineOn(t, skeletonOf(t, base), Options{Cache: &ccfg, StackBound: 256})
 	for _, size := range []uint32{64, 256} {
 		warm, err := ctx.Analyze(context.Background(), size, 0, nil, false)
 		if err != nil {
@@ -169,10 +184,7 @@ func TestCacheContextInstructionOnly(t *testing.T) {
 func TestCacheContextStablePlacementSkipsReanalysis(t *testing.T) {
 	base := baseProg(t, cacheCtxSrc)
 	ccfg := cache.Config{}
-	ctx, err := NewEngine(base, Options{Cache: &ccfg})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctx := engineOn(t, skeletonOf(t, base), Options{Cache: &ccfg})
 	if _, err := ctx.Analyze(context.Background(), 128, 0, nil, false); err != nil {
 		t.Fatal(err)
 	}
@@ -191,6 +203,7 @@ func TestCacheContextStablePlacementSkipsReanalysis(t *testing.T) {
 // errors exactly as the cold path does.
 func TestCacheContextErrorsMatchLink(t *testing.T) {
 	base := baseProg(t, cacheCtxSrc)
+	sk := skeletonOf(t, base)
 	placements := []struct {
 		name    string
 		spmSize uint32
@@ -205,10 +218,7 @@ func TestCacheContextErrorsMatchLink(t *testing.T) {
 		cache     *cache.Config
 		cacheSize uint32
 	}{{"cache-less", nil, 0}, {"cache", &cache.Config{}, 128}} {
-		e, err := NewEngine(base, Options{Cache: mode.cache})
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := engineOn(t, sk, Options{Cache: mode.cache})
 		for _, pl := range placements {
 			_, warmErr := e.Analyze(context.Background(), mode.cacheSize, pl.spmSize, pl.inSPM, false)
 			_, coldErr := link.Link(base.Prog, pl.spmSize, pl.inSPM)
@@ -226,14 +236,15 @@ func TestCacheContextErrorsMatchLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewEngine(spmExe, Options{}); err == nil {
-		t.Error("engine built from a scratchpad link")
+	if _, err := NewSkeleton(spmExe, ""); err == nil {
+		t.Error("skeleton built from a scratchpad link")
+	}
+	// An engine cannot re-root its skeleton.
+	if _, err := sk.Engine(Options{Root: "sum"}); err == nil {
+		t.Error("engine rooted at sum on a skeleton rooted at main")
 	}
 	// Invalid cache size: same message as cache.Config.Validate.
-	e, err := NewEngine(base, Options{Cache: &cache.Config{}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := engineOn(t, sk, Options{Cache: &cache.Config{}})
 	_, warmErr := e.Analyze(context.Background(), 100, 0, nil, false)
 	badCfg := cache.Config{Size: 100}
 	coldErr := badCfg.Validate()

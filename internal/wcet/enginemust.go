@@ -30,7 +30,7 @@ func (c *Engine) resolve(a symAcc, lay []link.ObjLayout, instrAddr, spmSize uint
 		return dataAccess{kind: accExact, addr: l.Addr, width: a.width, write: a.write, inSPM: l.InSPM}
 	default: // symRange
 		l := lay[a.tgt]
-		return dataAccess{kind: accRange, lo: l.Addr, hi: l.Addr + c.objSize[a.tgt],
+		return dataAccess{kind: accRange, lo: l.Addr, hi: l.Addr + c.sk.objSize[a.tgt],
 			width: a.width, write: a.write, inSPM: l.InSPM}
 	}
 }
@@ -97,11 +97,11 @@ func (c *Engine) walkSym(cb *engineBlock, cc cache.Config, lay []link.ObjLayout,
 // reached the function: every block is costed from the cold state, exactly
 // as the cold path treats unreached blocks. The record takes ownership of
 // entry and keeps the callee exits it read.
-func (c *Engine) runMust(cf *engineFunc, cc cache.Config, lay []link.ObjLayout, spmSize uint32, entry *mustState, recs map[string]*mustRecord, pool *statePool) (*mustRecord, error) {
-	f := cf.f
+func (c *Engine) runMust(sf *skelFunc, cc cache.Config, lay []link.ObjLayout, spmSize uint32, entry *mustState, recs []*mustRecord, pool *statePool) (*mustRecord, error) {
+	f := sf.f
 	nb := len(f.Blocks)
-	rec := &mustRecord{size: cc.Size, entry: entry, calleeExit: make([]*mustState, len(cf.callees)), cost: make([]int64, nb)}
-	for i, callee := range cf.callees {
+	rec := &mustRecord{size: cc.Size, entry: entry, calleeExit: make([]*mustState, len(sf.callees)), cost: make([]int64, nb)}
+	for i, callee := range sf.callees {
 		if cr := recs[callee]; cr != nil {
 			rec.calleeExit[i] = cr.exit
 		}
@@ -133,32 +133,31 @@ func (c *Engine) runMust(cf *engineFunc, cc cache.Config, lay []link.ObjLayout, 
 			// fixed point's.
 			out := pool.cloneOf(in[b.Index])
 			counts[b.Index] = classCounts{}
-			rec.cost[b.Index] = c.walkSym(cf.blocks[b.Index], cc, lay, spmSize, out, &counts[b.Index])
+			cb := &sf.blocks[b.Index]
+			rec.cost[b.Index] = c.walkSym(cb, cc, lay, spmSize, out, &counts[b.Index])
 
 			// Call at block end: record the state flowing into the callee and
 			// splice the callee's current exit in (none yet: stop propagating
 			// here; the interprocedural loop re-runs us once it appears).
 			// A state stored in the record is handed over, never cloned.
-			if len(b.Instrs) > 0 {
-				if callee := b.Instrs[len(b.Instrs)-1].CallTarget; callee != "" {
-					if rec.calleeIn == nil {
-						rec.calleeIn = make(map[string]*mustState)
-					}
-					if prev := rec.calleeIn[callee]; prev == nil {
-						rec.calleeIn[callee] = out
-					} else {
-						prev.join(out)
-						pool.put(out)
-					}
-					var ex *mustState
-					if cr := recs[callee]; cr != nil {
-						ex = cr.exit
-					}
-					if ex == nil {
-						continue
-					}
-					out = pool.cloneOf(ex)
+			if callee := cb.callee; callee >= 0 {
+				if rec.calleeIn == nil {
+					rec.calleeIn = make(map[int32]*mustState)
 				}
+				if prev := rec.calleeIn[callee]; prev == nil {
+					rec.calleeIn[callee] = out
+				} else {
+					prev.join(out)
+					pool.put(out)
+				}
+				var ex *mustState
+				if cr := recs[callee]; cr != nil {
+					ex = cr.exit
+				}
+				if ex == nil {
+					continue
+				}
+				out = pool.cloneOf(ex)
 			}
 
 			if len(b.Succs) == 0 {
@@ -192,7 +191,7 @@ func (c *Engine) runMust(cf *engineFunc, cc cache.Config, lay []link.ObjLayout, 
 			pool.put(s)
 		} else {
 			s = pool.top()
-			rec.cost[b.Index] = c.walkSym(cf.blocks[b.Index], cc, lay, spmSize, s, &counts[b.Index])
+			rec.cost[b.Index] = c.walkSym(&sf.blocks[b.Index], cc, lay, spmSize, s, &counts[b.Index])
 			pool.put(s)
 		}
 		rec.counts.add(counts[b.Index])
@@ -204,11 +203,11 @@ func (c *Engine) runMust(cf *engineFunc, cc cache.Config, lay []link.ObjLayout, 
 // under recs' current callee exits, would recompute exactly rec: the
 // layout and capacities are fixed within a pass, so these are the solve's
 // only other inputs. States compare by pointer, then by content.
-func (rec *mustRecord) sameInputs(cf *engineFunc, entry *mustState, recs map[string]*mustRecord) bool {
+func (rec *mustRecord) sameInputs(sf *skelFunc, entry *mustState, recs []*mustRecord) bool {
 	if !sameState(rec.entry, entry) {
 		return false
 	}
-	for i, callee := range cf.callees {
+	for i, callee := range sf.callees {
 		var exit *mustState
 		if cr := recs[callee]; cr != nil {
 			exit = cr.exit
@@ -240,19 +239,20 @@ func (c *Engine) mustPass(cc cache.Config, lay []link.ObjLayout, spmSize uint32)
 	if c.pool == nil || c.pool.cfg.Size != cc.Size {
 		c.pool = newStatePool(cc)
 	}
-	pool := c.pool
-	ran := make(map[string]bool)
-	recs := make(map[string]*mustRecord, len(c.order))
-	work := make([]string, 0, len(c.order))
-	queued := make(map[string]bool, len(c.order))
-	push := func(name string) {
-		if !queued[name] {
-			queued[name] = true
-			work = append(work, name)
+	pool, sk := c.pool, c.sk
+	n := len(sk.funcs)
+	ran := make([]bool, n)
+	recs := make([]*mustRecord, n)
+	work := make([]int32, 0, n)
+	queued := make([]bool, n)
+	push := func(fi int32) {
+		if !queued[fi] {
+			queued[fi] = true
+			work = append(work, fi)
 		}
 	}
-	for i := len(c.order) - 1; i >= 0; i-- {
-		push(c.order[i])
+	for i := n - 1; i >= 0; i-- {
+		push(int32(i))
 	}
 	steps := 0
 	for len(work) > 0 {
@@ -260,18 +260,18 @@ func (c *Engine) mustPass(cc cache.Config, lay []link.ObjLayout, spmSize uint32)
 		if steps > 1_000_000 {
 			return 0, 0, fmt.Errorf("wcet: cache analysis did not converge")
 		}
-		name := work[0]
+		fi := work[0]
 		work = work[1:]
-		queued[name] = false
-		cf := c.funcs[name]
+		queued[fi] = false
+		sf := &sk.funcs[fi]
 
 		var entry *mustState
-		if name == c.root {
+		if fi == sk.root {
 			entry = pool.top()
 		}
-		for _, caller := range cf.callers {
+		for _, caller := range sf.callers {
 			if cr := recs[caller]; cr != nil {
-				if contrib := cr.calleeIn[name]; contrib != nil {
+				if contrib := cr.calleeIn[fi]; contrib != nil {
 					if entry == nil {
 						entry = pool.cloneOf(contrib)
 					} else {
@@ -281,23 +281,26 @@ func (c *Engine) mustPass(cc cache.Config, lay []link.ObjLayout, spmSize uint32)
 			}
 		}
 
-		old := recs[name]
-		if old != nil && old.sameInputs(cf, entry, recs) {
+		old := recs[fi]
+		if old != nil && old.sameInputs(sf, entry, recs) {
 			pool.put(entry)
 			reused++
 			continue
 		}
-		rec, err := c.runMust(cf, cc, lay, spmSize, entry, recs, pool)
+		rec, err := c.runMust(sf, cc, lay, spmSize, entry, recs, pool)
 		if err != nil {
 			return 0, 0, err
 		}
-		ran[name] = true
-		recs[name] = rec
-		for _, callee := range cf.callees {
+		if !ran[fi] {
+			ran[fi] = true
+			reran++
+		}
+		recs[fi] = rec
+		for _, callee := range sf.callees {
 			push(callee)
 		}
 		if old == nil || !sameState(old.exit, rec.exit) {
-			for _, caller := range cf.callers {
+			for _, caller := range sf.callers {
 				push(caller)
 			}
 		}
@@ -306,14 +309,14 @@ func (c *Engine) mustPass(cc cache.Config, lay []link.ObjLayout, spmSize uint32)
 			old.release(pool, false)
 		}
 	}
-	for _, name := range c.order {
-		cf := c.funcs[name]
-		if cf.rec != nil && cf.rec.size == cc.Size {
-			cf.rec.release(pool, true)
+	for i := range c.funcs {
+		ef := &c.funcs[i]
+		if ef.rec != nil && ef.rec.size == cc.Size {
+			ef.rec.release(pool, true)
 		}
-		cf.rec, cf.cost = recs[name], recs[name].cost
+		ef.rec, ef.cost = recs[i], recs[i].cost
 	}
-	return uint64(len(ran)), reused, nil
+	return reran, reused, nil
 }
 
 // release returns the states a record owns to pool, its exit only when

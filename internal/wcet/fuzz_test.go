@@ -19,7 +19,7 @@ import (
 // must reproduce the from-scratch analysis exactly. Each trial runs its
 // cache-less configurations in sequence through one engine (exercising
 // delta repricing) and its cache configurations through one engine per
-// cache shape.
+// cache shape, all on one skeleton.
 func TestFuzzSoundnessAcrossConfigs(t *testing.T) {
 	rng := rand.New(rand.NewSource(20050307))
 	const trials = 12
@@ -48,6 +48,10 @@ func TestFuzzSoundnessAcrossConfigs(t *testing.T) {
 			{name: "cache-1k-2way", cache: &cache.Config{Size: 1024, Assoc: 2}},
 			{name: "icache-512", cache: &cache.Config{Size: 512, InstructionOnly: true}},
 			{name: "spm-data+cache-1k", spm: 2048, inSPM: map[string]bool{"tbl": true, "bias": true}, cache: &cache.Config{Size: 1024}},
+		}
+		sk, err := NewSkeleton(base, "")
+		if err != nil {
+			t.Fatalf("trial %d: skeleton: %v", trial, err)
 		}
 		engines := make(map[string]*Engine)
 		var wantExit uint32
@@ -83,7 +87,7 @@ func TestFuzzSoundnessAcrossConfigs(t *testing.T) {
 			}
 			e := engines[shape]
 			if e == nil {
-				if e, err = NewEngine(base, opts); err != nil {
+				if e, err = sk.Engine(opts); err != nil {
 					t.Fatalf("trial %d %s: engine: %v", trial, cfg.name, err)
 				}
 				engines[shape] = e
