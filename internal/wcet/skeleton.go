@@ -198,10 +198,11 @@ func NewSkeleton(base *link.Executable, root string) (*Skeleton, error) {
 		calleeSet := make(map[string]bool)
 		for _, cs := range f.Calls {
 			calleeSet[cs.Callee] = true
-			if callers[funcIdx[cs.Callee]] == nil {
-				callers[funcIdx[cs.Callee]] = make(map[string]bool)
+			ci := funcIdx[cs.Callee]
+			if callers[ci] == nil {
+				callers[ci] = make(map[string]bool)
 			}
-			callers[funcIdx[cs.Callee]][name] = true
+			callers[ci][name] = true
 		}
 		sf.callees = sortedIndices(calleeSet, funcIdx)
 	}
