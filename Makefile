@@ -1,17 +1,17 @@
 GO ?= go
 
-.PHONY: check ci fmt vet build test test-race fuzz-smoke bench bench-json bench-smoke bench-diff perfbench-smoke wcetlab warmstore smoke
+.PHONY: check ci fmt vet build test test-race examples fuzz-smoke bench bench-json bench-smoke bench-diff perfbench-smoke wcetlab warmstore smoke
 
 # Tier-1 verification plus formatting/lint gates.
 check: fmt vet build test
 
 # What .github/workflows/ci.yml runs: check with the race detector on,
-# plus short fuzzing runs of the simplex kernel, the cache-sweep pricing,
+# every example run end to end, short fuzzing runs of the simplex kernel, the cache-sweep pricing,
 # the counted profile, the MUST cache domain and the store decoders, the
 # single-iteration benchmark smoke (validated JSON), the benchmark
 # module's build and tests, the warm-store determinism check and the serve
 # smoke test.
-ci: fmt vet build test-race fuzz-smoke bench-smoke perfbench-smoke warmstore smoke
+ci: fmt vet build test-race examples fuzz-smoke bench-smoke perfbench-smoke warmstore smoke
 
 # Ten seconds of native fuzzing per target: the simplex kernel must match
 # the dense reference tableau (internal/lp/ref_test.go) on generated
@@ -73,6 +73,12 @@ test:
 test-race:
 	$(GO) test -race ./...
 
+# Every program under examples/ must run to completion (exit 0); `build`
+# only compiles them.
+examples:
+	@set -e; for e in examples/*/; do \
+		echo "examples: $$e"; $(GO) run "./$$e" > /dev/null; done
+
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
@@ -131,6 +137,9 @@ smoke: wcetlab
 		url=$$(sed -n 's#.*"addr":"\(http://[^"]*\)".*#\1#p' "$$dir/serve.log" | head -1); \
 		[ -n "$$url" ] && break; i=$$((i+1)); sleep 0.1; done; \
 	[ -n "$$url" ] || { echo "smoke: server did not start"; cat "$$dir/serve.log"; exit 1; }; \
+	st=0; ./bin/wcetlab -store off pareto MultiSort -adaptive -maxpoints 1 > /dev/null 2>&1 || st=$$?; \
+	[ "$$st" -eq 2 ] || { \
+		echo "smoke: pareto -maxpoints 1 exited $$st, want 2"; exit 1; }; \
 	curl -fsS "$$url/v1/healthz" | grep -q '"status": *"ok"' || { \
 		echo "smoke: /v1/healthz failed"; exit 1; }; \
 	ready=""; i=0; while [ $$i -lt 240 ]; do \

@@ -444,13 +444,12 @@ func BenchmarkEpsilonKnapsack(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			ev := alloc.Evidence{Profile: l.Profile, Witness: res.Witness}
-			items, weights := alloc.CandidatesBi(l.Prog, ev, alloc.EnergyObjective{Model: l.Model}, alloc.WCETObjective{}, size)
+			items, weights := alloc.CandidatesBi(l.Prog, alloc.EnergyBenefit(l.Model, l.Profile), alloc.WCETBenefit(res.Witness), size)
 			savings := make([]alloc.Item, len(items))
 			for i, it := range items {
 				savings[i] = alloc.Item{Name: it.Name, Size: it.Size, Benefit: weights[i]}
 			}
-			most, err := alloc.KnapsackDP(savings, size)
+			most, err := alloc.KnapsackDP(ctx, savings, size)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -467,7 +466,7 @@ func BenchmarkEpsilonKnapsack(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, in := range insts {
-			if _, err := alloc.KnapsackBudget(ctx, in.items, in.capacity, in.weights, in.minWeight); err != nil {
+			if _, err := alloc.KnapsackBudget(ctx, in.items, in.capacity, in.weights, in.minWeight, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -185,6 +185,11 @@ func main() {
 		if err := fs.Parse(args[2:]); err != nil {
 			os.Exit(2)
 		}
+		if verr := (alloc.ParetoOptions{Adaptive: *adaptive, MaxPoints: *maxPoints}).Validate(); verr != nil {
+			fmt.Fprintln(os.Stderr, "wcetlab:", verr)
+			usage()
+			os.Exit(2)
+		}
 		err = pareto(args[1], *adaptive, *maxPoints)
 	case "witness":
 		if len(args) < 2 {
@@ -881,7 +886,7 @@ func witness(name string, topN int, path bool) error {
 
 	// The hot regions those counts imply: the placement units the
 	// block-granularity allocator (-granularity block) would split out.
-	regions, err := alloc.HotRegions(context.Background(), lab.Pipe, w, link.SPMMax, "")
+	regions, err := alloc.HotRegions(context.Background(), lab.Pipe, w, link.SPMMax)
 	if err != nil {
 		return err
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -83,8 +84,8 @@ func main() {
 
 	// Allocate a 512-byte scratchpad (the energy knapsack over the
 	// profile, solved by branch & bound) and re-link.
-	items := alloc.Candidates(prog, alloc.Evidence{Profile: prof}, alloc.EnergyObjective{Model: energy.Default()}, 512)
-	placed, err := alloc.Knapsack(items, 512)
+	items := alloc.Candidates(prog, alloc.EnergyBenefit(energy.Default(), prof), 512)
+	placed, err := alloc.Knapsack(context.Background(), items, 512, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 // wcetalloc demonstrates WCET-directed scratchpad allocation: instead of
 // weighing memory objects by their simulated typical-input access counts
-// (the energy knapsack), internal/alloc's WCET objective weighs them by
-// their access counts on the worst-case path — the IPET witness — re-links,
-// re-analyses and iterates to a fixpoint. The sweep below shows the bound
+// (the energy knapsack), internal/alloc's WCET-directed fixpoint weighs
+// them by their access counts on the worst-case path — the IPET witness —
+// re-links, re-analyses and iterates. The sweep below shows the bound
 // it certifies is never worse than the energy-directed allocation's, and
 // the iteration trace shows the monotone descent at one capacity.
 package main
@@ -22,11 +22,6 @@ func main() {
 		log.Fatal(err)
 	}
 	ctx := context.Background()
-	// wcetDirected runs the WCET-directed fixpoint with the paper's branch &
-	// bound knapsack against the lab's shared pipeline.
-	wcetDirected := func(capacity uint32, opts alloc.Options) (*alloc.Result, error) {
-		return alloc.Run(ctx, lab.Pipe, capacity, alloc.WCETObjective{}, alloc.SolverILP, opts)
-	}
 
 	fmt.Println("MultiSort: energy-directed vs WCET-directed scratchpad allocation")
 	fmt.Printf("%8s | %12s %12s | %8s %5s\n",
@@ -46,12 +41,11 @@ func main() {
 	// bound never rises. Running it against lab.Pipe after the sweep above
 	// means the seed and baseline analyses are cache hits, not re-runs.
 	const size = 2048
-	items := alloc.Candidates(lab.Prog, alloc.Evidence{Profile: lab.Profile}, alloc.EnergyObjective{Model: lab.Model}, size)
-	ealloc, err := alloc.Knapsack(items, size)
+	ealloc, err := lab.Pipe.Allocate(ctx, lab.EnergyAllocator(), size)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := wcetDirected(size, alloc.Options{
+	res, err := alloc.Run(ctx, lab.Pipe, size, alloc.Options{
 		Seeds: []map[string]bool{ealloc.InSPM},
 	})
 	if err != nil {
@@ -73,11 +67,11 @@ func main() {
 	fmt.Println("\nObject vs block placement-unit granularity (WCET-directed bound):")
 	fmt.Printf("%8s | %12s %12s | %7s %7s\n", "SPM [B]", "object", "block", "Δ", "splits")
 	for _, capacity := range []uint32{64, 128, 256, 512} {
-		objRes, err := wcetDirected(capacity, alloc.Options{})
+		objRes, err := alloc.Run(ctx, lab.Pipe, capacity, alloc.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		blkRes, err := wcetDirected(capacity, alloc.Options{Granularity: alloc.GranBlock})
+		blkRes, err := alloc.Run(ctx, lab.Pipe, capacity, alloc.Options{Granularity: alloc.GranBlock})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -86,11 +80,10 @@ func main() {
 			capacity, objRes.WCET, blkRes.WCET, delta, len(blkRes.Splits))
 	}
 
-	// The two objectives meet in the engine's multi-objective mode: the
-	// energy/WCET Pareto front. Its endpoints are the pure energy-directed
-	// and pure WCET-directed allocations above; between them, ε-constraint
-	// solves maximise energy benefit subject to a stepped budget on the
-	// *certified* WCET bound. Every point's bound comes from a full
+	// The two objectives meet in the energy/WCET Pareto front. Its
+	// endpoints are the pure energy-directed and pure WCET-directed
+	// allocations above; between them, ε-constraint solves maximise energy
+	// benefit subject to a stepped budget on the *certified* WCET bound. Every point's bound comes from a full
 	// re-analysis, and all points are mutually non-dominated — each trades
 	// worst-case cycles for average-case energy.
 	front, err := lab.ParetoFront(ctx, 2048)

@@ -5,6 +5,7 @@ package alloc_test
 // branch & bound ILP and by dynamic programming.
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -50,16 +51,16 @@ func profileOf(t *testing.T, src string) (*obj.Program, *sim.Profile) {
 
 // allocateEnergy solves the energy knapsack with the branch & bound ILP solver.
 func allocateEnergy(prog *obj.Program, prof *sim.Profile, capacity uint32, m energy.Model) (*alloc.Allocation, error) {
-	return alloc.Knapsack(candidates(prog, prof, m, capacity), capacity)
+	return alloc.Knapsack(context.Background(), candidates(prog, prof, m, capacity), capacity, nil)
 }
 
 // allocateEnergyDP solves the energy knapsack exactly by dynamic programming.
 func allocateEnergyDP(prog *obj.Program, prof *sim.Profile, capacity uint32, m energy.Model) (*alloc.Allocation, error) {
-	return alloc.KnapsackDP(candidates(prog, prof, m, capacity), capacity)
+	return alloc.KnapsackDP(context.Background(), candidates(prog, prof, m, capacity), capacity)
 }
 
 func candidates(prog *obj.Program, prof *sim.Profile, m energy.Model, capacity uint32) []alloc.Item {
-	return alloc.Candidates(prog, alloc.Evidence{Profile: prof}, alloc.EnergyObjective{Model: m}, capacity)
+	return alloc.Candidates(prog, alloc.EnergyBenefit(m, prof), capacity)
 }
 
 func TestHotObjectsPreferred(t *testing.T) {

@@ -17,7 +17,7 @@ import (
 )
 
 // Process-wide fixpoint metrics: how many knapsack/re-analyse rounds the
-// engine ran and how many produced a strictly better accepted bound.
+// fixpoint ran and how many produced a strictly better accepted bound.
 var (
 	mFixpointIters = obs.Default.Counter("wcetlab_alloc_fixpoint_iterations_total",
 		"Knapsack/re-analyse rounds executed by the fixpoint driver.")
@@ -29,7 +29,7 @@ var (
 // in one or two iterations.
 const DefaultMaxIter = 8
 
-// Granularity selects what the engine treats as a placement unit.
+// Granularity selects what the fixpoint treats as a placement unit.
 type Granularity uint8
 
 const (
@@ -62,33 +62,22 @@ func ParseGranularity(s string) (Granularity, error) {
 	return GranObject, fmt.Errorf("alloc: unknown granularity %q (want object or block)", s)
 }
 
-// Options configures an engine run. The objective and solver are passed to
-// Run separately — Options carries the knobs shared by every objective.
+// Options configures one run of the fixpoint.
 type Options struct {
-	// WCET configures the analysis; Cache must be nil (the paper's
-	// combined scratchpad+cache system is not modelled).
-	WCET wcet.Options
 	// Seeds are allocations to evaluate before iterating — e.g. the
 	// energy-directed allocation — so the result is never worse than the
-	// best seed. Seeds that do not fit the capacity are rejected. Static
-	// objectives solve exactly and ignore them.
+	// best seed. Seeds that do not fit the capacity are rejected.
 	Seeds []map[string]bool
 	// Energy, when non-nil, models the average-case energy of a placement
 	// and breaks ties among equal-WCET allocations: the lower-energy one
 	// is kept, making the reported placement canonical. When nil, the
-	// most recently evaluated equal-WCET allocation wins (legacy order).
+	// most recently evaluated equal-WCET allocation wins.
 	Energy func(inSPM map[string]bool) float64
-	// EnergyKey canonically identifies the Energy function's model (e.g.
-	// energy.Model.Key()) for solve memoization: function values cannot be
-	// compared, so Directed.ConfigKey refuses to produce a key — and the
-	// pipeline runs the solve unmemoized — when Energy is set without one.
-	EnergyKey string
 	// MaxIter bounds the number of knapsack/re-analysis rounds
 	// (DefaultMaxIter when zero).
 	MaxIter int
 	// Granularity selects whole-object or basic-block placement units
-	// (GranObject when zero). Block granularity requires a witness-priced
-	// objective (the hot-region partition is derived from the witness).
+	// (GranObject when zero).
 	Granularity Granularity
 }
 
@@ -109,89 +98,45 @@ type Iteration struct {
 	WCET uint64
 }
 
-// Result is the outcome of an engine run.
+// Result is the outcome of a fixpoint run.
 type Result struct {
 	// InSPM names the objects placed in the scratchpad; under a non-empty
 	// Splits partition the names refer to the split program's objects.
 	InSPM map[string]bool
 	// Used is the scratchpad occupancy in bytes (alignment-rounded).
 	Used uint32
-	// Benefit is the final allocation's total objective value (the sum of
-	// its items' benefits under the run's objective).
-	Benefit float64
-	// WCET is the analysed bound under InSPM (0 for static objectives,
-	// which run no analysis).
+	// WCET is the analysed bound under InSPM.
 	WCET uint64
 	// Baseline is the bound with an empty scratchpad of the same capacity
 	// (of the *unsplit* program, so bounds at both granularities share one
-	// reference; 0 for static objectives).
+	// reference).
 	Baseline uint64
 	// Iterations traces the accepted allocations, baseline first; WCET is
-	// non-increasing along it. Static objectives record a single step.
+	// non-increasing along it.
 	Iterations []Iteration
 	// Converged reports that the loop stopped because the allocation
-	// repeated or stopped improving (false: MaxIter hit). Static
-	// objectives always converge.
+	// repeated or stopped improving (false: MaxIter hit).
 	Converged bool
 	// Splits is the placement-unit partition the winning allocation uses:
 	// nil when whole-object placement won (always at GranObject).
 	Splits []obj.Region
 }
 
-// Run is the engine's fixpoint driver, the single entry point behind every
-// allocation policy. The objective decides the driver's shape:
-//
-//   - a static objective (NeedsWitness() == false) prices items once from
-//     the profile and solves once — no linking, no analysis (the
-//     energy-directed policy);
-//   - a witness-priced objective iterates link → analyse → re-solve until
-//     the allocation reaches a fixpoint, the certified bound stops
-//     improving, or MaxIter is hit; the accepted bound is monotonically
-//     non-increasing (the WCET-directed policy).
+// Run is the WCET-directed fixpoint behind Directed: it iterates link →
+// analyse → re-solve — each round a branch & bound knapsack over the
+// worst-case cycles the incumbent's witness saves — until the allocation
+// repeats, the certified bound stops improving, or MaxIter is hit; the
+// accepted bound is monotonically non-increasing.
 //
 // Every link+analyse goes through the pipeline, so evaluations are
 // memoized: the capacity-independent empty-scratchpad baseline is analysed
 // once per program, already-evaluated allocations are never re-analysed,
 // and pre-evaluated seeds enter the loop without any analysis at all.
-func Run(ctx context.Context, p *pipeline.Pipeline, capacity uint32, objective Objective, solver Solver, opts Options) (*Result, error) {
-	if opts.WCET.Cache != nil {
-		return nil, fmt.Errorf("alloc: combined scratchpad+cache analysis is not modelled")
-	}
-	if !objective.NeedsWitness() {
-		if opts.Granularity == GranBlock {
-			return nil, fmt.Errorf("alloc: block granularity requires a witness-priced objective (%s is static)", objective.Name())
-		}
-		return runStatic(ctx, p, capacity, objective, solver)
-	}
+func Run(ctx context.Context, p *pipeline.Pipeline, capacity uint32, opts Options) (*Result, error) {
 	if opts.Granularity == GranBlock {
-		return runBlock(ctx, p, capacity, objective, solver, opts)
+		return runBlock(ctx, p, capacity, opts)
 	}
-	return run(ctx, p, nil, capacity, objective, solver, opts)
-}
-
-// runStatic solves a static objective: evidence is capacity-independent
-// (the profile), so one knapsack is exact and no analysis runs.
-func runStatic(ctx context.Context, p *pipeline.Pipeline, capacity uint32, objective Objective, solver Solver) (*Result, error) {
-	var ev Evidence
-	if objective.NeedsProfile() {
-		prof, err := p.Profile(ctx)
-		if err != nil {
-			return nil, err
-		}
-		ev.Profile = prof
-	}
-	items := Candidates(p.Prog, ev, objective, capacity)
-	a, err := SolveItems(ctx, items, capacity, solver)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		InSPM:      a.InSPM,
-		Used:       a.Used,
-		Benefit:    a.Benefit,
-		Iterations: []Iteration{{InSPM: a.InSPM, Used: a.Used}},
-		Converged:  true,
-	}, nil
+	return run(ctx, p, nil, capacity, opts)
 }
 
 // runBlock is the basic-block-granularity strategy: solve at whole-object
@@ -201,18 +146,16 @@ func runStatic(ctx context.Context, p *pipeline.Pipeline, capacity uint32, objec
 // whole-object winner (fragments added for split functions) and taking the
 // minimum at the end makes the block-granularity bound never worse than
 // the whole-object one, by construction.
-func runBlock(ctx context.Context, p *pipeline.Pipeline, capacity uint32, objective Objective, solver Solver, opts Options) (*Result, error) {
-	objRes, err := run(ctx, p, nil, capacity, objective, solver, opts)
+func runBlock(ctx context.Context, p *pipeline.Pipeline, capacity uint32, opts Options) (*Result, error) {
+	objRes, err := run(ctx, p, nil, capacity, opts)
 	if err != nil {
 		return nil, err
 	}
-	wopts := opts.WCET
-	wopts.Witness = true
-	base, err := p.Analyze(ctx, capacity, nil, wopts) // cached: the fixpoint's baseline
+	base, err := p.Analyze(ctx, capacity, nil, wcet.Options{Witness: true}) // cached: the fixpoint's baseline
 	if err != nil {
 		return nil, err
 	}
-	regions, err := HotRegions(ctx, p, base.Witness, capacity, opts.WCET.Root)
+	regions, err := HotRegions(ctx, p, base.Witness, capacity)
 	if err != nil || len(regions) == 0 {
 		return objRes, err
 	}
@@ -220,12 +163,12 @@ func runBlock(ctx context.Context, p *pipeline.Pipeline, capacity uint32, object
 	// The average-case energy tie-break is an object-granularity model (the
 	// profile knows nothing of fragments); the unit run stays deterministic
 	// without it.
-	bopts.Energy, bopts.EnergyKey = nil, ""
+	bopts.Energy = nil
 	bopts.Seeds = []map[string]bool{expandSeed(objRes.InSPM, regions)}
 	for _, s := range opts.Seeds {
 		bopts.Seeds = append(bopts.Seeds, expandSeed(s, regions))
 	}
-	blockRes, err := run(ctx, p, regions, capacity, objective, solver, bopts)
+	blockRes, err := run(ctx, p, regions, capacity, bopts)
 	if err != nil {
 		return nil, err
 	}
@@ -267,15 +210,12 @@ func expandSeed(seed map[string]bool, regions []obj.Region) map[string]bool {
 // Functions whose worst case never runs, or whose loops cannot be split,
 // contribute nothing. The result is canonical (sorted, one region per
 // function), so it is a stable cache-key ingredient.
-func HotRegions(ctx context.Context, p *pipeline.Pipeline, w *wcet.Witness, capacity uint32, root string) ([]obj.Region, error) {
+func HotRegions(ctx context.Context, p *pipeline.Pipeline, w *wcet.Witness, capacity uint32) ([]obj.Region, error) {
 	exe, err := p.Link(ctx, 0, nil)
 	if err != nil {
 		return nil, err
 	}
-	if root == "" {
-		root = exe.Prog.Entry
-	}
-	g, err := cfg.Build(exe, root)
+	g, err := cfg.Build(exe, exe.Prog.Entry)
 	if err != nil {
 		return nil, err
 	}
@@ -372,7 +312,6 @@ type evaluator struct {
 	prog    *obj.Program
 	regions []obj.Region
 	cap     uint32
-	wopts   wcet.Options
 }
 
 func (e *evaluator) usedBytes(inSPM map[string]bool) uint32 {
@@ -386,7 +325,7 @@ func (e *evaluator) usedBytes(inSPM map[string]bool) uint32 {
 }
 
 func (e *evaluator) evaluate(ctx context.Context, inSPM map[string]bool) (*evaluation, error) {
-	res, err := e.p.AnalyzeUnits(ctx, e.regions, e.cap, inSPM, e.wopts)
+	res, err := e.p.AnalyzeUnits(ctx, e.regions, e.cap, inSPM, wcet.Options{Witness: true})
 	if err != nil {
 		return nil, fmt.Errorf("alloc: %w", err)
 	}
@@ -396,29 +335,18 @@ func (e *evaluator) evaluate(ctx context.Context, inSPM map[string]bool) (*evalu
 // run iterates the link → analyse → re-allocate fixpoint over the units of
 // one partition: the program's own objects when regions is nil, the split
 // program's objects (fragments included) otherwise.
-func run(ctx context.Context, p *pipeline.Pipeline, regions []obj.Region, capacity uint32, objective Objective, solver Solver, opts Options) (*Result, error) {
+func run(ctx context.Context, p *pipeline.Pipeline, regions []obj.Region, capacity uint32, opts Options) (*Result, error) {
 	gran := "object"
 	if len(regions) > 0 {
 		gran = "block"
 	}
-	ctx, sp := obs.Start(ctx, "fixpoint",
-		obs.A("capacity", capacity),
-		obs.A("objective", objective.Name()),
-		obs.A("granularity", gran))
+	ctx, sp := obs.Start(ctx, "fixpoint", obs.A("capacity", capacity), obs.A("granularity", gran))
 	defer sp.End()
 	prog, err := p.SplitProgram(regions)
 	if err != nil {
 		return nil, fmt.Errorf("alloc: %w", err)
 	}
-	wopts := opts.WCET
-	wopts.Witness = true
-	ev := &evaluator{p: p, prog: prog, regions: regions, cap: capacity, wopts: wopts}
-	var evidence Evidence
-	if objective.NeedsProfile() {
-		if evidence.Profile, err = p.Profile(ctx); err != nil {
-			return nil, err
-		}
-	}
+	ev := &evaluator{p: p, prog: prog, regions: regions, cap: capacity}
 
 	// modelledEnergy memoizes Options.Energy per evaluation.
 	modelledEnergy := func(e *evaluation) float64 {
@@ -429,8 +357,7 @@ func run(ctx context.Context, p *pipeline.Pipeline, regions []obj.Region, capaci
 	}
 	// better reports whether cand beats the incumbent: a strictly lower
 	// bound always wins; on an equal bound the tie-break (lower modelled
-	// energy) decides, or, without an energy model, the newcomer wins
-	// (legacy behaviour).
+	// energy) decides, or, without an energy model, the newcomer wins.
 	better := func(cand, incumbent *evaluation) bool {
 		if cand.wcet != incumbent.wcet {
 			return cand.wcet < incumbent.wcet
@@ -474,11 +401,10 @@ func run(ctx context.Context, p *pipeline.Pipeline, regions []obj.Region, capaci
 
 	for i := 0; i < opts.maxIter(); i++ {
 		mFixpointIters.Inc()
-		evidence.Witness = best.witness
-		items := Candidates(prog, evidence, objective, capacity)
+		items := Candidates(prog, WCETBenefit(best.witness), capacity)
 		// Warm-start the branch & bound with the previous accepted
 		// allocation's value under the re-priced benefits.
-		alloc, err := SolveItemsSeeded(ctx, items, capacity, solver, best.inSPM)
+		alloc, err := Knapsack(ctx, items, capacity, best.inSPM)
 		if err != nil {
 			return nil, fmt.Errorf("alloc: %w", err)
 		}
@@ -518,8 +444,6 @@ func run(ctx context.Context, p *pipeline.Pipeline, regions []obj.Region, capaci
 	r.InSPM = best.inSPM
 	r.Used = best.used
 	r.WCET = best.wcet
-	evidence.Witness = best.witness
-	r.Benefit = placementBenefit(prog, evidence, objective, best.inSPM)
 	if sp != nil {
 		bounds := make([]string, len(r.Iterations))
 		for i, it := range r.Iterations {
@@ -530,29 +454,6 @@ func run(ctx context.Context, p *pipeline.Pipeline, regions []obj.Region, capaci
 		sp.SetAttr("converged", r.Converged)
 	}
 	return r, nil
-}
-
-// placementBenefit totals the objective value of one placement under the
-// given evidence. The sum runs in sorted name order: float addition is not
-// associative, so summing in map iteration order would make the reported
-// benefit differ in the last ulp between runs.
-func placementBenefit(prog *obj.Program, ev Evidence, objective Objective, inSPM map[string]bool) float64 {
-	names := make([]string, 0, len(inSPM))
-	for name, in := range inSPM {
-		if in {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	var total float64
-	for _, name := range names {
-		if o := prog.Object(name); o != nil {
-			if b := objective.Benefit(ev, o); b > 0 {
-				total += b
-			}
-		}
-	}
-	return total
 }
 
 // fittingSeed normalises a seed allocation to its true entries, dropping

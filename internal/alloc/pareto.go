@@ -11,15 +11,15 @@ import (
 	"repro/internal/wcet"
 )
 
-// Budgeted is the engine's multi-objective mode as a pipeline.Allocator:
-// the ε-constraint solve behind one Pareto-front point. It maximises
-// energy benefit on the typical input subject to a budget on the
-// *certified* WCET bound: the witness provides a linear model of the
-// bound, the ILP solves the bi-objective knapsack, a full re-analysis
-// certifies the result, and the loop refines the witness until a certified
-// allocation fits the budget (or the placements repeat / MaxIter is hit,
-// in which case the Fallback allocation — the pure WCET-directed solution,
-// which meets every budget the Pareto scan asks for — is used).
+// Budgeted is one point of the energy/WCET Pareto front as a
+// pipeline.Allocator: the ε-constraint solve that maximises energy benefit
+// on the typical input subject to a budget on the *certified* WCET bound.
+// The witness provides a linear model of the bound, the ILP solves the
+// bi-objective knapsack, a full re-analysis certifies the result, and the
+// loop refines the witness until a certified allocation fits the budget.
+// When the placements repeat or DefaultMaxIter is hit, the fallback —
+// Directed under the same model, which meets every budget the Pareto scan
+// asks for — is used.
 //
 // Going through pipeline.Allocate gives every point the standard solve
 // memoization: the ConfigKey embeds the budget, so a warm store serves a
@@ -29,38 +29,19 @@ type Budgeted struct {
 	Budget uint64
 	// Model prices the energy objective and identifies it in the key.
 	Model energy.Model
-	// WCET configures the certification analyses; Cache must be nil.
-	WCET wcet.Options
-	// MaxIter bounds the solve→certify refinement rounds (DefaultMaxIter
-	// when zero).
-	MaxIter int
-	// Fallback, when non-nil, supplies the allocation used when no
-	// ε-solve certifies within the budget (the pure WCET-directed policy;
-	// its own solve is memoized and shared with the endpoint). It must be
-	// an object-granularity policy: the energy axis is object-granularity,
-	// so a fallback returning a split placement is rejected with an error.
-	Fallback pipeline.Allocator
 }
 
-// Name identifies the policy.
-func (Budgeted) Name() string { return "pareto" }
+// fallback is the object-granularity WCET-directed policy whose solve
+// anchors every budget (and is shared with the front's WCET endpoint).
+func (b Budgeted) fallback() Directed { return Directed{Model: b.Model} }
 
-// ConfigKey identifies the ε-solve's full configuration — budget, energy
-// model, analysis options, iteration cap and the fallback policy's own
-// ConfigKey — for solve memoization.
+// ConfigKey identifies the ε-solve's full configuration — budget,
+// iteration cap, energy model and the fallback policy's own ConfigKey —
+// for solve memoization. The stack and root fields are always empty; they
+// stay in the key so that stores written with them remain valid.
 func (b Budgeted) ConfigKey() string {
-	fallback := "none"
-	if b.Fallback != nil {
-		if fallback = b.Fallback.ConfigKey(); fallback == "" {
-			return ""
-		}
-	}
-	maxIter := b.MaxIter
-	if maxIter <= 0 {
-		maxIter = DefaultMaxIter
-	}
-	return fmt.Sprintf("pareto|budget=%d|maxiter=%d|energy=%s|stack=%d|root=%s|fallback=(%s)",
-		b.Budget, maxIter, b.Model.Key(), b.WCET.StackBound, b.WCET.Root, fallback)
+	return fmt.Sprintf("pareto|budget=%d|maxiter=%d|energy=%s|stack=0|root=|fallback=(%s)",
+		b.Budget, DefaultMaxIter, b.Model.Key(), b.fallback().ConfigKey())
 }
 
 // Allocate runs the ε-constraint loop at one capacity. The returned
@@ -68,25 +49,16 @@ func (b Budgeted) ConfigKey() string {
 // placement; its certified bound is the pipeline's memoized analysis of
 // the placement (re-derivable by any caller at zero cost).
 func (b Budgeted) Allocate(ctx context.Context, p *pipeline.Pipeline, capacity uint32) (*Allocation, error) {
-	if b.WCET.Cache != nil {
-		return nil, fmt.Errorf("alloc: combined scratchpad+cache analysis is not modelled")
-	}
 	prof, err := p.Profile(ctx)
 	if err != nil {
 		return nil, err
 	}
-	wopts := b.WCET
-	wopts.Witness = true
+	wopts := wcet.Options{Witness: true}
 	base, err := p.Analyze(ctx, capacity, nil, wopts)
 	if err != nil {
 		return nil, err
 	}
-	eob := EnergyObjective{Model: b.Model}
-	wob := WCETObjective{}
-	maxIter := b.MaxIter
-	if maxIter <= 0 {
-		maxIter = DefaultMaxIter
-	}
+	eb := EnergyBenefit(b.Model, prof)
 
 	// best tracks the feasible (certified ≤ budget) allocation with the
 	// highest energy benefit; ties go to the lexicographically smallest
@@ -106,33 +78,24 @@ func (b Budgeted) Allocate(ctx context.Context, p *pipeline.Pipeline, capacity u
 		best = &Allocation{InSPM: inSPM, Benefit: benefit, Used: used}
 	}
 
-	if b.Fallback != nil {
-		fa, err := p.Allocate(ctx, b.Fallback, capacity)
-		if err != nil {
-			return nil, err
-		}
-		if len(fa.Splits) != 0 {
-			// The energy axis is an object-granularity model (fragments are
-			// not profiled objects), so a split placement cannot be priced
-			// consistently with the ε-solves it anchors.
-			return nil, fmt.Errorf("alloc: pareto: fallback %q produced a block-granularity allocation; use an object-granularity policy", b.Fallback.Name())
-		}
-		cert, err := p.Analyze(ctx, capacity, fa.InSPM, wopts)
-		if err != nil {
-			return nil, err
-		}
-		if cert.WCET <= b.Budget {
-			keep(fa.InSPM, placementBenefit(p.Prog, Evidence{Profile: prof}, eob, fa.InSPM))
-		}
+	fa, err := p.Allocate(ctx, b.fallback(), capacity)
+	if err != nil {
+		return nil, err
+	}
+	cert, err := p.Analyze(ctx, capacity, fa.InSPM, wopts)
+	if err != nil {
+		return nil, err
+	}
+	if cert.WCET <= b.Budget {
+		keep(fa.InSPM, placementBenefit(p.Prog, eb, fa.InSPM))
 	}
 
 	incumbent := &evaluation{inSPM: map[string]bool{}, wcet: base.WCET, witness: base.Witness}
 	seen := map[string]bool{allocKey(incumbent.inSPM): true}
 	rounds := 0
 	converged := false
-	for i := 0; i < maxIter; i++ {
-		ev := Evidence{Profile: prof, Witness: incumbent.witness}
-		items, weights := CandidatesBi(p.Prog, ev, eob, wob, capacity)
+	for i := 0; i < DefaultMaxIter; i++ {
+		items, weights := CandidatesBi(p.Prog, eb, WCETBenefit(incumbent.witness), capacity)
 		weightOf := make(map[string]float64, len(items))
 		for j, it := range items {
 			weightOf[it.Name] = weights[j]
@@ -153,7 +116,7 @@ func (b Budgeted) Allocate(ctx context.Context, p *pipeline.Pipeline, capacity u
 		// Warm-start from the placement the model is linearised around;
 		// the seed only engages when that placement meets the ε-constraint
 		// under the refreshed weights.
-		a, err := KnapsackBudgetSeeded(ctx, items, capacity, weights, required, incumbent.inSPM)
+		a, err := KnapsackBudget(ctx, items, capacity, weights, required, incumbent.inSPM)
 		if errors.Is(err, ErrInfeasible) {
 			break // no subset models within budget: fall back
 		}
@@ -225,33 +188,36 @@ type ParetoOptions struct {
 	// Model is the energy model pricing the energy axis (and the
 	// tie-break of the WCET endpoint).
 	Model energy.Model
-	// WCET configures the analyses; Cache must be nil.
-	WCET wcet.Options
-	// Steps is the number of ε intervals between the endpoints: up to
-	// Steps-1 interior budgets are scanned (default 8). Ignored when
-	// Adaptive is set.
-	Steps int
-	// MaxIter bounds each solve's refinement rounds (DefaultMaxIter when
-	// zero).
-	MaxIter int
 	// Adaptive replaces the even ε-step scan with bisection of the largest
 	// certified gap (in either normalised objective) between adjacent front
 	// points, concentrating solves where the front bends. Endpoints are
 	// identical to the even scan's; the front is mutually non-dominated by
 	// the same assembly.
 	Adaptive bool
-	// MaxPoints caps the adaptive front's size, endpoints included
-	// (default DefaultParetoSteps+1, matching the even scan's maximum).
-	// Ignored without Adaptive.
+	// MaxPoints caps the adaptive front's size, endpoints included: 0
+	// means DefaultParetoSteps+1, matching the even scan's maximum, and
+	// any other value must be at least 2 (see Validate). Ignored without
+	// Adaptive.
 	MaxPoints int
 }
 
-// DefaultParetoSteps is the default ε-constraint resolution of a front.
+// Validate rejects a MaxPoints no front can honour: a non-degenerate
+// front always keeps both endpoints, so a cap below 2 (other than 0, the
+// default) would be silently exceeded.
+func (o ParetoOptions) Validate() error {
+	if o.MaxPoints != 0 && o.MaxPoints < 2 {
+		return fmt.Errorf("maxpoints must be an integer ≥ 2 (0 for the default), got %d", o.MaxPoints)
+	}
+	return nil
+}
+
+// DefaultParetoSteps is the ε-constraint resolution of a front: the even
+// scan tries up to DefaultParetoSteps-1 interior budgets.
 const DefaultParetoSteps = 8
 
 // ParetoFront computes the energy/WCET Pareto front at one capacity by an
 // ε-constraint scan: the endpoints are the pure energy-directed and pure
-// WCET-directed allocations (solved by the same engine, memoized under
+// WCET-directed allocations (EnergyAllocator and Directed, memoized under
 // their usual keys), and the interior maximises energy benefit under a
 // stepped budget on the certified WCET bound. Every returned point's bound
 // comes from a full re-analysis, and the returned points are mutually
@@ -263,35 +229,18 @@ const DefaultParetoSteps = 8
 // warm store serves a whole front (endpoints, interior points and their
 // certifications) with zero recomputation.
 func ParetoFront(ctx context.Context, p *pipeline.Pipeline, capacity uint32, opts ParetoOptions) ([]ParetoPoint, error) {
-	if opts.WCET.Cache != nil {
-		return nil, fmt.Errorf("alloc: combined scratchpad+cache analysis is not modelled")
+	if err := opts.Validate(); err != nil {
+		return nil, fmt.Errorf("alloc: pareto: %w", err)
 	}
 	prof, err := p.Profile(ctx)
 	if err != nil {
 		return nil, err
 	}
-	steps := opts.Steps
-	if steps <= 0 {
-		steps = DefaultParetoSteps
-	}
-	eAllocator := EnergyAllocator{Model: opts.Model}
-	wAllocator := Directed{
-		Opts: Options{
-			WCET:      opts.WCET,
-			Energy:    func(inSPM map[string]bool) float64 { return opts.Model.ProgramEnergy(p.Prog, prof, inSPM) },
-			EnergyKey: opts.Model.Key(),
-			MaxIter:   opts.MaxIter,
-		},
-		Seed: eAllocator,
-	}
-	wopts := opts.WCET
-	wopts.Witness = true
-	// The evidence and objective are shared by every point of the front;
-	// the per-placement energy pricing (model evaluation + benefit total)
+	wopts := wcet.Options{Witness: true}
+	// The per-placement energy pricing (model evaluation + benefit total)
 	// is memoized so re-certified placements — common when several budgets
 	// resolve to the same allocation — are priced once.
-	ev := Evidence{Profile: prof}
-	eo := EnergyObjective{Model: opts.Model}
+	eb := EnergyBenefit(opts.Model, prof)
 	type pricing struct {
 		energyNJ, benefit float64
 	}
@@ -303,7 +252,7 @@ func ParetoFront(ctx context.Context, p *pipeline.Pipeline, capacity uint32, opt
 		}
 		pr := pricing{
 			energyNJ: opts.Model.ProgramEnergy(p.Prog, prof, inSPM),
-			benefit:  placementBenefit(p.Prog, ev, eo, inSPM),
+			benefit:  placementBenefit(p.Prog, eb, inSPM),
 		}
 		priced[key] = pr
 		return pr
@@ -327,14 +276,14 @@ func ParetoFront(ctx context.Context, p *pipeline.Pipeline, capacity uint32, opt
 		}, nil
 	}
 
-	ea, err := p.Allocate(ctx, eAllocator, capacity)
+	ea, err := p.Allocate(ctx, EnergyAllocator{Model: opts.Model}, capacity)
 	if err != nil {
 		return nil, err
 	}
 	// The WCET endpoint stays at object granularity: the energy axis is an
 	// object-granularity model (fragments are not profiled objects), so
 	// every point of one front prices identically.
-	wa, err := p.Allocate(ctx, wAllocator, capacity)
+	wa, err := p.Allocate(ctx, Directed{Model: opts.Model}, capacity)
 	if err != nil {
 		return nil, err
 	}
@@ -370,13 +319,7 @@ func ParetoFront(ctx context.Context, p *pipeline.Pipeline, capacity uint32, opt
 	}
 
 	solveBudget := func(budget uint64) (ParetoPoint, error) {
-		ba, err := p.Allocate(ctx, Budgeted{
-			Budget:   budget,
-			Model:    opts.Model,
-			WCET:     opts.WCET,
-			MaxIter:  opts.MaxIter,
-			Fallback: wAllocator,
-		}, capacity)
+		ba, err := p.Allocate(ctx, Budgeted{Budget: budget, Model: opts.Model}, capacity)
 		if err != nil {
 			return ParetoPoint{}, err
 		}
@@ -390,8 +333,8 @@ func ParetoFront(ctx context.Context, p *pipeline.Pipeline, capacity uint32, opt
 	span := E.WCET - W.WCET
 	var budgets []uint64
 	seen := map[uint64]bool{W.WCET: true, E.WCET: true}
-	for k := 1; k < steps; k++ {
-		b := W.WCET + span*uint64(k)/uint64(steps)
+	for k := 1; k < DefaultParetoSteps; k++ {
+		b := W.WCET + span*uint64(k)/uint64(DefaultParetoSteps)
 		if !seen[b] {
 			seen[b] = true
 			budgets = append(budgets, b)
@@ -446,7 +389,7 @@ func assembleFront(W, E ParetoPoint, interior []ParetoPoint) []ParetoPoint {
 // (each round attempts a fresh integer budget, so termination is
 // guaranteed). Endpoints are the same W and E the even scan anchors.
 func adaptiveFront(W, E ParetoPoint, maxPoints int, solveBudget func(uint64) (ParetoPoint, error)) ([]ParetoPoint, error) {
-	if maxPoints <= 0 {
+	if maxPoints == 0 {
 		maxPoints = DefaultParetoSteps + 1
 	}
 	spanW := float64(E.WCET - W.WCET)

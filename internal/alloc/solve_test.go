@@ -45,18 +45,32 @@ func bruteForce(items []Item, capacity uint32, weights []float64, minWeight floa
 	return best
 }
 
-// TestSolversAgree: the branch & bound ILP, the exact DP and the auto
-// front-end all find the brute-force optimum at every capacity.
+// TestSolversAgree: the branch & bound ILP (cold, and warm-started from
+// another solver's optimum), the exact DP and the auto front-end all find
+// the brute-force optimum at every capacity.
 func TestSolversAgree(t *testing.T) {
+	ctx := context.Background()
 	for capacity := uint32(0); capacity <= 100; capacity += 4 {
 		want := bruteForce(testItems, capacity, nil, 0)
-		for _, s := range []Solver{SolverAuto, SolverILP, SolverDP} {
-			a, err := SolveItems(context.Background(), testItems, capacity, s)
+		dp, err := KnapsackDP(ctx, testItems, capacity)
+		if err != nil {
+			t.Fatalf("cap %d dp: %v", capacity, err)
+		}
+		for _, s := range []struct {
+			name  string
+			solve func() (*Allocation, error)
+		}{
+			{"auto", func() (*Allocation, error) { return Solve(ctx, testItems, capacity, nil) }},
+			{"ilp", func() (*Allocation, error) { return Knapsack(ctx, testItems, capacity, nil) }},
+			{"ilp-seeded", func() (*Allocation, error) { return Knapsack(ctx, testItems, capacity, dp.InSPM) }},
+			{"dp", func() (*Allocation, error) { return dp, nil }},
+		} {
+			a, err := s.solve()
 			if err != nil {
-				t.Fatalf("cap %d solver %d: %v", capacity, s, err)
+				t.Fatalf("cap %d solver %s: %v", capacity, s.name, err)
 			}
 			if math.Abs(a.Benefit-want) > 1e-9 {
-				t.Errorf("cap %d solver %d: benefit %v, brute force %v", capacity, s, a.Benefit, want)
+				t.Errorf("cap %d solver %s: benefit %v, brute force %v", capacity, s.name, a.Benefit, want)
 			}
 			var used uint32
 			for i, it := range testItems {
@@ -65,7 +79,7 @@ func TestSolversAgree(t *testing.T) {
 				}
 			}
 			if used > capacity {
-				t.Errorf("cap %d solver %d: overfull (%d bytes)", capacity, s, used)
+				t.Errorf("cap %d solver %s: overfull (%d bytes)", capacity, s.name, used)
 			}
 		}
 	}
@@ -83,7 +97,7 @@ func TestKnapsackBudget(t *testing.T) {
 		{40, 0}, {40, 15}, {40, 30}, {60, 45}, {100, 70}, {24, 25},
 	} {
 		want := bruteForce(testItems, tc.capacity, weights, tc.minWeight)
-		a, err := KnapsackBudget(context.Background(), testItems, tc.capacity, weights, tc.minWeight)
+		a, err := KnapsackBudget(context.Background(), testItems, tc.capacity, weights, tc.minWeight, nil)
 		if math.IsInf(want, -1) {
 			if !errors.Is(err, ErrInfeasible) {
 				t.Errorf("cap %d min %v: want ErrInfeasible, got %v (alloc %+v)", tc.capacity, tc.minWeight, err, a)
@@ -112,7 +126,7 @@ func TestKnapsackBudget(t *testing.T) {
 		}
 	}
 	// No items at a positive floor is infeasible, not an empty solution.
-	if _, err := KnapsackBudget(context.Background(), nil, 64, nil, 1); !errors.Is(err, ErrInfeasible) {
+	if _, err := KnapsackBudget(context.Background(), nil, 64, nil, 1, nil); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("empty items: want ErrInfeasible, got %v", err)
 	}
 }
@@ -121,11 +135,11 @@ func TestKnapsackBudget(t *testing.T) {
 // plain knapsack (the auto solver path).
 func TestKnapsackBudgetNoFloor(t *testing.T) {
 	weights := make([]float64, len(testItems))
-	a, err := KnapsackBudget(context.Background(), testItems, 48, weights, 0)
+	a, err := KnapsackBudget(context.Background(), testItems, 48, weights, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := SolveItems(context.Background(), testItems, 48, SolverAuto)
+	plain, err := Solve(context.Background(), testItems, 48, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,12 @@
 package alloc_test
 
-// WCET-directed scratchpad allocation: the fixpoint under the
-// witness-priced objective, its knapsack solvers, seeding and
-// tie-breaking (block granularity is in granularity_test.go).
+// WCET-directed scratchpad allocation: the witness fixpoint, its knapsack
+// solvers, seeding and tie-breaking (block granularity is in
+// granularity_test.go).
 
 import (
 	"context"
-
+	"fmt"
 	"math/bits"
 	"reflect"
 	"sort"
@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/benchprog"
-	"repro/internal/cache"
 	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/obj"
@@ -48,21 +47,14 @@ int main() {
 }
 `
 
-// allocate runs the WCET-directed fixpoint with the branch & bound ILP
-// knapsack (the paper's solver architecture) on a private pipeline.
+// allocate runs the WCET-directed fixpoint on a private pipeline.
 func allocate(ctx context.Context, prog *obj.Program, capacity uint32, opts alloc.Options) (*alloc.Result, error) {
 	return allocateIn(ctx, pipeline.New(prog), capacity, opts)
 }
 
-// allocateDP runs the same fixpoint with the exact dynamic-programming
-// knapsack.
-func allocateDP(ctx context.Context, prog *obj.Program, capacity uint32, opts alloc.Options) (*alloc.Result, error) {
-	return alloc.Run(ctx, pipeline.New(prog), capacity, alloc.WCETObjective{}, alloc.SolverDP, opts)
-}
-
-// allocateIn runs the ILP fixpoint against a shared pipeline.
+// allocateIn runs the fixpoint against a shared pipeline.
 func allocateIn(ctx context.Context, p *pipeline.Pipeline, capacity uint32, opts alloc.Options) (*alloc.Result, error) {
-	return alloc.Run(ctx, p, capacity, alloc.WCETObjective{}, alloc.SolverILP, opts)
+	return alloc.Run(ctx, p, capacity, opts)
 }
 
 // bruteForceKnapsack enumerates every subset (≤ 2^20) and returns the
@@ -84,15 +76,42 @@ func bruteForceKnapsack(items []alloc.Item, capacity uint32) float64 {
 	return best
 }
 
-// TestKnapsackILPvsDPvsBruteForce: the shared ILP and DP solvers must both
-// find a benefit-optimal set on small object sets, including ties and
-// exact-fit capacities.
+// witnessCandidates returns the candidate lists the fixpoint solves on
+// testProgram at one capacity: its items priced by the witness of every
+// allocation the loop accepts, baseline first.
+func witnessCandidates(t *testing.T, capacity uint32) [][]alloc.Item {
+	t.Helper()
+	prog, err := cc.Compile(testProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := pipeline.New(prog)
+	r, err := allocateIn(context.Background(), p, capacity, alloc.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lists [][]alloc.Item
+	for _, it := range r.Iterations {
+		res, err := p.Analyze(context.Background(), capacity, it.InSPM, wcet.Options{Witness: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lists = append(lists, alloc.Candidates(prog, alloc.WCETBenefit(res.Witness), capacity))
+	}
+	return lists
+}
+
+// TestKnapsackILPvsDPvsBruteForce: the branch & bound ILP, the exact DP
+// and the auto front-end must all find a benefit-optimal set, on small
+// hand-made sets (ties, exact fits) and on the witness-priced lists the
+// fixpoint solves on testProgram.
 func TestKnapsackILPvsDPvsBruteForce(t *testing.T) {
-	cases := []struct {
+	type knapsackCase struct {
 		name     string
 		items    []alloc.Item
 		capacity uint32
-	}{
+	}
+	cases := []knapsackCase{
 		{"empty", nil, 128},
 		{"one-fits", []alloc.Item{{Name: "a", Size: 64, Benefit: 10}}, 64},
 		{"classic", []alloc.Item{
@@ -116,15 +135,29 @@ func TestKnapsackILPvsDPvsBruteForce(t *testing.T) {
 			{Name: "g", Size: 2, Benefit: 1},
 		}, 15},
 	}
+	for _, capacity := range []uint32{64, 128, 512} {
+		lists := witnessCandidates(t, capacity)
+		if len(lists) == 0 || len(lists[0]) == 0 {
+			t.Fatalf("testProgram at %d B: no witness-priced candidates", capacity)
+		}
+		for i, items := range lists {
+			cases = append(cases, knapsackCase{fmt.Sprintf("witness-%dB-iter%d", capacity, i), items, capacity})
+		}
+	}
+	ctx := context.Background()
 	for _, tc := range cases {
 		want := bruteForceKnapsack(tc.items, tc.capacity)
-		ilpA, err := alloc.Knapsack(tc.items, tc.capacity)
+		ilpA, err := alloc.Knapsack(ctx, tc.items, tc.capacity, nil)
 		if err != nil {
 			t.Fatalf("%s: ILP: %v", tc.name, err)
 		}
-		dpA, err := alloc.KnapsackDP(tc.items, tc.capacity)
+		dpA, err := alloc.KnapsackDP(ctx, tc.items, tc.capacity)
 		if err != nil {
 			t.Fatalf("%s: DP: %v", tc.name, err)
+		}
+		autoA, err := alloc.Solve(ctx, tc.items, tc.capacity, nil)
+		if err != nil {
+			t.Fatalf("%s: auto: %v", tc.name, err)
 		}
 		if ilpA.Benefit != want {
 			t.Errorf("%s: ILP benefit %v, brute force %v", tc.name, ilpA.Benefit, want)
@@ -132,33 +165,11 @@ func TestKnapsackILPvsDPvsBruteForce(t *testing.T) {
 		if dpA.Benefit != want {
 			t.Errorf("%s: DP benefit %v, brute force %v", tc.name, dpA.Benefit, want)
 		}
-		if ilpA.Used > tc.capacity || dpA.Used > tc.capacity {
-			t.Errorf("%s: capacity exceeded: ILP %d, DP %d > %d", tc.name, ilpA.Used, dpA.Used, tc.capacity)
+		if autoA.Benefit != want {
+			t.Errorf("%s: auto benefit %v, brute force %v", tc.name, autoA.Benefit, want)
 		}
-	}
-}
-
-// TestAllocateILPvsDP: both fixpoint variants must certify the same bound
-// on a real program across capacities.
-func TestAllocateILPvsDP(t *testing.T) {
-	prog, err := cc.Compile(testProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, size := range []uint32{64, 128, 512} {
-		ilpR, err := allocate(context.Background(), prog, size, alloc.Options{})
-		if err != nil {
-			t.Fatalf("size %d: ILP: %v", size, err)
-		}
-		dpR, err := allocateDP(context.Background(), prog, size, alloc.Options{})
-		if err != nil {
-			t.Fatalf("size %d: DP: %v", size, err)
-		}
-		if ilpR.WCET != dpR.WCET {
-			t.Errorf("size %d: ILP WCET %d != DP WCET %d", size, ilpR.WCET, dpR.WCET)
-		}
-		if ilpR.Baseline != dpR.Baseline {
-			t.Errorf("size %d: baselines differ: %d vs %d", size, ilpR.Baseline, dpR.Baseline)
+		if ilpA.Used > tc.capacity || dpA.Used > tc.capacity || autoA.Used > tc.capacity {
+			t.Errorf("%s: capacity exceeded: ILP %d, DP %d, auto %d > %d", tc.name, ilpA.Used, dpA.Used, autoA.Used, tc.capacity)
 		}
 	}
 }
@@ -207,21 +218,6 @@ func TestFixpointTermination(t *testing.T) {
 			t.Errorf("size %d: not deterministic: %d/%d vs %d/%d iterations",
 				size, r.WCET, len(r.Iterations), r2.WCET, len(r2.Iterations))
 		}
-	}
-}
-
-// TestRejectsCacheConfig: the combined scratchpad+cache system is not
-// modelled and must be rejected up front.
-func TestRejectsCacheConfig(t *testing.T) {
-	prog, err := cc.Compile(testProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = allocate(context.Background(), prog, 256, alloc.Options{
-		WCET: wcet.Options{Cache: &cache.Config{Size: 256}},
-	})
-	if err == nil {
-		t.Fatal("cache config accepted")
 	}
 }
 

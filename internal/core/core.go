@@ -196,17 +196,7 @@ func (l *Lab) WCETAllocator() pipeline.Allocator {
 // WCETAllocatorGran is WCETAllocator at an explicit placement-unit
 // granularity.
 func (l *Lab) WCETAllocatorGran(g alloc.Granularity) pipeline.Allocator {
-	return alloc.Directed{
-		Opts: alloc.Options{Energy: l.placementEnergy, EnergyKey: l.Model.Key(), Granularity: g},
-		Seed: l.EnergyAllocator(),
-	}
-}
-
-// placementEnergy models the average-case energy of one placement; the
-// WCET-directed fixpoint uses it to break ties among equal-WCET
-// allocations.
-func (l *Lab) placementEnergy(inSPM map[string]bool) float64 {
-	return l.Model.ProgramEnergy(l.Prog, l.Profile, inSPM)
+	return alloc.Directed{Model: l.Model, Granularity: g}
 }
 
 // Baseline measures the system with neither scratchpad nor cache.

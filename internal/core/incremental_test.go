@@ -53,7 +53,7 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			regions, err := alloc.HotRegions(context.Background(), lab.Pipe, res0.Witness, link.SPMMax, "")
+			regions, err := alloc.HotRegions(context.Background(), lab.Pipe, res0.Witness, link.SPMMax)
 			if err != nil {
 				t.Fatal(err)
 			}

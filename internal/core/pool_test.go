@@ -21,7 +21,6 @@ type panicky struct {
 	inner pipeline.Allocator
 }
 
-func (a panicky) Name() string      { return "panicky" }
 func (a panicky) ConfigKey() string { return "panicky|" + a.inner.ConfigKey() }
 func (a panicky) Allocate(ctx context.Context, p *pipeline.Pipeline, capacity uint32) (*pipeline.Allocation, error) {
 	if capacity == a.at && a.armed.Load() {

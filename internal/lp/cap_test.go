@@ -31,7 +31,7 @@ func TestIterationCapIsNotInfeasible(t *testing.T) {
 	}
 
 	items := []alloc.Item{{Name: "a", Size: 4, Benefit: 3}, {Name: "b", Size: 4, Benefit: 2}, {Name: "c", Size: 4, Benefit: 1}}
-	_, err := alloc.KnapsackBudget(context.Background(), items, 8, []float64{1, 2, 3}, 1)
+	_, err := alloc.KnapsackBudget(context.Background(), items, 8, []float64{1, 2, 3}, 1, nil)
 	if err == nil || errors.Is(err, alloc.ErrInfeasible) {
 		t.Errorf("alloc.KnapsackBudget: err = %v, want a solver error that is not ErrInfeasible", err)
 	}

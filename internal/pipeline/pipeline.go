@@ -117,13 +117,11 @@ type Allocation struct {
 // The context carries the request's trace (and cancellation, which the
 // stages an allocator calls back into respect).
 type Allocator interface {
-	// Name identifies the allocation policy ("energy", "wcet").
-	Name() string
 	// ConfigKey canonically identifies the policy's *full* configuration
 	// (objective parameters, iteration caps, seed policies, ...), so
-	// Pipeline.Allocate can memoize solves across repeated sweeps. A
-	// policy whose configuration cannot be captured returns "" and runs
-	// unmemoized.
+	// Pipeline.Allocate can memoize solves across repeated sweeps and
+	// processes. It is required: two policies that may solve differently
+	// must never share a key.
 	ConfigKey() string
 	Allocate(ctx context.Context, p *Pipeline, capacity uint32) (*Allocation, error)
 }
@@ -669,23 +667,17 @@ func (p *Pipeline) PrimeProfile(prof *sim.Profile) {
 
 // Allocate runs (memoized) the allocation policy at one capacity. The memo
 // key is the policy's ConfigKey plus the capacity, so repeated sweeps
-// serve the knapsack/fixpoint solves from cache instead of re-solving; a
-// policy whose configuration cannot be captured (ConfigKey() == "") runs
-// unmemoized every time. Keyed solves also persist in the disk tier
-// (stage key "alloc|<ConfigKey>|cap=<n>"), so warm sweeps re-solve zero
-// knapsacks *across processes*, not just within one.
+// serve the knapsack/fixpoint solves from cache instead of re-solving.
+// Solves also persist in the disk tier (stage key
+// "alloc|<ConfigKey>|cap=<n>"), so warm sweeps re-solve zero knapsacks
+// *across processes*, not just within one.
 func (p *Pipeline) Allocate(ctx context.Context, a Allocator, capacity uint32) (*Allocation, error) {
-	solve := func(ctx context.Context, timed timer[*Allocation]) (*Allocation, error) {
-		return timed(func() (*Allocation, error) { return a.Allocate(ctx, p, capacity) })
-	}
-	ck := a.ConfigKey()
-	if ck == "" {
-		return p.alloc.run(ctx, p, fmt.Sprintf("%s|cap=%d", a.Name(), capacity), solve)
-	}
 	return p.alloc.get(ctx, p, request[*Allocation]{
-		key:     fmt.Sprintf("alloc|%s|cap=%d", ck, capacity),
-		attrs:   []obs.Attr{obs.A("capacity", capacity)},
-		compute: solve,
+		key:   fmt.Sprintf("alloc|%s|cap=%d", a.ConfigKey(), capacity),
+		attrs: []obs.Attr{obs.A("capacity", capacity)},
+		compute: func(ctx context.Context, timed timer[*Allocation]) (*Allocation, error) {
+			return timed(func() (*Allocation, error) { return a.Allocate(ctx, p, capacity) })
+		},
 	})
 }
 

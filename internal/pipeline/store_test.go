@@ -168,7 +168,6 @@ type countingAllocator struct {
 	calls *atomic.Int32
 }
 
-func (a countingAllocator) Name() string      { return "counting" }
 func (a countingAllocator) ConfigKey() string { return a.key }
 func (a countingAllocator) Allocate(_ context.Context, p *pipeline.Pipeline, capacity uint32) (*pipeline.Allocation, error) {
 	a.calls.Add(1)
@@ -176,8 +175,7 @@ func (a countingAllocator) Allocate(_ context.Context, p *pipeline.Pipeline, cap
 }
 
 // TestAllocateMemoized: solves are keyed by (ConfigKey, capacity);
-// repeated sweeps hit, distinct capacities and configurations run, and an
-// unkeyable policy (empty ConfigKey) runs every time.
+// repeated sweeps hit, distinct capacities and configurations run.
 func TestAllocateMemoized(t *testing.T) {
 	p := compile(t)
 	var calls atomic.Int32
@@ -209,16 +207,6 @@ func TestAllocateMemoized(t *testing.T) {
 		t.Error("a different configuration must be a different solve")
 	}
 
-	var unkeyed atomic.Int32
-	u := countingAllocator{key: "", calls: &unkeyed}
-	for i := 0; i < 2; i++ {
-		if _, err := p.Allocate(context.Background(), u, 256); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if unkeyed.Load() != 2 {
-		t.Errorf("unkeyable policy solved %d times over 2 requests, want 2", unkeyed.Load())
-	}
 }
 
 // TestOldProfileKeyIsAMiss: a profile stored under the key of the encoding

@@ -29,7 +29,8 @@
 //	    non-dominated ε-constraint points between them, every bound
 //	    certified by a full re-analysis; adaptive=1 switches the front scan
 //	    to bisection of the largest certified gap and maxpoints=<n> caps
-//	    the adaptive front's size. stream=1 switches the response to
+//	    the adaptive front's size (0 for the default, else at least 2).
+//	    stream=1 switches the response to
 //	    chunked JSON lines (application/x-ndjson): one row per line,
 //	    flushed in capacity order as soon as each row's computation
 //	    finishes, with the same rows a buffered response would hold. A
@@ -667,11 +668,15 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		maxPoints := 0
 		if mp := q.Get("maxpoints"); mp != "" {
 			n, perr := strconv.Atoi(mp)
-			if perr != nil || n < 2 {
+			if perr != nil {
 				s.writeError(w, http.StatusBadRequest, "maxpoints must be an integer ≥ 2")
 				return
 			}
 			maxPoints = n
+		}
+		if verr := (alloc.ParetoOptions{Adaptive: adaptive, MaxPoints: maxPoints}).Validate(); verr != nil {
+			s.writeError(w, http.StatusBadRequest, verr.Error())
+			return
 		}
 		sweep = func(ctx context.Context, lab *core.Lab, emit func(any) error) error {
 			// Adaptive scan options apply to this request only: the shard's
