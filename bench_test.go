@@ -466,7 +466,7 @@ func BenchmarkEpsilonKnapsack(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, in := range insts {
-			if _, err := alloc.KnapsackBudget(ctx, in.items, in.capacity, in.weights, in.minWeight, nil); err != nil {
+			if _, err := alloc.KnapsackBudget(ctx, in.items, in.capacity, in.weights, in.minWeight); err != nil {
 				b.Fatal(err)
 			}
 		}

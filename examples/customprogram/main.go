@@ -85,7 +85,7 @@ func main() {
 	// Allocate a 512-byte scratchpad (the energy knapsack over the
 	// profile, solved by branch & bound) and re-link.
 	items := alloc.Candidates(prog, alloc.EnergyBenefit(energy.Default(), prof), 512)
-	placed, err := alloc.Knapsack(context.Background(), items, 512, nil)
+	placed, err := alloc.Knapsack(context.Background(), items, 512)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func (a EnergyAllocator) Allocate(ctx context.Context, p *pipeline.Pipeline, cap
 	if err != nil {
 		return nil, err
 	}
-	return Solve(ctx, Candidates(p.Prog, EnergyBenefit(a.Model, prof), capacity), capacity, nil)
+	return Solve(ctx, Candidates(p.Prog, EnergyBenefit(a.Model, prof), capacity), capacity)
 }
 
 // Directed is the WCET-directed allocation policy as a pipeline.Allocator:

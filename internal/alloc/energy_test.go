@@ -51,7 +51,7 @@ func profileOf(t *testing.T, src string) (*obj.Program, *sim.Profile) {
 
 // allocateEnergy solves the energy knapsack with the branch & bound ILP solver.
 func allocateEnergy(prog *obj.Program, prof *sim.Profile, capacity uint32, m energy.Model) (*alloc.Allocation, error) {
-	return alloc.Knapsack(context.Background(), candidates(prog, prof, m, capacity), capacity, nil)
+	return alloc.Knapsack(context.Background(), candidates(prog, prof, m, capacity), capacity)
 }
 
 // allocateEnergyDP solves the energy knapsack exactly by dynamic programming.

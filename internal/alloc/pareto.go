@@ -82,6 +82,12 @@ func (b Budgeted) Allocate(ctx context.Context, p *pipeline.Pipeline, capacity u
 	if err != nil {
 		return nil, err
 	}
+	// The fallback already derived the energy optimum through the same
+	// stage, so this is a memo hit.
+	ea, err := p.Allocate(ctx, EnergyAllocator{Model: b.Model}, capacity)
+	if err != nil {
+		return nil, err
+	}
 	cert, err := p.Analyze(ctx, capacity, fa.InSPM, wopts)
 	if err != nil {
 		return nil, err
@@ -113,10 +119,11 @@ func (b Budgeted) Allocate(ctx context.Context, p *pipeline.Pipeline, capacity u
 			}
 		}
 		required := pseudoBase - float64(b.Budget)
-		// Warm-start from the placement the model is linearised around;
-		// the seed only engages when that placement meets the ε-constraint
-		// under the refreshed weights.
-		a, err := KnapsackBudget(ctx, items, capacity, weights, required, incumbent.inSPM)
+		// Warm-start from the placements in hand: the one the model is
+		// linearised around, the fallback and the energy optimum. A seed
+		// only engages when it meets the ε-constraint under the refreshed
+		// weights, and the best one that does bounds the search.
+		a, err := KnapsackBudget(ctx, items, capacity, weights, required, incumbent.inSPM, fa.InSPM, ea.InSPM)
 		if errors.Is(err, ErrInfeasible) {
 			break // no subset models within budget: fall back
 		}

@@ -37,24 +37,25 @@ const dpCellBudget = 1 << 22
 // Solve is the knapsack of the energy policy (and of an ε-solve without a
 // floor): the exact dynamic-programming solver when its table fits
 // dpCellBudget (always at paper scale), the branch & bound ILP
-// warm-started from prev otherwise. The "auto" tag of EnergyAllocator's
-// ConfigKey names this choice.
-func Solve(ctx context.Context, items []Item, capacity uint32, prev map[string]bool) (*Allocation, error) {
+// warm-started from the seeds otherwise. The "auto" tag of
+// EnergyAllocator's ConfigKey names this choice.
+func Solve(ctx context.Context, items []Item, capacity uint32, seeds ...map[string]bool) (*Allocation, error) {
 	if int64(len(items))*(int64(capacity)+1) <= dpCellBudget {
 		return KnapsackDP(ctx, items, capacity)
 	}
-	return Knapsack(ctx, items, capacity, prev)
+	return Knapsack(ctx, items, capacity, seeds...)
 }
 
 // Knapsack solves the 0/1 knapsack over the items with the branch & bound
 // ILP solver, mirroring the paper's CPLEX formulation: maximise
 // Σ benefit_i·y_i subject to Σ size_i·y_i ≤ capacity, y_i ∈ {0, 1}.
 //
-// A non-nil prev warm-starts the search from a previous accepted
-// allocation: its value under the *current* item benefits is a feasible
-// incumbent, so only strictly worse subtrees are pruned and the solution
-// is identical to a cold solve (prev == nil).
-func Knapsack(ctx context.Context, items []Item, capacity uint32, prev map[string]bool) (*Allocation, error) {
+// Seeds warm-start the search: each is a placement already in hand (a
+// previous accepted allocation, another policy's answer), and the best
+// value one of them reaches under the *current* item benefits is a
+// feasible incumbent, so only strictly worse subtrees are pruned and the
+// solution is identical to a cold solve (no seeds).
+func Knapsack(ctx context.Context, items []Item, capacity uint32, seeds ...map[string]bool) (*Allocation, error) {
 	_, sp := obs.Start(ctx, "solve", obs.A("items", len(items)), obs.A("capacity", capacity), obs.A("solver", "ilp"))
 	defer sp.End()
 	a := &Allocation{InSPM: map[string]bool{}}
@@ -62,7 +63,7 @@ func Knapsack(ctx context.Context, items []Item, capacity uint32, prev map[strin
 		return a, nil
 	}
 	mSolveILP.Inc()
-	s, err := ilp.SolveOpts(knapsackProblem(items, capacity, nil, 0), seedOptions(items, capacity, prev, nil, 0))
+	s, err := ilp.SolveOpts(knapsackProblem(items, capacity, nil, 0), seedOptions(items, capacity, nil, 0, seeds))
 	if err != nil {
 		return nil, fmt.Errorf("alloc: knapsack: %w", err)
 	}
@@ -78,12 +79,12 @@ var ErrInfeasible = errors.New("alloc: no allocation satisfies the constraint")
 // Σ weight_i·y_i ≥ minWeight, y_i ∈ {0, 1} — maximise the primary
 // objective among allocations the secondary model says stay within budget.
 // Returns ErrInfeasible when no subset reaches minWeight; a non-positive
-// minWeight is the plain knapsack (Solve). A non-nil prev warm-starts the
-// search as in Knapsack, and only when its residents meet the
+// minWeight is the plain knapsack (Solve). Seeds warm-start the search as
+// in Knapsack; a seed engages only when its residents also meet the
 // ε-constraint under the current weights.
-func KnapsackBudget(ctx context.Context, items []Item, capacity uint32, weights []float64, minWeight float64, prev map[string]bool) (*Allocation, error) {
+func KnapsackBudget(ctx context.Context, items []Item, capacity uint32, weights []float64, minWeight float64, seeds ...map[string]bool) (*Allocation, error) {
 	if minWeight <= 0 {
-		return Solve(ctx, items, capacity, prev)
+		return Solve(ctx, items, capacity, seeds...)
 	}
 	if len(items) == 0 {
 		return nil, ErrInfeasible
@@ -92,7 +93,7 @@ func KnapsackBudget(ctx context.Context, items []Item, capacity uint32, weights 
 	mSolveILP.Inc()
 	_, sp := obs.Start(ctx, "solve", obs.A("items", len(items)), obs.A("capacity", capacity), obs.A("solver", "ilp"))
 	defer sp.End()
-	s, err := ilp.SolveOpts(knapsackProblem(items, capacity, weights, minWeight), seedOptions(items, capacity, prev, weights, minWeight))
+	s, err := ilp.SolveOpts(knapsackProblem(items, capacity, weights, minWeight), seedOptions(items, capacity, weights, minWeight, seeds))
 	if err != nil {
 		if errors.Is(err, ilp.ErrInfeasible) {
 			return nil, ErrInfeasible
@@ -104,34 +105,40 @@ func KnapsackBudget(ctx context.Context, items []Item, capacity uint32, weights 
 	return a, nil
 }
 
-// seedOptions derives the warm-start incumbent from a previous allocation:
-// the total benefit of the previous residents still on the item list,
-// provided that subset fits the capacity under the current item sizes and,
-// with weights, meets the ε-constraint (it always fits when the previous
-// allocation did, but the guards keep an unachievable seed from ever
-// pruning the optimum). The sums run in item-list order, which is sorted
-// by name, so the seed is reproducible.
-func seedOptions(items []Item, capacity uint32, prev map[string]bool, weights []float64, minWeight float64) ilp.Options {
-	if len(prev) == 0 {
-		return ilp.Options{}
-	}
-	var value, weight float64
-	var used uint32
-	any := false
-	for i, it := range items {
-		if prev[it.Name] {
-			value += it.Benefit
-			used += it.Size
-			if weights != nil {
-				weight += weights[i]
+// seedOptions derives the warm-start incumbent from the seeds: the highest
+// total benefit, under the current items, of a seed's residents still on
+// the item list, among the seeds whose residents fit the capacity under
+// the current item sizes and, with weights, meet the ε-constraint. A seed
+// that fails either check (or places nothing) is ignored: an unachievable
+// incumbent could prune the optimum away. The sums run in item-list
+// order, which is sorted by name, so the incumbent is reproducible.
+func seedOptions(items []Item, capacity uint32, weights []float64, minWeight float64, seeds []map[string]bool) ilp.Options {
+	var o ilp.Options
+	for _, seed := range seeds {
+		if len(seed) == 0 {
+			continue
+		}
+		var value, weight float64
+		var used uint32
+		any := false
+		for i, it := range items {
+			if seed[it.Name] {
+				value += it.Benefit
+				used += it.Size
+				if weights != nil {
+					weight += weights[i]
+				}
+				any = true
 			}
-			any = true
+		}
+		if !any || used > capacity || (weights != nil && weight < minWeight) {
+			continue
+		}
+		if !o.HasIncumbent || value > o.Incumbent {
+			o = ilp.Options{Incumbent: value, HasIncumbent: true}
 		}
 	}
-	if !any || used > capacity || (weights != nil && weight < minWeight) {
-		return ilp.Options{}
-	}
-	return ilp.Options{Incumbent: value, HasIncumbent: true}
+	return o
 }
 
 // knapsackProblem builds the 0/1 program: the capacity constraint, per-item

@@ -3,7 +3,10 @@ package alloc
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -60,8 +63,8 @@ func TestSolversAgree(t *testing.T) {
 			name  string
 			solve func() (*Allocation, error)
 		}{
-			{"auto", func() (*Allocation, error) { return Solve(ctx, testItems, capacity, nil) }},
-			{"ilp", func() (*Allocation, error) { return Knapsack(ctx, testItems, capacity, nil) }},
+			{"auto", func() (*Allocation, error) { return Solve(ctx, testItems, capacity) }},
+			{"ilp", func() (*Allocation, error) { return Knapsack(ctx, testItems, capacity) }},
 			{"ilp-seeded", func() (*Allocation, error) { return Knapsack(ctx, testItems, capacity, dp.InSPM) }},
 			{"dp", func() (*Allocation, error) { return dp, nil }},
 		} {
@@ -97,7 +100,7 @@ func TestKnapsackBudget(t *testing.T) {
 		{40, 0}, {40, 15}, {40, 30}, {60, 45}, {100, 70}, {24, 25},
 	} {
 		want := bruteForce(testItems, tc.capacity, weights, tc.minWeight)
-		a, err := KnapsackBudget(context.Background(), testItems, tc.capacity, weights, tc.minWeight, nil)
+		a, err := KnapsackBudget(context.Background(), testItems, tc.capacity, weights, tc.minWeight)
 		if math.IsInf(want, -1) {
 			if !errors.Is(err, ErrInfeasible) {
 				t.Errorf("cap %d min %v: want ErrInfeasible, got %v (alloc %+v)", tc.capacity, tc.minWeight, err, a)
@@ -126,7 +129,7 @@ func TestKnapsackBudget(t *testing.T) {
 		}
 	}
 	// No items at a positive floor is infeasible, not an empty solution.
-	if _, err := KnapsackBudget(context.Background(), nil, 64, nil, 1, nil); !errors.Is(err, ErrInfeasible) {
+	if _, err := KnapsackBudget(context.Background(), nil, 64, nil, 1); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("empty items: want ErrInfeasible, got %v", err)
 	}
 }
@@ -135,16 +138,85 @@ func TestKnapsackBudget(t *testing.T) {
 // plain knapsack (the auto solver path).
 func TestKnapsackBudgetNoFloor(t *testing.T) {
 	weights := make([]float64, len(testItems))
-	a, err := KnapsackBudget(context.Background(), testItems, 48, weights, 0, nil)
+	a, err := KnapsackBudget(context.Background(), testItems, 48, weights, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Solve(context.Background(), testItems, 48, nil)
+	plain, err := Solve(context.Background(), testItems, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Benefit != plain.Benefit {
 		t.Errorf("no-floor budget solve benefit %v, plain %v", a.Benefit, plain.Benefit)
+	}
+}
+
+// TestKnapsackBudgetSeedsChangeNothing: on random ε-constrained knapsacks,
+// seeding the search with random placements — ones that fit and meet the
+// floor, ones that overflow the capacity or miss the floor, and the
+// unseeded optimum itself — returns exactly the unseeded answer: the same
+// error, placement and benefit bits. Small integral benefits make tied
+// optima common.
+func TestKnapsackBudgetSeedsChangeNothing(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(1))
+	engaged, ignored := 0, 0
+	for trial := 0; trial < 300; trial++ {
+		n := 4 + rng.Intn(9)
+		items := make([]Item, n)
+		weights := make([]float64, n)
+		var total uint32
+		for i := range items {
+			items[i] = Item{Name: fmt.Sprintf("o%02d", i), Size: 4 * uint32(1+rng.Intn(8))}
+			if trial%2 == 0 {
+				items[i].Benefit = float64(1 + rng.Intn(6))
+				weights[i] = float64(rng.Intn(5))
+			} else {
+				items[i].Benefit = 100 * rng.Float64()
+				weights[i] = 50 * rng.Float64()
+			}
+			total += items[i].Size
+		}
+		capacity := uint32(rng.Intn(int(total) + 1))
+		var wsum float64
+		for _, w := range weights {
+			wsum += w
+		}
+		minWeight := wsum * rng.Float64() * 0.8
+		want, wantErr := KnapsackBudget(ctx, items, capacity, weights, minWeight)
+		seeds := []map[string]bool{nil, {}}
+		for k := 0; k < 6; k++ {
+			seed := map[string]bool{}
+			for _, it := range items {
+				if rng.Intn(3) == 0 {
+					seed[it.Name] = true
+				}
+			}
+			seeds = append(seeds, seed)
+		}
+		if want != nil {
+			seeds = append(seeds, want.InSPM)
+		}
+		for k := range seeds {
+			if seedOptions(items, capacity, weights, minWeight, seeds[k:k+1]).HasIncumbent {
+				engaged++
+			} else {
+				ignored++
+			}
+			for _, set := range [][]map[string]bool{seeds[k : k+1], seeds[:k+1]} {
+				got, err := KnapsackBudget(ctx, items, capacity, weights, minWeight, set...)
+				if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+					t.Fatalf("trial %d seeds %v: error %v, unseeded %v", trial, set, err, wantErr)
+				}
+				if err == nil && (!reflect.DeepEqual(got.InSPM, want.InSPM) || got.Benefit != want.Benefit || got.Used != want.Used) {
+					t.Fatalf("trial %d seeds %v: %+v, unseeded %+v", trial, set, got, want)
+				}
+			}
+		}
+	}
+	t.Logf("%d seeds engaged, %d ignored", engaged, ignored)
+	if engaged == 0 || ignored == 0 {
+		t.Fatalf("%d seeds engaged and %d were ignored; want both", engaged, ignored)
 	}
 }
 

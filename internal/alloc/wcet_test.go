@@ -147,7 +147,7 @@ func TestKnapsackILPvsDPvsBruteForce(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range cases {
 		want := bruteForceKnapsack(tc.items, tc.capacity)
-		ilpA, err := alloc.Knapsack(ctx, tc.items, tc.capacity, nil)
+		ilpA, err := alloc.Knapsack(ctx, tc.items, tc.capacity)
 		if err != nil {
 			t.Fatalf("%s: ILP: %v", tc.name, err)
 		}
@@ -155,7 +155,7 @@ func TestKnapsackILPvsDPvsBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: DP: %v", tc.name, err)
 		}
-		autoA, err := alloc.Solve(ctx, tc.items, tc.capacity, nil)
+		autoA, err := alloc.Solve(ctx, tc.items, tc.capacity)
 		if err != nil {
 			t.Fatalf("%s: auto: %v", tc.name, err)
 		}

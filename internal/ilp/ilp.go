@@ -32,6 +32,8 @@ var (
 		"Branch & bound ILP solves (knapsack and IPET programs).")
 	mNodes = obs.Default.Counter("wcetlab_ilp_nodes_total",
 		"Branch & bound nodes explored across all ILP solves.")
+	mSeeded = obs.Default.Counter("wcetlab_ilp_seeded_solves_total",
+		"Branch & bound ILP solves whose search started from a seeded incumbent.")
 	mColdDegenerate = obs.Default.Counter("wcetlab_ilp_cold_resolves_total", coldHelp,
 		"reason", "degenerate")
 	mColdIncumbent = obs.Default.Counter("wcetlab_ilp_cold_resolves_total", coldHelp,
@@ -103,6 +105,9 @@ func SolveOpts(p *Problem, o Options) (Solution, error) {
 	}
 	s, st, err := solve(p, o)
 	mSolves.Inc()
+	if o.HasIncumbent {
+		mSeeded.Inc()
+	}
 	mNodes.Add(uint64(st.Nodes))
 	mColdDegenerate.Add(uint64(st.Degenerate))
 	mColdIncumbent.Add(uint64(st.Incumbent))

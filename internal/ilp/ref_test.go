@@ -109,11 +109,15 @@ func refSolveOpts(p *ilp.Problem, o ilp.Options) (ilp.Solution, int, error) {
 // and the IPET programs certifying each point — and re-solves each with
 // the production search and with the clone-per-node reference, which
 // solves every node cold: the node counts, outcomes and solutions must be
-// identical. The sweeps must exercise both the production search's cold
-// fallback for possibly tied optima and its dual proof of infeasibility.
+// identical. A program solved from a seeded incumbent is also solved by
+// the reference without it: the seed must change neither the error nor
+// the solution's bits, and must not add nodes. The sweeps must exercise
+// both the production search's cold fallback for possibly tied optima
+// and its dual proof of infeasibility, and must seed some search.
 func TestSearchMatchesCloneReference(t *testing.T) {
 	var total ilp.Search
 	knapsacks, branched := 0, 0
+	seeded, seededNodes, unseededNodes := 0, 0, 0
 	for _, bench := range []string{"G.721", "ADPCM", "MultiSort"} {
 		l, err := core.NewLabByName(bench)
 		if err != nil {
@@ -145,6 +149,22 @@ func TestSearchMatchesCloneReference(t *testing.T) {
 			if got.Status != want.Status || got.Obj != want.Obj || fmt.Sprint(got.X) != fmt.Sprint(want.X) {
 				t.Fatalf("%s program %d: solution %+v, reference %+v", bench, i, got, want)
 			}
+			if c.o.HasIncumbent {
+				// The seed may only prune: the unseeded reference must
+				// return the same answer, with no fewer nodes.
+				o := c.o
+				o.Incumbent, o.HasIncumbent = 0, false
+				cold, coldNodes, coldErr := refSolveOpts(c.p, o)
+				if fmt.Sprint(err) != fmt.Sprint(coldErr) || got.Obj != cold.Obj || fmt.Sprint(got.X) != fmt.Sprint(cold.X) {
+					t.Fatalf("%s program %d: seeded with %v: solution %+v (err %v), unseeded %+v (err %v)", bench, i, c.o.Incumbent, got, err, cold, coldErr)
+				}
+				if nodes > coldNodes {
+					t.Fatalf("%s program %d: seeded with %v: %d nodes, unseeded %d", bench, i, c.o.Incumbent, nodes, coldNodes)
+				}
+				seeded++
+				seededNodes += nodes
+				unseededNodes += coldNodes
+			}
 			for _, con := range c.p.LP.Cons {
 				if con.Rel == lp.GE {
 					knapsacks++
@@ -162,8 +182,12 @@ func TestSearchMatchesCloneReference(t *testing.T) {
 		t.Logf("%s: %d programs", bench, len(calls))
 	}
 	t.Logf("%d ε-knapsacks, %d branched; %+v", knapsacks, branched, total)
+	t.Logf("%d seeded programs: %d nodes, %d unseeded", seeded, seededNodes, unseededNodes)
 	if knapsacks == 0 || branched == 0 {
 		t.Fatalf("the sweeps solved %d ε-knapsacks, %d of their programs branched; want both", knapsacks, branched)
+	}
+	if seeded == 0 {
+		t.Fatal("the sweeps solved no program from a seeded incumbent")
 	}
 	if total.Degenerate == 0 || total.Infeasible == 0 {
 		t.Fatalf("searches took %d degenerate fallbacks and proved %d dual children infeasible; want both", total.Degenerate, total.Infeasible)

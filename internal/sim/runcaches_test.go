@@ -24,6 +24,13 @@ func matchesReference(t *testing.T, what string, exe *link.Executable, cfgs []ca
 	if err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
+	pricedAsReference(t, what, exe, cfgs, got)
+}
+
+// pricedAsReference fails unless got[i] equals a run of cfgs[i] on the
+// reference bus, for every i.
+func pricedAsReference(t *testing.T, what string, exe *link.Executable, cfgs []cache.Config, got []*sim.Result) {
+	t.Helper()
 	for i, cfg := range cfgs {
 		want, err := refRun(exe, cfg)
 		if err != nil {
@@ -34,6 +41,14 @@ func matchesReference(t *testing.T, what string, exe *link.Executable, cfgs []ca
 		}
 	}
 }
+
+// shapeGroups splits allShapes into runs of the reference bus of about
+// equal cost: the direct-mapped capacities up to 512 B, those from 1 KB,
+// and the other shapes.
+var shapeGroups = []struct {
+	name   string
+	lo, hi int // allShapes()[lo:hi]
+}{{"direct-mapped-16B-512B", 0, 6}, {"direct-mapped-1KB-64KB", 6, 13}, {"other-shapes", 13, 17}}
 
 // allShapes is every direct-mapped capacity from 16 B to 64 KB, then a
 // 2-way, a 4-way, an instruction-only and a 32-byte-line cache.
@@ -50,10 +65,24 @@ func allShapes() []cache.Config {
 // TestRunCachesMatchesReference: on every benchmark, without a scratchpad
 // and under energy allocations, one pass prices every cache shape as the
 // reference bus does; so it does on generated programs under random
-// configuration batches and placements.
+// configuration batches and placements. The reference runs of each
+// benchmark's shapes are split into parallel subtests by shapeGroups.
 func TestRunCachesMatchesReference(t *testing.T) {
 	forBenchmarks(t, []uint32{0, 512, 4096}, func(t *testing.T, what string, exe *link.Executable) {
-		matchesReference(t, what, exe, allShapes())
+		cfgs := allShapes()
+		if n := shapeGroups[len(shapeGroups)-1].hi; n != len(cfgs) {
+			t.Fatalf("shapeGroups cover %d shapes, allShapes has %d", n, len(cfgs))
+		}
+		got, err := sim.RunCaches(exe, cfgs)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		for _, g := range shapeGroups {
+			t.Run(g.name, func(t *testing.T) {
+				t.Parallel()
+				pricedAsReference(t, what, exe, cfgs[g.lo:g.hi], got[g.lo:g.hi])
+			})
+		}
 	})
 	t.Run("generated", func(t *testing.T) {
 		t.Parallel()

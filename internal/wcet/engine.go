@@ -86,11 +86,11 @@ func (c *classCounts) add(o classCounts) {
 // exit states it was computed from, its exit state, the entry state its
 // call blocks feed each callee, its per-block cycle costs and its
 // classification counts. Records and their states are immutable once
-// built; a record's states return to the pool only once it is replaced
-// (release). Reusing one for the same inputs is bit-identical to
-// re-running the solve.
+// built; a record's states return to the pass's pool only once it is
+// replaced (release). Reusing one for the same inputs is bit-identical to
+// re-running the solve. Records live for one pass: the engine keeps only
+// their costs and counts.
 type mustRecord struct {
-	size       uint32               // cache capacity: the states' geometry
 	entry      *mustState           // nil: not reached
 	calleeExit []*mustState         // per skelFunc.callees entry, as read
 	exit       *mustState           // nil: no return block reached
@@ -102,9 +102,10 @@ type mustRecord struct {
 // engineFunc is one function's per-engine analysis state.
 type engineFunc struct {
 	// cost is the block costs the next IPET solve prices: re-priced in
-	// place without a cache, the latest MUST record's with one (rec).
-	cost []int64
-	rec  *mustRecord
+	// place without a cache, the latest MUST pass's with one. counts is
+	// that pass's classification counts (zero without a cache).
+	cost   []int64
+	counts classCounts
 	// sols records IPET solutions by solve-input signature; sol is the
 	// current one and sig its signature.
 	sols map[string]*FuncSolution
@@ -131,8 +132,8 @@ func putCapped(m map[string]*FuncSolution, k string, v *FuncSolution) {
 // Engine is the incremental WCET analyser of one analysis mode — cache-less,
 // or one cache shape — built on a shared Skeleton. It holds only what
 // depends on the mode and the placement: the stack bound, the layout the
-// current costs reflect, per-function block costs, MUST records and IPET
-// solutions, the MUST state pool and the work counters. Results are
+// current costs reflect, per-function block costs, classification counts
+// and IPET solutions, and the work counters. Results are
 // bit-identical to a from-scratch link + Analyze of the same configuration.
 //
 // Without a cache (nil Options.Cache) every access is priced by the memory
@@ -174,7 +175,6 @@ type Engine struct {
 	lay             []link.ObjLayout
 	laySize, laySpm uint32
 
-	pool   *statePool // scratch states of the latest analysis's cache size
 	keyBuf []byte
 
 	// Counters are atomics so Stats never blocks on an in-flight analysis.
@@ -320,12 +320,10 @@ func (c *Engine) Analyze(ctx context.Context, cacheSize, spmSize uint32, inSPM m
 	var solved uint64
 	for i, name := range sk.order {
 		ef := &c.funcs[i]
-		if ef.rec != nil {
-			res.FetchAlwaysHit += ef.rec.counts.fetchHit
-			res.FetchUnclassified += ef.rec.counts.fetchMiss
-			res.DataAlwaysHit += ef.rec.counts.dataHit
-			res.DataUnclassified += ef.rec.counts.dataMiss
-		}
+		res.FetchAlwaysHit += ef.counts.fetchHit
+		res.FetchUnclassified += ef.counts.fetchMiss
+		res.DataAlwaysHit += ef.counts.dataHit
+		res.DataUnclassified += ef.counts.dataMiss
 		ran, err := c.solveOrAdopt(i)
 		if err != nil {
 			return nil, err

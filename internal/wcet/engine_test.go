@@ -2,6 +2,7 @@ package wcet
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -195,6 +196,86 @@ func TestCacheContextStablePlacementSkipsReanalysis(t *testing.T) {
 	if after := ctx.Stats().FuncsReanalyzed; after != before {
 		t.Fatalf("stable repeat re-analyzed %d functions, want 0", after-before)
 	}
+}
+
+// TestCacheEngineHoldsNoMustState: after each analysis a cache engine
+// keeps only block costs and classification counts of its MUST pass —
+// no abstract cache state and no state pool is reachable from it — so
+// its retained heap does not depend on which capacity it analysed last.
+// The layout-stable fast path still serves the repeat of the last
+// analysis bit-identically without re-running a function.
+func TestCacheEngineHoldsNoMustState(t *testing.T) {
+	base := baseProg(t, cacheCtxSrc)
+	bg := context.Background()
+	for _, assoc := range []int{1, 2} {
+		ccfg := cache.Config{Assoc: assoc}
+		e := engineOn(t, skeletonOf(t, base), Options{Cache: &ccfg})
+		for _, size := range []uint32{128, 1024, 256} {
+			first, err := e.Analyze(bg, size, 256, map[string]bool{"scale": true}, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if path := mustStatePath(reflect.ValueOf(e), "engine", map[uintptr]bool{}); path != "" {
+				t.Fatalf("assoc %d cache %d: the engine still holds MUST state at %s", assoc, size, path)
+			}
+			before := e.Stats().FuncsReanalyzed
+			again, err := e.Analyze(bg, size, 256, map[string]bool{"scale": true}, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := e.Stats().FuncsReanalyzed - before; n != 0 {
+				t.Fatalf("assoc %d cache %d: stable repeat re-analyzed %d functions, want 0", assoc, size, n)
+			}
+			if !reflect.DeepEqual(first, again) {
+				t.Fatalf("assoc %d cache %d: repeat %+v, first %+v", assoc, size, again, first)
+			}
+		}
+	}
+}
+
+var (
+	mustStateType = reflect.TypeOf(mustState{})
+	statePoolType = reflect.TypeOf(statePool{})
+)
+
+// mustStatePath returns the path of the first MUST state or state pool
+// reachable from v, or "" when there is none.
+func mustStatePath(v reflect.Value, path string, seen map[uintptr]bool) string {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() || seen[v.Pointer()] {
+			return ""
+		}
+		seen[v.Pointer()] = true
+		return mustStatePath(v.Elem(), path, seen)
+	case reflect.Interface:
+		if v.IsNil() {
+			return ""
+		}
+		return mustStatePath(v.Elem(), path, seen)
+	case reflect.Struct:
+		if v.Type() == mustStateType || v.Type() == statePoolType {
+			return path
+		}
+		for i := 0; i < v.NumField(); i++ {
+			if p := mustStatePath(v.Field(i), path+"."+v.Type().Field(i).Name, seen); p != "" {
+				return p
+			}
+		}
+	case reflect.Slice, reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			if p := mustStatePath(v.Index(i), fmt.Sprintf("%s[%d]", path, i), seen); p != "" {
+				return p
+			}
+		}
+	case reflect.Map:
+		for it := v.MapRange(); it.Next(); {
+			if p := mustStatePath(it.Value(), fmt.Sprintf("%s[%v]", path, it.Key()), seen); p != "" {
+				return p
+			}
+		}
+	}
+	return ""
 }
 
 // TestCacheContextErrorsMatchLink pins error parity in both engine modes:

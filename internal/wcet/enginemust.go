@@ -100,7 +100,7 @@ func (c *Engine) walkSym(cb *engineBlock, cc cache.Config, lay []link.ObjLayout,
 func (c *Engine) runMust(sf *skelFunc, cc cache.Config, lay []link.ObjLayout, spmSize uint32, entry *mustState, recs []*mustRecord, pool *statePool) (*mustRecord, error) {
 	f := sf.f
 	nb := len(f.Blocks)
-	rec := &mustRecord{size: cc.Size, entry: entry, calleeExit: make([]*mustState, len(sf.callees)), cost: make([]int64, nb)}
+	rec := &mustRecord{entry: entry, calleeExit: make([]*mustState, len(sf.callees)), cost: make([]int64, nb)}
 	for i, callee := range sf.callees {
 		if cr := recs[callee]; cr != nil {
 			rec.calleeExit[i] = cr.exit
@@ -234,12 +234,11 @@ func sameState(a, b *mustState) bool {
 // return to an earlier value and the current record is the only one worth
 // checking. It converges to the same unique MFP as the cold block-level
 // iteration, and returns the number of distinct functions whose solve
-// actually ran and the number of pops served by the current record.
+// actually ran and the number of pops served by the current record. The
+// engine keeps each function's costs and counts; the records, their MUST
+// states and the pass's state pool are dropped when the pass ends.
 func (c *Engine) mustPass(cc cache.Config, lay []link.ObjLayout, spmSize uint32) (reran, reused uint64, err error) {
-	if c.pool == nil || c.pool.cfg.Size != cc.Size {
-		c.pool = newStatePool(cc)
-	}
-	pool, sk := c.pool, c.sk
+	pool, sk := newStatePool(cc), c.sk
 	n := len(sk.funcs)
 	ran := make([]bool, n)
 	recs := make([]*mustRecord, n)
@@ -305,30 +304,23 @@ func (c *Engine) mustPass(cc cache.Config, lay []link.ObjLayout, spmSize uint32)
 			}
 		}
 		if old != nil {
-			// Callers' records may still point at old.exit.
-			old.release(pool, false)
+			old.release(pool)
 		}
 	}
 	for i := range c.funcs {
-		ef := &c.funcs[i]
-		if ef.rec != nil && ef.rec.size == cc.Size {
-			ef.rec.release(pool, true)
-		}
-		ef.rec, ef.cost = recs[i], recs[i].cost
+		c.funcs[i].cost, c.funcs[i].counts = recs[i].cost, recs[i].counts
 	}
 	return reran, reused, nil
 }
 
-// release returns the states a record owns to pool, its exit only when
-// withExit: a later record of the same pass may compare its callee exits
-// with this record's by pointer. The record must not be used afterwards.
-func (rec *mustRecord) release(pool *statePool, withExit bool) {
+// release returns the entry and callee-entry states a replaced record owns
+// to pool. Its exit stays out: a later record of the same pass may compare
+// its callee exits with this record's by pointer. The record must not be
+// used afterwards.
+func (rec *mustRecord) release(pool *statePool) {
 	pool.put(rec.entry)
 	for _, st := range rec.calleeIn {
 		pool.put(st)
 	}
-	if withExit {
-		pool.put(rec.exit)
-	}
-	rec.entry, rec.calleeIn, rec.exit = nil, nil, nil
+	rec.entry, rec.calleeIn = nil, nil
 }
