@@ -67,6 +67,8 @@ fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# go vet's slog analyzer also checks the key/value pairs of every log/slog
+# call (obs.Log), so a dangling key or a non-string key fails here.
 vet:
 	$(GO) vet ./...
 
@@ -129,7 +131,10 @@ warmstore: wcetlab
 # trace with the sweep -> cell -> stage hierarchy in it. The health
 # checks assert liveness answers immediately, readiness flips to 200
 # once the background warmup builds every shard, and the access log the
-# server wrote is line-by-line valid JSON carrying request ids. The
+# server wrote is line-by-line valid JSON carrying request ids. A
+# one-shot subcommand must write nothing to stderr: logging is off unless
+# -log turns it on, and obs.Log is never slog's default logger (-trace
+# makes table1 log "trace written" at info, so a louder default shows). The
 # closing cross-process sequence asserts that re-analysis is
 # deterministic: a cold pareto run seeds a second store, analyses and
 # allocations are evicted, and a fresh process re-deriving them must
@@ -145,6 +150,9 @@ smoke: wcetlab
 		url=$$(sed -n 's#.*"addr":"\(http://[^"]*\)".*#\1#p' "$$dir/serve.log" | head -1); \
 		[ -n "$$url" ] && break; i=$$((i+1)); sleep 0.1; done; \
 	[ -n "$$url" ] || { echo "smoke: server did not start"; cat "$$dir/serve.log"; exit 1; }; \
+	./bin/wcetlab -store off -trace "$$dir/table1.trace" table1 > /dev/null 2> "$$dir/table1.err"; \
+	[ ! -s "$$dir/table1.err" ] || { \
+		echo "smoke: one-shot table1 wrote to stderr:"; cat "$$dir/table1.err"; exit 1; }; \
 	st=0; ./bin/wcetlab -store off pareto MultiSort -adaptive -maxpoints 1 > /dev/null 2>&1 || st=$$?; \
 	[ "$$st" -eq 2 ] || { \
 		echo "smoke: pareto -maxpoints 1 exited $$st, want 2"; exit 1; }; \

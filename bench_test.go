@@ -354,7 +354,7 @@ func BenchmarkSweepParallel(b *testing.B) { benchColdSweep(b, "G.721", 0) }
 func BenchmarkSweepScratchpadCold(b *testing.B) {
 	for _, bench := range benchprog.All() {
 		b.Run(bench.Name, func(b *testing.B) {
-			l, err := core.NewLab(bench)
+			l, err := core.NewLabWithStore(bench, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -502,7 +502,7 @@ func BenchmarkSweepMemoized(b *testing.B) {
 func BenchmarkAll(b *testing.B) {
 	var total pipeline.Stats
 	for i := 0; i < b.N; i++ {
-		sweeps, err := core.SweepAllBenchmarks(context.Background(), 0)
+		sweeps, err := core.SweepAllBenchmarksWithStore(context.Background(), 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -128,7 +128,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "wcetlab:", lerr)
 		os.Exit(2)
 	}
-	obs.DefaultLogger.SetLevel(lvl)
+	obs.LogLevel.Set(lvl)
 	labWorkers = *workers
 	if *traceFile != "" {
 		obs.DefaultTracer.Enable()
@@ -142,7 +142,7 @@ func main() {
 	}
 	artifactStore, err = openStore(*storeDir)
 	if err != nil {
-		obs.Warn(context.Background(), "artifact store disabled", obs.A("err", err.Error()))
+		obs.Log.Warn("artifact store disabled", "err", err)
 		artifactStore, err = nil, nil
 	}
 	switch args[0] {
@@ -226,9 +226,9 @@ func main() {
 		if terr := writeTrace(*traceFile); terr != nil && err == nil {
 			err = fmt.Errorf("trace: %w", terr)
 		} else if terr != nil {
-			obs.Error(context.Background(), "trace write failed", obs.A("err", terr.Error()))
+			obs.Log.Error("trace write failed", "err", terr)
 		} else {
-			obs.Info(context.Background(), "trace written", obs.A("file", *traceFile))
+			obs.Log.Info("trace written", "file", *traceFile)
 		}
 	}
 	// Like the trace, the metrics snapshot is written even on failure — the
@@ -237,7 +237,7 @@ func main() {
 		if merr := writeMetrics(*metricsFile); merr != nil && err == nil {
 			err = fmt.Errorf("metrics: %w", merr)
 		} else if merr != nil {
-			obs.Error(context.Background(), "metrics write failed", obs.A("err", merr.Error()))
+			obs.Log.Error("metrics write failed", "err", merr)
 		}
 	}
 	if err != nil {
@@ -399,9 +399,9 @@ func serve(addr, traceFile string, args []string) error {
 		go func() {
 			<-ctx.Done()
 			if err := snapshotTrace(traceFile); err != nil {
-				obs.Warn(context.Background(), "trace snapshot failed", obs.A("err", err.Error()))
+				obs.Log.Warn("trace snapshot failed", "err", err)
 			} else {
-				obs.Info(context.Background(), "trace snapshot written", obs.A("file", traceFile))
+				obs.Log.Info("trace snapshot written", "file", traceFile)
 			}
 		}()
 	}
@@ -422,13 +422,11 @@ func serve(addr, traceFile string, args []string) error {
 		if *gcInterval > 0 {
 			gcDesc = (*gcInterval).String()
 		}
-		obs.Info(context.Background(), "serving",
-			obs.A("addr", "http://"+bound), obs.A("store", storeDesc), obs.A("gc", gcDesc))
+		obs.Log.Info("serving", "addr", "http://"+bound, "store", storeDesc, "gc", gcDesc)
 	})
 	requests, failures := srv.RequestTotals()
-	obs.Info(context.Background(), "shutdown",
-		obs.A("uptime_s", time.Since(t0).Seconds()),
-		obs.A("requests", requests), obs.A("failures", failures))
+	obs.Log.Info("shutdown", "uptime_s", time.Since(t0).Seconds(),
+		"requests", requests, "failures", failures)
 	return err
 }
 
@@ -461,7 +459,7 @@ func servePprof(ctx context.Context, addr string) error {
 		return fmt.Errorf("pprof: %w", err)
 	}
 	srv := service.NewHTTPServer(mux)
-	obs.Info(ctx, "pprof listening", obs.A("addr", fmt.Sprintf("http://%s/debug/pprof/", ln.Addr())))
+	obs.Log.InfoContext(ctx, "pprof listening", "addr", fmt.Sprintf("http://%s/debug/pprof/", ln.Addr()))
 	go srv.Serve(ln)
 	go func() {
 		<-ctx.Done()

@@ -61,7 +61,7 @@ func TestProgramsMatchReference(t *testing.T) {
 	ctx := context.Background()
 	for _, b := range benchprog.All() {
 		t.Run(b.Name, func(t *testing.T) {
-			lab, err := core.NewLab(b)
+			lab, err := core.NewLabWithStore(b, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -21,7 +21,7 @@ func TestCacheIncrementalMatchesFromScratch(t *testing.T) {
 	for _, b := range append(benchprog.All(), benchprog.WorstCaseSort) {
 		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()
-			lab, err := NewLab(b)
+			lab, err := NewLabWithStore(b, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

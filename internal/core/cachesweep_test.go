@@ -41,7 +41,7 @@ func TestSweepCacheOnePass(t *testing.T) {
 		t.Errorf("cold sweep: %d of %d simulations swept, want all %d", s.SimsSwept, s.Sims, len(PaperSizes))
 	}
 
-	ref, err := NewLab(b)
+	ref, err := NewLabWithStore(b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

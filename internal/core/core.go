@@ -103,16 +103,11 @@ type Lab struct {
 	ParetoMaxPoints int
 }
 
-// NewLab compiles the benchmark and collects its baseline profile.
-func NewLab(b benchprog.Benchmark) (*Lab, error) {
-	return NewLabWithStore(b, nil)
-}
-
-// NewLabWithStore compiles the benchmark with its pipeline backed by the
-// content-addressed artifact store (nil means memory-only): even the
-// baseline profile collected at construction is served from a warm store,
-// so a second process pays zero simulations and zero analyses for work a
-// first process already did.
+// NewLabWithStore compiles the benchmark and collects its baseline
+// profile, with its pipeline backed by the content-addressed artifact
+// store (nil means memory-only): even the baseline profile is served from
+// a warm store, so a second process pays zero simulations and zero
+// analyses for work a first process already did.
 func NewLabWithStore(b benchprog.Benchmark, st *store.Store) (*Lab, error) {
 	prog, err := cc.Compile(b.Source)
 	if err != nil {
@@ -151,21 +146,6 @@ func NewLabByNameWithStore(name string, st *store.Store) (*Lab, error) {
 	return NewLabWithStore(b, st)
 }
 
-// WithStore opens (creating if needed) the artifact store at dir and
-// attaches it to the lab's pipeline as the disk cache tier; the profile
-// collected at construction is flushed to it so later processes skip
-// profiling. Prefer NewLabWithStore when the store is known up front —
-// it serves even this lab's profile from disk. Returns the lab for
-// chaining.
-func (l *Lab) WithStore(dir string) (*Lab, error) {
-	st, err := store.Open(dir)
-	if err != nil {
-		return nil, err
-	}
-	l.Pipe.SetStore(st)
-	return l, nil
-}
-
 // ResetArtifacts discards every cached in-memory link/simulate/analyse
 // artifact (keeping the compiled program and its profile), e.g. to
 // benchmark cold sweeps. An attached artifact store is kept: it is a
@@ -186,15 +166,10 @@ func (l *Lab) EnergyAllocator() pipeline.Allocator {
 	return alloc.EnergyAllocator{Model: l.Model}
 }
 
-// WCETAllocator returns the WCET-directed allocation policy, seeded with
-// the energy allocation (so its bound is never worse than the energy
-// policy's) and with the lab's energy model as the equal-bound tie-break.
-func (l *Lab) WCETAllocator() pipeline.Allocator {
-	return l.WCETAllocatorGran(alloc.GranObject)
-}
-
-// WCETAllocatorGran is WCETAllocator at an explicit placement-unit
-// granularity.
+// WCETAllocatorGran returns the WCET-directed allocation policy at the
+// given placement-unit granularity, seeded with the energy allocation (so
+// its bound is never worse than the energy policy's) and with the lab's
+// energy model as the equal-bound tie-break.
 func (l *Lab) WCETAllocatorGran(g alloc.Granularity) pipeline.Allocator {
 	return alloc.Directed{Model: l.Model, Granularity: g}
 }
@@ -359,14 +334,9 @@ type AllocComparison struct {
 	Converged bool
 }
 
-// WithWCETAllocation runs both allocators at one capacity and measures the
-// resulting systems side by side, placing whole objects.
-func (l *Lab) WithWCETAllocation(ctx context.Context, size uint32) (AllocComparison, error) {
-	return l.WithWCETAllocationGran(ctx, size, alloc.GranObject)
-}
-
-// WithWCETAllocationGran is WithWCETAllocation at an explicit placement-
-// unit granularity. The WCET-directed solve goes through the pipeline's
+// WithWCETAllocationGran runs both allocators at one capacity, placing
+// units of the given granularity, and measures the resulting systems side
+// by side. The WCET-directed solve goes through the pipeline's
 // allocation stage, so it is memoized across sweeps and persisted in the
 // disk store (warm runs re-solve zero fixpoints); its internal energy-seed
 // solve shares the stage entry the energy Measurement uses, and both
@@ -456,7 +426,7 @@ func recovered[T any](ctx context.Context, f func() (T, error)) (v T, err error)
 	defer func() {
 		if r := recover(); r != nil {
 			mPanics.Inc()
-			obs.Error(ctx, "panic", obs.A("panic", fmt.Sprint(r)), obs.A("stack", string(debug.Stack())))
+			obs.Log.ErrorContext(ctx, "panic", "panic", fmt.Sprint(r), "stack", string(debug.Stack()))
 			err = fmt.Errorf("panic: %v", r)
 		}
 	}()
@@ -586,19 +556,14 @@ type BenchmarkSweep struct {
 	Cache []Measurement
 }
 
-// SweepAllBenchmarks builds a lab for every Table 2 benchmark and runs
-// both sweeps, benchmarks in parallel (each with its own pipeline and
-// worker pool). workers bounds both pools — benchmarks at once, and each
-// lab's capacities at once — so workers 1 runs everything in one
+// SweepAllBenchmarksWithStore builds a lab for every Table 2 benchmark
+// and runs both sweeps, benchmarks in parallel (each with its own pipeline
+// and worker pool). workers bounds both pools — benchmarks at once, and
+// each lab's capacities at once — so workers 1 runs everything in one
 // deterministic order. The slice follows the registry order regardless of
-// completion order; workers ≤ 0 means GOMAXPROCS.
-func SweepAllBenchmarks(ctx context.Context, workers int) ([]BenchmarkSweep, error) {
-	return SweepAllBenchmarksWithStore(ctx, workers, nil)
-}
-
-// SweepAllBenchmarksWithStore is SweepAllBenchmarks with every lab's
-// pipeline backed by the shared artifact store (nil means memory-only):
-// against a warm store the whole sweep recomputes nothing.
+// completion order; workers ≤ 0 means GOMAXPROCS. Every lab's pipeline is
+// backed by the shared artifact store (nil means memory-only): against a
+// warm store the whole sweep recomputes nothing.
 func SweepAllBenchmarksWithStore(ctx context.Context, workers int, st *store.Store) ([]BenchmarkSweep, error) {
 	benches := benchprog.All()
 	out := make([]BenchmarkSweep, 0, len(benches))

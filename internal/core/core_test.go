@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/benchprog"
 	"repro/internal/pipeline"
 )
@@ -299,7 +300,7 @@ func TestParallelSweepMatchesSequential(t *testing.T) {
 // TestSweepAllBenchmarksMatchesPerLab: the all-benchmarks parallel sweep
 // must equal per-benchmark sequential sweeps, in registry order.
 func TestSweepAllBenchmarksMatchesPerLab(t *testing.T) {
-	sweeps, err := SweepAllBenchmarks(context.Background(), 0)
+	sweeps, err := SweepAllBenchmarksWithStore(context.Background(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +331,7 @@ func TestSweepAllBenchmarksMatchesPerLab(t *testing.T) {
 // (timings aside).
 func TestSweepAllBenchmarksRepeatsWork(t *testing.T) {
 	run := func() []pipeline.Stats {
-		sweeps, err := SweepAllBenchmarks(context.Background(), 1)
+		sweeps, err := SweepAllBenchmarksWithStore(context.Background(), 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -361,7 +362,7 @@ func TestWithAllocatorWCETNotWorse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wm, err := l.WithAllocator(context.Background(), l.WCETAllocator(), size)
+		wm, err := l.WithAllocator(context.Background(), l.WCETAllocatorGran(alloc.GranObject), size)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -382,11 +383,11 @@ func TestWCETAllocationDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ca, err := a.WithWCETAllocation(context.Background(), 128)
+	ca, err := a.WithWCETAllocationGran(context.Background(), 128, alloc.GranObject)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb, err := b.WithWCETAllocation(context.Background(), 128)
+	cb, err := b.WithWCETAllocationGran(context.Background(), 128, alloc.GranObject)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,13 +63,13 @@ func TestAllocationGoldens(t *testing.T) {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()
-			lab, err := NewLab(b)
+			lab, err := NewLabWithStore(b, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var rows []goldenRow
 			for _, size := range PaperSizes {
-				c, err := lab.WithWCETAllocation(context.Background(), size)
+				c, err := lab.WithWCETAllocationGran(context.Background(), size, alloc.GranObject)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -77,7 +77,7 @@ func TestAllocationGoldens(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				walloc, err := lab.Pipe.Allocate(context.Background(), lab.WCETAllocator(), size)
+				walloc, err := lab.Pipe.Allocate(context.Background(), lab.WCETAllocatorGran(alloc.GranObject), size)
 				if err != nil {
 					t.Fatal(err)
 				}

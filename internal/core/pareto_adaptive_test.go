@@ -18,7 +18,7 @@ func TestAdaptiveParetoFront(t *testing.T) {
 	for _, b := range benchprog.All() {
 		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()
-			lab, err := NewLab(b)
+			lab, err := NewLabWithStore(b, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

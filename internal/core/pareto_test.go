@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/benchprog"
 	"repro/internal/store"
 	"repro/internal/wcet"
@@ -26,7 +27,7 @@ func TestParetoFrontProperties(t *testing.T) {
 	for _, b := range benchprog.All() {
 		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()
-			lab, err := NewLab(b)
+			lab, err := NewLabWithStore(b, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -43,7 +44,7 @@ func TestParetoFrontProperties(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				walloc, err := lab.Pipe.Allocate(context.Background(), lab.WCETAllocator(), size)
+				walloc, err := lab.Pipe.Allocate(context.Background(), lab.WCETAllocatorGran(alloc.GranObject), size)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -101,7 +102,7 @@ func TestParetoSweepDeterministic(t *testing.T) {
 			t.Parallel()
 			var runs [][]ParetoFrontAt
 			for _, workers := range []int{1, 4, 4} {
-				lab, err := NewLab(b)
+				lab, err := NewLabWithStore(b, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

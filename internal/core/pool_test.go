@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"log/slog"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -47,9 +48,9 @@ func TestSweepRecoversPanic(t *testing.T) {
 	}
 
 	var logs bytes.Buffer
-	old := obs.DefaultLogger
-	obs.DefaultLogger = obs.NewLogger(&logs, obs.LevelError)
-	defer func() { obs.DefaultLogger = old }()
+	old := obs.Log
+	obs.Log = obs.NewLogger(&logs, slog.LevelError)
+	defer func() { obs.Log = old }()
 
 	before := mPanics.Value()
 	ctx := obs.WithRequestID(context.Background(), "panic-rid")

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/benchprog"
 	"repro/internal/link"
 	"repro/internal/pipeline"
@@ -20,7 +21,7 @@ func TestRetimeOracleBenchmarks(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(5))
 	for _, b := range benchprog.All() {
-		l, err := NewLab(b)
+		l, err := NewLabWithStore(b, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,7 +31,7 @@ func TestRetimeOracleBenchmarks(t *testing.T) {
 		}
 		var ps []placement
 		for _, size := range PaperSizes {
-			for _, a := range []pipeline.Allocator{l.EnergyAllocator(), l.WCETAllocator()} {
+			for _, a := range []pipeline.Allocator{l.EnergyAllocator(), l.WCETAllocatorGran(alloc.GranObject)} {
 				al, err := l.Pipe.Allocate(ctx, a, size)
 				if err != nil {
 					t.Fatal(err)

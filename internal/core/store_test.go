@@ -151,13 +151,18 @@ func TestWarmStoreBlockGranularitySweep(t *testing.T) {
 // profile and serves later artifacts to other labs on the same directory.
 func TestLabWithStore(t *testing.T) {
 	dir := t.TempDir()
-	lab, err := core.NewLab(benchprog.WorstCaseSort)
+	attach := func(lab *core.Lab) {
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lab.Pipe.SetStore(st)
+	}
+	lab, err := core.NewLabWithStore(benchprog.WorstCaseSort, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lab.WithStore(dir); err != nil {
-		t.Fatal(err)
-	}
+	attach(lab)
 	if lab.Pipe.Store() == nil {
 		t.Fatal("store not attached")
 	}
@@ -166,13 +171,11 @@ func TestLabWithStore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	other, err := core.NewLab(benchprog.WorstCaseSort)
+	other, err := core.NewLabWithStore(benchprog.WorstCaseSort, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := other.WithStore(dir); err != nil {
-		t.Fatal(err)
-	}
+	attach(other)
 	// The second lab profiled before the store was attached, but its
 	// measurements are served from the first lab's artifacts.
 	got, err := other.Baseline(context.Background())
@@ -190,11 +193,12 @@ func TestLabWithStore(t *testing.T) {
 // TestResetArtifactsKeepsStore: resetting in-memory artifacts must keep
 // the attached store (it is a shared resource, not a per-lab cache).
 func TestResetArtifactsKeepsStore(t *testing.T) {
-	lab, err := core.NewLab(benchprog.WorstCaseSort)
+	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lab.WithStore(t.TempDir()); err != nil {
+	lab, err := core.NewLabWithStore(benchprog.WorstCaseSort, st)
+	if err != nil {
 		t.Fatal(err)
 	}
 	lab.ResetArtifacts()
@@ -207,7 +211,7 @@ func TestResetArtifactsKeepsStore(t *testing.T) {
 // process serves every knapsack solve from the allocation stage's memo
 // (the ROADMAP's "memoize allocation solves" item).
 func TestRepeatedSweepMemoizesAllocations(t *testing.T) {
-	lab, err := core.NewLab(benchprog.WorstCaseSort)
+	lab, err := core.NewLabWithStore(benchprog.WorstCaseSort, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,190 +2,99 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
-	"sync"
-	"sync/atomic"
-	"time"
+	"strings"
 )
 
-// Level is a log severity. Records at or below the logger's level are
-// written; everything else is a single atomic load and a return.
-type Level int32
-
-const (
-	// LevelOff discards every record.
-	LevelOff Level = iota
-	// LevelError passes only error records.
-	LevelError
-	// LevelWarn passes warnings and errors.
-	LevelWarn
-	// LevelInfo passes informational records and above (the serve
-	// default: access log, lifecycle lines).
-	LevelInfo
-	// LevelDebug passes everything, including per-stage debug records.
-	LevelDebug
-)
-
-// String returns the level's lowercase name.
-func (l Level) String() string {
-	switch l {
-	case LevelOff:
-		return "off"
-	case LevelError:
-		return "error"
-	case LevelWarn:
-		return "warn"
-	case LevelInfo:
-		return "info"
-	case LevelDebug:
-		return "debug"
-	}
-	return fmt.Sprintf("level(%d)", int32(l))
-}
+// LevelOff is above every level a record is written at, so a logger at
+// LevelOff writes nothing.
+const LevelOff = slog.LevelError + 4
 
 // ParseLevel parses a -log flag value. Accepted: off, error, warn, info,
-// debug.
-func ParseLevel(s string) (Level, error) {
+// debug — nothing else, not even slog's "INFO+2" offsets.
+func ParseLevel(s string) (slog.Level, error) {
 	switch s {
 	case "off":
 		return LevelOff, nil
 	case "error":
-		return LevelError, nil
+		return slog.LevelError, nil
 	case "warn":
-		return LevelWarn, nil
+		return slog.LevelWarn, nil
 	case "info":
-		return LevelInfo, nil
+		return slog.LevelInfo, nil
 	case "debug":
-		return LevelDebug, nil
+		return slog.LevelDebug, nil
 	}
 	return LevelOff, fmt.Errorf("unknown log level %q (want off, error, warn, info or debug)", s)
 }
 
-// Logger writes leveled, single-line JSON records:
+// LogLevel is Log's level. It starts at LevelOff, so library consumers
+// and one-shot subcommands write nothing unless `wcetlab -log` turns it
+// up.
+var LogLevel = func() *slog.LevelVar {
+	v := new(slog.LevelVar)
+	v.Set(LevelOff)
+	return v
+}()
+
+// Log is the process-wide logger: JSON records on stderr at LogLevel.
+// It is never installed as slog's default, whose handler would write at
+// info level.
+var Log = NewLogger(os.Stderr, LogLevel)
+
+// NewLogger returns a logger writing one JSON record per line to w:
 //
 //	{"ts":"2026-01-02T15:04:05.999Z","level":"info","msg":"serving","addr":"http://…"}
 //
-// Records carry the request id from the context they are written under
-// ("req" key), so a log line correlates with the span tree and the
-// metric series of the same request. Writes are serialised by a mutex —
-// safe for any number of goroutines — and each record is one Write call,
-// so lines never interleave even when w is a shared file descriptor.
-// The zero value is unusable; use NewLogger.
-type Logger struct {
-	level atomic.Int32
-	mu    sync.Mutex
-	w     io.Writer
+// A record written under a context that carries a request id has it as
+// "req" right after "msg", so a log line correlates with the span tree
+// and the metric series of the same request.
+func NewLogger(w io.Writer, level slog.Leveler) *slog.Logger {
+	return slog.New(reqHandler{slog.NewJSONHandler(w, &slog.HandlerOptions{
+		Level:       level,
+		ReplaceAttr: recordKeys,
+	})})
 }
 
-// NewLogger returns a logger writing records at or below level to w.
-func NewLogger(w io.Writer, level Level) *Logger {
-	l := &Logger{w: w}
-	l.level.Store(int32(level))
-	return l
-}
-
-// SetLevel changes the logger's level (atomic; callable at any time).
-func (l *Logger) SetLevel(level Level) { l.level.Store(int32(level)) }
-
-// Level returns the logger's current level.
-func (l *Logger) Level() Level { return Level(l.level.Load()) }
-
-// Enabled reports whether records at the given level would be written.
-// Nil-safe, like every Logger method.
-func (l *Logger) Enabled(level Level) bool {
-	return l != nil && level != LevelOff && Level(l.level.Load()) >= level
-}
-
-// Log writes one record at the given level. Attrs append after the
-// fixed keys in argument order; keys repeat verbatim if the caller
-// repeats them. A nil ctx is allowed and simply omits the request id.
-func (l *Logger) Log(ctx context.Context, level Level, msg string, attrs ...Attr) {
-	if l == nil || !l.Enabled(level) {
-		return
+// recordKeys renames slog's built-in time to "ts" (UTC, milliseconds) and
+// lowercases the level. It sees every attribute, so a caller's own "time"
+// that is not a time.Time passes through untouched instead of panicking.
+func recordKeys(groups []string, a slog.Attr) slog.Attr {
+	if len(groups) > 0 {
+		return a
 	}
-	buf := make([]byte, 0, 128)
-	buf = append(buf, `{"ts":"`...)
-	buf = time.Now().UTC().AppendFormat(buf, "2006-01-02T15:04:05.000Z07:00")
-	buf = append(buf, `","level":"`...)
-	buf = append(buf, level.String()...)
-	buf = append(buf, `","msg":`...)
-	buf = appendJSON(buf, msg)
-	if req := RequestID(ctx); req != "" {
-		buf = append(buf, `,"req":`...)
-		buf = appendJSON(buf, req)
+	switch {
+	case a.Key == slog.TimeKey && a.Value.Kind() == slog.KindTime:
+		return slog.String("ts", a.Value.Time().UTC().Format("2006-01-02T15:04:05.000Z07:00"))
+	case a.Key == slog.LevelKey:
+		return slog.String(slog.LevelKey, strings.ToLower(a.Value.String()))
 	}
-	for _, a := range attrs {
-		buf = append(buf, ',')
-		buf = appendJSON(buf, a.Key)
-		buf = append(buf, ':')
-		buf = appendJSON(buf, a.Value)
+	return a
+}
+
+// reqHandler stamps each record with the request id its context carries.
+type reqHandler struct{ slog.Handler }
+
+func (h reqHandler) Handle(ctx context.Context, r slog.Record) error {
+	if id := RequestID(ctx); id != "" {
+		stamped := slog.NewRecord(r.Time, r.Level, r.Message, r.PC)
+		stamped.AddAttrs(slog.String("req", id))
+		r.Attrs(func(a slog.Attr) bool {
+			stamped.AddAttrs(a)
+			return true
+		})
+		r = stamped
 	}
-	buf = append(buf, '}', '\n')
-	l.mu.Lock()
-	l.w.Write(buf)
-	l.mu.Unlock()
+	return h.Handler.Handle(ctx, r)
 }
 
-// appendJSON appends v's JSON encoding. Values json refuses (NaN,
-// channels, …) degrade to their fmt representation as a JSON string, so
-// a bad attribute can never break the record's syntax.
-func appendJSON(buf []byte, v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		b, _ = json.Marshal(fmt.Sprint(v))
-	}
-	return append(buf, b...)
+func (h reqHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
+	return reqHandler{h.Handler.WithAttrs(attrs)}
 }
 
-// Error writes an error-level record.
-func (l *Logger) Error(ctx context.Context, msg string, attrs ...Attr) {
-	l.Log(ctx, LevelError, msg, attrs...)
+func (h reqHandler) WithGroup(name string) slog.Handler {
+	return reqHandler{h.Handler.WithGroup(name)}
 }
-
-// Warn writes a warn-level record.
-func (l *Logger) Warn(ctx context.Context, msg string, attrs ...Attr) {
-	l.Log(ctx, LevelWarn, msg, attrs...)
-}
-
-// Info writes an info-level record.
-func (l *Logger) Info(ctx context.Context, msg string, attrs ...Attr) {
-	l.Log(ctx, LevelInfo, msg, attrs...)
-}
-
-// Debug writes a debug-level record.
-func (l *Logger) Debug(ctx context.Context, msg string, attrs ...Attr) {
-	l.Log(ctx, LevelDebug, msg, attrs...)
-}
-
-// DefaultLogger is the process-wide logger. It writes to stderr and
-// starts at LevelOff so library consumers and one-shot subcommands emit
-// nothing unless `wcetlab -log` (or SetLevel) turns it up.
-var DefaultLogger = NewLogger(os.Stderr, LevelOff)
-
-// Error writes an error-level record to the default logger.
-func Error(ctx context.Context, msg string, attrs ...Attr) {
-	DefaultLogger.Log(ctx, LevelError, msg, attrs...)
-}
-
-// Warn writes a warn-level record to the default logger.
-func Warn(ctx context.Context, msg string, attrs ...Attr) {
-	DefaultLogger.Log(ctx, LevelWarn, msg, attrs...)
-}
-
-// Info writes an info-level record to the default logger.
-func Info(ctx context.Context, msg string, attrs ...Attr) {
-	DefaultLogger.Log(ctx, LevelInfo, msg, attrs...)
-}
-
-// Debug writes a debug-level record to the default logger.
-func Debug(ctx context.Context, msg string, attrs ...Attr) {
-	DefaultLogger.Log(ctx, LevelDebug, msg, attrs...)
-}
-
-// DebugEnabled reports whether the default logger passes debug records —
-// the guard around per-stage debug logging so formatting costs nothing
-// at lower levels.
-func DebugEnabled() bool { return DefaultLogger.Enabled(LevelDebug) }

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"log/slog"
+	"math"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // syncBuffer serialises writes so the test can read concurrently-written
@@ -29,31 +32,47 @@ func (b *syncBuffer) String() string {
 }
 
 func TestParseLevel(t *testing.T) {
-	for s, want := range map[string]Level{
-		"off": LevelOff, "error": LevelError, "warn": LevelWarn,
-		"info": LevelInfo, "debug": LevelDebug,
+	for s, want := range map[string]slog.Level{
+		"off": LevelOff, "error": slog.LevelError, "warn": slog.LevelWarn,
+		"info": slog.LevelInfo, "debug": slog.LevelDebug,
 	} {
 		got, err := ParseLevel(s)
 		if err != nil || got != want {
 			t.Errorf("ParseLevel(%q) = %v, %v; want %v", s, got, err, want)
 		}
-		if got.String() != s {
-			t.Errorf("Level(%v).String() = %q, want %q", got, got.String(), s)
+	}
+	for _, s := range []string{"verbose", "INFO", "INFO+2", "8", ""} {
+		if _, err := ParseLevel(s); err == nil {
+			t.Errorf("ParseLevel accepted %q", s)
 		}
 	}
-	if _, err := ParseLevel("verbose"); err == nil {
-		t.Error("ParseLevel accepted an unknown level")
+	if LevelOff <= slog.LevelError {
+		t.Errorf("LevelOff %v does not mute error records", LevelOff)
+	}
+}
+
+// TestLogStartsOff: the process logger writes nothing until its level is
+// raised, so one-shot subcommands and library users stay silent.
+func TestLogStartsOff(t *testing.T) {
+	if got := LogLevel.Level(); got != LevelOff {
+		t.Errorf("LogLevel starts at %v, want LevelOff", got)
+	}
+	for _, l := range []slog.Level{slog.LevelDebug, slog.LevelInfo, slog.LevelWarn, slog.LevelError} {
+		if Log.Enabled(context.Background(), l) {
+			t.Errorf("process logger enabled at %v before any -log", l)
+		}
 	}
 }
 
 func TestLoggerLevelFiltering(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLogger(&buf, LevelInfo)
+	var level slog.LevelVar
+	l := NewLogger(&buf, &level)
 	ctx := context.Background()
-	l.Debug(ctx, "hidden")
-	l.Info(ctx, "shown-info")
-	l.Warn(ctx, "shown-warn")
-	l.Error(ctx, "shown-error")
+	l.DebugContext(ctx, "hidden")
+	l.InfoContext(ctx, "shown-info")
+	l.WarnContext(ctx, "shown-warn")
+	l.ErrorContext(ctx, "shown-error")
 	out := buf.String()
 	if strings.Contains(out, "hidden") {
 		t.Error("debug record passed an info-level logger")
@@ -64,21 +83,21 @@ func TestLoggerLevelFiltering(t *testing.T) {
 		}
 	}
 
-	l.SetLevel(LevelOff)
+	level.Set(LevelOff)
 	buf.Reset()
-	l.Error(ctx, "muted")
+	l.ErrorContext(ctx, "muted")
 	if buf.Len() != 0 {
 		t.Error("off-level logger wrote a record")
 	}
-	if l.Enabled(LevelError) {
+	if l.Enabled(ctx, slog.LevelError) {
 		t.Error("Enabled(error) true at level off")
 	}
 
-	l.SetLevel(LevelDebug)
-	if !l.Enabled(LevelDebug) {
+	level.Set(slog.LevelDebug)
+	if !l.Enabled(ctx, slog.LevelDebug) {
 		t.Error("Enabled(debug) false at level debug")
 	}
-	l.Debug(ctx, "now-visible")
+	l.DebugContext(ctx, "now-visible")
 	if !strings.Contains(buf.String(), "now-visible") {
 		t.Error("debug record dropped at debug level")
 	}
@@ -86,9 +105,9 @@ func TestLoggerLevelFiltering(t *testing.T) {
 
 func TestLoggerRecordShape(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLogger(&buf, LevelInfo)
+	l := NewLogger(&buf, slog.LevelInfo)
 	ctx := WithRequestID(context.Background(), "rid-1")
-	l.Info(ctx, `he said "hi"`, A("route", "/v1/wcet"), A("status", 200), A("dur_ms", 1.25))
+	l.InfoContext(ctx, `he said "hi"`, "route", "/v1/wcet", "status", 200, "dur_ms", 1.25)
 
 	line := strings.TrimSuffix(buf.String(), "\n")
 	if strings.Contains(line, "\n") {
@@ -104,13 +123,31 @@ func TestLoggerRecordShape(t *testing.T) {
 	if rec["route"] != "/v1/wcet" || rec["status"] != float64(200) || rec["dur_ms"] != 1.25 {
 		t.Fatalf("attrs wrong: %v", rec)
 	}
-	if _, ok := rec["ts"].(string); !ok {
+	ts, ok := rec["ts"].(string)
+	if !ok {
 		t.Fatalf("missing ts: %v", rec)
+	}
+	if _, err := time.Parse("2006-01-02T15:04:05.000Z", ts); err != nil {
+		t.Errorf("ts %q is not UTC with milliseconds: %v", ts, err)
+	}
+	// The exact wire bytes: fixed keys first, "req" right after "msg".
+	want := `{"ts":"` + ts + `","level":"info","msg":"he said \"hi\"","req":"rid-1","route":"/v1/wcet","status":200,"dur_ms":1.25}`
+	if line != want {
+		t.Errorf("record\n%s\nwant\n%s", line, want)
+	}
+
+	// Every level name is lowercase.
+	buf.Reset()
+	l.WarnContext(ctx, "w")
+	l.ErrorContext(ctx, "e")
+	if out := buf.String(); !strings.Contains(out, `"level":"warn","msg":"w"`) ||
+		!strings.Contains(out, `"level":"error","msg":"e"`) {
+		t.Errorf("level names not lowercase: %s", out)
 	}
 
 	// No request id in context → no req key.
 	buf.Reset()
-	l.Info(context.Background(), "plain")
+	l.Info("plain")
 	rec = nil
 	if err := json.Unmarshal(bytes.TrimSpace(buf.Bytes()), &rec); err != nil {
 		t.Fatal(err)
@@ -120,12 +157,14 @@ func TestLoggerRecordShape(t *testing.T) {
 	}
 }
 
-// TestLoggerConcurrency hammers one logger from many goroutines and
-// asserts every emitted line is intact, valid JSON (run under -race for
-// the data-race half of the guarantee).
+// TestLoggerConcurrency hammers one logger from many goroutines while its
+// level changes and asserts every emitted line is intact, valid JSON (run
+// under -race for the data-race half of the guarantee).
 func TestLoggerConcurrency(t *testing.T) {
 	var buf syncBuffer
-	l := NewLogger(&buf, LevelDebug)
+	var level slog.LevelVar
+	level.Set(slog.LevelDebug)
+	l := NewLogger(&buf, &level)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -133,9 +172,11 @@ func TestLoggerConcurrency(t *testing.T) {
 			defer wg.Done()
 			ctx := WithRequestID(context.Background(), NewRequestID())
 			for i := 0; i < 200; i++ {
-				l.Info(ctx, "msg", A("worker", w), A("i", i))
+				l.LogAttrs(ctx, slog.LevelInfo, "msg", slog.Int("worker", w), slog.Int("i", i))
 				if i%3 == 0 {
-					l.SetLevel(LevelDebug) // concurrent level changes must be safe
+					// Concurrent level changes must be safe; info
+					// records pass at both levels.
+					level.Set([]slog.Level{slog.LevelDebug, slog.LevelInfo}[i%2])
 				}
 			}
 		}(w)
@@ -155,18 +196,10 @@ func TestLoggerConcurrency(t *testing.T) {
 
 func TestLoggerBadAttrDegrades(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLogger(&buf, LevelInfo)
-	l.Info(context.Background(), "bad", A("ch", make(chan int)))
+	l := NewLogger(&buf, slog.LevelInfo)
+	l.Info("bad", "ch", make(chan int), "nan", math.NaN(), "time", "not a time.Time")
 	if !json.Valid(bytes.TrimSpace(buf.Bytes())) {
 		t.Fatalf("unmarshalable attr broke record syntax: %q", buf.String())
-	}
-}
-
-func TestNilLoggerSafe(t *testing.T) {
-	var l *Logger
-	l.Info(context.Background(), "into the void") // must not panic
-	if l.Enabled(LevelInfo) {
-		t.Error("nil logger reports enabled")
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package obs is the repository's dependency-free observability core: a
-// metrics registry, a context-propagated span tracer, a structured
-// logger and a runtime sampler, shared by every layer of the
+// metrics registry, a context-propagated span tracer, the process logger
+// and a runtime sampler, shared by every layer of the
 // analyse/allocate stack.
 //
 // # Metrics
@@ -45,12 +45,13 @@
 //
 // # Logging
 //
-// A Logger writes leveled, single-line JSON records (log.go). Context-
-// aware variants stamp each record with the request id carried by the
-// context. The package-level Default logger writes to stderr and starts
-// at LevelOff; `wcetlab -log {off,info,debug}` sets it (default info for
-// serve, off for one-shot subcommands, keeping golden stdout/stderr
-// byte-identical).
+// Log is the process-wide logger: a log/slog JSON handler on stderr that
+// writes single-line records with the keys ts (UTC, milliseconds), level
+// (lowercase) and msg, plus "req" when the record's context carries a
+// request id (log.go). It starts at LevelOff and is never installed as
+// slog's default; `wcetlab -log off|error|warn|info|debug` sets LogLevel
+// (default info for serve, off for one-shot subcommands, keeping golden
+// stdout/stderr byte-identical).
 package obs
 
 import "context"

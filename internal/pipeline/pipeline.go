@@ -66,6 +66,7 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"reflect"
 	"slices"
 	"sort"
@@ -687,10 +688,7 @@ var (
 	profileCodec = codec[*sim.Profile]{(*store.Store).LoadProfile, (*store.Store).SaveProfile}
 	// wcetCodec loads witness-less entries too: the runner's staleness
 	// check turns them into misses for witness requests.
-	wcetCodec = codec[*wcet.Result]{
-		func(s *store.Store, prog, key string) (*wcet.Result, bool) { return s.LoadWCET(prog, key, false) },
-		(*store.Store).SaveWCET,
-	}
+	wcetCodec  = codec[*wcet.Result]{(*store.Store).LoadWCET, (*store.Store).SaveWCET}
 	allocCodec = codec[*Allocation]{
 		func(s *store.Store, prog, key string) (*Allocation, bool) {
 			art, ok := s.LoadAlloc(prog, key)
@@ -712,14 +710,11 @@ var (
 )
 
 // debugStage emits one debug record per cold stage execution — visible
-// only at `-log debug`, and cost-free below it (one atomic load).
+// only at `-log debug`, and allocation-free below it.
 func (p *Pipeline) debugStage(ctx context.Context, stage, key string, d time.Duration) {
-	if !obs.DebugEnabled() {
-		return
-	}
-	obs.Debug(ctx, "stage",
-		obs.A("stage", stage), obs.A("bench", p.bench), obs.A("key", key),
-		obs.A("dur_ms", float64(d)/float64(time.Millisecond)))
+	obs.Log.LogAttrs(ctx, slog.LevelDebug, "stage",
+		slog.String("stage", stage), slog.String("bench", p.bench), slog.String("key", key),
+		slog.Float64("dur_ms", float64(d)/float64(time.Millisecond)))
 }
 
 // StageLatency reads the per-stage latency histograms back out of the

@@ -137,6 +137,54 @@ func TestDiskWitnessUpgrade(t *testing.T) {
 	}
 }
 
+// TestWitnessRequirement: a fresh pipeline asking for a witness treats a
+// witness-less analysis on disk as stale (TestDiskWitnessUpgrade covers
+// the plain request it still serves): it recomputes and overwrites the
+// entry, after which a third pipeline's witness request is a disk hit
+// carrying the witness.
+func TestWitnessRequirement(t *testing.T) {
+	st := openStore(t)
+
+	p1 := compile(t)
+	p1.SetStore(st)
+	plain, err := p1.Analyze(context.Background(), 0, nil, wcet.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Witness != nil {
+		t.Fatal("plain analysis carries a witness")
+	}
+	p2 := pipeline.New(p1.Prog)
+	p2.SetStore(st)
+	res, err := p2.Analyze(context.Background(), 0, nil, wcet.Options{Witness: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Witness == nil {
+		t.Fatal("witness request answered without a witness")
+	}
+	if res.WCET != plain.WCET {
+		t.Errorf("witness-bearing recompute changed the bound: %d vs %d", res.WCET, plain.WCET)
+	}
+	if s := p2.Stats(); s.Analyses != 1 || s.AnalyzeDiskHits != 0 || s.AnalyzeDiskMisses != 1 {
+		t.Errorf("witness request over a witness-less entry: analyses=%d disk hits=%d misses=%d, want 1/0/1",
+			s.Analyses, s.AnalyzeDiskHits, s.AnalyzeDiskMisses)
+	}
+
+	p3 := pipeline.New(p1.Prog)
+	p3.SetStore(st)
+	got, err := p3.Analyze(context.Background(), 0, nil, wcet.Options{Witness: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Witness == nil || got.WCET != res.WCET {
+		t.Fatal("witness-bearing overwrite not served from disk")
+	}
+	if s := p3.Stats(); s.Analyses != 0 || s.AnalyzeDiskHits != 1 {
+		t.Errorf("third pipeline: analyses=%d disk hits=%d, want 0/1", s.Analyses, s.AnalyzeDiskHits)
+	}
+}
+
 // TestSetStoreFlushesProfile: attaching a store after profiling persists
 // the profile, so a later pipeline skips the profiling simulation.
 func TestSetStoreFlushesProfile(t *testing.T) {

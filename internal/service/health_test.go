@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -100,9 +101,9 @@ func TestRequestIDCorrelation(t *testing.T) {
 	ts, _ := newTestServer(t)
 
 	var buf bytes.Buffer
-	old := obs.DefaultLogger
-	obs.DefaultLogger = obs.NewLogger(&buf, obs.LevelInfo)
-	defer func() { obs.DefaultLogger = old }()
+	old := obs.Log
+	obs.Log = obs.NewLogger(&buf, slog.LevelInfo)
+	defer func() { obs.Log = old }()
 
 	req, err := http.NewRequest("GET", ts.URL+"/v1/healthz", nil)
 	if err != nil {

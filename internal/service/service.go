@@ -73,6 +73,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"runtime"
@@ -212,10 +213,10 @@ func (s *Server) instrumented(route string, h http.HandlerFunc) http.HandlerFunc
 			d := time.Since(t0)
 			lat.Observe(d.Seconds())
 			mInFlight.Add(-1)
-			obs.Info(ctx, "request",
-				obs.A("route", route), obs.A("method", r.Method),
-				obs.A("status", sw.Status()), obs.A("bytes", sw.bytes),
-				obs.A("dur_ms", float64(d)/float64(time.Millisecond)))
+			obs.Log.LogAttrs(ctx, slog.LevelInfo, "request",
+				slog.String("route", route), slog.String("method", r.Method),
+				slog.Int("status", sw.Status()), slog.Int64("bytes", sw.bytes),
+				slog.Float64("dur_ms", float64(d)/float64(time.Millisecond)))
 		}()
 		h(sw, r)
 	}
@@ -349,12 +350,12 @@ func (s *Server) Warmup(ctx context.Context) {
 			return
 		}
 		if _, err := s.lab(name); err != nil {
-			obs.Warn(wctx, "warmup shard failed", obs.A("bench", name), obs.A("err", err.Error()))
+			obs.Log.WarnContext(wctx, "warmup shard failed", "bench", name, "err", err)
 		}
 	}
 	s.warmed.Store(true)
-	obs.Info(wctx, "warmup complete", obs.A("shards", len(s.names)),
-		obs.A("uptime_s", time.Since(s.start).Seconds()))
+	obs.Log.InfoContext(wctx, "warmup complete", "shards", len(s.names),
+		"uptime_s", time.Since(s.start).Seconds())
 }
 
 // Warmed reports whether the background warmup has built every shard.

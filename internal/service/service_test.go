@@ -64,7 +64,7 @@ type measurement struct {
 // (a core.Lab over the same benchmark) computes.
 func TestServeMatchesCLI(t *testing.T) {
 	ts, _ := newTestServer(t)
-	lab, err := core.NewLab(benchprog.WorstCaseSort)
+	lab, err := core.NewLabWithStore(benchprog.WorstCaseSort, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

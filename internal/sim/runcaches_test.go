@@ -106,7 +106,7 @@ func forBenchmarks(t *testing.T, sizes []uint32, check func(t *testing.T, what s
 			what := fmt.Sprintf("%s spm=%d", b.Name, size)
 			t.Run(what, func(t *testing.T) {
 				t.Parallel()
-				lab, err := core.NewLab(b)
+				lab, err := core.NewLabWithStore(b, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

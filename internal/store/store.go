@@ -62,7 +62,7 @@ var (
 	mHeals = obs.Default.Counter("wcetlab_store_corrupt_heals_total",
 		"Corrupt or mistyped entries deleted on read so the slot heals.")
 	mGCRemoved = obs.Default.Counter("wcetlab_store_gc_files_removed_total",
-		"Files removed by store GC/Sweep (expired, evicted, corrupt, stale temporaries).")
+		"Files removed by store GC (expired, evicted, corrupt, stale temporaries).")
 	mGCFreed = obs.Default.Counter("wcetlab_store_gc_bytes_freed_total",
 		"Bytes freed by store GC.")
 )
@@ -83,8 +83,8 @@ const (
 	// fields), keyed by the allocator's ConfigKey and the capacity.
 	KindAlloc Kind = 4
 	// Kind 5 held persisted solver state in earlier builds. It is reserved
-	// and never reused: such entries now read as corrupt, so Sweep and GC
-	// reclaim them.
+	// and never reused: such entries now read as corrupt, so GCPolicy
+	// reclaims them.
 )
 
 // kinds lists every artifact kind this build reads and writes; an entry of
@@ -289,18 +289,14 @@ func (s *Store) SaveSim(progKey, stageKey string, r *sim.Result) error {
 }
 
 // LoadWCET returns the stored analysis result, or ok == false on a miss.
-// When needWitness is set, a stored result without a witness is reported
-// as a miss, so the caller recomputes (and overwrites the entry) with one.
-func (s *Store) LoadWCET(progKey, stageKey string, needWitness bool) (*wcet.Result, bool) {
+// The result carries a witness only if the stored one did.
+func (s *Store) LoadWCET(progKey, stageKey string) (*wcet.Result, bool) {
 	payload := s.read(KindWCET, progKey, stageKey)
 	if payload == nil {
 		return nil, false
 	}
 	r, err := DecodeWCET(payload)
 	if err != nil {
-		return nil, false
-	}
-	if needWitness && r.Witness == nil {
 		return nil, false
 	}
 	return r, true
@@ -389,7 +385,7 @@ type Entry struct {
 }
 
 // Index lists every entry in the store, sorted by name. Corrupt entries
-// are listed (flagged), not silently skipped, so GC and Sweep can report
+// are listed (flagged), not silently skipped, so GCPolicy can remove
 // them.
 func (s *Store) Index() ([]Entry, error) {
 	var entries []Entry
@@ -445,19 +441,6 @@ func (s *Store) Usage() (entries int, bytes int64, err error) {
 		return 0, 0, fmt.Errorf("store: usage: %w", walkErr)
 	}
 	return entries, bytes, nil
-}
-
-// Sweep removes corrupt entries and stale temporary files (left behind by
-// a crashed writer) and returns how many files it removed.
-func (s *Store) Sweep() (removed int, err error) {
-	return s.clean(func(Entry) bool { return false })
-}
-
-// GC removes entries last written before the cutoff (and, like Sweep,
-// corrupt entries and stale temporaries). It returns the number of files
-// removed.
-func (s *Store) GC(cutoff time.Time) (removed int, err error) {
-	return s.clean(func(e Entry) bool { return e.ModTime.Before(cutoff) })
 }
 
 // Policy is a GC retention policy: entries older than MaxAge are removed
@@ -530,46 +513,4 @@ func (s *Store) GCPolicy(now time.Time, pol Policy) (removed int, freed int64, e
 	mGCRemoved.Add(uint64(removed))
 	mGCFreed.Add(uint64(freed))
 	return removed, freed, walkErr
-}
-
-func (s *Store) clean(expired func(Entry) bool) (removed int, err error) {
-	walkErr := filepath.WalkDir(s.dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return err
-		}
-		base := filepath.Base(path)
-		if strings.HasPrefix(base, tmpPrefix) {
-			// A writer that died between CreateTemp and Rename. Any live
-			// writer holds its temp file for well under a minute.
-			if info, err := d.Info(); err == nil && time.Since(info.ModTime()) > time.Minute {
-				if os.Remove(path) == nil {
-					removed++
-				}
-			}
-			return nil
-		}
-		if !strings.HasSuffix(base, entryExt) {
-			return nil
-		}
-		info, err := d.Info()
-		if err != nil {
-			return err
-		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		_, _, ok := parseEntry(raw)
-		if !ok || expired(Entry{ModTime: info.ModTime()}) {
-			if os.Remove(path) == nil {
-				removed++
-			}
-		}
-		return nil
-	})
-	mGCRemoved.Add(uint64(removed))
-	if walkErr != nil {
-		return removed, fmt.Errorf("store: clean: %w", walkErr)
-	}
-	return removed, nil
 }

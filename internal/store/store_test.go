@@ -135,7 +135,7 @@ func TestRoundTripIdentity(t *testing.T) {
 		if err := s.SaveWCET(pk, name, res); err != nil {
 			t.Fatal(err)
 		}
-		got, ok := s.LoadWCET(pk, name, false)
+		got, ok := s.LoadWCET(pk, name)
 		if !ok {
 			t.Fatalf("wcet %s: miss after save", name)
 		}
@@ -225,36 +225,6 @@ func TestCorruptionIsAMiss(t *testing.T) {
 	}
 }
 
-// TestWitnessRequirement: a stored witness-less analysis answers plain
-// requests but reads as a miss when a witness is required; a
-// witness-bearing overwrite serves both.
-func TestWitnessRequirement(t *testing.T) {
-	prog, _, _, wres, _ := artifacts(t)
-	s := open(t)
-	pk := store.ProgramKey(prog)
-	plain := *wres
-	plain.Witness = nil
-	if err := s.SaveWCET(pk, "k", &plain); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.LoadWCET(pk, "k", false); !ok {
-		t.Error("witness-less entry must serve plain requests")
-	}
-	if _, ok := s.LoadWCET(pk, "k", true); ok {
-		t.Error("witness-less entry must miss when a witness is required")
-	}
-	if err := s.SaveWCET(pk, "k", wres); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := s.LoadWCET(pk, "k", true)
-	if !ok || got.Witness == nil {
-		t.Fatal("witness-bearing overwrite not served")
-	}
-	if got.WCET != wres.WCET {
-		t.Error("overwrite changed the bound")
-	}
-}
-
 // TestConcurrentSharedDir: two handles on one directory (two "processes")
 // saving and loading the same artifacts concurrently must stay race-clean
 // and leave a file bit-identical to a fresh encoding.
@@ -289,7 +259,7 @@ func TestConcurrentSharedDir(t *testing.T) {
 				if err := s.SaveWCET(pk, "wcet", wres); err != nil {
 					t.Error(err)
 				}
-				if got, ok := s.LoadWCET(pk, "wcet", true); ok && got.WCET != wres.WCET {
+				if got, ok := s.LoadWCET(pk, "wcet"); ok && got.WCET != wres.WCET {
 					t.Error("concurrent load returned a different bound")
 				}
 			}
@@ -314,14 +284,14 @@ func TestConcurrentSharedDir(t *testing.T) {
 	if got, ok := s1.LoadSim(pk, "sim"); !ok || !bytes.Equal(store.EncodeSim(got), store.EncodeSim(simRes)) {
 		t.Error("surviving sim entry does not agree bit-for-bit")
 	}
-	if got, ok := s2.LoadWCET(pk, "wcet", true); !ok || !bytes.Equal(store.EncodeWCET(got), store.EncodeWCET(wres)) {
+	if got, ok := s2.LoadWCET(pk, "wcet"); !ok || !bytes.Equal(store.EncodeWCET(got), store.EncodeWCET(wres)) {
 		t.Error("surviving wcet entry does not agree bit-for-bit")
 	}
 }
 
 // TestIndexSweepGC: the index lists entries with kinds and flags
-// corruption; Sweep removes corrupt entries and stale temporaries; GC
-// additionally expires old entries.
+// corruption; GCPolicy under the zero policy sweeps out corrupt entries
+// and stale temporaries, and with MaxAge additionally expires old entries.
 func TestIndexSweepGC(t *testing.T) {
 	prog, simRes, prof, wres, _ := artifacts(t)
 	s := open(t)
@@ -390,7 +360,7 @@ func TestIndexSweepGC(t *testing.T) {
 	if corrupt != 1 {
 		t.Errorf("index flags %d corrupt entries, want 1", corrupt)
 	}
-	removed, err := s.Sweep()
+	removed, _, err := s.GCPolicy(time.Now(), store.Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,8 +375,8 @@ func TestIndexSweepGC(t *testing.T) {
 		t.Fatalf("want 2 entries after sweep, have %d", len(entries))
 	}
 
-	// GC with a future cutoff expires everything that remains.
-	removed, err = s.GC(time.Now().Add(time.Hour))
+	// An age cutoff in the future expires everything that remains.
+	removed, _, err = s.GCPolicy(time.Now().Add(2*time.Hour), store.Policy{MaxAge: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +394,7 @@ func TestIndexSweepGC(t *testing.T) {
 
 // TestRetiredKindIsCorrupt: an entry of kind 5, which earlier builds wrote
 // for persisted solver state, carries a valid header and checksum yet reads
-// as corrupt, so Sweep reclaims it and leaves current kinds alone.
+// as corrupt, so GCPolicy reclaims it and leaves current kinds alone.
 func TestRetiredKindIsCorrupt(t *testing.T) {
 	prog, simRes, prof, _, _ := artifacts(t)
 	s := open(t)
@@ -459,7 +429,7 @@ func TestRetiredKindIsCorrupt(t *testing.T) {
 	if _, err := store.ParseKind("solverstate"); err == nil {
 		t.Error("retired kind name still parses")
 	}
-	removed, err := s.Sweep()
+	removed, _, err := s.GCPolicy(time.Now(), store.Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}
