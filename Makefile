@@ -123,7 +123,9 @@ warmstore: wcetlab
 # ephemeral port, make one /v1/wcet request and one /v1/stats request
 # against it, sweep the Pareto branch both buffered and streamed and
 # verify the streamed JSON lines carry exactly the buffered array's rows,
-# then exercise the store GC policy against the artifacts the server just
+# do the same for an adaptive sweep capped at four points, re-sweep the
+# default branch and require the first default sweep's rows (scan options
+# belong to their request), then exercise the store GC policy against the artifacts the server just
 # wrote. (The whitespace-stripping comparison is sound here because no
 # JSON string in a sweep row contains whitespace.) The /v1/metrics scrapes
 # bracketing the requests assert the stage and HTTP counters actually
@@ -134,7 +136,9 @@ warmstore: wcetlab
 # server wrote is line-by-line valid JSON carrying request ids. A
 # one-shot subcommand must write nothing to stderr: logging is off unless
 # -log turns it on, and obs.Log is never slog's default logger (-trace
-# makes table1 log "trace written" at info, so a louder default shows). The
+# makes table1 log "trace written" at info, so a louder default shows).
+# `witness -path` must walk from the program entry, listing the __start
+# stub the bound charges for. The
 # closing cross-process sequence asserts that re-analysis is
 # deterministic: a cold pareto run seeds a second store, analyses and
 # allocations are evicted, and a fresh process re-deriving them must
@@ -153,6 +157,8 @@ smoke: wcetlab
 	./bin/wcetlab -store off -trace "$$dir/table1.trace" table1 > /dev/null 2> "$$dir/table1.err"; \
 	[ ! -s "$$dir/table1.err" ] || { \
 		echo "smoke: one-shot table1 wrote to stderr:"; cat "$$dir/table1.err"; exit 1; }; \
+	./bin/wcetlab -store off witness ADPCM 3 -path | grep -q '^__start @' || { \
+		echo "smoke: witness -path does not list the __start stub"; exit 1; }; \
 	st=0; ./bin/wcetlab -store off pareto MultiSort -adaptive -maxpoints 1 > /dev/null 2>&1 || st=$$?; \
 	[ "$$st" -eq 2 ] || { \
 		echo "smoke: pareto -maxpoints 1 exited $$st, want 2"; exit 1; }; \
@@ -181,6 +187,16 @@ smoke: wcetlab
 		diff "$$dir/pareto.buf" "$$dir/pareto.str" | head -5; exit 1; }; \
 	grep -q '"kind":"' "$$dir/pareto.buf" || { \
 		echo "smoke: pareto sweep returned no points"; exit 1; }; \
+	curl -fsS "$$url/v1/sweep?bench=WorstCaseSort&branch=pareto&adaptive=1&maxpoints=4" | tr -d ' \n' > "$$dir/adaptive.buf"; \
+	curl -fsS "$$url/v1/sweep?bench=WorstCaseSort&branch=pareto&adaptive=1&maxpoints=4&stream=1" \
+		| paste -sd, - | sed 's/^/[/; s/$$/]/' | tr -d ' \n' > "$$dir/adaptive.str"; \
+	cmp -s "$$dir/adaptive.buf" "$$dir/adaptive.str" || { \
+		echo "smoke: streamed adaptive pareto sweep differs from buffered:"; \
+		diff "$$dir/adaptive.buf" "$$dir/adaptive.str" | head -5; exit 1; }; \
+	curl -fsS "$$url/v1/sweep?bench=WorstCaseSort&branch=pareto" | tr -d ' \n' > "$$dir/pareto.again"; \
+	cmp -s "$$dir/pareto.buf" "$$dir/pareto.again" || { \
+		echo "smoke: default pareto sweep changed after an adaptive one:"; \
+		diff "$$dir/pareto.buf" "$$dir/pareto.again" | head -5; exit 1; }; \
 	curl -fsS "$$url/v1/sweep?bench=WorstCaseSort&branch=cache" | tr -d ' \n' > "$$dir/cache.one"; \
 	curl -fsS "$$url/v1/sweep?bench=WorstCaseSort&branch=cache" | tr -d ' \n' > "$$dir/cache.two"; \
 	cmp -s "$$dir/cache.one" "$$dir/cache.two" || { \

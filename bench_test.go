@@ -440,7 +440,7 @@ func BenchmarkEpsilonKnapsack(b *testing.B) {
 	for _, name := range []string{"G.721", "ADPCM", "MultiSort"} {
 		l := labFor(b, name)
 		for _, size := range core.PaperSizes {
-			res, err := l.Pipe.Analyze(ctx, size, nil, wcet.Options{Witness: true})
+			res, err := l.Pipe.AnalyzeUnits(ctx, nil, size, nil, wcet.Options{Witness: true})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -577,7 +577,7 @@ func BenchmarkCacheSweepWarm(b *testing.B) {
 		b.Fatal(err)
 	}
 	ccfg := cache.Config{}
-	sk, err := wcet.NewSkeleton(base, "")
+	sk, err := wcet.NewSkeleton(base)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -699,7 +699,7 @@ func BenchmarkAnalyze(b *testing.B) {
 		}
 		sweep := func(b *testing.B, opts wcet.Options, analyze func(e *wcet.Engine, i int, size uint32) error) {
 			for i := 0; i < b.N; i++ {
-				sk, err := wcet.NewSkeleton(base, "")
+				sk, err := wcet.NewSkeleton(base)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -185,12 +185,13 @@ func main() {
 		if err := fs.Parse(args[2:]); err != nil {
 			os.Exit(2)
 		}
-		if verr := (alloc.ParetoOptions{Adaptive: *adaptive, MaxPoints: *maxPoints}).Validate(); verr != nil {
+		opts := alloc.ParetoOptions{Adaptive: *adaptive, MaxPoints: *maxPoints}
+		if verr := opts.Validate(); verr != nil {
 			fmt.Fprintln(os.Stderr, "wcetlab:", verr)
 			usage()
 			os.Exit(2)
 		}
-		err = pareto(args[1], *adaptive, *maxPoints)
+		err = pareto(args[1], opts)
 	case "witness":
 		if len(args) < 2 {
 			usage()
@@ -810,23 +811,17 @@ func wcetsweep(name string) error {
 // between them, every bound certified by a full re-analysis. With
 // -adaptive the interior is found by bisecting the largest certified gap
 // between adjacent front points instead of the even ε-step scan.
-func pareto(name string, adaptive bool, maxPoints int) error {
+func pareto(name string, opts alloc.ParetoOptions) error {
 	lab, err := newLab(name)
 	if err != nil {
 		return err
 	}
-	lab.ParetoAdaptive = adaptive
-	lab.ParetoMaxPoints = maxPoints
-	fronts, err := lab.SweepPareto(context.Background())
-	if err != nil {
-		return err
-	}
 	scan := "ε-constraint scan"
-	if adaptive {
+	if opts.Adaptive {
 		scan = "adaptive bisection"
 	}
 	header(fmt.Sprintf("Pareto front: %s (energy vs certified WCET bound, %s)", name, scan))
-	for _, f := range fronts {
+	err = lab.SweepParetoStream(context.Background(), opts, func(f core.ParetoFrontAt) error {
 		fmt.Printf("\ncapacity %d B — %d point(s):\n", f.SPMSize, len(f.Points))
 		fmt.Printf("%-7s %12s %12s %12s %6s %6s  %s\n",
 			"kind", "WCET bound", "ε budget", "energy [nJ]", "used", "iters", "placement")
@@ -841,6 +836,10 @@ func pareto(name string, adaptive bool, maxPoints int) error {
 			fmt.Printf("%-7s %12d %12d %12.0f %6d %6d  %s\n",
 				pt.Kind, pt.WCET, pt.Budget, pt.EnergyNJ, pt.Used, pt.Iterations, strings.Join(names, ","))
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	fmt.Println("\nEach front runs from the pure WCET-directed allocation (lowest certified")
 	fmt.Println("bound) to the pure energy-directed one (lowest modelled energy); interior")
@@ -859,7 +858,7 @@ func witness(name string, topN int, path bool) error {
 	if err != nil {
 		return err
 	}
-	res, err := lab.Pipe.Analyze(context.Background(), 0, nil, wcet.Options{Witness: true})
+	res, err := lab.Pipe.AnalyzeUnits(context.Background(), nil, 0, nil, wcet.Options{Witness: true})
 	if err != nil {
 		return err
 	}
@@ -920,7 +919,7 @@ func witnessPath(lab *core.Lab, regions []obj.Region) error {
 	if err != nil {
 		return err
 	}
-	g, err := cfg.Build(exe, "")
+	g, err := cfg.Build(exe)
 	if err != nil {
 		return err
 	}

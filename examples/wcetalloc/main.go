@@ -86,7 +86,7 @@ func main() {
 	// benefit subject to a stepped budget on the *certified* WCET bound. Every point's bound comes from a full
 	// re-analysis, and all points are mutually non-dominated — each trades
 	// worst-case cycles for average-case energy.
-	front, err := lab.ParetoFront(ctx, 2048)
+	front, err := lab.ParetoFront(ctx, 2048, alloc.ParetoOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -151,7 +151,7 @@ func runBlock(ctx context.Context, p *pipeline.Pipeline, capacity uint32, opts O
 	if err != nil {
 		return nil, err
 	}
-	base, err := p.Analyze(ctx, capacity, nil, wcet.Options{Witness: true}) // cached: the fixpoint's baseline
+	base, err := p.AnalyzeUnits(ctx, nil, capacity, nil, wcet.Options{Witness: true}) // cached: the fixpoint's baseline
 	if err != nil {
 		return nil, err
 	}
@@ -211,11 +211,11 @@ func expandSeed(seed map[string]bool, regions []obj.Region) map[string]bool {
 // contribute nothing. The result is canonical (sorted, one region per
 // function), so it is a stable cache-key ingredient.
 func HotRegions(ctx context.Context, p *pipeline.Pipeline, w *wcet.Witness, capacity uint32) ([]obj.Region, error) {
-	exe, err := p.Link(ctx, 0, nil)
+	exe, err := p.LinkUnits(ctx, nil, 0, nil)
 	if err != nil {
 		return nil, err
 	}
-	g, err := cfg.Build(exe, exe.Prog.Entry)
+	g, err := cfg.Build(exe)
 	if err != nil {
 		return nil, err
 	}

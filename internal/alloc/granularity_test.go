@@ -39,7 +39,7 @@ func TestBlockGranularityNeverWorse(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				p := pipeline.New(prog)
+				p := pipeline.New(prog, "", nil)
 				for _, capacity := range paperSizes {
 					objRes, err := allocateIn(context.Background(), p, capacity, alloc.Options{})
 					if err != nil {

@@ -54,7 +54,7 @@ func (b Budgeted) Allocate(ctx context.Context, p *pipeline.Pipeline, capacity u
 		return nil, err
 	}
 	wopts := wcet.Options{Witness: true}
-	base, err := p.Analyze(ctx, capacity, nil, wopts)
+	base, err := p.AnalyzeUnits(ctx, nil, capacity, nil, wopts)
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +88,7 @@ func (b Budgeted) Allocate(ctx context.Context, p *pipeline.Pipeline, capacity u
 	if err != nil {
 		return nil, err
 	}
-	cert, err := p.Analyze(ctx, capacity, fa.InSPM, wopts)
+	cert, err := p.AnalyzeUnits(ctx, nil, capacity, fa.InSPM, wopts)
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +135,7 @@ func (b Budgeted) Allocate(ctx context.Context, p *pipeline.Pipeline, capacity u
 			break // the model stopped producing new placements
 		}
 		seen[key] = true
-		cert, err := p.Analyze(ctx, capacity, a.InSPM, wopts)
+		cert, err := p.AnalyzeUnits(ctx, nil, capacity, a.InSPM, wopts)
 		if err != nil {
 			return nil, err
 		}
@@ -190,11 +190,8 @@ type ParetoPoint struct {
 	Converged  bool
 }
 
-// ParetoOptions configures a Pareto-front computation.
+// ParetoOptions configures a Pareto-front scan.
 type ParetoOptions struct {
-	// Model is the energy model pricing the energy axis (and the
-	// tie-break of the WCET endpoint).
-	Model energy.Model
 	// Adaptive replaces the even ε-step scan with bisection of the largest
 	// certified gap (in either normalised objective) between adjacent front
 	// points, concentrating solves where the front bends. Endpoints are
@@ -232,10 +229,11 @@ const DefaultParetoSteps = 8
 // the front). When the two endpoints coincide in either objective the
 // front degenerates to a single point.
 //
-// All solves and analyses go through the pipeline's memoized stages, so a
-// warm store serves a whole front (endpoints, interior points and their
-// certifications) with zero recomputation.
-func ParetoFront(ctx context.Context, p *pipeline.Pipeline, capacity uint32, opts ParetoOptions) ([]ParetoPoint, error) {
+// The energy model prices the energy axis (and breaks the WCET endpoint's
+// ties). All solves and analyses go through the pipeline's memoized stages,
+// so a warm store serves a whole front (endpoints, interior points and
+// their certifications) with zero recomputation.
+func ParetoFront(ctx context.Context, p *pipeline.Pipeline, capacity uint32, model energy.Model, opts ParetoOptions) ([]ParetoPoint, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, fmt.Errorf("alloc: pareto: %w", err)
 	}
@@ -247,7 +245,7 @@ func ParetoFront(ctx context.Context, p *pipeline.Pipeline, capacity uint32, opt
 	// The per-placement energy pricing (model evaluation + benefit total)
 	// is memoized so re-certified placements — common when several budgets
 	// resolve to the same allocation — are priced once.
-	eb := EnergyBenefit(opts.Model, prof)
+	eb := EnergyBenefit(model, prof)
 	type pricing struct {
 		energyNJ, benefit float64
 	}
@@ -258,14 +256,14 @@ func ParetoFront(ctx context.Context, p *pipeline.Pipeline, capacity uint32, opt
 			return pr
 		}
 		pr := pricing{
-			energyNJ: opts.Model.ProgramEnergy(p.Prog, prof, inSPM),
+			energyNJ: model.ProgramEnergy(p.Prog, prof, inSPM),
 			benefit:  placementBenefit(p.Prog, eb, inSPM),
 		}
 		priced[key] = pr
 		return pr
 	}
 	point := func(kind string, budget uint64, a *Allocation) (ParetoPoint, error) {
-		cert, err := p.Analyze(ctx, capacity, a.InSPM, wopts)
+		cert, err := p.AnalyzeUnits(ctx, nil, capacity, a.InSPM, wopts)
 		if err != nil {
 			return ParetoPoint{}, err
 		}
@@ -283,14 +281,14 @@ func ParetoFront(ctx context.Context, p *pipeline.Pipeline, capacity uint32, opt
 		}, nil
 	}
 
-	ea, err := p.Allocate(ctx, EnergyAllocator{Model: opts.Model}, capacity)
+	ea, err := p.Allocate(ctx, EnergyAllocator{Model: model}, capacity)
 	if err != nil {
 		return nil, err
 	}
 	// The WCET endpoint stays at object granularity: the energy axis is an
 	// object-granularity model (fragments are not profiled objects), so
 	// every point of one front prices identically.
-	wa, err := p.Allocate(ctx, Directed{Model: opts.Model}, capacity)
+	wa, err := p.Allocate(ctx, Directed{Model: model}, capacity)
 	if err != nil {
 		return nil, err
 	}
@@ -326,7 +324,7 @@ func ParetoFront(ctx context.Context, p *pipeline.Pipeline, capacity uint32, opt
 	}
 
 	solveBudget := func(budget uint64) (ParetoPoint, error) {
-		ba, err := p.Allocate(ctx, Budgeted{Budget: budget, Model: opts.Model}, capacity)
+		ba, err := p.Allocate(ctx, Budgeted{Budget: budget, Model: model}, capacity)
 		if err != nil {
 			return ParetoPoint{}, err
 		}

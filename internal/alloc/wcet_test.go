@@ -49,7 +49,7 @@ int main() {
 
 // allocate runs the WCET-directed fixpoint on a private pipeline.
 func allocate(ctx context.Context, prog *obj.Program, capacity uint32, opts alloc.Options) (*alloc.Result, error) {
-	return allocateIn(ctx, pipeline.New(prog), capacity, opts)
+	return allocateIn(ctx, pipeline.New(prog, "", nil), capacity, opts)
 }
 
 // allocateIn runs the fixpoint against a shared pipeline.
@@ -85,14 +85,14 @@ func witnessCandidates(t *testing.T, capacity uint32) [][]alloc.Item {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := pipeline.New(prog)
+	p := pipeline.New(prog, "", nil)
 	r, err := allocateIn(context.Background(), p, capacity, alloc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var lists [][]alloc.Item
 	for _, it := range r.Iterations {
-		res, err := p.Analyze(context.Background(), capacity, it.InSPM, wcet.Options{Witness: true})
+		res, err := p.AnalyzeUnits(context.Background(), nil, capacity, it.InSPM, wcet.Options{Witness: true})
 		if err != nil {
 			t.Fatal(err)
 		}

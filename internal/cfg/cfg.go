@@ -93,17 +93,14 @@ type Graph struct {
 	Funcs map[string]*Function
 }
 
-// Build reconstructs the CFG of every function reachable from root,
-// following call edges.
-func Build(exe *link.Executable, root string) (*Graph, error) {
+// Build reconstructs the CFG of every function reachable from the program
+// entry, following call edges.
+func Build(exe *link.Executable) (*Graph, error) {
 	g := &Graph{Exe: exe, Funcs: map[string]*Function{}}
-	if root == "" {
-		root = exe.Prog.Main
+	if exe.Prog.Entry == "" {
+		return nil, fmt.Errorf("cfg: executable has no entry")
 	}
-	if root == "" {
-		return nil, fmt.Errorf("cfg: executable has no analysis root")
-	}
-	work := []string{root}
+	work := []string{exe.Prog.Entry}
 	for len(work) > 0 {
 		name := work[len(work)-1]
 		work = work[:len(work)-1]

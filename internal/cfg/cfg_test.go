@@ -17,7 +17,7 @@ func buildFromSource(t *testing.T, src string) *Graph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := Build(exe, "main")
+	g, err := Build(exe)
 	if err != nil {
 		t.Fatal(err)
 	}

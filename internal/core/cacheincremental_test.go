@@ -29,11 +29,11 @@ func TestCacheIncrementalMatchesFromScratch(t *testing.T) {
 			check := func(ccfg cache.Config, spmSize uint32, inSPM map[string]bool) {
 				t.Helper()
 				opts := wcet.Options{Cache: &ccfg, Witness: true}
-				inc, err := lab.Pipe.Analyze(ctx, spmSize, inSPM, opts)
+				inc, err := lab.Pipe.AnalyzeUnits(ctx, nil, spmSize, inSPM, opts)
 				if err != nil {
 					t.Fatalf("cache %d assoc %d spm %d: incremental: %v", ccfg.Size, ccfg.Assoc, spmSize, err)
 				}
-				exe, err := lab.Pipe.Link(ctx, spmSize, inSPM)
+				exe, err := lab.Pipe.LinkUnits(ctx, nil, spmSize, inSPM)
 				if err != nil {
 					t.Fatalf("cache %d assoc %d spm %d: link: %v", ccfg.Size, ccfg.Assoc, spmSize, err)
 				}
@@ -57,7 +57,7 @@ func TestCacheIncrementalMatchesFromScratch(t *testing.T) {
 			// and out of the scratchpad, so consecutive layouts differ in a
 			// subset of objects and the context re-enters the fixed point
 			// only where the moves (or propagated states) demand.
-			base, err := lab.Pipe.Link(ctx, 0, nil)
+			base, err := lab.Pipe.LinkUnits(ctx, nil, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,9 +81,7 @@ func TestCacheIncrementalMatchesFromScratch(t *testing.T) {
 }
 
 // TestCacheContextSavesReanalysis counter-asserts what the cache engine
-// saves on G.721 over a capacity × placement sweep in which every
-// configuration is analysed twice in a row: the immediate repeat re-runs
-// no function (the layout-stable fast path), and within each MUST pass
+// saves on G.721 over a capacity × placement sweep: within each MUST pass
 // some function visits keep the function's current record because its
 // entry and callee exit states are unchanged (within-pass reuse).
 func TestCacheContextSavesReanalysis(t *testing.T) {
@@ -96,7 +94,7 @@ func TestCacheContextSavesReanalysis(t *testing.T) {
 		t.Fatal(err)
 	}
 	ccfg := cache.Config{}
-	sk, err := wcet.NewSkeleton(base, "")
+	sk, err := wcet.NewSkeleton(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,16 +108,8 @@ func TestCacheContextSavesReanalysis(t *testing.T) {
 			if spmCap > 0 {
 				inSPM = greedyPlacement(base.Prog, spmCap)
 			}
-			var ran uint64
-			for repeat := 0; repeat < 2; repeat++ {
-				before := cctx.Stats().FuncsReanalyzed
-				if _, err := cctx.Analyze(context.Background(), size, spmCap, inSPM, false); err != nil {
-					t.Fatalf("cache %d spm %d: %v", size, spmCap, err)
-				}
-				ran = cctx.Stats().FuncsReanalyzed - before
-			}
-			if ran != 0 {
-				t.Errorf("cache %d spm %d: immediate repeat re-ran %d functions, want 0", size, spmCap, ran)
+			if _, err := cctx.Analyze(context.Background(), size, spmCap, inSPM, false); err != nil {
+				t.Fatalf("cache %d spm %d: %v", size, spmCap, err)
 			}
 		}
 	}

@@ -95,12 +95,6 @@ type Lab struct {
 	// Workers bounds the sweep worker pool: 0 means GOMAXPROCS, 1 runs
 	// sequentially. Output order is independent of Workers.
 	Workers int
-	// ParetoAdaptive switches the Pareto sweeps from the even ε-step scan
-	// to adaptive bisection of the largest certified front gap;
-	// ParetoMaxPoints caps the adaptive front's size, endpoints included
-	// (0: the even scan's maximum, DefaultParetoSteps+1).
-	ParetoAdaptive  bool
-	ParetoMaxPoints int
 }
 
 // NewLabWithStore compiles the benchmark and collects its baseline
@@ -113,10 +107,7 @@ func NewLabWithStore(b benchprog.Benchmark, st *store.Store) (*Lab, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", b.Name, err)
 	}
-	pipe := pipeline.NewNamed(prog, b.Name)
-	if st != nil {
-		pipe.SetStore(st)
-	}
+	pipe := pipeline.New(prog, b.Name, st)
 	prof, err := pipe.Profile(context.Background())
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: profiling: %w", b.Name, err)
@@ -148,16 +139,12 @@ func NewLabByNameWithStore(name string, st *store.Store) (*Lab, error) {
 
 // ResetArtifacts discards every cached in-memory link/simulate/analyse
 // artifact (keeping the compiled program and its profile), e.g. to
-// benchmark cold sweeps. An attached artifact store is kept: it is a
-// shared resource, not a per-lab cache (detach with Pipe.SetStore(nil)
-// for a fully cold pipeline).
+// benchmark cold sweeps. The new pipeline keeps the lab's artifact store,
+// a shared resource rather than a per-lab cache, and writes nothing to it;
+// a lab built without a store resets to a fully cold pipeline.
 func (l *Lab) ResetArtifacts() {
-	st := l.Pipe.Store()
-	l.Pipe = pipeline.NewNamed(l.Prog, l.Bench.Name)
+	l.Pipe = pipeline.New(l.Prog, l.Bench.Name, l.Pipe.Store())
 	l.Pipe.PrimeProfile(l.Profile)
-	if st != nil {
-		l.Pipe.SetStore(st)
-	}
 }
 
 // EnergyAllocator returns the energy-directed allocation policy under the

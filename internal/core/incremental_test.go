@@ -49,7 +49,7 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res0, err := lab.Pipe.Analyze(context.Background(), 0, nil, wcet.Options{Witness: true})
+			res0, err := lab.Pipe.AnalyzeUnits(context.Background(), nil, 0, nil, wcet.Options{Witness: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,7 +116,7 @@ func TestIncrementalRepricingSavesWork(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sk, err := wcet.NewSkeleton(base, "")
+			sk, err := wcet.NewSkeleton(base)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -22,14 +22,12 @@ func TestAdaptiveParetoFront(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			adaptive := *lab
-			adaptive.ParetoAdaptive = true
 			for _, size := range PaperSizes {
-				even, err := lab.ParetoFront(context.Background(), size)
+				even, err := lab.ParetoFront(context.Background(), size, alloc.ParetoOptions{})
 				if err != nil {
 					t.Fatalf("cap %d: even: %v", size, err)
 				}
-				ad, err := adaptive.ParetoFront(context.Background(), size)
+				ad, err := lab.ParetoFront(context.Background(), size, alloc.ParetoOptions{Adaptive: true})
 				if err != nil {
 					t.Fatalf("cap %d: adaptive: %v", size, err)
 				}
@@ -72,11 +70,8 @@ func TestAdaptiveParetoFront(t *testing.T) {
 // cap while keeping the endpoints, at every capacity.
 func TestAdaptiveParetoMaxPoints(t *testing.T) {
 	lab := labFor(t, "MultiSort")
-	capped := *lab
-	capped.ParetoAdaptive = true
-	capped.ParetoMaxPoints = 3
 	for _, size := range PaperSizes {
-		front, err := capped.ParetoFront(context.Background(), size)
+		front, err := lab.ParetoFront(context.Background(), size, alloc.ParetoOptions{Adaptive: true, MaxPoints: 3})
 		if err != nil {
 			t.Fatalf("cap %d: %v", size, err)
 		}

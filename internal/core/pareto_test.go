@@ -32,7 +32,7 @@ func TestParetoFrontProperties(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, size := range PaperSizes {
-				front, err := lab.ParetoFront(context.Background(), size)
+				front, err := lab.ParetoFront(context.Background(), size, alloc.ParetoOptions{})
 				if err != nil {
 					t.Fatalf("cap %d: %v", size, err)
 				}
@@ -69,7 +69,7 @@ func TestParetoFrontProperties(t *testing.T) {
 				for i, pt := range pts {
 					// Certification: the reported bound is the analysed bound
 					// of the placement, never the linear model's estimate.
-					res, err := lab.Pipe.Analyze(context.Background(), size, pt.InSPM, wcet.Options{})
+					res, err := lab.Pipe.AnalyzeUnits(context.Background(), nil, size, pt.InSPM, wcet.Options{})
 					if err != nil {
 						t.Fatal(err)
 					}

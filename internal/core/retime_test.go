@@ -47,7 +47,7 @@ func TestRetimeOracleBenchmarks(t *testing.T) {
 			ps = append(ps, placement{link.SPMMax, in})
 		}
 		for _, p := range ps {
-			got, err := l.Pipe.Simulate(ctx, p.size, p.in, nil)
+			got, err := l.Pipe.SimulateUnits(ctx, nil, p.size, p.in, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

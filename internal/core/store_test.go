@@ -9,6 +9,7 @@ import (
 	"repro/internal/alloc"
 	"repro/internal/benchprog"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/store"
 )
 
@@ -147,22 +148,22 @@ func TestWarmStoreBlockGranularitySweep(t *testing.T) {
 	}
 }
 
-// TestLabWithStore: attaching a store to an existing lab flushes its
-// profile and serves later artifacts to other labs on the same directory.
+// TestLabWithStore: a lab built over a store serves later artifacts —
+// the profile included — to other labs on the same directory.
 func TestLabWithStore(t *testing.T) {
 	dir := t.TempDir()
-	attach := func(lab *core.Lab) {
+	labOn := func() *core.Lab {
 		st, err := store.Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lab.Pipe.SetStore(st)
+		lab, err := core.NewLabWithStore(benchprog.WorstCaseSort, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lab
 	}
-	lab, err := core.NewLabWithStore(benchprog.WorstCaseSort, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	attach(lab)
+	lab := labOn()
 	if lab.Pipe.Store() == nil {
 		t.Fatal("store not attached")
 	}
@@ -171,13 +172,7 @@ func TestLabWithStore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	other, err := core.NewLabWithStore(benchprog.WorstCaseSort, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	attach(other)
-	// The second lab profiled before the store was attached, but its
-	// measurements are served from the first lab's artifacts.
+	other := labOn()
 	got, err := other.Baseline(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -185,13 +180,14 @@ func TestLabWithStore(t *testing.T) {
 	if got != base {
 		t.Errorf("store-served baseline differs: %+v vs %+v", got, base)
 	}
-	if s := other.Pipe.Stats(); s.Sims != 0 || s.Analyses != 0 {
-		t.Errorf("second lab recomputed: sims=%d analyses=%d, want 0/0", s.Sims, s.Analyses)
+	if s := other.Pipe.Stats(); s.Profiles != 0 || s.Sims != 0 || s.Analyses != 0 {
+		t.Errorf("second lab recomputed: profiles=%d sims=%d analyses=%d, want 0/0/0", s.Profiles, s.Sims, s.Analyses)
 	}
 }
 
-// TestResetArtifactsKeepsStore: resetting in-memory artifacts must keep
-// the attached store (it is a shared resource, not a per-lab cache).
+// TestResetArtifactsKeepsStore: resetting in-memory artifacts keeps the
+// lab's store (a shared resource, not a per-lab cache) and writes nothing
+// to it, and the reset lab is served from it.
 func TestResetArtifactsKeepsStore(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -201,9 +197,29 @@ func TestResetArtifactsKeepsStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	base, err := lab.Baseline(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	writes := obs.Default.Counter("wcetlab_store_writes_total", "Artifact store entries written.")
+	before := writes.Value()
 	lab.ResetArtifacts()
-	if lab.Pipe.Store() == nil {
-		t.Error("ResetArtifacts dropped the attached store")
+	if n := writes.Value() - before; n != 0 {
+		t.Errorf("ResetArtifacts wrote %d store entries, want 0", n)
+	}
+	if lab.Pipe.Store() != st {
+		t.Fatal("ResetArtifacts dropped the lab's store")
+	}
+	got, err := lab.Baseline(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != base {
+		t.Errorf("baseline after reset differs: %+v vs %+v", got, base)
+	}
+	if s := lab.Pipe.Stats(); s.Sims != 0 || s.Analyses != 0 || s.DiskMisses() != 0 || s.DiskHits() == 0 {
+		t.Errorf("reset lab: sims=%d analyses=%d disk hits=%d misses=%d, want 0/0/>0/0",
+			s.Sims, s.Analyses, s.DiskHits(), s.DiskMisses())
 	}
 }
 

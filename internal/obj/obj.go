@@ -146,8 +146,12 @@ func (o *Object) Validate() error {
 // Program is a compiled, unplaced set of memory objects.
 type Program struct {
 	Objects []*Object
-	Entry   string // entry function (the runtime start stub)
-	// Main is the analysed root function for WCET (entry calls it).
+	// Entry is the entry function (the runtime start stub). Simulation
+	// starts here, and so does every WCET analysis.
+	Entry string
+	// Main is the program's main function, which the entry stub calls. It
+	// is not the analysis root. The linker records its address, and it is
+	// part of the program's content hash (store.ProgramKey).
 	Main string
 	// PlacementIndependent marks a program whose instructions and memory
 	// accesses do not depend on where its objects are placed, so a new

@@ -24,7 +24,7 @@ import (
 // reachable from the entry, in deterministic order.
 func loopRegions(t *testing.T, prog *obj.Program, exe *link.Executable) []obj.Region {
 	t.Helper()
-	g, err := cfg.Build(exe, prog.Entry)
+	g, err := cfg.Build(exe)
 	if err != nil {
 		t.Fatal(err)
 	}

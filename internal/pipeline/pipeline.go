@@ -2,11 +2,11 @@
 // experiment in the repository. An immutable compiled program flows through
 // memoized stages —
 //
-//	Link(placement)            → Executable
-//	Simulate(placement, cache) → simulation result
-//	Analyze(placement, opts)   → WCET bound (+ witness)
-//	Profile()                  → typical-input access profile
-//	Allocate(policy, capacity) → scratchpad allocation
+//	LinkUnits(units, placement)            → Executable
+//	SimulateUnits(units, placement, cache) → simulation result
+//	AnalyzeUnits(units, placement, opts)   → WCET bound (+ witness)
+//	Profile()                              → typical-input access profile
+//	Allocate(policy, capacity)             → scratchpad allocation
 //
 // — each keyed by a canonical placement/configuration key, so within one
 // Pipeline no identical link, simulation, WCET analysis or allocation
@@ -28,11 +28,12 @@
 // # Cache tiers
 //
 // Lookups go memory → disk → compute. The memory tier is this package's
-// per-pipeline maps. The disk tier is optional: SetStore attaches a
-// content-addressed store (internal/store) shared across processes, keyed
-// by hash(program content, stage key), and the simulate/analyse/profile/
-// allocate stages then consult it before computing and write back after —
-// a warm store serves a whole sweep with zero recomputation. Links are not
+// per-pipeline maps. The disk tier is optional and fixed at construction:
+// New takes a content-addressed store (internal/store, nil for none) shared
+// across processes, keyed by hash(program content, stage key), and the
+// simulate/analyse/profile/allocate stages consult it before computing and
+// write back after — a warm store serves a whole sweep with zero
+// recomputation. Links are not
 // persisted: a link is only ever needed as the input of a cold simulation
 // or analysis, so with a warm store it never runs at all. Stats splits the
 // tiers: *Hits are memory hits, *DiskHits/*DiskMisses count store lookups,
@@ -40,16 +41,20 @@
 //
 // # Keying scheme
 //
-// A placement key is "spm=<size>|<name>,<name>,..." with the scratchpad
-// residents sorted by name. A placement with no residents is normalised to
-// size 0, because the linked addresses, the simulation and the analysis of
-// an empty scratchpad are independent of its capacity. Simulation keys
-// append the cache configuration ("|cache=<size>/<line>/<assoc>/<kind>"),
-// analysis keys append the cache configuration, stack bound and analysis
-// root, allocation keys are the policy's ConfigKey plus the capacity. The
-// witness flag is deliberately *not* part of the analysis key (in either
-// tier): a witness-bearing result answers witness-less requests for the
-// same configuration (the bound is identical); a witness-less cached
+// The units argument of the first three stages is a placement-unit
+// partition (the hot regions outlined into fragments); nil places whole
+// objects. A placement key is "spm=<size>|<name>,<name>,..." with the
+// scratchpad residents sorted by name. A placement with no residents is
+// normalised to size 0, because the linked addresses, the simulation and
+// the analysis of an empty scratchpad are independent of its capacity.
+// Simulation keys append the cache configuration
+// ("|cache=<size>/<line>/<assoc>/<kind>"), analysis keys append the cache
+// configuration, the stack bound and an empty "root=" field (every
+// analysis starts at the program entry; the field keeps stored keys
+// valid), allocation keys are the policy's ConfigKey plus the capacity.
+// The witness flag is deliberately *not* part of the analysis key (in
+// either tier): a witness-bearing result answers witness-less requests for
+// the same configuration (the bound is identical); a witness-less cached
 // result is upgraded in place when a witness is first requested — and the
 // disk entry overwritten — with Stats counting the upgrade.
 //
@@ -130,7 +135,7 @@ type Allocator interface {
 // Stats counts stage executions and cache hits per tier. Runs (Links,
 // Sims, Analyses, Profiles, Allocs) are cold executions; *Hits are
 // requests served from the memory tier; *DiskHits/*DiskMisses count disk
-// lookups by memory misses when a store is attached (a disk miss always
+// lookups by memory misses when the pipeline has a store (a disk miss always
 // pairs with a run). AnalyzeUpgrades counts re-runs of an already-analysed
 // configuration to attach a witness — the only way a configuration is ever
 // analysed twice. SimsRetimed counts the Sims computed in closed form
@@ -153,7 +158,7 @@ type Stats struct {
 	Allocs, AllocHits      uint64
 
 	// SkeletonBuilds counts analysis skeletons (CFG + IPET skeletons +
-	// phase-1 tableaux + block decomposition), one per partition and root;
+	// phase-1 tableaux + block decomposition), one per partition;
 	// SkeletonReuses the engines built on a skeleton another engine
 	// already used. ContextBuilds / ContextReuses count cache-less
 	// analysis engines built vs cold analyses served by an existing one;
@@ -216,7 +221,7 @@ type Pipeline struct {
 	// pipeline is constructed.
 	Prog *obj.Program
 
-	disk atomic.Pointer[store.Store]
+	disk *store.Store // nil: memory only
 
 	link    stage[*link.Executable]
 	sim     stage[*sim.Result]
@@ -249,21 +254,17 @@ type Pipeline struct {
 	progKey  string
 }
 
-// New builds an empty pipeline around a compiled program. Its metrics
-// carry an empty bench label; prefer NewNamed where the benchmark is
-// known.
-func New(prog *obj.Program) *Pipeline {
-	return NewNamed(prog, "")
-}
-
-// NewNamed builds an empty pipeline around a compiled program, labelling
-// its metrics with the benchmark name.
-func NewNamed(prog *obj.Program, bench string) *Pipeline {
-	p := &Pipeline{Prog: prog, bench: bench}
+// New builds an empty pipeline around a compiled program, labelling its
+// metrics with the benchmark name and backing it with the artifact store
+// st as its disk tier (nil means memory-only).
+func New(prog *obj.Program, bench string, st *store.Store) *Pipeline {
+	p := &Pipeline{Prog: prog, disk: st, bench: bench}
 	p.link.init("link", bench, nil)
-	p.sim.init("simulate", bench, &simCodec)
-	p.analyze.init("analyze", bench, &wcetCodec)
-	p.profile.init("profile", bench, &profileCodec)
+	p.sim.init("simulate", bench, &store.SimCodec)
+	// The analysis stage loads witness-less entries too: the runner's
+	// staleness check turns them into misses for witness requests.
+	p.analyze.init("analyze", bench, &store.WCETCodec)
+	p.profile.init("profile", bench, &store.ProfileCodec)
 	p.alloc.init("alloc", bench, &allocCodec)
 	p.upgrades.reg = obs.Default.Counter("wcetlab_analyze_witness_upgrades_total",
 		"Re-analyses of a cached configuration to attach a witness.", "bench", bench)
@@ -283,26 +284,8 @@ func NewNamed(prog *obj.Program, bench string) *Pipeline {
 // profile stored in an earlier encoding is never decoded as a current one.
 const profileStageKey = "profile/v3"
 
-// SetStore attaches (or, with nil, detaches) the on-disk artifact store as
-// the second cache tier. Attach before first use so cold stages are served
-// from a warm store; attaching later is safe — an already-collected
-// profile is flushed to the store so other processes skip profiling, but
-// other artifacts already in memory are not backfilled.
-func (p *Pipeline) SetStore(s *store.Store) {
-	p.disk.Store(s)
-	if s == nil {
-		return
-	}
-	e := p.profile.memo.slot(profileStageKey)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.done && e.err == nil && e.val != nil {
-		p.saved(s.SaveProfile(p.programKey(), profileStageKey, e.val))
-	}
-}
-
-// Store returns the attached artifact store, or nil.
-func (p *Pipeline) Store() *store.Store { return p.disk.Load() }
+// Store returns the pipeline's artifact store, or nil.
+func (p *Pipeline) Store() *store.Store { return p.disk }
 
 // programKey is the content hash of the compiled program — the program
 // half of every disk key — computed once on first use.
@@ -391,19 +374,15 @@ func cacheKind(c *cache.Config) string {
 
 func analysisKey(placement string, opts wcet.Options) string {
 	// Witness is intentionally absent: see the package comment.
-	return fmt.Sprintf("%s|%s|stack=%d|root=%s", placement, cacheKey(opts.Cache), opts.StackBound, opts.Root)
+	return fmt.Sprintf("%s|%s|stack=%d|root=", placement, cacheKey(opts.Cache), opts.StackBound)
 }
 
-// Link links the program under one placement, memoized. An empty placement
-// is linked once regardless of the requested capacity (key normalisation);
-// the returned executable is shared and must be treated as read-only.
-func (p *Pipeline) Link(ctx context.Context, spmSize uint32, inSPM map[string]bool) (*link.Executable, error) {
-	return p.LinkUnits(ctx, nil, spmSize, inSPM)
-}
-
-// LinkUnits is Link under a placement-unit partition: the program is first
-// split at the given hot regions (memoized), then linked with the chosen
-// objects — fragments included — in the scratchpad.
+// LinkUnits links the program under one placement, memoized. Under a
+// placement-unit partition the program is first split at the given hot
+// regions (memoized), then linked with the chosen objects — fragments
+// included — in the scratchpad. An empty placement is linked once
+// regardless of the requested capacity (key normalisation); the returned
+// executable is shared and must be treated as read-only.
 func (p *Pipeline) LinkUnits(ctx context.Context, regions []obj.Region, spmSize uint32, inSPM map[string]bool) (*link.Executable, error) {
 	pk, size, in := placement(spmSize, inSPM)
 	return p.link.get(ctx, p, request[*link.Executable]{
@@ -418,16 +397,12 @@ func (p *Pipeline) LinkUnits(ctx context.Context, regions []obj.Region, spmSize 
 	})
 }
 
-// Simulate runs (memoized) the typical input under one placement and cache
-// configuration, consulting the disk tier before computing. The returned
-// result is shared and must be treated as read-only. It carries the run's
-// counters and a nil Mem from every tier: the final memory image is
-// neither memoized nor persisted (call sim.Run to inspect it).
-func (p *Pipeline) Simulate(ctx context.Context, spmSize uint32, inSPM map[string]bool, ccfg *cache.Config) (*sim.Result, error) {
-	return p.SimulateUnits(ctx, nil, spmSize, inSPM, ccfg)
-}
-
-// SimulateUnits is Simulate under a placement-unit partition.
+// SimulateUnits runs (memoized) the typical input under one placement,
+// placement-unit partition and cache configuration, consulting the disk
+// tier before computing. The returned result is shared and must be treated
+// as read-only. It carries the run's counters and a nil Mem from every
+// tier: the final memory image is neither memoized nor persisted (call
+// sim.Run to inspect it).
 //
 // A whole-object, cache-less placement of a placement-independent program
 // is not simulated: sim.Retime computes it in closed form from the
@@ -472,7 +447,7 @@ func (p *Pipeline) SimulateUnits(ctx context.Context, regions []obj.Region, spmS
 // SimulateCaches simulates one placement, under a placement-unit
 // partition, with each cache configuration in cfgs. Each configuration is
 // served memory → disk → compute under its own simulate key, exactly as
-// Simulate serves it. One interpreter pass (sim.RunCaches) prices the
+// SimulateUnits serves it. One interpreter pass (sim.RunCaches) prices the
 // whole batch; it runs at most once per call, only if a configuration
 // misses both tiers, and is timed as the first of them to compute. A
 // sweep therefore costs about one run cold and none warm.
@@ -526,19 +501,14 @@ func (p *Pipeline) SimulateCaches(ctx context.Context, regions []obj.Region, spm
 	return out, first
 }
 
-// Analyze runs (memoized) the WCET analysis for one placement and analysis
-// configuration, consulting the disk tier before computing. A cached
-// result lacking a witness is re-analysed in place when opts.Witness is
-// set (counted in Stats.AnalyzeUpgrades, and the disk entry overwritten);
-// a cached result carrying a witness serves witness-less requests
-// directly. The returned result is shared; treat it as read-only.
-func (p *Pipeline) Analyze(ctx context.Context, spmSize uint32, inSPM map[string]bool, opts wcet.Options) (*wcet.Result, error) {
-	return p.AnalyzeUnits(ctx, nil, spmSize, inSPM, opts)
-}
-
-// AnalyzeUnits is Analyze under a placement-unit partition; the partition
-// is part of the memo and disk keys, so warm runs at a fixed granularity
-// recompute nothing.
+// AnalyzeUnits runs (memoized) the WCET analysis for one placement,
+// placement-unit partition and analysis configuration, consulting the disk
+// tier before computing. A cached result lacking a witness is re-analysed
+// in place when opts.Witness is set (counted in Stats.AnalyzeUpgrades, and
+// the disk entry overwritten); a cached result carrying a witness serves
+// witness-less requests directly. The returned result is shared; treat it
+// as read-only. The partition is part of the memo and disk keys, so warm
+// runs at a fixed granularity recompute nothing.
 //
 // Analyses share one wcet.Skeleton per partition — the CFG, IPET
 // skeletons, phase-1 tableaux and block decomposition, built once — and
@@ -574,7 +544,7 @@ func lacksWitness(r *wcet.Result) bool { return r.Witness == nil }
 // partition and analysis configuration, built on the partition's skeleton.
 func (p *Pipeline) engineFor(ctx context.Context, key string, regions []obj.Region, opts wcet.Options) (*wcet.Engine, error) {
 	e, built, err := p.engines.get(key, func() (*wcet.Engine, error) {
-		sk, err := p.skeletonFor(ctx, regions, opts.Root)
+		sk, err := p.skeletonFor(ctx, regions)
 		if err != nil {
 			return nil, err
 		}
@@ -598,10 +568,10 @@ func (p *Pipeline) engineFor(ctx context.Context, key string, regions []obj.Regi
 }
 
 // skeletonFor returns (memoized, singleflight) the analysis skeleton of one
-// partition and root, which every analysis mode's engine shares, built
-// from the partition's scratchpad-less base executable.
-func (p *Pipeline) skeletonFor(ctx context.Context, regions []obj.Region, root string) (*wcet.Skeleton, error) {
-	sk, _, err := p.skeletons.get(unitPrefix(regions)+"root="+root, func() (*wcet.Skeleton, error) {
+// partition, which every analysis mode's engine shares, built from the
+// partition's scratchpad-less base executable.
+func (p *Pipeline) skeletonFor(ctx context.Context, regions []obj.Region) (*wcet.Skeleton, error) {
+	sk, _, err := p.skeletons.get(unitPrefix(regions), func() (*wcet.Skeleton, error) {
 		// The base is the executable the link stage serves for the empty
 		// placement. Requesting it through the stage memoizes it for later
 		// empty-placement requests and counts it in the link statistics.
@@ -609,7 +579,7 @@ func (p *Pipeline) skeletonFor(ctx context.Context, regions []obj.Region, root s
 		if err != nil {
 			return nil, err
 		}
-		sk, err := wcet.NewSkeleton(base, root)
+		sk, err := wcet.NewSkeleton(base)
 		if err != nil {
 			return nil, err
 		}
@@ -631,7 +601,7 @@ func contextKey(regions []obj.Region, opts wcet.Options) string {
 		cc := opts.Cache.WithDefaults()
 		shape = fmt.Sprintf("cacheshape=%d/%d/%s|", cc.LineSize, cc.Assoc, cacheKind(&cc))
 	}
-	return fmt.Sprintf("%s%sstack=%d|root=%s", unitPrefix(regions), shape, opts.StackBound, opts.Root)
+	return fmt.Sprintf("%s%sstack=%d", unitPrefix(regions), shape, opts.StackBound)
 }
 
 // Profile collects (memoized) the typical-input access profile on the
@@ -641,7 +611,7 @@ func (p *Pipeline) Profile(ctx context.Context) (*sim.Profile, error) {
 	return p.profile.get(ctx, p, request[*sim.Profile]{
 		key: profileStageKey,
 		compute: func(ctx context.Context, timed timer[*sim.Profile]) (*sim.Profile, error) {
-			exe, err := p.Link(ctx, 0, nil)
+			exe, err := p.LinkUnits(ctx, nil, 0, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -682,32 +652,26 @@ func (p *Pipeline) Allocate(ctx context.Context, a Allocator, capacity uint32) (
 	})
 }
 
-// The disk codecs of the persisted stages.
-var (
-	simCodec     = codec[*sim.Result]{(*store.Store).LoadSim, (*store.Store).SaveSim}
-	profileCodec = codec[*sim.Profile]{(*store.Store).LoadProfile, (*store.Store).SaveProfile}
-	// wcetCodec loads witness-less entries too: the runner's staleness
-	// check turns them into misses for witness requests.
-	wcetCodec  = codec[*wcet.Result]{(*store.Store).LoadWCET, (*store.Store).SaveWCET}
-	allocCodec = codec[*Allocation]{
-		func(s *store.Store, prog, key string) (*Allocation, bool) {
-			art, ok := s.LoadAlloc(prog, key)
-			if !ok {
-				return nil, false
-			}
-			return &Allocation{
-				InSPM: art.InSPM, Benefit: art.Benefit, Used: art.Used, Splits: art.Splits,
-				Iterations: int(art.Iterations), Converged: art.Converged,
-			}, true
-		},
-		func(s *store.Store, prog, key string, a *Allocation) error {
-			return s.SaveAlloc(prog, key, &store.AllocArtifact{
-				InSPM: a.InSPM, Benefit: a.Benefit, Used: a.Used, Splits: a.Splits,
-				Iterations: uint32(a.Iterations), Converged: a.Converged,
-			})
-		},
-	}
-)
+// allocCodec persists an Allocation as the store's AllocArtifact.
+var allocCodec = store.Codec[*Allocation]{
+	Kind: store.KindAlloc,
+	Encode: func(a *Allocation) []byte {
+		return store.EncodeAlloc(&store.AllocArtifact{
+			InSPM: a.InSPM, Benefit: a.Benefit, Used: a.Used, Splits: a.Splits,
+			Iterations: uint32(a.Iterations), Converged: a.Converged,
+		})
+	},
+	Decode: func(b []byte) (*Allocation, error) {
+		art, err := store.DecodeAlloc(b)
+		if err != nil {
+			return nil, err
+		}
+		return &Allocation{
+			InSPM: art.InSPM, Benefit: art.Benefit, Used: art.Used, Splits: art.Splits,
+			Iterations: int(art.Iterations), Converged: art.Converged,
+		}, nil
+	},
+}
 
 // debugStage emits one debug record per cold stage execution — visible
 // only at `-log debug`, and allocation-free below it.

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/cc"
 	"repro/internal/pipeline"
+	"repro/internal/store"
 	"repro/internal/wcet"
 )
 
@@ -28,13 +29,15 @@ int main() {
 }
 `
 
-func compile(t *testing.T) *pipeline.Pipeline {
+// compile builds a pipeline for the test program over the store st (nil
+// for none).
+func compile(t *testing.T, st *store.Store) *pipeline.Pipeline {
 	t.Helper()
 	prog, err := cc.Compile(testProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pipeline.New(prog)
+	return pipeline.New(prog, "", st)
 }
 
 // TestPlacementKeyCanonical: the key must not depend on map iteration
@@ -61,16 +64,16 @@ func TestPlacementKeyCanonical(t *testing.T) {
 // TestMemoization: repeated stage requests for the same key must run the
 // underlying tool once and serve the rest from the cache.
 func TestMemoization(t *testing.T) {
-	p := compile(t)
+	p := compile(t, nil)
 	in := map[string]bool{"a": true}
 	for i := 0; i < 3; i++ {
-		if _, err := p.Link(context.Background(), 256, in); err != nil {
+		if _, err := p.LinkUnits(context.Background(), nil, 256, in); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.Simulate(context.Background(), 256, in, nil); err != nil {
+		if _, err := p.SimulateUnits(context.Background(), nil, 256, in, nil); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.Analyze(context.Background(), 256, in, wcet.Options{}); err != nil {
+		if _, err := p.AnalyzeUnits(context.Background(), nil, 256, in, wcet.Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -88,7 +91,7 @@ func TestMemoization(t *testing.T) {
 	}
 
 	// A different cache configuration is a different simulation artifact.
-	if _, err := p.Simulate(context.Background(), 256, in, &cache.Config{Size: 256, Assoc: 1}); err == nil {
+	if _, err := p.SimulateUnits(context.Background(), nil, 256, in, &cache.Config{Size: 256, Assoc: 1}); err == nil {
 		if got := p.Stats().Sims; got != 2 {
 			t.Errorf("cache-config simulation not keyed separately: %d runs", got)
 		}
@@ -98,10 +101,10 @@ func TestMemoization(t *testing.T) {
 // TestEmptyPlacementSharedAcrossCapacities: the empty-scratchpad analysis
 // is capacity-independent and must be computed once for the whole sweep.
 func TestEmptyPlacementSharedAcrossCapacities(t *testing.T) {
-	p := compile(t)
+	p := compile(t, nil)
 	var bounds []uint64
 	for _, size := range []uint32{0, 64, 1024, 8192} {
-		res, err := p.Analyze(context.Background(), size, nil, wcet.Options{Witness: true})
+		res, err := p.AnalyzeUnits(context.Background(), nil, size, nil, wcet.Options{Witness: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,16 +124,16 @@ func TestEmptyPlacementSharedAcrossCapacities(t *testing.T) {
 // under direct-mapped, 2-way and 4-way caches builds four engines on one
 // analysis skeleton, and the results equal a fresh pipeline's per mode.
 func TestOneSkeletonPerPartition(t *testing.T) {
-	p := compile(t)
+	p := compile(t, nil)
 	modes := []*cache.Config{nil, {Size: 256, Assoc: 1}, {Size: 256, Assoc: 2}, {Size: 256, Assoc: 4}}
 	in := map[string]bool{"a": true}
 	for _, mode := range modes {
-		got, err := p.Analyze(context.Background(), 512, in, wcet.Options{Cache: mode, Witness: true})
+		got, err := p.AnalyzeUnits(context.Background(), nil, 512, in, wcet.Options{Cache: mode, Witness: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		alone := pipeline.New(p.Prog)
-		want, err := alone.Analyze(context.Background(), 512, in, wcet.Options{Cache: mode, Witness: true})
+		alone := pipeline.New(p.Prog, "", nil)
+		want, err := alone.AnalyzeUnits(context.Background(), nil, 512, in, wcet.Options{Cache: mode, Witness: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,28 +148,21 @@ func TestOneSkeletonPerPartition(t *testing.T) {
 	if s.ContextBuilds != 1 || s.CacheContextBuilds != 3 {
 		t.Errorf("engines: %d cache-less, %d cache, want 1/3", s.ContextBuilds, s.CacheContextBuilds)
 	}
-	// Another root is another skeleton.
-	if _, err := p.Analyze(context.Background(), 0, nil, wcet.Options{Root: "suma"}); err != nil {
-		t.Fatal(err)
-	}
-	if s := p.Stats(); s.SkeletonBuilds != 2 {
-		t.Errorf("skeletons after a second root: %d, want 2", s.SkeletonBuilds)
-	}
 }
 
 // TestWitnessUpgrade: a witness-less cached analysis is re-run in place
 // when a witness is first requested (counted as an upgrade), and a
 // witness-bearing result serves witness-less requests with the same bound.
 func TestWitnessUpgrade(t *testing.T) {
-	p := compile(t)
-	plain, err := p.Analyze(context.Background(), 0, nil, wcet.Options{})
+	p := compile(t, nil)
+	plain, err := p.AnalyzeUnits(context.Background(), nil, 0, nil, wcet.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain.Witness != nil {
 		t.Fatal("witness-less analysis produced a witness")
 	}
-	up, err := p.Analyze(context.Background(), 0, nil, wcet.Options{Witness: true})
+	up, err := p.AnalyzeUnits(context.Background(), nil, 0, nil, wcet.Options{Witness: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +172,7 @@ func TestWitnessUpgrade(t *testing.T) {
 	if up.WCET != plain.WCET {
 		t.Fatalf("upgrade changed the bound: %d vs %d", up.WCET, plain.WCET)
 	}
-	again, err := p.Analyze(context.Background(), 0, nil, wcet.Options{})
+	again, err := p.AnalyzeUnits(context.Background(), nil, 0, nil, wcet.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +188,7 @@ func TestWitnessUpgrade(t *testing.T) {
 // TestConcurrentSingleflight: concurrent requests for one key must compute
 // the artifact exactly once and all receive the same result.
 func TestConcurrentSingleflight(t *testing.T) {
-	p := compile(t)
+	p := compile(t, nil)
 	const n = 16
 	results := make([]*wcet.Result, n)
 	var wg sync.WaitGroup
@@ -200,7 +196,7 @@ func TestConcurrentSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := p.Analyze(context.Background(), 512, map[string]bool{"a": true}, wcet.Options{Witness: true})
+			res, err := p.AnalyzeUnits(context.Background(), nil, 512, map[string]bool{"a": true}, wcet.Options{Witness: true})
 			if err != nil {
 				t.Error(err)
 				return
@@ -222,7 +218,7 @@ func TestConcurrentSingleflight(t *testing.T) {
 // TestProfileMemoizedAndPrimable: the profile stage runs once, and
 // PrimeProfile seeds a fresh pipeline without re-profiling.
 func TestProfileMemoizedAndPrimable(t *testing.T) {
-	p := compile(t)
+	p := compile(t, nil)
 	prof, err := p.Profile(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +229,7 @@ func TestProfileMemoizedAndPrimable(t *testing.T) {
 	if s := p.Stats(); s.Profiles != 1 || s.ProfileHits != 1 {
 		t.Errorf("profiles=%d hits=%d, want 1/1", s.Profiles, s.ProfileHits)
 	}
-	fresh := pipeline.New(p.Prog)
+	fresh := pipeline.New(p.Prog, "", nil)
 	fresh.PrimeProfile(prof)
 	got, err := fresh.Profile(context.Background())
 	if err != nil {

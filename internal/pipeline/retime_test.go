@@ -65,7 +65,7 @@ func TestRetimeOracleGenerated(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v\n%s", trial, err, src)
 		}
-		p := pipeline.New(prog)
+		p := pipeline.New(prog, "", nil)
 		placements := []map[string]bool{nil}
 		all := map[string]bool{}
 		for _, o := range prog.Objects {
@@ -81,7 +81,7 @@ func TestRetimeOracleGenerated(t *testing.T) {
 			placements = append(placements, in)
 		}
 		for _, in := range placements {
-			got, err := p.Simulate(ctx, link.SPMMax, in, nil)
+			got, err := p.SimulateUnits(ctx, nil, link.SPMMax, in, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,7 +101,7 @@ func loopRegion(t *testing.T, prog *obj.Program, fn string) obj.Region {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := cfg.Build(exe, prog.Entry)
+	g, err := cfg.Build(exe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func loopRegion(t *testing.T, prog *obj.Program, fn string) obj.Region {
 func TestRetimeFallbacks(t *testing.T) {
 	ctx := context.Background()
 
-	p := compile(t)
+	p := compile(t, nil)
 	region := loopRegion(t, p.Prog, "suma")
 	split, err := p.SplitProgram([]obj.Region{region})
 	if err != nil {
@@ -143,7 +143,7 @@ func TestRetimeFallbacks(t *testing.T) {
 
 	ccfg := &cache.Config{Size: 256}
 	in = map[string]bool{"a": true}
-	if got, err = p.Simulate(ctx, 256, in, ccfg); err != nil {
+	if got, err = p.SimulateUnits(ctx, nil, 256, in, ccfg); err != nil {
 		t.Fatal(err)
 	}
 	checkSame(t, "scratchpad and cache", got, oracle(t, p.Prog, 256, in, ccfg))
@@ -152,9 +152,9 @@ func TestRetimeFallbacks(t *testing.T) {
 	}
 
 	prog := asmProgram(t)
-	ap := pipeline.New(prog)
+	ap := pipeline.New(prog, "", nil)
 	in = map[string]bool{"main": true, "counter": true}
-	if got, err = ap.Simulate(ctx, 256, in, nil); err != nil {
+	if got, err = ap.SimulateUnits(ctx, nil, 256, in, nil); err != nil {
 		t.Fatal(err)
 	}
 	checkSame(t, "hand-assembled", got, oracle(t, prog, 256, in, nil))
@@ -194,14 +194,14 @@ func asmProgram(t *testing.T) *obj.Program {
 // the linker's own error on the closed-form path and the interpreter path
 // alike, before any profiling or retiming.
 func TestRetimeOverflowLinkError(t *testing.T) {
-	p := compile(t)
+	p := compile(t, nil)
 	in := map[string]bool{"a": true, "suma": true, "main": true}
 	_, want := link.Link(p.Prog, 64, in)
 	if want == nil {
 		t.Fatal("placement unexpectedly fits in 64 bytes")
 	}
 	for _, ccfg := range []*cache.Config{nil, {Size: 256}} {
-		_, err := p.Simulate(context.Background(), 64, in, ccfg)
+		_, err := p.SimulateUnits(context.Background(), nil, 64, in, ccfg)
 		if err == nil || err.Error() != want.Error() {
 			t.Errorf("cache %v: error %v, want %q", ccfg, err, want)
 		}

@@ -66,13 +66,6 @@ func (m *memo[V]) get(key string, compute func() (V, error)) (v V, fresh bool, e
 	return e.val, fresh, e.err
 }
 
-// codec is a stage's disk tier: reads and writes of one artifact kind
-// under (program key, stage key).
-type codec[V any] struct {
-	load func(s *store.Store, prog, key string) (V, bool)
-	save func(s *store.Store, prog, key string, v V) error
-}
-
 // timer runs a stage's own work, timing it as the stage's wall clock.
 type timer[V any] func(work func() (V, error)) (V, error)
 
@@ -96,7 +89,7 @@ type request[V any] struct {
 type stage[V any] struct {
 	name  string
 	span  string
-	codec *codec[V] // nil: memory-only stage
+	codec *store.Codec[V] // nil: memory-only stage
 	memo  memo[V]
 
 	runs, memHit, memMiss, diskHit, diskMiss counter
@@ -106,7 +99,7 @@ type stage[V any] struct {
 
 // init names the stage and resolves its registry series once, so the hot
 // paths pay only atomic increments.
-func (s *stage[V]) init(name, bench string, c *codec[V]) {
+func (s *stage[V]) init(name, bench string, c *store.Codec[V]) {
 	s.name, s.span, s.codec = name, "stage:"+name, c
 	s.runs.reg = obs.Default.Counter("wcetlab_stage_runs_total",
 		"Cold pipeline stage executions.", "stage", name, "bench", bench)
@@ -141,9 +134,9 @@ func (s *stage[V]) get(ctx context.Context, p *Pipeline, r request[V]) (V, error
 	}
 	s.memMiss.inc()
 	upgrade := e.done
-	disk := p.Store()
+	disk := p.disk
 	if disk != nil && s.codec != nil {
-		if v, ok := s.codec.load(disk, p.programKey(), r.key); ok && (r.stale == nil || !r.stale(v)) {
+		if v, ok := store.Load(disk, *s.codec, p.programKey(), r.key); ok && (r.stale == nil || !r.stale(v)) {
 			s.diskHit.inc()
 			sp.SetAttr("tier", "disk")
 			e.val, e.err, e.done = v, nil, true
@@ -158,7 +151,7 @@ func (s *stage[V]) get(ctx context.Context, p *Pipeline, r request[V]) (V, error
 	e.val, e.err = s.run(ctx, p, r.key, r.compute)
 	e.done = true
 	if e.err == nil && disk != nil && s.codec != nil {
-		p.saved(s.codec.save(disk, p.programKey(), r.key, e.val))
+		p.saved(store.Save(disk, *s.codec, p.programKey(), r.key, e.val))
 	}
 	return e.val, e.err
 }

@@ -29,13 +29,16 @@ func stageCases(calls *atomic.Int32) []stageCase {
 	policy := countingAllocator{key: "counting|runner", calls: calls}
 	return []stageCase{
 		{"link", false,
-			func(p *pipeline.Pipeline) error { _, err := p.Link(ctx, 256, in); return err },
+			func(p *pipeline.Pipeline) error { _, err := p.LinkUnits(ctx, nil, 256, in); return err },
 			func(s pipeline.Stats) [4]uint64 { return [4]uint64{s.Links, s.LinkHits, 0, 0} }},
 		{"simulate", true,
-			func(p *pipeline.Pipeline) error { _, err := p.Simulate(ctx, 256, in, nil); return err },
+			func(p *pipeline.Pipeline) error { _, err := p.SimulateUnits(ctx, nil, 256, in, nil); return err },
 			func(s pipeline.Stats) [4]uint64 { return [4]uint64{s.Sims, s.SimHits, s.SimDiskHits, s.SimDiskMisses} }},
 		{"analyze", true,
-			func(p *pipeline.Pipeline) error { _, err := p.Analyze(ctx, 256, in, wcet.Options{}); return err },
+			func(p *pipeline.Pipeline) error {
+				_, err := p.AnalyzeUnits(ctx, nil, 256, in, wcet.Options{})
+				return err
+			},
 			func(s pipeline.Stats) [4]uint64 {
 				return [4]uint64{s.Analyses, s.AnalyzeHits, s.AnalyzeDiskHits, s.AnalyzeDiskMisses}
 			}},
@@ -103,11 +106,9 @@ func TestStageRunner(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			st := openStore(t)
 			bench := "runner-" + tc.name
-			prog := compile(t).Prog
-			p := pipeline.NewNamed(prog, bench)
-			p.SetStore(st)
-			fresh := pipeline.NewNamed(prog, bench)
-			fresh.SetStore(st)
+			prog := compile(t, nil).Prog
+			p := pipeline.New(prog, bench, st)
+			fresh := pipeline.New(prog, bench, st)
 
 			step := func(label string, p *pipeline.Pipeline, want [4]uint64) {
 				t.Helper()
@@ -151,7 +152,7 @@ func TestStageRunnerSingleflight(t *testing.T) {
 	for _, tc := range stageCases(&calls) {
 		t.Run(tc.name, func(t *testing.T) {
 			calls.Store(0)
-			p := compile(t)
+			p := compile(t, nil)
 			const n = 8
 			var wg sync.WaitGroup
 			for range n {

@@ -27,20 +27,19 @@ func TestDiskTierWarmPipeline(t *testing.T) {
 	st := openStore(t)
 	in := map[string]bool{"a": true}
 
-	cold := compile(t)
-	cold.SetStore(st)
+	cold := compile(t, st)
 	if _, err := cold.Profile(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	coldSim, err := cold.Simulate(context.Background(), 256, in, nil)
+	coldSim, err := cold.SimulateUnits(context.Background(), nil, 256, in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldRes, err := cold.Analyze(context.Background(), 256, in, wcet.Options{})
+	coldRes, err := cold.AnalyzeUnits(context.Background(), nil, 256, in, wcet.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldWit, err := cold.Analyze(context.Background(), 0, nil, wcet.Options{Witness: true})
+	coldWit, err := cold.AnalyzeUnits(context.Background(), nil, 0, nil, wcet.Options{Witness: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,20 +54,19 @@ func TestDiskTierWarmPipeline(t *testing.T) {
 		t.Errorf("cold run: stage wall-clock not accounted: %+v", cs)
 	}
 
-	warm := pipeline.New(cold.Prog)
-	warm.SetStore(st)
+	warm := pipeline.New(cold.Prog, "", st)
 	if _, err := warm.Profile(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	warmSim, err := warm.Simulate(context.Background(), 256, in, nil)
+	warmSim, err := warm.SimulateUnits(context.Background(), nil, 256, in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmRes, err := warm.Analyze(context.Background(), 256, in, wcet.Options{})
+	warmRes, err := warm.AnalyzeUnits(context.Background(), nil, 256, in, wcet.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmWit, err := warm.Analyze(context.Background(), 0, nil, wcet.Options{Witness: true})
+	warmWit, err := warm.AnalyzeUnits(context.Background(), nil, 0, nil, wcet.Options{Witness: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,20 +92,18 @@ func TestDiskTierWarmPipeline(t *testing.T) {
 func TestDiskWitnessUpgrade(t *testing.T) {
 	st := openStore(t)
 
-	cold := compile(t)
-	cold.SetStore(st)
-	if _, err := cold.Analyze(context.Background(), 0, nil, wcet.Options{}); err != nil {
+	cold := compile(t, st)
+	if _, err := cold.AnalyzeUnits(context.Background(), nil, 0, nil, wcet.Options{}); err != nil {
 		t.Fatal(err)
 	}
 
 	// Second process: the plain request is a disk hit, the witness request
 	// an in-place upgrade that overwrites the disk entry.
-	p2 := pipeline.New(cold.Prog)
-	p2.SetStore(st)
-	if _, err := p2.Analyze(context.Background(), 0, nil, wcet.Options{}); err != nil {
+	p2 := pipeline.New(cold.Prog, "", st)
+	if _, err := p2.AnalyzeUnits(context.Background(), nil, 0, nil, wcet.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := p2.Analyze(context.Background(), 0, nil, wcet.Options{Witness: true})
+	res, err := p2.AnalyzeUnits(context.Background(), nil, 0, nil, wcet.Options{Witness: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,9 +119,8 @@ func TestDiskWitnessUpgrade(t *testing.T) {
 	}
 
 	// Third process: the witness request is now a plain disk hit.
-	p3 := pipeline.New(cold.Prog)
-	p3.SetStore(st)
-	res3, err := p3.Analyze(context.Background(), 0, nil, wcet.Options{Witness: true})
+	p3 := pipeline.New(cold.Prog, "", st)
+	res3, err := p3.AnalyzeUnits(context.Background(), nil, 0, nil, wcet.Options{Witness: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,18 +140,16 @@ func TestDiskWitnessUpgrade(t *testing.T) {
 func TestWitnessRequirement(t *testing.T) {
 	st := openStore(t)
 
-	p1 := compile(t)
-	p1.SetStore(st)
-	plain, err := p1.Analyze(context.Background(), 0, nil, wcet.Options{})
+	p1 := compile(t, st)
+	plain, err := p1.AnalyzeUnits(context.Background(), nil, 0, nil, wcet.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain.Witness != nil {
 		t.Fatal("plain analysis carries a witness")
 	}
-	p2 := pipeline.New(p1.Prog)
-	p2.SetStore(st)
-	res, err := p2.Analyze(context.Background(), 0, nil, wcet.Options{Witness: true})
+	p2 := pipeline.New(p1.Prog, "", st)
+	res, err := p2.AnalyzeUnits(context.Background(), nil, 0, nil, wcet.Options{Witness: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,9 +164,8 @@ func TestWitnessRequirement(t *testing.T) {
 			s.Analyses, s.AnalyzeDiskHits, s.AnalyzeDiskMisses)
 	}
 
-	p3 := pipeline.New(p1.Prog)
-	p3.SetStore(st)
-	got, err := p3.Analyze(context.Background(), 0, nil, wcet.Options{Witness: true})
+	p3 := pipeline.New(p1.Prog, "", st)
+	got, err := p3.AnalyzeUnits(context.Background(), nil, 0, nil, wcet.Options{Witness: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,31 +174,6 @@ func TestWitnessRequirement(t *testing.T) {
 	}
 	if s := p3.Stats(); s.Analyses != 0 || s.AnalyzeDiskHits != 1 {
 		t.Errorf("third pipeline: analyses=%d disk hits=%d, want 0/1", s.Analyses, s.AnalyzeDiskHits)
-	}
-}
-
-// TestSetStoreFlushesProfile: attaching a store after profiling persists
-// the profile, so a later pipeline skips the profiling simulation.
-func TestSetStoreFlushesProfile(t *testing.T) {
-	st := openStore(t)
-	p := compile(t)
-	prof, err := p.Profile(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.SetStore(st)
-
-	p2 := pipeline.New(p.Prog)
-	p2.SetStore(st)
-	prof2, err := p2.Profile(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := p2.Stats(); s.Profiles != 0 || s.ProfileDiskHits != 1 {
-		t.Errorf("profiles=%d disk hits=%d, want 0/1", s.Profiles, s.ProfileDiskHits)
-	}
-	if prof2.ObservedStackDepth() != prof.ObservedStackDepth() {
-		t.Error("flushed profile differs")
 	}
 }
 
@@ -225,7 +192,7 @@ func (a countingAllocator) Allocate(_ context.Context, p *pipeline.Pipeline, cap
 // TestAllocateMemoized: solves are keyed by (ConfigKey, capacity);
 // repeated sweeps hit, distinct capacities and configurations run.
 func TestAllocateMemoized(t *testing.T) {
-	p := compile(t)
+	p := compile(t, nil)
 	var calls atomic.Int32
 	a := countingAllocator{key: "counting|v=1", calls: &calls}
 
@@ -261,16 +228,15 @@ func TestAllocateMemoized(t *testing.T) {
 // without per-width counts is never read; the pipeline profiles afresh.
 func TestOldProfileKeyIsAMiss(t *testing.T) {
 	st := openStore(t)
-	p := compile(t)
+	p := compile(t, nil)
 	prof, err := p.Profile(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.SaveProfile(store.ProgramKey(p.Prog), "profile", prof); err != nil {
+	if err := store.Save(st, store.ProfileCodec, store.ProgramKey(p.Prog), "profile", prof); err != nil {
 		t.Fatal(err)
 	}
-	p2 := pipeline.New(p.Prog)
-	p2.SetStore(st)
+	p2 := pipeline.New(p.Prog, "", st)
 	if _, err := p2.Profile(context.Background()); err != nil {
 		t.Fatal(err)
 	}

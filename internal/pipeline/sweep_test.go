@@ -37,7 +37,7 @@ func TestSimulateCachesOracleBenchmarks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := pipeline.New(prog)
+		p := pipeline.New(prog, "", nil)
 		cfgs := sweepCapacities()
 		got, err := p.SimulateCaches(context.Background(), nil, 0, nil, cfgs)
 		if err != nil {
@@ -65,7 +65,7 @@ func TestSimulateCachesOracleGenerated(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v\n%s", trial, err, src)
 		}
-		p := pipeline.New(prog)
+		p := pipeline.New(prog, "", nil)
 		dm := sweepCapacities()[:9] // 16 B .. 4 KB
 		rng.Shuffle(len(dm), func(i, j int) { dm[i], dm[j] = dm[j], dm[i] })
 		others := []cache.Config{
@@ -110,9 +110,8 @@ func TestSimulateCachesTiers(t *testing.T) {
 	}
 	cfgs := sweepCapacities()[2:10] // 64 B .. 8 KB
 
-	cold := compile(t)
-	cold.SetStore(st)
-	if _, err := cold.Simulate(ctx, 0, nil, &cfgs[3]); err != nil {
+	cold := compile(t, st)
+	if _, err := cold.SimulateUnits(ctx, nil, 0, nil, &cfgs[3]); err != nil {
 		t.Fatal(err)
 	}
 	want, err := cold.SimulateCaches(ctx, nil, 0, nil, cfgs)
@@ -123,8 +122,7 @@ func TestSimulateCachesTiers(t *testing.T) {
 		t.Errorf("cold: hits=%d swept=%d sims=%d, want 1/8/8", s.SimHits, s.SimsSwept, s.Sims)
 	}
 
-	warm := compile(t)
-	warm.SetStore(st)
+	warm := compile(t, st)
 	got, err := warm.SimulateCaches(ctx, nil, 0, nil, cfgs)
 	if err != nil {
 		t.Fatal(err)
@@ -154,8 +152,8 @@ func TestSimulateCachesFailedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := pipeline.New(&obj.Program{Objects: []*obj.Object{crt, main}, Entry: "__start", Main: "main"})
-	exe, err := p.Link(context.Background(), 0, nil)
+	p := pipeline.New(&obj.Program{Objects: []*obj.Object{crt, main}, Entry: "__start", Main: "main"}, "", nil)
+	exe, err := p.LinkUnits(context.Background(), nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +181,7 @@ func TestSimulateCachesFailedRun(t *testing.T) {
 // TestSimulateCachesConcurrent: batches and single simulations racing on
 // one pipeline compute every configuration once and agree on it.
 func TestSimulateCachesConcurrent(t *testing.T) {
-	p := compile(t)
+	p := compile(t, nil)
 	cfgs := sweepCapacities()[2:10]
 	results := make([][]*sim.Result, 4)
 	var wg sync.WaitGroup
@@ -192,7 +190,7 @@ func TestSimulateCachesConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			if g%2 == 1 {
-				if _, err := p.Simulate(context.Background(), 0, nil, &cfgs[g]); err != nil {
+				if _, err := p.SimulateUnits(context.Background(), nil, 0, nil, &cfgs[g]); err != nil {
 					t.Error(err)
 				}
 			}
@@ -217,12 +215,12 @@ func TestSimulateCachesConcurrent(t *testing.T) {
 }
 
 // TestSimulateCachesRejectsInvalid: a batch holding an invalid
-// configuration, like a cached Simulate of one, fails with its Validate
+// configuration, like a cached SimulateUnits of one, fails with its Validate
 // error before any lookup: nothing is linked, run or memoized, and the
 // valid configurations of the batch still compute afterwards.
 func TestSimulateCachesRejectsInvalid(t *testing.T) {
 	ctx := context.Background()
-	p := compile(t)
+	p := compile(t, nil)
 	bad := cache.Config{Size: 1024, Assoc: 3}
 	want := bad.Validate()
 	cfgs := append(sweepCapacities()[2:4], bad)
@@ -235,7 +233,7 @@ func TestSimulateCachesRejectsInvalid(t *testing.T) {
 			t.Errorf("rejected batch served %+v", cfgs[i])
 		}
 	}
-	if _, err := p.Simulate(ctx, 0, nil, &bad); err == nil || err.Error() != want.Error() {
+	if _, err := p.SimulateUnits(ctx, nil, 0, nil, &bad); err == nil || err.Error() != want.Error() {
 		t.Errorf("single error %v, want %v", err, want)
 	}
 	if s := p.Stats(); s.Sims+s.SimHits+s.Links != 0 {

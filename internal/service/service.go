@@ -187,10 +187,12 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// instrumented wraps a handler with the per-route request counter, latency
-// histogram and the shared in-flight gauge, assigns the request its id
-// (inbound X-Request-ID, or generated), and emits one JSON access-log
-// record when the handler returns. The route label is the registered
+// instrumented wraps a handler with the per-route request counter, the
+// server's request total (the one place a request is counted for
+// RequestTotals and /v1/stats), the latency histogram and the shared
+// in-flight gauge, assigns the request its id (inbound X-Request-ID, or
+// generated), and emits one JSON access-log record when the handler
+// returns. The route label is the registered
 // pattern, never the raw URL, so the label set stays bounded.
 func (s *Server) instrumented(route string, h http.HandlerFunc) http.HandlerFunc {
 	reqs := obs.Default.Counter("wcetlab_http_requests_total",
@@ -208,6 +210,7 @@ func (s *Server) instrumented(route string, h http.HandlerFunc) http.HandlerFunc
 		sw := &statusWriter{ResponseWriter: w}
 		mInFlight.Add(1)
 		reqs.Inc()
+		s.requests.Add(1)
 		t0 := time.Now()
 		defer func() {
 			d := time.Since(t0)
@@ -386,7 +389,6 @@ func (s *Server) queueBound() int64 { return int64(4 * cap(s.sem)) }
 // handleHealthz is pure liveness: 200 as long as the process serves.
 // Like /v1/stats it takes no worker slot.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	s.writeJSON(w, http.StatusOK, map[string]any{
 		"status":   "ok",
 		"uptime_s": time.Since(s.start).Seconds(),
@@ -397,7 +399,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // traffic: every shard warmed, the artifact store (if any) writable, and
 // the worker queue below its bound. 503 lists the failing conditions.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	var reasons []string
 	if !s.warmed.Load() {
 		reasons = append(reasons, "shards warming")
@@ -513,7 +514,6 @@ func toDTO(m core.Measurement) measurementDTO {
 }
 
 func (s *Server) handleWCET(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	q := r.URL.Query()
 	// The query, cache configuration included, is checked before any shard
 	// is built or worker slot taken.
@@ -631,7 +631,6 @@ func toParetoDTO(f core.ParetoFrontAt) paretoFrontDTO {
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	q := r.URL.Query()
 	// Every parameter is checked before any shard is built or worker slot
 	// taken.
@@ -675,21 +674,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			}
 			maxPoints = n
 		}
-		if verr := (alloc.ParetoOptions{Adaptive: adaptive, MaxPoints: maxPoints}).Validate(); verr != nil {
+		opts := alloc.ParetoOptions{Adaptive: adaptive, MaxPoints: maxPoints}
+		if verr := opts.Validate(); verr != nil {
 			s.writeError(w, http.StatusBadRequest, verr.Error())
 			return
 		}
 		sweep = func(ctx context.Context, lab *core.Lab, emit func(any) error) error {
-			// Adaptive scan options apply to this request only: the shard's
-			// lab is shared, so the overrides go on a shallow per-request
-			// copy (the pipeline behind it — and with it all memoization —
-			// stays shared).
-			pl := *lab
-			pl.ParetoAdaptive = adaptive
-			if maxPoints > 0 {
-				pl.ParetoMaxPoints = maxPoints
-			}
-			return pl.SweepParetoStream(ctx, func(f core.ParetoFrontAt) error { return emit(toParetoDTO(f)) })
+			return lab.SweepParetoStream(ctx, opts, func(f core.ParetoFrontAt) error { return emit(toParetoDTO(f)) })
 		}
 	default:
 		s.writeError(w, http.StatusBadRequest, "branch must be spm, cache, wcetalloc or pareto")
@@ -802,7 +793,6 @@ type witnessDTO struct {
 }
 
 func (s *Server) handleWitness(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	q := r.URL.Query()
 	top := 10
 	if t := q.Get("top"); t != "" {
@@ -821,7 +811,7 @@ func (s *Server) handleWitness(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.release()
-	res, err := lab.Pipe.Analyze(r.Context(), 0, nil, wcet.Options{Witness: true})
+	res, err := lab.Pipe.AnalyzeUnits(r.Context(), nil, 0, nil, wcet.Options{Witness: true})
 	if err != nil {
 		s.serverError(w, err)
 		return
@@ -969,7 +959,6 @@ type statsDTO struct {
 // handleStats responds without taking a worker slot, so the server stays
 // observable under full load.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	out := statsDTO{
 		Workers:    cap(s.sem),
 		InFlight:   len(s.sem),
@@ -1018,7 +1007,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // handleMetrics serves the process-wide metrics registry in Prometheus
 // text exposition format. Like /v1/stats it takes no worker slot.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	obs.Default.WritePrometheus(w)
 }

@@ -360,6 +360,79 @@ func TestServeParetoSweep(t *testing.T) {
 	}
 }
 
+// TestServeParetoOptionsPerRequest: scan options belong to their request.
+// An adaptive, capped pareto sweep and a default one run at once on one
+// shard, and each returns exactly the rows it returns alone.
+func TestServeParetoOptionsPerRequest(t *testing.T) {
+	const (
+		even     = "/v1/sweep?bench=MultiSort&branch=pareto"
+		adaptive = even + "&adaptive=1&maxpoints=4"
+	)
+	body := func(base, target string) string {
+		t.Helper()
+		resp, err := http.Get(base + target)
+		if err != nil {
+			t.Error(err)
+			return ""
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Errorf("GET %s: status %d, %v", target, resp.StatusCode, err)
+		}
+		return string(b)
+	}
+	alone := map[string]string{}
+	for _, target := range []string{even, adaptive} {
+		ts, _ := newTestServer(t)
+		alone[target] = body(ts.URL, target)
+	}
+	if alone[even] == alone[adaptive] {
+		t.Fatal("the adaptive capped sweep returns the even sweep's rows; the test cannot tell them apart")
+	}
+	ts, _ := newTestServer(t)
+	var wg sync.WaitGroup
+	got := make([]string, 2)
+	for i, target := range []string{even, adaptive} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = body(ts.URL, target)
+		}()
+	}
+	wg.Wait()
+	for i, target := range []string{even, adaptive} {
+		if got[i] != alone[target] {
+			t.Errorf("%s run beside the other sweep:\n%s\nalone:\n%s", target, got[i], alone[target])
+		}
+	}
+}
+
+// TestRequestTotalsMatchStats: every request is counted once, whatever
+// its route, and RequestTotals reports what /v1/stats reports (the stats
+// request counts itself).
+func TestRequestTotalsMatchStats(t *testing.T) {
+	srv := service.New(service.Config{Workers: 1})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	get(t, ts.URL+"/v1/healthz", http.StatusOK, nil)
+	get(t, ts.URL+"/v1/metrics", http.StatusOK, nil)
+	get(t, ts.URL+"/v1/sweep?branch=bogus", http.StatusBadRequest, nil)
+	get(t, ts.URL+"/v1/witness?top=0", http.StatusBadRequest, nil)
+	var st struct {
+		Requests uint64 `json:"requests"`
+		Failures uint64 `json:"failures"`
+	}
+	get(t, ts.URL+"/v1/stats", http.StatusOK, &st)
+	requests, failures := srv.RequestTotals()
+	if st.Requests != 5 || requests != st.Requests {
+		t.Errorf("requests: /v1/stats %d, RequestTotals %d, want 5", st.Requests, requests)
+	}
+	if failures != st.Failures {
+		t.Errorf("failures: /v1/stats %d, RequestTotals %d", st.Failures, failures)
+	}
+}
+
 // TestServeGC: a server configured with a periodic GC interval applies the
 // retention policy while running and reports it in /v1/stats.
 func TestServeGC(t *testing.T) {

@@ -18,25 +18,25 @@ import (
 // cut in half and one byte short.
 func FuzzStoreDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
-		decodes(t, "profile", b, store.DecodeProfile, store.EncodeProfile)
-		decodes(t, "wcet", b, store.DecodeWCET, store.EncodeWCET)
-		decodes(t, "sim", b, store.DecodeSim, store.EncodeSim)
-		decodes(t, "alloc", b, store.DecodeAlloc, store.EncodeAlloc)
+		decodes(t, store.ProfileCodec, b)
+		decodes(t, store.WCETCodec, b)
+		decodes(t, store.SimCodec, b)
+		decodes(t, store.AllocCodec, b)
 	})
 }
 
-// decodes checks one decoder on one payload.
-func decodes[V any](t *testing.T, what string, b []byte, decode func([]byte) (*V, error), encode func(*V) []byte) {
+// decodes checks one kind's decoder on one payload.
+func decodes[V any](t *testing.T, c store.Codec[*V], b []byte) {
 	t.Helper()
-	v, err := decode(b)
+	v, err := c.Decode(b)
 	if (v == nil) == (err == nil) {
-		t.Fatalf("%s: decoded %v with error %v", what, v != nil, err)
+		t.Fatalf("%s: decoded %v with error %v", c.Kind, v != nil, err)
 	}
 	if err != nil {
 		return
 	}
-	if _, err := decode(encode(v)); err != nil {
-		t.Fatalf("%s: re-encoded value does not decode: %v", what, err)
+	if _, err := c.Decode(c.Encode(v)); err != nil {
+		t.Fatalf("%s: re-encoded value does not decode: %v", c.Kind, err)
 	}
 }
 

@@ -2,7 +2,8 @@
 // wcetlab processes: the persistence tier behind internal/pipeline's
 // memory → disk → compute caching. Every entry is one artifact — a
 // simulation result, a WCET analysis (with its worst-case witness when one
-// was computed) or a typical-input profile — addressed by
+// was computed), a typical-input profile or an allocation solve — addressed
+// by
 //
 //	sha256(kind, program content hash, canonical stage key)
 //
@@ -10,6 +11,10 @@
 // the stage key is the pipeline's canonical placement/configuration string.
 // Identical experiments therefore land on identical entries no matter which
 // process, benchmark sweep or server shard computes them first.
+//
+// Every kind is read and written the same way: Load and Save take the
+// kind's Codec (SimCodec, WCETCodec, ProfileCodec, AllocCodec, or one a
+// caller builds around a kind's Encode*/Decode* pair).
 //
 // # Layout and durability
 //
@@ -269,60 +274,40 @@ func (s *Store) write(kind Kind, progKey, stageKey string, payload []byte) error
 	return nil
 }
 
-// LoadSim returns the stored simulation result for (program, stage key),
-// or ok == false on a miss. The result's Mem is nil (see EncodeSim).
-func (s *Store) LoadSim(progKey, stageKey string) (*sim.Result, bool) {
-	payload := s.read(KindSim, progKey, stageKey)
+// Codec is one artifact kind's persisted form: the kind that tags its
+// entries and the payload's encoder and decoder.
+type Codec[V any] struct {
+	Kind   Kind
+	Encode func(V) []byte
+	Decode func([]byte) (V, error)
+}
+
+// The codecs of the four persisted artifact kinds.
+var (
+	// SimCodec's results have a nil Mem (see EncodeSim).
+	SimCodec = Codec[*sim.Result]{KindSim, EncodeSim, DecodeSim}
+	// WCETCodec's results carry a witness only if the stored one did.
+	WCETCodec    = Codec[*wcet.Result]{KindWCET, EncodeWCET, DecodeWCET}
+	ProfileCodec = Codec[*sim.Profile]{KindProfile, EncodeProfile, DecodeProfile}
+	AllocCodec   = Codec[*AllocArtifact]{KindAlloc, EncodeAlloc, DecodeAlloc}
+)
+
+// Load returns the artifact stored under (program, stage key) in the
+// codec's kind and true, or false on a miss. An entry that fails to decode
+// is a miss.
+func Load[V any](s *Store, c Codec[V], progKey, stageKey string) (V, bool) {
+	payload := s.read(c.Kind, progKey, stageKey)
 	if payload == nil {
-		return nil, false
+		var zero V
+		return zero, false
 	}
-	r, err := DecodeSim(payload)
-	if err != nil {
-		return nil, false
-	}
-	return r, true
+	v, err := c.Decode(payload)
+	return v, err == nil
 }
 
-// SaveSim stores a simulation result.
-func (s *Store) SaveSim(progKey, stageKey string, r *sim.Result) error {
-	return s.write(KindSim, progKey, stageKey, EncodeSim(r))
-}
-
-// LoadWCET returns the stored analysis result, or ok == false on a miss.
-// The result carries a witness only if the stored one did.
-func (s *Store) LoadWCET(progKey, stageKey string) (*wcet.Result, bool) {
-	payload := s.read(KindWCET, progKey, stageKey)
-	if payload == nil {
-		return nil, false
-	}
-	r, err := DecodeWCET(payload)
-	if err != nil {
-		return nil, false
-	}
-	return r, true
-}
-
-// SaveWCET stores an analysis result (witness included when present).
-func (s *Store) SaveWCET(progKey, stageKey string, r *wcet.Result) error {
-	return s.write(KindWCET, progKey, stageKey, EncodeWCET(r))
-}
-
-// LoadAlloc returns the stored allocation solve, or ok == false on a miss.
-func (s *Store) LoadAlloc(progKey, stageKey string) (*AllocArtifact, bool) {
-	payload := s.read(KindAlloc, progKey, stageKey)
-	if payload == nil {
-		return nil, false
-	}
-	a, err := DecodeAlloc(payload)
-	if err != nil {
-		return nil, false
-	}
-	return a, true
-}
-
-// SaveAlloc stores an allocation solve.
-func (s *Store) SaveAlloc(progKey, stageKey string, a *AllocArtifact) error {
-	return s.write(KindAlloc, progKey, stageKey, EncodeAlloc(a))
+// Save stores an artifact under (program, stage key) in the codec's kind.
+func Save[V any](s *Store, c Codec[V], progKey, stageKey string, v V) error {
+	return s.write(c.Kind, progKey, stageKey, c.Encode(v))
 }
 
 // DropKinds removes every (non-corrupt) entry of the given kinds, returning
@@ -350,24 +335,6 @@ func (s *Store) DropKinds(kinds ...Kind) (removed int, freed int64, err error) {
 	mGCRemoved.Add(uint64(removed))
 	mGCFreed.Add(uint64(freed))
 	return removed, freed, nil
-}
-
-// LoadProfile returns the stored profile, or ok == false on a miss.
-func (s *Store) LoadProfile(progKey, stageKey string) (*sim.Profile, bool) {
-	payload := s.read(KindProfile, progKey, stageKey)
-	if payload == nil {
-		return nil, false
-	}
-	p, err := DecodeProfile(payload)
-	if err != nil {
-		return nil, false
-	}
-	return p, true
-}
-
-// SaveProfile stores a profile.
-func (s *Store) SaveProfile(progKey, stageKey string, p *sim.Profile) error {
-	return s.write(KindProfile, progKey, stageKey, EncodeProfile(p))
 }
 
 // Entry describes one stored artifact in an Index listing.

@@ -91,10 +91,10 @@ func TestRoundTripIdentity(t *testing.T) {
 	s := open(t)
 	pk := store.ProgramKey(prog)
 
-	if err := s.SaveSim(pk, "sim", simRes); err != nil {
+	if err := store.Save(s, store.SimCodec, pk, "sim", simRes); err != nil {
 		t.Fatal(err)
 	}
-	gotSim, ok := s.LoadSim(pk, "sim")
+	gotSim, ok := store.Load(s, store.SimCodec, pk, "sim")
 	if !ok {
 		t.Fatal("sim: miss after save")
 	}
@@ -108,10 +108,10 @@ func TestRoundTripIdentity(t *testing.T) {
 		t.Error("sim: re-encoding differs")
 	}
 
-	if err := s.SaveProfile(pk, "profile", prof); err != nil {
+	if err := store.Save(s, store.ProfileCodec, pk, "profile", prof); err != nil {
 		t.Fatal(err)
 	}
-	gotProf, ok := s.LoadProfile(pk, "profile")
+	gotProf, ok := store.Load(s, store.ProfileCodec, pk, "profile")
 	if !ok {
 		t.Fatal("profile: miss after save")
 	}
@@ -132,10 +132,10 @@ func TestRoundTripIdentity(t *testing.T) {
 	}
 
 	for name, res := range map[string]*wcet.Result{"witness": wres, "cache": cres} {
-		if err := s.SaveWCET(pk, name, res); err != nil {
+		if err := store.Save(s, store.WCETCodec, pk, name, res); err != nil {
 			t.Fatal(err)
 		}
-		got, ok := s.LoadWCET(pk, name)
+		got, ok := store.Load(s, store.WCETCodec, pk, name)
 		if !ok {
 			t.Fatalf("wcet %s: miss after save", name)
 		}
@@ -195,10 +195,10 @@ func TestCorruptionIsAMiss(t *testing.T) {
 	}
 	for name, corrupt := range corruptions {
 		s := open(t)
-		if _, ok := s.LoadSim(pk, "sim"); ok {
+		if _, ok := store.Load(s, store.SimCodec, pk, "sim"); ok {
 			t.Fatalf("%s: hit on empty store", name)
 		}
-		if err := s.SaveSim(pk, "sim", simRes); err != nil {
+		if err := store.Save(s, store.SimCodec, pk, "sim", simRes); err != nil {
 			t.Fatal(err)
 		}
 		path := entryFile(t, s)
@@ -209,17 +209,17 @@ func TestCorruptionIsAMiss(t *testing.T) {
 		if err := os.WriteFile(path, corrupt(raw), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := s.LoadSim(pk, "sim"); ok {
+		if _, ok := store.Load(s, store.SimCodec, pk, "sim"); ok {
 			t.Errorf("%s: corrupt entry served as a hit", name)
 		}
 		if _, err := os.Stat(path); !os.IsNotExist(err) {
 			t.Errorf("%s: corrupt entry not removed", name)
 		}
 		// The slot heals: rewrite and read back.
-		if err := s.SaveSim(pk, "sim", simRes); err != nil {
+		if err := store.Save(s, store.SimCodec, pk, "sim", simRes); err != nil {
 			t.Fatal(err)
 		}
-		if got, ok := s.LoadSim(pk, "sim"); !ok || !sameSim(got, simRes) {
+		if got, ok := store.Load(s, store.SimCodec, pk, "sim"); !ok || !sameSim(got, simRes) {
 			t.Errorf("%s: rewrite after corruption did not heal", name)
 		}
 	}
@@ -250,16 +250,16 @@ func TestConcurrentSharedDir(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 10; j++ {
-				if err := s.SaveSim(pk, "sim", simRes); err != nil {
+				if err := store.Save(s, store.SimCodec, pk, "sim", simRes); err != nil {
 					t.Error(err)
 				}
-				if got, ok := s.LoadSim(pk, "sim"); ok && !sameSim(got, simRes) {
+				if got, ok := store.Load(s, store.SimCodec, pk, "sim"); ok && !sameSim(got, simRes) {
 					t.Error("concurrent load returned different values")
 				}
-				if err := s.SaveWCET(pk, "wcet", wres); err != nil {
+				if err := store.Save(s, store.WCETCodec, pk, "wcet", wres); err != nil {
 					t.Error(err)
 				}
-				if got, ok := s.LoadWCET(pk, "wcet"); ok && got.WCET != wres.WCET {
+				if got, ok := store.Load(s, store.WCETCodec, pk, "wcet"); ok && got.WCET != wres.WCET {
 					t.Error("concurrent load returned a different bound")
 				}
 			}
@@ -281,10 +281,10 @@ func TestConcurrentSharedDir(t *testing.T) {
 			t.Errorf("entry %s corrupt after concurrent writes", e.Name)
 		}
 	}
-	if got, ok := s1.LoadSim(pk, "sim"); !ok || !bytes.Equal(store.EncodeSim(got), store.EncodeSim(simRes)) {
+	if got, ok := store.Load(s1, store.SimCodec, pk, "sim"); !ok || !bytes.Equal(store.EncodeSim(got), store.EncodeSim(simRes)) {
 		t.Error("surviving sim entry does not agree bit-for-bit")
 	}
-	if got, ok := s2.LoadWCET(pk, "wcet"); !ok || !bytes.Equal(store.EncodeWCET(got), store.EncodeWCET(wres)) {
+	if got, ok := store.Load(s2, store.WCETCodec, pk, "wcet"); !ok || !bytes.Equal(store.EncodeWCET(got), store.EncodeWCET(wres)) {
 		t.Error("surviving wcet entry does not agree bit-for-bit")
 	}
 }
@@ -296,13 +296,13 @@ func TestIndexSweepGC(t *testing.T) {
 	prog, simRes, prof, wres, _ := artifacts(t)
 	s := open(t)
 	pk := store.ProgramKey(prog)
-	if err := s.SaveSim(pk, "sim", simRes); err != nil {
+	if err := store.Save(s, store.SimCodec, pk, "sim", simRes); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SaveProfile(pk, "profile", prof); err != nil {
+	if err := store.Save(s, store.ProfileCodec, pk, "profile", prof); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SaveWCET(pk, "wcet", wres); err != nil {
+	if err := store.Save(s, store.WCETCodec, pk, "wcet", wres); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := s.Index()
@@ -399,7 +399,7 @@ func TestRetiredKindIsCorrupt(t *testing.T) {
 	prog, simRes, prof, _, _ := artifacts(t)
 	s := open(t)
 	pk := store.ProgramKey(prog)
-	if err := s.SaveSim(pk, "sim", simRes); err != nil {
+	if err := store.Save(s, store.SimCodec, pk, "sim", simRes); err != nil {
 		t.Fatal(err)
 	}
 	path := entryFile(t, s)
@@ -413,7 +413,7 @@ func TestRetiredKindIsCorrupt(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SaveProfile(pk, "profile", prof); err != nil {
+	if err := store.Save(s, store.ProfileCodec, pk, "profile", prof); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := s.Index()
@@ -439,7 +439,7 @@ func TestRetiredKindIsCorrupt(t *testing.T) {
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Error("kind-5 entry survived the sweep")
 	}
-	if _, ok := s.LoadProfile(pk, "profile"); !ok {
+	if _, ok := store.Load(s, store.ProfileCodec, pk, "profile"); !ok {
 		t.Error("sweep removed the profile entry")
 	}
 }
@@ -492,17 +492,17 @@ func TestAllocRoundTrip(t *testing.T) {
 		Used:    420,
 		Splits:  []obj.Region{{Func: "g", Start: 10, End: 96}},
 	}
-	if err := s.SaveAlloc("prog", "alloc|k|cap=512", in); err != nil {
+	if err := store.Save(s, store.AllocCodec, "prog", "alloc|k|cap=512", in); err != nil {
 		t.Fatal(err)
 	}
-	out, ok := s.LoadAlloc("prog", "alloc|k|cap=512")
+	out, ok := store.Load(s, store.AllocCodec, "prog", "alloc|k|cap=512")
 	if !ok {
 		t.Fatal("saved allocation not found")
 	}
 	if !reflect.DeepEqual(in, out) {
 		t.Errorf("round trip mismatch:\nin  %+v\nout %+v", in, out)
 	}
-	if _, ok := s.LoadAlloc("prog", "alloc|k|cap=1024"); ok {
+	if _, ok := store.Load(s, store.AllocCodec, "prog", "alloc|k|cap=1024"); ok {
 		t.Error("different capacity key served the same solve")
 	}
 	// Re-encoding is deterministic (concurrent writers produce identical
@@ -518,7 +518,7 @@ func TestGCPolicy(t *testing.T) {
 	s := open(t)
 	save := func(key string) {
 		t.Helper()
-		if err := s.SaveAlloc("p", key, &store.AllocArtifact{InSPM: map[string]bool{key: true}}); err != nil {
+		if err := store.Save(s, store.AllocCodec, "p", key, &store.AllocArtifact{InSPM: map[string]bool{key: true}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -604,7 +604,7 @@ func TestProfileWidthsRoundTrip(t *testing.T) {
 
 // TestProfileOldOrTruncatedIsMiss: a profile payload in the previous
 // ("profile/v2") encoding, or cut short anywhere, decodes as an error
-// (which LoadProfile reports as a miss), never as a profile or a panic.
+// (which Load reports as a miss), never as a profile or a panic.
 func TestProfileOldOrTruncatedIsMiss(t *testing.T) {
 	_, _, prof, _, _ := artifacts(t)
 	cur := store.EncodeProfile(prof)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -142,9 +141,8 @@ func putCapped(m map[string]*FuncSolution, k string, v *FuncSolution) {
 // an object whose side changed.
 //
 // With a cache the engine serves one cache *shape* (line size,
-// associativity, instruction-only) at every capacity. An analysis under
-// the layout and capacities of the previous one reuses every function's
-// MUST record as is. Any other runs one MUST pass: an interprocedural
+// associativity, instruction-only) at every capacity. Every analysis runs
+// one MUST pass: an interprocedural
 // iteration at function granularity in which a function re-runs its
 // intra-procedural solve only when its entry state or a callee's exit
 // state differs from those its current record was computed from. The
@@ -168,12 +166,10 @@ type Engine struct {
 	shape   *cache.Config // nil: cache-less; else Size zeroed, set per Analyze
 	funcs   []engineFunc  // by skeleton index
 
-	// lay is the layout the current block costs reflect: all of main
-	// memory at construction without a cache, nil until the first analysis
-	// with one. laySize/laySpm are its capacities (cache engines), for the
-	// layout-stable fast path.
-	lay             []link.ObjLayout
-	laySize, laySpm uint32
+	// lay is the layout the current block costs of a cache-less engine
+	// reflect: all of main memory at construction. Cache engines leave it
+	// nil.
+	lay []link.ObjLayout
 
 	keyBuf []byte
 
@@ -185,12 +181,8 @@ type Engine struct {
 // Engine builds an incremental analysis engine on the skeleton.
 // opts.Cache, when set, supplies the cache shape — its Size is ignored and
 // chosen per Analyze, so one engine serves a whole capacity sweep.
-// opts.Root must be empty or the skeleton's root; opts.Witness is ignored:
-// witnesses are requested per Analyze.
+// opts.Witness is ignored: witnesses are requested per Analyze.
 func (sk *Skeleton) Engine(opts Options) (*Engine, error) {
-	if opts.Root != "" && opts.Root != sk.order[sk.root] {
-		return nil, fmt.Errorf("wcet: engine root %q on a skeleton rooted at %q", opts.Root, sk.order[sk.root])
-	}
 	c := &Engine{sk: sk, stackLo: link.StackBase, funcs: make([]engineFunc, len(sk.funcs))}
 	if opts.StackBound > 0 && opts.StackBound < link.StackSize {
 		c.stackLo = link.StackTop - opts.StackBound
@@ -297,14 +289,9 @@ func (c *Engine) Analyze(ctx context.Context, cacheSize, spmSize uint32, inSPM m
 		if c.analyses.Add(1) > 1 {
 			mCCtxReuses.Inc()
 		}
-		// Layout-stable fast path: no object moved and the capacities are
-		// unchanged, so every function's record is verbatim valid.
-		var reran, reused uint64
-		if c.lay == nil || cacheSize != c.laySize || spmSize != c.laySpm || !slices.Equal(c.lay, lay) {
-			if reran, reused, err = c.mustPass(cc, lay, spmSize); err != nil {
-				return nil, err
-			}
-			c.lay, c.laySize, c.laySpm = lay, cacheSize, spmSize
+		reran, reused, err := c.mustPass(cc, lay, spmSize)
+		if err != nil {
+			return nil, err
 		}
 		c.funcsReanalyzed.Add(reran)
 		c.mustReused.Add(reused)

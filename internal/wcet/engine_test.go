@@ -50,7 +50,7 @@ func baseProg(t *testing.T, src string) *link.Executable {
 // skeletonOf builds the analysis skeleton of base from the program entry.
 func skeletonOf(t testing.TB, base *link.Executable) *Skeleton {
 	t.Helper()
-	sk, err := NewSkeleton(base, "")
+	sk, err := NewSkeleton(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,13 +68,12 @@ func engineOn(t testing.TB, sk *Skeleton, opts Options) *Engine {
 }
 
 // TestCacheContextMatchesCold drives one cache engine through a sweep of
-// capacities, associativities and placements — including revisits, the
-// layout-stable fast path, and a data-only move that leaves every code
-// address in place — and checks every Result (bound, per-function bounds,
+// capacities, associativities and placements — including revisits, an
+// immediate repeat, and a data-only move that leaves every code address in
+// place — and checks every Result (bound, per-function bounds,
 // classification counts, witness) is bit-identical to a from-scratch link
 // + Analyze. A second pass over the same sweep must reproduce the first
-// pass's results exactly, and the immediate repeat that ends each pass
-// must re-run no function.
+// pass's results exactly.
 func TestCacheContextMatchesCold(t *testing.T) {
 	base := baseProg(t, cacheCtxSrc)
 
@@ -96,7 +95,7 @@ func TestCacheContextMatchesCold(t *testing.T) {
 			steps = append(steps, step{cacheSize: size, spmSize: pl.spmSize, inSPM: pl.inSPM})
 		}
 	}
-	// Immediate repeat of the last step: the layout-stable fast path.
+	// Immediate repeat of the last step.
 	steps = append(steps, steps[len(steps)-1])
 
 	sk := skeletonOf(t, base)
@@ -105,11 +104,7 @@ func TestCacheContextMatchesCold(t *testing.T) {
 		ctx := engineOn(t, sk, Options{Cache: &ccfg, StackBound: 256, Witness: true})
 		first := make([]*Result, len(steps))
 		for pass := 0; pass < 2; pass++ {
-			var beforeRepeat uint64
 			for i, st := range steps {
-				if i == len(steps)-1 {
-					beforeRepeat = ctx.Stats().FuncsReanalyzed
-				}
 				warm, err := ctx.Analyze(context.Background(), st.cacheSize, st.spmSize, st.inSPM, true)
 				if err != nil {
 					t.Fatalf("assoc %d pass %d step %d: warm: %v", assoc, pass, i, err)
@@ -138,12 +133,8 @@ func TestCacheContextMatchesCold(t *testing.T) {
 						assoc, i, st.cacheSize, st.spmSize, st.inSPM, warm, cold)
 				}
 			}
-			cs := ctx.Stats()
-			if cs.FuncsReanalyzed == 0 {
+			if ctx.Stats().FuncsReanalyzed == 0 {
 				t.Fatalf("assoc %d pass %d: nothing re-analyzed", assoc, pass)
-			}
-			if n := cs.FuncsReanalyzed - beforeRepeat; n != 0 {
-				t.Fatalf("assoc %d pass %d: immediate repeat re-analyzed %d functions, want 0", assoc, pass, n)
 			}
 		}
 		if cs := ctx.Stats(); cs.Analyses != uint64(2*len(steps)) {
@@ -180,30 +171,11 @@ func TestCacheContextInstructionOnly(t *testing.T) {
 	}
 }
 
-// TestCacheContextStablePlacementSkipsReanalysis pins the fast path: an
-// analysis under an unchanged layout and capacity re-runs zero functions.
-func TestCacheContextStablePlacementSkipsReanalysis(t *testing.T) {
-	base := baseProg(t, cacheCtxSrc)
-	ccfg := cache.Config{}
-	ctx := engineOn(t, skeletonOf(t, base), Options{Cache: &ccfg})
-	if _, err := ctx.Analyze(context.Background(), 128, 0, nil, false); err != nil {
-		t.Fatal(err)
-	}
-	before := ctx.Stats().FuncsReanalyzed
-	if _, err := ctx.Analyze(context.Background(), 128, 0, nil, false); err != nil {
-		t.Fatal(err)
-	}
-	if after := ctx.Stats().FuncsReanalyzed; after != before {
-		t.Fatalf("stable repeat re-analyzed %d functions, want 0", after-before)
-	}
-}
-
 // TestCacheEngineHoldsNoMustState: after each analysis a cache engine
 // keeps only block costs and classification counts of its MUST pass —
 // no abstract cache state and no state pool is reachable from it — so
-// its retained heap does not depend on which capacity it analysed last.
-// The layout-stable fast path still serves the repeat of the last
-// analysis bit-identically without re-running a function.
+// its retained heap does not depend on which capacity it analysed last,
+// and a repeat of the last analysis is bit-identical to it.
 func TestCacheEngineHoldsNoMustState(t *testing.T) {
 	base := baseProg(t, cacheCtxSrc)
 	bg := context.Background()
@@ -218,13 +190,9 @@ func TestCacheEngineHoldsNoMustState(t *testing.T) {
 			if path := mustStatePath(reflect.ValueOf(e), "engine", map[uintptr]bool{}); path != "" {
 				t.Fatalf("assoc %d cache %d: the engine still holds MUST state at %s", assoc, size, path)
 			}
-			before := e.Stats().FuncsReanalyzed
 			again, err := e.Analyze(bg, size, 256, map[string]bool{"scale": true}, true)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if n := e.Stats().FuncsReanalyzed - before; n != 0 {
-				t.Fatalf("assoc %d cache %d: stable repeat re-analyzed %d functions, want 0", assoc, size, n)
 			}
 			if !reflect.DeepEqual(first, again) {
 				t.Fatalf("assoc %d cache %d: repeat %+v, first %+v", assoc, size, again, first)
@@ -317,12 +285,8 @@ func TestCacheContextErrorsMatchLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewSkeleton(spmExe, ""); err == nil {
+	if _, err := NewSkeleton(spmExe); err == nil {
 		t.Error("skeleton built from a scratchpad link")
-	}
-	// An engine cannot re-root its skeleton.
-	if _, err := sk.Engine(Options{Root: "sum"}); err == nil {
-		t.Error("engine rooted at sum on a skeleton rooted at main")
 	}
 	// Invalid cache size: same message as cache.Config.Validate.
 	e := engineOn(t, sk, Options{Cache: &cache.Config{}})

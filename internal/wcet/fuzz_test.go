@@ -49,7 +49,7 @@ func TestFuzzSoundnessAcrossConfigs(t *testing.T) {
 			{name: "icache-512", cache: &cache.Config{Size: 512, InstructionOnly: true}},
 			{name: "spm-data+cache-1k", spm: 2048, inSPM: map[string]bool{"tbl": true, "bias": true}, cache: &cache.Config{Size: 1024}},
 		}
-		sk, err := NewSkeleton(base, "")
+		sk, err := NewSkeleton(base)
 		if err != nil {
 			t.Fatalf("trial %d: skeleton: %v", trial, err)
 		}

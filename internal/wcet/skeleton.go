@@ -108,7 +108,7 @@ type skelFunc struct {
 }
 
 // Skeleton is the part of analysing one program that depends on neither
-// the placement nor the analysis mode: the CFG from the root, its
+// the placement nor the analysis mode: the CFG from the entry, its
 // callees-first order, the object index, and per function the IPET program
 // with its phase-1-solved tableau and one layout-independent decomposition
 // per block (cost terms and symbolic access stream), plus the object →
@@ -136,19 +136,13 @@ type Skeleton struct {
 }
 
 // NewSkeleton builds the analysis skeleton of the program's
-// scratchpad-less base executable, link.Link(prog, 0, nil), for the given
-// analysis root ("" is the program entry).
-func NewSkeleton(base *link.Executable, root string) (*Skeleton, error) {
+// scratchpad-less base executable, link.Link(prog, 0, nil), rooted at the
+// program entry.
+func NewSkeleton(base *link.Executable) (*Skeleton, error) {
 	if base.SPMSize != 0 {
 		return nil, fmt.Errorf("wcet: skeleton base linked with a %d-byte scratchpad, want none", base.SPMSize)
 	}
-	if root == "" {
-		root = base.Prog.Entry
-	}
-	if root == "" {
-		return nil, fmt.Errorf("wcet: no analysis root")
-	}
-	g, err := cfg.Build(base, root)
+	g, err := cfg.Build(base)
 	if err != nil {
 		return nil, err
 	}
@@ -173,7 +167,7 @@ func NewSkeleton(base *link.Executable, root string) (*Skeleton, error) {
 	for i, name := range order {
 		funcIdx[name] = int32(i)
 	}
-	sk.root = funcIdx[root]
+	sk.root = funcIdx[base.Prog.Entry]
 	callers := make([]map[string]bool, len(order))
 	for i, name := range order {
 		f := g.Funcs[name]

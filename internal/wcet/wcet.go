@@ -19,9 +19,6 @@ type Options struct {
 	// address range of stack accesses in the cache analysis). Zero means
 	// the whole stack region, which is maximally pessimistic but safe.
 	StackBound uint32
-	// Root overrides the analysis root; default is the program entry, so
-	// the bound is directly comparable to simulated whole-program cycles.
-	Root string
 	// Witness requests the worst-case-path witness in Result.Witness. Off
 	// by default: only the WCET-directed allocator consumes it, and
 	// building it walks every instruction's accesses a second time.
@@ -30,7 +27,8 @@ type Options struct {
 
 // Result is the outcome of a WCET analysis.
 type Result struct {
-	// WCET is the worst-case execution time bound in cycles for the root.
+	// WCET is the worst-case execution time bound in cycles for the whole
+	// program, from its entry.
 	WCET uint64
 	// PerFunction maps each analysed function to its WCET contribution
 	// (including its callees).
@@ -48,15 +46,10 @@ type Result struct {
 }
 
 // Analyze computes a safe upper bound on the execution time of the
-// executable under the given memory configuration.
+// executable under the given memory configuration. The analysis starts at
+// the program entry, so the bound is directly comparable to simulated
+// whole-program cycles.
 func Analyze(exe *link.Executable, opts Options) (*Result, error) {
-	root := opts.Root
-	if root == "" {
-		root = exe.Prog.Entry
-	}
-	if root == "" {
-		return nil, fmt.Errorf("wcet: no analysis root")
-	}
 	if opts.Cache != nil {
 		if err := opts.Cache.Validate(); err != nil {
 			return nil, err
@@ -67,10 +60,11 @@ func Analyze(exe *link.Executable, opts Options) (*Result, error) {
 		// and the cost model already implement per access.
 	}
 
-	g, err := cfg.Build(exe, root)
+	g, err := cfg.Build(exe)
 	if err != nil {
 		return nil, err
 	}
+	root := exe.Prog.Entry
 	order, err := g.TopoOrder()
 	if err != nil {
 		return nil, err

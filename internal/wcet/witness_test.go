@@ -14,7 +14,7 @@ import (
 // compositional bound exactly (integer costs, integer counts).
 func reconstructWCET(t *testing.T, exe *link.Executable, res *Result) uint64 {
 	t.Helper()
-	g, err := cfg.Build(exe, exe.Prog.Entry)
+	g, err := cfg.Build(exe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,6 +38,31 @@ func reconstructWCET(t *testing.T, exe *link.Executable, res *Result) uint64 {
 		}
 	}
 	return total
+}
+
+// TestCFGHoldsChargedFunctions: the graph cfg.Build returns for the
+// baseline executable — the one `wcetlab witness -path` walks — holds
+// every function the baseline witness charges, the entry stub included.
+func TestCFGHoldsChargedFunctions(t *testing.T) {
+	for _, b := range benchprog.All() {
+		exe := prep(t, b.Source, 0, nil)
+		res, err := Analyze(exe, Options{Witness: true})
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		g, err := cfg.Build(exe)
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		if res.Witness.FuncRuns[exe.Prog.Entry] == 0 {
+			t.Errorf("%s: the witness does not charge the entry %s", b.Name, exe.Prog.Entry)
+		}
+		for name, runs := range res.Witness.FuncRuns {
+			if runs > 0 && g.Funcs[name] == nil {
+				t.Errorf("%s: the witness charges %s (%d runs), the CFG lacks it", b.Name, name, runs)
+			}
+		}
+	}
 }
 
 // TestWitnessReconstructsWCET: the exported witness must account for every
@@ -72,7 +97,7 @@ func TestWitnessFlowConservation(t *testing.T) {
 	if w.FuncRuns[exe.Prog.Entry] != 1 {
 		t.Fatalf("root runs %d times, want 1", w.FuncRuns[exe.Prog.Entry])
 	}
-	g, err := cfg.Build(exe, exe.Prog.Entry)
+	g, err := cfg.Build(exe)
 	if err != nil {
 		t.Fatal(err)
 	}
